@@ -49,9 +49,7 @@ def upwind_step(v, w, G, mu, periodic):
     """
     alpha = v - mu * G[1:]
     beta = mu * G[:-1]
-    lam = np.zeros_like(v)
-    nz = v != 0.0
-    lam[nz] = w[nz] / v[nz]
+    lam = np.divide(w, v, out=np.zeros_like(v), where=v != 0.0)
     if periodic:
         lam_left = np.roll(lam, 1)
     else:

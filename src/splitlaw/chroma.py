@@ -16,8 +16,8 @@ import numpy as np
 from . import _kernels
 from .core import CellField, Trajectory, total_variation
 from .errors import InvalidArgument, InvalidEntropy, NumericalBlowup
-from .scalar import (ScalarConfig, _check_test_fns, _record_plan,
-                     _spacetime_quadrature, solve_scalar)
+from .scalar import (ScalarConfig, _check_test_fns, _fixed_step_plan,
+                     _record_plan, _spacetime_quadrature, solve_scalar)
 from .transport import solve_continuity_upwind
 
 
@@ -317,10 +317,7 @@ def solve_direct(U0, config):
     t = 0.0
     step = 0
     if config.fixed_dt is not None:
-        n_steps = round(config.t_end / config.fixed_dt)
-        if abs(n_steps * config.fixed_dt - config.t_end) > 1e-9 * config.t_end:
-            raise InvalidArgument("t_end is not a multiple of fixed_dt")
-        stop_steps = {round(s / config.fixed_dt) for s in stops}
+        n_steps, stop_steps = _fixed_step_plan(config, stops)
 
     stop_iter = iter(stops)
     next_stop = next(stop_iter)

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import _kernels
 from .core import CellField, Trajectory, total_variation, _window_slice
-from .errors import InvalidArgument, NumericalBlowup, UnsupportedFlux
+from .errors import (HypothesisViolation, InvalidArgument, NumericalBlowup,
+                     UnsupportedFlux)
 
 _BISECT_TOL = 1e-12
 
@@ -142,10 +143,10 @@ class ScalarConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl < 1.0):
             raise InvalidArgument("cfl must lie in (0, 1)")
-        if self.t_end <= 0.0:
-            raise InvalidArgument("t_end must be positive")
-        if self.fixed_dt is not None and self.fixed_dt <= 0.0:
-            raise InvalidArgument("fixed_dt must be positive")
+        if not (0.0 < self.t_end < math.inf):
+            raise InvalidArgument("t_end must be positive and finite")
+        if self.fixed_dt is not None and not (0.0 < self.fixed_dt < math.inf):
+            raise InvalidArgument("fixed_dt must be positive and finite")
         for t in self.record_times:
             if not (0.0 <= t <= self.t_end):
                 raise InvalidArgument("record times must lie in [0, t_end]")
@@ -157,6 +158,11 @@ def cfl_dt(flux, fieldv, cfl):
     dx = fieldv.grid.dx if isinstance(fieldv, CellField) else None
     if dx is None:
         raise InvalidArgument("cfl_dt needs a CellField")
+    return _dt_from_speed(L, dx, cfl)
+
+
+def _dt_from_speed(L, dx, cfl):
+    """The CFL step cfl*dx/L; a zero speed bound gives cfl*dx."""
     if L == 0.0:
         return cfl * dx
     return cfl * dx / L
@@ -171,12 +177,35 @@ def _record_plan(config):
     return stops
 
 
+def _fixed_step_plan(config, stops):
+    """Step count and the set of steps that end on a stop, for fixed dt.
+
+    Both t_end and every stop must be whole multiples of fixed_dt.
+    """
+    n_steps = round(config.t_end / config.fixed_dt)
+    if abs(n_steps * config.fixed_dt - config.t_end) > 1e-9 * config.t_end:
+        raise InvalidArgument("t_end is not a multiple of fixed_dt")
+    stop_steps = set()
+    for s in stops:
+        js = round(s / config.fixed_dt)
+        if abs(js * config.fixed_dt - s) > 1e-9 * max(s, config.fixed_dt):
+            raise InvalidArgument("record time not aligned with fixed_dt")
+        stop_steps.add(js)
+    return n_steps, stop_steps
+
+
 def solve_scalar(flux, init, config):
     """March the Godunov scheme to t_end, recording the requested times.
 
     The returned Trajectory always includes t=0. meta carries the per-step
     dt schedule and (with config.record_fluxes) every interface flux array,
     which is what lets the transport stage replay the run in lockstep.
+
+    The step constants (speed bound L, the critical point of g and g
+    there, and the adaptive dt) depend on the data only through its range
+    (min v, max v), so they are recomputed only when that range changes.
+    With fixed_dt, each new range is checked against the CFL hypothesis
+    dt*L/dx <= 1 and a violation raises HypothesisViolation.
     """
     flux.check_admissible(init.values)
     if not np.all(np.isfinite(init.values)):
@@ -201,29 +230,40 @@ def solve_scalar(flux, init, config):
     t = 0.0
     step = 0
     if config.fixed_dt is not None:
-        n_steps = round(config.t_end / config.fixed_dt)
-        if abs(n_steps * config.fixed_dt - config.t_end) > 1e-9 * config.t_end:
-            raise InvalidArgument("t_end is not a multiple of fixed_dt")
-        stop_steps = []
-        for s in stops:
-            js = round(s / config.fixed_dt)
-            if abs(js * config.fixed_dt - s) > 1e-9 * max(s, config.fixed_dt):
-                raise InvalidArgument("record time not aligned with fixed_dt")
-            stop_steps.append(js)
+        n_steps, stop_steps = _fixed_step_plan(config, stops)
 
     stop_iter = iter(stops)
     next_stop = next(stop_iter)
+    ve = np.empty(grid.n + 2)  # v plus one ghost cell on each side
+    data_range = None
     while True:
         if config.fixed_dt is not None:
             if step >= n_steps:
                 break
+        elif t >= config.t_end:
+            break
+
+        lo = float(v.min())
+        hi = float(v.max())
+        if (lo, hi) != data_range:
+            data_range = (lo, hi)
+            L = flux.L_of_range(lo, hi)
+            speed_bound = max(speed_bound, L)
+            omega = critical_point(flux, lo, hi)
+            g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
+            if config.fixed_dt is None:
+                dt_cfl = _dt_from_speed(L, dx, config.cfl)
+            elif config.fixed_dt * L / dx > 1.0:
+                raise HypothesisViolation(
+                    f"fixed_dt breaks the CFL condition at step {step}, "
+                    f"t={t!r}: dt*L/dx = {config.fixed_dt * L / dx!r} > 1")
+
+        if config.fixed_dt is not None:
             dt = config.fixed_dt
             lands = (step + 1) in stop_steps
             t_next = (step + 1) * dt
         else:
-            if t >= config.t_end:
-                break
-            dt = cfl_dt(flux, CellField(grid, v, init.boundary), config.cfl)
+            dt = dt_cfl
             lands = t + dt >= next_stop - 1e-14 * max(1.0, next_stop)
             if lands:
                 dt = next_stop - t
@@ -231,13 +271,14 @@ def solve_scalar(flux, init, config):
             else:
                 t_next = t + dt
 
-        field_now = CellField(grid, v, init.boundary)
-        L = flux.L_of_range(float(v.min()), float(v.max()))
-        speed_bound = max(speed_bound, L)
-        ve = field_now.extended(1)
+        ve[1:-1] = v
+        if periodic:
+            ve[0] = v[-1]
+            ve[-1] = v[0]
+        else:
+            ve[0] = v[0]
+            ve[-1] = v[-1]
         gve = np.asarray(flux.g(ve), dtype=float)
-        omega = critical_point(flux, float(ve.min()), float(ve.max()))
-        g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
         G = _kernels.godunov_fluxes(ve[:-1], ve[1:], gve[:-1], gve[1:],
                                     g_omega, omega, convex)
         v = _kernels.scalar_step(v, np.asarray(G), dt / dx)

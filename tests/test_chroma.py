@@ -236,6 +236,15 @@ def test_direct_oracle_stays_close_to_the_split_solver():
     assert direct.meta["method"] == "lax-friedrichs"
 
 
+def test_direct_oracle_rejects_misaligned_record_times():
+    # 0.3 is not a multiple of fixed_dt; it must not be snapped to 0.25
+    state = _riemann_state(_grid(32), [(0.25, 0.5), (0.25, 0.75)])
+    cfg = ScalarConfig(t_end=1.0, record_times=[0.3, 1.0], fixed_dt=0.25)
+    with pytest.raises(InvalidArgument,
+                       match="record time not aligned with fixed_dt"):
+        solve_direct(state, cfg)
+
+
 def test_semigroup_defect_is_exactly_zero_when_aligned():
     grid = _grid(64)
     state = _riemann_state(grid, [(0.25, 0.5), (0.25, 0.75)])

@@ -18,7 +18,8 @@ from splitlaw.core import (
     mass,
     project,
 )
-from splitlaw.errors import InvalidArgument, UnsupportedFlux
+from splitlaw import _kernels
+from splitlaw.errors import HypothesisViolation, InvalidArgument, UnsupportedFlux
 from splitlaw.scalar import (
     RiemannFan,
     ScalarConfig,
@@ -141,6 +142,17 @@ def test_scalar_config_validation():
         ScalarConfig(t_end=1.0, record_times=[1.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_config_rejects_non_finite_times(bad):
+    # the time loop would never reach a nan t_end
+    with pytest.raises(InvalidArgument):
+        ScalarConfig(t_end=bad)
+    with pytest.raises(InvalidArgument):
+        ScalarConfig(t_end=1.0, fixed_dt=bad)
+    with pytest.raises(InvalidArgument):
+        ScalarConfig(t_end=1.0, record_times=[0.5, bad])
+
+
 def test_cfl_dt_uses_the_range_speed_bound():
     grid = Grid1D(-2.0, 2.0, 64)
     f = project(lambda x: np.clip(x, 0.0, 1.0), grid)
@@ -183,6 +195,20 @@ def test_fixed_dt_alignment_is_enforced():
         solve_scalar(chromatography_flux(), v0,
                      ScalarConfig(t_end=1.0, record_times=[0.3],
                                   fixed_dt=0.125))
+
+
+def test_fixed_dt_above_the_cfl_bound_is_rejected():
+    # Burgers on [0, 1]: L = 2, dx = 1/16, so dt*L/dx = 32 dt
+    grid = Grid1D(-2.0, 2.0, 64)
+    v0 = _riemann(grid, 1.0, 0.0)
+    with pytest.raises(HypothesisViolation, match=r"step 0, t=0\.0: .* = 8\.0 > 1"):
+        solve_scalar(burgers_flux(), v0,
+                     ScalarConfig(t_end=0.5, record_times=[0.5], fixed_dt=0.25))
+    traj = solve_scalar(burgers_flux(), v0,
+                        ScalarConfig(t_end=0.5, record_times=[0.5],
+                                     fixed_dt=0.03125))
+    assert len(traj.meta["dt_schedule"]) == 16
+    assert max_principle_defect(traj) == 0.0
 
 
 def test_solver_input_validation():
@@ -303,3 +329,136 @@ def test_comparison_defect_requires_matching_runs():
     tb = solve_scalar(flux, _riemann(grid_b, 1.0, 0.5), cfg)
     with pytest.raises(InvalidArgument):
         comparison_defect(ta, tb, 1.0)
+
+
+def _reference_solve_scalar(flux, init, config):
+    """solve_scalar as a plain loop that rebuilds every step constant.
+
+    Each step calls cfl_dt, CellField.extended(1) and critical_point on
+    the current data, with no reuse between steps.
+    """
+    grid = init.grid
+    dx = grid.dx
+    convex = 1 if flux.convexity == "convex" else 0
+    stops = sorted({float(t) for t in config.record_times if t > 0.0})
+    if not stops or stops[-1] != config.t_end:
+        stops.append(config.t_end)
+    v = init.values.astype(float).copy()
+    times, fields = [0.0], [init.copy()]
+    dt_schedule, fluxes, record_steps = [], [], []
+    speed_bound = 0.0
+    t, step = 0.0, 0
+    if config.fixed_dt is not None:
+        n_steps = round(config.t_end / config.fixed_dt)
+        stop_steps = [round(s / config.fixed_dt) for s in stops]
+    stop_iter = iter(stops)
+    next_stop = next(stop_iter)
+    while True:
+        if config.fixed_dt is not None:
+            if step >= n_steps:
+                break
+            dt = config.fixed_dt
+            lands = (step + 1) in stop_steps
+            t_next = (step + 1) * dt
+        else:
+            if t >= config.t_end:
+                break
+            dt = cfl_dt(flux, CellField(grid, v, init.boundary), config.cfl)
+            lands = t + dt >= next_stop - 1e-14 * max(1.0, next_stop)
+            if lands:
+                dt = next_stop - t
+                t_next = next_stop
+            else:
+                t_next = t + dt
+        speed_bound = max(speed_bound,
+                          flux.L_of_range(float(v.min()), float(v.max())))
+        ve = CellField(grid, v, init.boundary).extended(1)
+        gve = np.asarray(flux.g(ve), dtype=float)
+        omega = critical_point(flux, float(ve.min()), float(ve.max()))
+        g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
+        G = _kernels.godunov_fluxes(ve[:-1], ve[1:], gve[:-1], gve[1:],
+                                    g_omega, omega, convex)
+        v = _kernels.scalar_step(v, np.asarray(G), dt / dx)
+        dt_schedule.append(dt)
+        fluxes.append(np.asarray(G))
+        t = t_next
+        step += 1
+        if lands:
+            times.append(t)
+            fields.append(CellField(grid, v.copy(), init.boundary))
+            record_steps.append(step)
+            if config.fixed_dt is None:
+                nxt = next(stop_iter, None)
+                if nxt is None:
+                    break
+                next_stop = nxt
+    return times, fields, dt_schedule, fluxes, record_steps, speed_bound
+
+
+def _outflow_riemann(grid, left, right):
+    return project(lambda x: np.where(np.asarray(x) < 0.0, left, right), grid,
+                   boundary="outflow")
+
+
+def _smooth_periodic(grid, mean, amplitude):
+    return project(
+        lambda x: mean + amplitude * np.sin(0.5 * np.pi * np.asarray(x)),
+        grid, boundary="periodic")
+
+
+# Riemann outflow data keep their range, so the step constants are reused;
+# smooth periodic data change the range every step. The Burgers data cross
+# v = 0, where the critical point is interior and depends on the range.
+_REFERENCE_CASES = [
+    pytest.param(burgers_flux(), lambda g: _outflow_riemann(g, 1.0, -0.5),
+                 id="burgers-riemann-outflow"),
+    pytest.param(chromatography_flux(),
+                 lambda g: _outflow_riemann(g, 1.0, 0.25),
+                 id="chromatography-riemann-outflow"),
+    pytest.param(burgers_flux(), lambda g: _smooth_periodic(g, 0.25, 0.5),
+                 id="burgers-smooth-periodic"),
+    pytest.param(chromatography_flux(),
+                 lambda g: _smooth_periodic(g, 0.5, 0.25),
+                 id="chromatography-smooth-periodic"),
+]
+
+
+@pytest.mark.parametrize("flux, data", _REFERENCE_CASES)
+@pytest.mark.parametrize("fixed_dt", [None, 1.0 / 128.0],
+                         ids=["adaptive", "fixed"])
+def test_solver_is_bitwise_equal_to_the_per_step_reference(flux, data,
+                                                           fixed_dt):
+    grid = Grid1D(-2.0, 2.0, 96)
+    v0 = data(grid)
+    cfg = ScalarConfig(t_end=0.5, record_times=[0.125, 0.5],
+                       record_fluxes=True, fixed_dt=fixed_dt)
+    traj = solve_scalar(flux, v0, cfg)
+    times, fields, dts, fluxes, rec, speed = _reference_solve_scalar(
+        flux, v0, cfg)
+    assert traj.times == times
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(traj.fields, fields, strict=True))
+    assert traj.meta["dt_schedule"] == dts
+    assert all(np.array_equal(a, b)
+               for a, b in zip(traj.meta["fluxes"], fluxes, strict=True))
+    assert traj.meta["record_steps"] == rec
+    assert traj.meta["speed_bound"] == speed
+
+
+@pytest.mark.parametrize("fixed_dt", [None, 1.0 / 128.0])
+def test_speed_bound_is_evaluated_once_per_data_range(fixed_dt):
+    calls = []
+
+    def L(lo, hi):
+        calls.append((lo, hi))
+        return 2.0 * max(abs(lo), abs(hi))
+
+    base = burgers_flux()
+    flux = FluxFunction(g=base.g, gprime=base.gprime, convexity="convex",
+                        c=2.0, L_of_range=L, name="counted rho^2")
+    cfg = ScalarConfig(t_end=0.5, record_times=[0.25, 0.5], fixed_dt=fixed_dt)
+    v0 = _outflow_riemann(Grid1D(-2.0, 2.0, 64), 1.0, 0.25)
+    traj = solve_scalar(flux, v0, cfg)
+    # outflow Riemann data keeps its range [0.25, 1] under the max principle
+    assert len(traj.meta["dt_schedule"]) > 1
+    assert calls == [(0.25, 1.0)]
