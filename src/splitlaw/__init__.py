@@ -13,7 +13,6 @@ from .core import (
     chromatography_c,
     chromatography_flux,
     lp_distance,
-    make_grid,
     mass,
     project,
     total_variation,
@@ -30,7 +29,6 @@ from .scalar import (
     kruzkov_pair,
     max_principle_defect,
     oleinik_excess,
-    riemann_eval,
     solve_scalar,
     tvd_defect,
 )
@@ -58,12 +56,10 @@ __all__ = [
     "godunov_flux",
     "kruzkov_pair",
     "lp_distance",
-    "make_grid",
     "mass",
     "max_principle_defect",
     "oleinik_excess",
     "project",
-    "riemann_eval",
     "solve_scalar",
     "total_variation",
     "tvd_defect",

@@ -26,12 +26,12 @@ from .chroma import (
     state_l1_distance,
 )
 from .core import (
+    Grid1D,
     Trajectory,
     bump_test,
     burgers_flux,
     chromatography_flux,
     lp_distance,
-    make_grid,
     project,
     total_variation,
 )
@@ -48,10 +48,10 @@ from .depauw import (
 )
 from .kk import KKState, renormalization_defect, solve_kk
 from .scalar import (
+    RiemannFan,
     ScalarConfig,
     comparison_defect,
     oleinik_excess,
-    riemann_eval,
     solve_scalar,
     tvd_defect,
 )
@@ -141,11 +141,11 @@ def criterion_01(level="full"):
         for v_l, v_r, tag in ((0.0, 1.0, "shock"), (1.0, 0.0, "rarefaction")):
             errs = []
             for n in grids:
-                g = make_grid(-2.0, 2.0, n)
+                g = Grid1D(-2.0, 2.0, n)
                 u0 = project(_riemann_ic(v_l, v_r), g)
                 traj = solve_scalar(flux, u0, ScalarConfig(t_end=1.0,
                                                            record_times=[1.0]))
-                exact = riemann_eval(flux, v_l, v_r, g.centers() / 1.0)
+                exact = RiemannFan(flux, v_l, v_r).eval(g.centers() / 1.0)
                 f = traj.at(1.0)
                 err = g.dx * math.fsum(np.abs(f.values - exact))
                 errs.append(err)
@@ -163,7 +163,7 @@ def criterion_02(level="full"):
     def body():
         rng = np.random.default_rng(7)
         flux = chromatography_flux()
-        g = make_grid(-2.0, 2.0, 512)
+        g = Grid1D(-2.0, 2.0, 512)
         trials = 20 if level == "full" else 5
         worst_cmp = 0.0
         worst_tvd = 0.0
@@ -200,7 +200,7 @@ def criterion_03(level="full"):
     """One-sided slope bound for the uniformly convex flux rho^2."""
     def body():
         n = 1024 if level == "full" else 512
-        g = make_grid(-2.0, 2.0, n)
+        g = Grid1D(-2.0, 2.0, n)
         u0 = project(_riemann_ic(1.0, 0.0), g)
         t_list = [0.25, 0.5, 1.0]
         traj = solve_scalar(burgers_flux(), u0,
@@ -222,7 +222,7 @@ def criterion_04(level="full"):
         rng = np.random.default_rng(11)
         b_of = lambda v: 1.0 / (1.0 + v)
         flux = joint_speed_flux(chromatography_flux(), b_of)
-        g = make_grid(-2.0, 2.0, 256)
+        g = Grid1D(-2.0, 2.0, 256)
         trials = 10 if level == "full" else 3
         worst_contract = 0.0
         worst_dom = 0.0
@@ -270,7 +270,7 @@ def criterion_05(level="full"):
         grids = (256, 512) if level == "full" else (256,)
         results = {}
         for n in grids:
-            g = make_grid(-2.0, 2.0, n)
+            g = Grid1D(-2.0, 2.0, n)
             v0 = project(lambda x: 1.0 + 0.5 * np.exp(-4.0 * x * x), g)
             w0 = project(lambda x: 0.5 * np.exp(-6.0 * (x - 0.25) ** 2), g)
             u1 = v0.with_values(0.5 * (v0.values + w0.values))
@@ -309,7 +309,7 @@ def criterion_06(level="full"):
         for name in names:
             gaps = []
             for n in grids:
-                g = make_grid(-2.0, 2.0, n)
+                g = Grid1D(-2.0, 2.0, n)
                 U0 = _split_state(g, SPLIT_FIXTURES[name])
                 cfg = ScalarConfig(t_end=1.0, record_times=[1.0])
                 split = solve_chromatography(U0, cfg)
@@ -391,7 +391,7 @@ def criterion_07(level="full"):
         tests = [bump_test(0.1, 0.9, -1.0, 1.0),
                  bump_test(0.2, 0.8, -1.5, 0.5),
                  bump_test(0.15, 0.85, 0.0, 1.8)]
-        g = make_grid(-2.0, 2.0, 512)
+        g = Grid1D(-2.0, 2.0, 512)
         rec = list(np.linspace(0.0, 1.0, 201)[1:])
         names = list(SPLIT_FIXTURES) if level == "full" else ["Q"]
         worst_fix = 0.0
@@ -429,7 +429,7 @@ def criterion_08(level="full"):
     def body():
         ok = True
         parts = []
-        g = make_grid(-2.0, 2.0, 256)
+        g = Grid1D(-2.0, 2.0, 256)
         g_fixtures = [((0.75, 0.25), (0.5, 0.5)), ((0.5, 1.0), (0.25, 0.25))]
         f_fixtures = [((0.375, 0.375), (0.0, 0.0)), ((0.25, 0.0), (0.0, 0.5))]
         if level != "full":
@@ -473,7 +473,7 @@ def criterion_08(level="full"):
 def criterion_09(level="full"):
     """Evolving to t+s equals evolving to s then t, bitwise."""
     def body():
-        g = make_grid(-2.0, 2.0, 256)
+        g = Grid1D(-2.0, 2.0, 256)
         names = list(SPLIT_FIXTURES) if level == "full" else ["S", "E"]
         worst = 0.0
         for name in names:
@@ -500,7 +500,7 @@ def criterion_10(level="full"):
                                ("mild", ((0.5, 0.25), (0.25, 0.5)))):
             gaps = []
             for n in grids:
-                g = make_grid(-2.0, 2.0, n)
+                g = Grid1D(-2.0, 2.0, n)
                 U0 = KKState([project(_riemann_ic(ul[0], ur[0]), g),
                               project(_riemann_ic(ul[1], ur[1]), g)])
                 traj = solve_kk(U0, f, fp,
@@ -515,7 +515,7 @@ def criterion_10(level="full"):
                          + " rates " + "/".join(f"{r:.2f}" for r in rates))
 
         n = 512 if level == "full" else 256
-        g = make_grid(-2.0, 2.0, n)
+        g = Grid1D(-2.0, 2.0, n)
         rho0 = project(_riemann_ic(1.0, 0.5), g)
         th = (0.6, 0.8)
         U0 = KKState([rho0.with_values(th[0] * rho0.values),
@@ -606,7 +606,7 @@ def criterion_12(level="full"):
         parts = []
         gaps = {4.0: [], 8.0: []}
         for n in grids:
-            g = make_grid(-2.0, 2.0, n)
+            g = Grid1D(-2.0, 2.0, n)
             U0 = _split_state(g, fixture)
             rec = list(np.linspace(0.0, 1.0, 41)[1:])
             traj = solve_chromatography(

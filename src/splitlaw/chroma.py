@@ -9,15 +9,15 @@ eta = eta_s(u1+u2) + C(u1-u2) and the compatibility test grad(eta) DF =
 grad(q) that characterizes them.
 """
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
-from .core import CellField, Trajectory, total_variation
+from .core import CellField, Trajectory, _record_index, total_variation
 from .errors import InvalidArgument, InvalidEntropy, NumericalBlowup
-from .scalar import (ScalarConfig, _check_test_fns, _fixed_step_plan,
-                     _record_plan, _spacetime_quadrature, solve_scalar)
+from .scalar import (ScalarConfig, _check_test_fns, _spacetime_quadrature,
+                     _time_steps, solve_scalar)
 from .transport import solve_continuity_upwind
 
 
@@ -101,10 +101,7 @@ class ChromTrajectory:
         return self.states[0].grid
 
     def at(self, t):
-        for tj, sj in zip(self.times, self.states):
-            if tj == t or abs(tj - t) <= 1e-13 * max(1.0, abs(t)):
-                return sj
-        raise InvalidArgument(f"t={t} is not a record time")
+        return self.states[_record_index(self.times, t)]
 
     def component_trajectory(self, i):
         fields = [s.components[i] for s in self.states]
@@ -136,7 +133,7 @@ def solve_chromatography(U0, config):
 
     flux = joint_speed_flux(chromatography_flux(), b_of)
     v0, w0 = to_vw(U0)
-    v_traj = solve_scalar(flux, v0, _with_fluxes(config))
+    v_traj = solve_scalar(flux, v0, replace(config, record_fluxes=True))
 
     w_trajs = [solve_continuity_upwind(v_traj, b_of, wi) for wi in w0]
 
@@ -153,14 +150,6 @@ def solve_chromatography(U0, config):
         "speed_bound": v_traj.meta["speed_bound"],
     }
     return ChromTrajectory(v_traj.times, states, v_traj, w_trajs, meta)
-
-
-def _with_fluxes(config):
-    if config.record_fluxes:
-        return config
-    return ScalarConfig(t_end=config.t_end, cfl=config.cfl,
-                        record_times=list(config.record_times),
-                        record_fluxes=True, fixed_dt=config.fixed_dt)
 
 
 @dataclass
@@ -303,44 +292,23 @@ def solve_direct(U0, config):
     """Lax-Friedrichs on the untransformed system; the cross-method oracle.
 
     Dissipative but convergent; agreement with the split solver is O(dx^1/2)
-    on Riemann data.
+    on Riemann data. With fixed_dt, a step that breaks the CFL hypothesis
+    dt*L/dx <= 1, with L = 1/(1 + max(min u_i, 0)) over all components,
+    raises HypothesisViolation.
     """
     _require_nonnegative(U0)
     grid = U0.grid
     dx = grid.dx
     k = U0.k
     comps = [c.values.astype(float).copy() for c in U0.components]
-    stops = _record_plan(config)
+
+    def speed():
+        v_min = min(float(c.min()) for c in comps)
+        return 1.0 / (1.0 + max(v_min, 0.0))  # bounds both wave families
 
     times = [0.0]
     states = [U0.copy()]
-    t = 0.0
-    step = 0
-    if config.fixed_dt is not None:
-        n_steps, stop_steps = _fixed_step_plan(config, stops)
-
-    stop_iter = iter(stops)
-    next_stop = next(stop_iter)
-    while True:
-        if config.fixed_dt is not None:
-            if step >= n_steps:
-                break
-            dt = config.fixed_dt
-            lands = (step + 1) in stop_steps
-            t_next = (step + 1) * dt
-        else:
-            if t >= config.t_end:
-                break
-            v_min = min(float(np.min(c)) for c in comps)
-            L = 1.0 / (1.0 + max(v_min, 0.0))  # bounds both wave families
-            dt = config.cfl * dx / L
-            lands = t + dt >= next_stop - 1e-14 * max(1.0, next_stop)
-            if lands:
-                dt = next_stop - t
-                t_next = next_stop
-            else:
-                t_next = t + dt
-
+    for step, dt, t, lands in _time_steps(config, dx, speed):
         exts = [CellField(grid, c, U0.boundary).extended(1) for c in comps]
         v_ext = np.sum(exts, axis=0)
         inv2mu = dx / (2.0 * dt)
@@ -353,17 +321,10 @@ def solve_direct(U0, config):
         if not all(np.all(np.isfinite(c)) for c in comps):
             raise NumericalBlowup(step)
 
-        t = t_next
-        step += 1
         if lands:
             times.append(t)
             states.append(ChromState(
                 [CellField(grid, c.copy(), U0.boundary) for c in comps]))
-            if config.fixed_dt is None:
-                nxt = next(stop_iter, None)
-                if nxt is None:
-                    break
-                next_stop = nxt
 
     meta = {"method": "lax-friedrichs", "k": k}
     return ChromTrajectory(times, states, None, [], meta)

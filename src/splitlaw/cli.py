@@ -25,10 +25,10 @@ from .chroma import (
     solve_chromatography,
 )
 from .core import (
+    Grid1D,
     bump_test,
     burgers_flux,
     chromatography_flux,
-    make_grid,
     mass,
     project,
     total_variation,
@@ -127,10 +127,9 @@ class ExperimentConfig:
     basename: str = ""
     level: str = "fast"
 
-    def scalar_config(self, record_fluxes=False):
+    def scalar_config(self):
         return ScalarConfig(t_end=self.t_end, cfl=self.cfl,
                             record_times=list(self.record),
-                            record_fluxes=record_fluxes,
                             fixed_dt=self.fixed_dt)
 
 
@@ -214,7 +213,7 @@ def _component_rows(times, grids_x, per_time_columns):
 
 
 def _run_riemann(cfg):
-    grid = make_grid(cfg.x_min, cfg.x_max, cfg.n)
+    grid = Grid1D(cfg.x_min, cfg.x_max, cfg.n)
     if "v" not in cfg.initials:
         raise InvalidArgument("riemann experiments need initial v")
     v0 = project(parse_initial(cfg.initials["v"]), grid)
@@ -263,7 +262,7 @@ def _chroma_diagnostics(traj, cfg):
 
 
 def _run_chroma(cfg):
-    grid = make_grid(cfg.x_min, cfg.x_max, cfg.n)
+    grid = Grid1D(cfg.x_min, cfg.x_max, cfg.n)
     keys = sorted(k for k in cfg.initials if re.fullmatch(r"u\d+", k))
     if len(keys) < 2:
         raise InvalidArgument("chroma experiments need u1, u2, ...")
@@ -279,7 +278,7 @@ def _run_chroma(cfg):
 
 
 def _run_kk(cfg):
-    grid = make_grid(cfg.x_min, cfg.x_max, cfg.n)
+    grid = Grid1D(cfg.x_min, cfg.x_max, cfg.n)
     keys = sorted(k for k in cfg.initials if re.fullmatch(r"u\d+", k))
     if not keys:
         raise InvalidArgument("kk experiments need u1, u2, ...")

@@ -41,10 +41,6 @@ class Grid1D:
         return f"Grid1D({self.x_min}, {self.x_max}, n={self.n})"
 
 
-def make_grid(x_min, x_max, n):
-    return Grid1D(x_min, x_max, n)
-
-
 class CellField:
     """Cell-averaged values plus a ghost-cell policy.
 
@@ -152,12 +148,21 @@ def chromatography_c(v_max):
     return 2.0 / (1.0 + v_max) ** 3
 
 
+def _record_index(times, t):
+    """Index of the record time that matches t up to 1e-13 relative."""
+    for j, tj in enumerate(times):
+        if tj == t or abs(tj - t) <= 1e-13 * max(1.0, abs(t)):
+            return j
+    raise InvalidArgument(f"t={t} is not a record time")
+
+
 class Trajectory:
     """Recorded states of a time-dependent cell field.
 
-    times[0] is always the initial time; fields[j] is the CellField at
-    times[j]. meta carries solver bookkeeping (dt schedule, recorded fluxes,
-    speed bound) consumed by the transport stage and the diagnostics.
+    times[0] is always the initial time; fields[j] is the CellField (or
+    the CellField2D of a mixing run) at times[j]. meta carries solver
+    bookkeeping (dt schedule, recorded fluxes, speed bound) consumed by the
+    transport stage and the diagnostics.
     """
 
     def __init__(self, times, fields, meta=None):
@@ -172,10 +177,7 @@ class Trajectory:
         return self.fields[0].grid
 
     def at(self, t):
-        for tj, fj in zip(self.times, self.fields):
-            if tj == t or abs(tj - t) <= 1e-13 * max(1.0, abs(t)):
-                return fj
-        raise InvalidArgument(f"t={t} is not a record time")
+        return self.fields[_record_index(self.times, t)]
 
     def values_matrix(self):
         return np.stack([f.values for f in self.fields])

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .core import Trajectory
 from .errors import ConstructionBug, InvalidArgument, UnresolvedScale
 
 _BOX_SCALES = 4  # coarse-grained L1 reported at 2^0 .. 2^-3
@@ -386,26 +387,6 @@ class DyadicSchedule:
         raise InvalidArgument(f"no stage at level {k}")
 
 
-class Trajectory2D:
-    def __init__(self, times, fields, meta=None):
-        self.times = list(map(float, times))
-        self.fields = list(fields)
-        self.meta = dict(meta or {})
-
-    @property
-    def grid(self):
-        return self.fields[0].grid
-
-    def at(self, t):
-        for tj, fj in zip(self.times, self.fields):
-            if tj == t or abs(tj - t) <= 1e-13 * max(1.0, abs(t)):
-                return fj
-        raise InvalidArgument(f"t={t} is not a record time")
-
-    def __len__(self):
-        return len(self.times)
-
-
 def _stage_cache(schedule, grid, cache):
     for k, _, _ in schedule.stages:
         if k not in cache:
@@ -449,7 +430,7 @@ def evolve(schedule, init, t_query):
         partial_flags.append(partial)
     meta = {"variant": schedule.variant, "k_max": schedule.k_max,
             "partial": partial_flags}
-    return Trajectory2D(times, fields, meta)
+    return Trajectory(times, fields, meta)
 
 
 def _fourier_modes(grid):

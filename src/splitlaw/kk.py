@@ -7,6 +7,7 @@ this way is that the transported |U| never exceeds the scalar rho, and
 the two agree in L1 as the grid refines.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -128,12 +129,7 @@ def solve_kk(U0, f, fprime, config):
         kk_flux(f, fprime,
                 (float(np.min(rho0.values)), float(np.max(rho0.values)))),
         f)
-    from .scalar import ScalarConfig
-    cfg = config if config.record_fluxes else ScalarConfig(
-        t_end=config.t_end, cfl=config.cfl,
-        record_times=list(config.record_times), record_fluxes=True,
-        fixed_dt=config.fixed_dt)
-    rho_traj = solve_scalar(flux, rho0, cfg)
+    rho_traj = solve_scalar(flux, rho0, replace(config, record_fluxes=True))
 
     comp_trajs = [solve_continuity_upwind(rho_traj, f, comp)
                   for comp in U0.components]

@@ -128,10 +128,6 @@ class RiemannFan:
         return 0.5 * (lo + hi)
 
 
-def riemann_eval(flux, v_l, v_r, xi):
-    return RiemannFan(flux, v_l, v_r).eval(xi)
-
-
 @dataclass
 class ScalarConfig:
     t_end: float
@@ -172,8 +168,7 @@ def _record_plan(config):
     """Sorted strictly-positive stop times, always ending at t_end."""
     stops = sorted({float(t) for t in config.record_times if t > 0.0})
     if not stops or stops[-1] != config.t_end:
-        if config.t_end not in stops:
-            stops.append(config.t_end)
+        stops.append(config.t_end)
     return stops
 
 
@@ -194,6 +189,45 @@ def _fixed_step_plan(config, stops):
     return n_steps, stop_steps
 
 
+def _time_steps(config, dx, speed):
+    """The time plan of an explicit solver: yields (step, dt, t_next, lands).
+
+    speed() returns the solver's current speed bound L and is called
+    before each step. With fixed_dt the plan is fixed_dt up to t_end, and
+    a step with dt*L/dx > 1 breaks the CFL hypothesis and raises
+    HypothesisViolation. Otherwise dt is the CFL step for L, shortened to
+    land exactly on each record stop. lands marks the steps that end on a
+    stop.
+    """
+    stops = _record_plan(config)
+    if config.fixed_dt is not None:
+        dt = config.fixed_dt
+        n_steps, stop_steps = _fixed_step_plan(config, stops)
+        for step in range(n_steps):
+            ratio = dt * speed() / dx
+            if ratio > 1.0:
+                raise HypothesisViolation(
+                    f"fixed_dt breaks the CFL condition at step {step}, "
+                    f"t={step * dt!r}: dt*L/dx = {ratio!r} > 1")
+            yield step, dt, (step + 1) * dt, (step + 1) in stop_steps
+        return
+    t = 0.0
+    step = 0
+    for next_stop in stops:
+        land_from = next_stop - 1e-14 * max(1.0, next_stop)
+        lands = False
+        while not lands:
+            dt = _dt_from_speed(speed(), dx, config.cfl)
+            lands = t + dt >= land_from
+            if lands:
+                dt = next_stop - t
+                t = next_stop
+            else:
+                t += dt
+            yield step, dt, t, lands
+            step += 1
+
+
 def solve_scalar(flux, init, config):
     """March the Godunov scheme to t_end, recording the requested times.
 
@@ -202,10 +236,10 @@ def solve_scalar(flux, init, config):
     which is what lets the transport stage replay the run in lockstep.
 
     The step constants (speed bound L, the critical point of g and g
-    there, and the adaptive dt) depend on the data only through its range
-    (min v, max v), so they are recomputed only when that range changes.
-    With fixed_dt, each new range is checked against the CFL hypothesis
-    dt*L/dx <= 1 and a violation raises HypothesisViolation.
+    there) depend on the data only through its range (min v, max v), so
+    they are recomputed only when that range changes. With fixed_dt, a
+    step that breaks the CFL hypothesis dt*L/dx <= 1 raises
+    HypothesisViolation.
     """
     flux.check_admissible(init.values)
     if not np.all(np.isfinite(init.values)):
@@ -217,7 +251,6 @@ def solve_scalar(flux, init, config):
     if flux.convexity == "none":
         raise UnsupportedFlux("solver needs a convex or concave flux")
 
-    stops = _record_plan(config)
     want_zero = 0.0 in config.record_times or not config.record_times
     v = init.values.astype(float).copy()
     times = [0.0]
@@ -226,23 +259,10 @@ def solve_scalar(flux, init, config):
     fluxes = [] if config.record_fluxes else None
     record_steps = []
     speed_bound = 0.0
+    data_range = L = omega = g_omega = None
 
-    t = 0.0
-    step = 0
-    if config.fixed_dt is not None:
-        n_steps, stop_steps = _fixed_step_plan(config, stops)
-
-    stop_iter = iter(stops)
-    next_stop = next(stop_iter)
-    ve = np.empty(grid.n + 2)  # v plus one ghost cell on each side
-    data_range = None
-    while True:
-        if config.fixed_dt is not None:
-            if step >= n_steps:
-                break
-        elif t >= config.t_end:
-            break
-
+    def speed():
+        nonlocal data_range, L, omega, g_omega, speed_bound
         lo = float(v.min())
         hi = float(v.max())
         if (lo, hi) != data_range:
@@ -251,26 +271,10 @@ def solve_scalar(flux, init, config):
             speed_bound = max(speed_bound, L)
             omega = critical_point(flux, lo, hi)
             g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
-            if config.fixed_dt is None:
-                dt_cfl = _dt_from_speed(L, dx, config.cfl)
-            elif config.fixed_dt * L / dx > 1.0:
-                raise HypothesisViolation(
-                    f"fixed_dt breaks the CFL condition at step {step}, "
-                    f"t={t!r}: dt*L/dx = {config.fixed_dt * L / dx!r} > 1")
+        return L
 
-        if config.fixed_dt is not None:
-            dt = config.fixed_dt
-            lands = (step + 1) in stop_steps
-            t_next = (step + 1) * dt
-        else:
-            dt = dt_cfl
-            lands = t + dt >= next_stop - 1e-14 * max(1.0, next_stop)
-            if lands:
-                dt = next_stop - t
-                t_next = next_stop
-            else:
-                t_next = t + dt
-
+    ve = np.empty(grid.n + 2)  # v plus one ghost cell on each side
+    for step, dt, t, lands in _time_steps(config, dx, speed):
         ve[1:-1] = v
         if periodic:
             ve[0] = v[-1]
@@ -288,17 +292,10 @@ def solve_scalar(flux, init, config):
         dt_schedule.append(dt)
         if fluxes is not None:
             fluxes.append(np.asarray(G))
-        t = t_next
-        step += 1
         if lands:
             times.append(t)
             fields.append(CellField(grid, v.copy(), init.boundary))
-            record_steps.append(step)
-            if config.fixed_dt is None:
-                nxt = next(stop_iter, None)
-                if nxt is None:
-                    break
-                next_stop = nxt
+            record_steps.append(step + 1)
 
     meta = {
         "dt_schedule": dt_schedule,

@@ -18,8 +18,9 @@ from splitlaw.chroma import (
     state_l1_distance,
     to_vw,
 )
+from splitlaw import _kernels
 from splitlaw.core import CellField, Grid1D, bump_test, mass, project
-from splitlaw.errors import InvalidArgument, InvalidEntropy
+from splitlaw.errors import HypothesisViolation, InvalidArgument, InvalidEntropy
 from splitlaw.scalar import ScalarConfig
 
 
@@ -243,6 +244,109 @@ def test_direct_oracle_rejects_misaligned_record_times():
     with pytest.raises(InvalidArgument,
                        match="record time not aligned with fixed_dt"):
         solve_direct(state, cfg)
+
+
+def _reference_solve_direct(U0, config):
+    """solve_direct as a plain loop with its own copy of the time plan."""
+    grid = U0.grid
+    dx = grid.dx
+    comps = [c.values.astype(float).copy() for c in U0.components]
+    stops = sorted({float(t) for t in config.record_times if t > 0.0})
+    if not stops or stops[-1] != config.t_end:
+        stops.append(config.t_end)
+    times = [0.0]
+    states = [[c.copy() for c in comps]]
+    t, step = 0.0, 0
+    if config.fixed_dt is not None:
+        n_steps = round(config.t_end / config.fixed_dt)
+        stop_steps = [round(s / config.fixed_dt) for s in stops]
+    stop_iter = iter(stops)
+    next_stop = next(stop_iter)
+    while True:
+        if config.fixed_dt is not None:
+            if step >= n_steps:
+                break
+            dt = config.fixed_dt
+            lands = (step + 1) in stop_steps
+            t_next = (step + 1) * dt
+        else:
+            if t >= config.t_end:
+                break
+            v_min = min(float(np.min(c)) for c in comps)
+            L = 1.0 / (1.0 + max(v_min, 0.0))
+            dt = config.cfl * dx / L
+            lands = t + dt >= next_stop - 1e-14 * max(1.0, next_stop)
+            if lands:
+                dt = next_stop - t
+                t_next = next_stop
+            else:
+                t_next = t + dt
+        exts = [CellField(grid, c, U0.boundary).extended(1) for c in comps]
+        v_ext = np.sum(exts, axis=0)
+        inv2mu = dx / (2.0 * dt)
+        new_comps = []
+        for c, ce in zip(comps, exts):
+            F = ce / (1.0 + v_ext)
+            G = _kernels.lxf_fluxes(ce, F, inv2mu)
+            new_comps.append(_kernels.scalar_step(c, np.asarray(G), dt / dx))
+        comps = new_comps
+        t = t_next
+        step += 1
+        if lands:
+            times.append(t)
+            states.append([c.copy() for c in comps])
+            if config.fixed_dt is None:
+                nxt = next(stop_iter, None)
+                if nxt is None:
+                    break
+                next_stop = nxt
+    return times, states
+
+
+def _outflow_riemann_state(grid):
+    return ChromState([
+        project(lambda x: np.where(np.asarray(x) < 0.0, left, right), grid,
+                boundary="outflow")
+        for left, right in [(0.25, 0.5), (0.75, 0.1)]])
+
+
+def _smooth_periodic_state(grid):
+    return ChromState([
+        project(lambda x, a=a: 0.5 + a * np.sin(0.5 * np.pi * np.asarray(x)),
+                grid, boundary="periodic")
+        for a in (0.25, -0.125, 0.375)])
+
+
+@pytest.mark.parametrize("data", [_outflow_riemann_state,
+                                  _smooth_periodic_state],
+                         ids=["riemann-outflow", "smooth-periodic"])
+@pytest.mark.parametrize("fixed_dt", [None, 1.0 / 128.0],
+                         ids=["adaptive", "fixed"])
+def test_direct_oracle_is_bitwise_equal_to_the_per_step_reference(data,
+                                                                  fixed_dt):
+    state = data(_grid(96))
+    cfg = ScalarConfig(t_end=0.5, record_times=[0.125, 0.5],
+                       fixed_dt=fixed_dt)
+    traj = solve_direct(state, cfg)
+    times, states = _reference_solve_direct(state, cfg)
+    assert traj.times == times
+    for got, want in zip(traj.states, states, strict=True):
+        assert all(np.array_equal(c.values, w)
+                   for c, w in zip(got.components, want, strict=True))
+
+
+def test_direct_oracle_checks_the_cfl_condition_under_fixed_dt():
+    # L = 1/(1 + 0.25) and dx = 1/16, so fixed_dt = 0.25 gives dt*L/dx = 3.2
+    state = _riemann_state(_grid(64), [(0.25, 0.5), (0.25, 0.75)])
+    cfg = ScalarConfig(t_end=1.0, record_times=[1.0], fixed_dt=0.25)
+    with pytest.raises(HypothesisViolation,
+                       match=r"at step 0, t=0\.0: dt\*L/dx = 3\.2\d* > 1"):
+        solve_direct(state, cfg)
+    ok = ScalarConfig(t_end=1.0, record_times=[1.0], fixed_dt=1.0 / 16.0)
+    traj = solve_direct(state, ok)
+    assert traj.times == [0.0, 1.0]
+    assert min(float(np.min(c.values))
+               for c in traj.at(1.0).components) >= 0.0
 
 
 def test_semigroup_defect_is_exactly_zero_when_aligned():

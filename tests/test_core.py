@@ -15,7 +15,6 @@ from splitlaw.core import (
     chromatography_c,
     chromatography_flux,
     lp_distance,
-    make_grid,
     mass,
     project,
     total_variation,
@@ -35,8 +34,8 @@ def test_grid_spacing_and_centers():
 
 def test_grid_equality_is_structural():
     g = Grid1D(-2.0, 2.0, 8)
-    assert g == make_grid(-2.0, 2.0, 8)
-    assert hash(g) == hash(make_grid(-2.0, 2.0, 8))
+    assert g == Grid1D(-2.0, 2.0, 8)
+    assert hash(g) == hash(Grid1D(-2.0, 2.0, 8))
     assert g != Grid1D(-2.0, 2.0, 16)
     assert g != "not a grid"
 

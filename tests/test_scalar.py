@@ -31,7 +31,6 @@ from splitlaw.scalar import (
     kruzkov_pair,
     max_principle_defect,
     oleinik_excess,
-    riemann_eval,
     solve_scalar,
     tvd_defect,
 )
@@ -122,13 +121,6 @@ def test_riemann_fan_constant_and_flux_requirements():
     linear = FluxFunction(g=lambda v: v, gprime=lambda v: 1.0, convexity="none")
     with pytest.raises(UnsupportedFlux):
         RiemannFan(linear, 0.0, 1.0)
-
-
-def test_riemann_eval_matches_fan_object():
-    xi = np.linspace(-1.0, 3.0, 17)
-    fan = RiemannFan(burgers_flux(), 0.0, 1.0)
-    assert np.array_equal(riemann_eval(burgers_flux(), 0.0, 1.0, xi),
-                          fan.eval(xi))
 
 
 def test_scalar_config_validation():
