@@ -15,9 +15,9 @@ import numpy as np
 
 from .chroma import (
     ChromState,
-    ChromTrajectory,
     admissibility_residual,
     check_domain,
+    entropy_compat_defect,
     lift_entropy,
     project_to_lifted,
     semigroup_defect,
@@ -27,6 +27,7 @@ from .chroma import (
 )
 from .core import (
     Grid1D,
+    SplitTrajectory,
     Trajectory,
     bump_test,
     burgers_flux,
@@ -40,11 +41,9 @@ from .depauw import (
     Grid2D,
     build_stage,
     chessboard,
-    continuity_residual_2d,
     evolve,
     field_diagnostics,
     mixing_report,
-    torus_test,
 )
 from .kk import KKState, renormalization_defect, solve_kk
 from .scalar import (
@@ -58,10 +57,9 @@ from .scalar import (
 from .transport import (
     MollifierSpec,
     TransportPair,
-    joint_speed_flux,
     renorm_residual,
     solve_by_characteristics,
-    solve_continuity_upwind,
+    solve_split,
     weighted_sup_norm,
 )
 
@@ -221,7 +219,7 @@ def criterion_04(level="full"):
     def body():
         rng = np.random.default_rng(11)
         b_of = lambda v: 1.0 / (1.0 + v)
-        flux = joint_speed_flux(chromatography_flux(), b_of)
+        flux = chromatography_flux()
         g = Grid1D(-2.0, 2.0, 256)
         trials = 10 if level == "full" else 3
         worst_contract = 0.0
@@ -244,10 +242,8 @@ def criterion_04(level="full"):
 
             v0 = project(pc(v_vals), g)
             w0 = v0.with_values(project(pc(lam), g).values * v0.values)
-            cfg = ScalarConfig(t_end=0.5, record_times=[0.1, 0.3, 0.5],
-                               record_fluxes=True)
-            v_traj = solve_scalar(flux, v0, cfg)
-            w_traj = solve_continuity_upwind(v_traj, b_of, w0)
+            cfg = ScalarConfig(t_end=0.5, record_times=[0.1, 0.3, 0.5])
+            v_traj, (w_traj,) = solve_split(flux, b_of, v0, [w0], cfg)
             sup0 = weighted_sup_norm(w0, v0)
             for v_t, w_t in zip(v_traj.fields, w_traj.fields):
                 worst_contract = max(worst_contract,
@@ -283,9 +279,8 @@ def criterion_05(level="full"):
             tests = [bump_test(0.05, 0.45, -1.2, 1.2),
                      bump_test(0.1, 0.4, -0.5, 1.5)]
             dtv = traj.v_traj.meta["dt_schedule"][0]
-            for name, beta, bp in (("u^2", lambda u: u * u, lambda u: 2 * u),
-                                   ("|u|", np.abs, np.sign)):
-                r = renorm_residual(pair, traj.w_trajs[0], beta, bp, tests)
+            for name, beta in (("u^2", lambda u: u * u), ("|u|", np.abs)):
+                r = renorm_residual(pair, traj.w_trajs[0], beta, tests)
                 results[(n, name)] = (r, g.dx + dtv)
         ok = all(r <= RENORM_C * scale for r, scale in results.values())
         parts = [f"n={n} {name}: {r:.2e}<={RENORM_C * scale:.2e}"
@@ -354,7 +349,6 @@ def criterion_07(level="full"):
     def body():
         rng = np.random.default_rng(23)
         n_pairs = 50 if level == "full" else 10
-        from .chroma import entropy_compat_defect
         worst_compat = 0.0
         for _ in range(n_pairs):
             eta_s, q_s = _convex_scalar_entropy(rng)
@@ -414,7 +408,7 @@ def criterion_07(level="full"):
                                       v.with_values(0.5 * v.values)]))
         comp = [Trajectory(times, [st.components[i] for st in states], {})
                 for i in range(2)]
-        control = ChromTrajectory(times, states, None, comp, {})
+        control = SplitTrajectory(times, states, None, comp, {})
         r_control = admissibility_residual(control, [pair], tests)
         ok = ok and r_control >= ADMISS_CONTROL_FACTOR * ADMISS_TOL
         parts.append(f"fixtures {worst_fix:.1e}<={ADMISS_TOL:.0e}, "
@@ -523,9 +517,7 @@ def criterion_10(level="full"):
         traj = solve_kk(U0, f, fp,
                         ScalarConfig(t_end=0.5, record_times=[0.25, 0.5]))
         dev = 0.0
-        for j in range(len(traj.times)):
-            rho = traj.rho_at_index(j)
-            st = traj.state_at_index(j)
+        for st, rho in zip(traj.states, traj.v_traj.fields):
             for i in range(2):
                 dev = max(dev, float(np.max(
                     np.abs(st.components[i].values - th[i] * rho.values))))

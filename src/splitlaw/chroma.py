@@ -9,41 +9,27 @@ eta = eta_s(u1+u2) + C(u1-u2) and the compatibility test grad(eta) DF =
 grad(q) that characterizes them.
 """
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core import CellField, Trajectory, _record_index, total_variation
+from .core import (CellField, SplitTrajectory, VectorState, _fill_ghosts,
+                   _window_slice, chromatography_flux, lp_distance,
+                   total_variation)
 from .errors import InvalidArgument, InvalidEntropy, NumericalBlowup
 from .scalar import (ScalarConfig, _check_test_fns, _spacetime_quadrature,
-                     _time_steps, solve_scalar)
-from .transport import solve_continuity_upwind
+                     _time_steps)
+# Re-exported, not called here (the split solve goes through solve_split):
+# perfbench's tracer test reads chroma.solve_scalar.
+from .scalar import solve_scalar  # noqa: F401
+from .transport import solve_split
 
 
-class ChromState:
+class ChromState(VectorState):
     """Vector state U = (u_1, ..., u_k), k >= 2, on one shared grid."""
 
-    def __init__(self, components):
-        components = list(components)
-        if len(components) < 2:
-            raise InvalidArgument("need at least 2 components")
-        grid = components[0].grid
-        boundary = components[0].boundary
-        for comp in components:
-            if comp.grid != grid:
-                raise InvalidArgument("components live on different grids")
-            if comp.boundary != boundary:
-                raise InvalidArgument("components disagree on boundary mode")
-            if not np.all(np.isfinite(comp.values)):
-                raise InvalidArgument("components must be finite")
-        self.components = components
-        self.grid = grid
-        self.boundary = boundary
-
-    @property
-    def k(self):
-        return len(self.components)
+    min_components = 2
 
     def total(self):
         """v = sum of the components, cellwise exact rounding."""
@@ -51,9 +37,6 @@ class ChromState:
         vals = np.array([math.fsum(map(float, cols[:, j]))
                          for j in range(self.grid.n)])
         return CellField(self.grid, vals, self.boundary)
-
-    def copy(self):
-        return ChromState([c.copy() for c in self.components])
 
 
 def to_vw(state):
@@ -85,32 +68,6 @@ def difference_form(state):
     return state.total(), u1.with_values(u1.values - u2.values)
 
 
-class ChromTrajectory:
-    """Recorded chromatography states plus the scalar/transport runs
-    they were assembled from."""
-
-    def __init__(self, times, states, v_traj, w_trajs, meta=None):
-        self.times = list(map(float, times))
-        self.states = list(states)
-        self.v_traj = v_traj
-        self.w_trajs = list(w_trajs)
-        self.meta = dict(meta or {})
-
-    @property
-    def grid(self):
-        return self.states[0].grid
-
-    def at(self, t):
-        return self.states[_record_index(self.times, t)]
-
-    def component_trajectory(self, i):
-        fields = [s.components[i] for s in self.states]
-        return Trajectory(self.times, fields, {"component": i})
-
-    def __len__(self):
-        return len(self.times)
-
-
 def _require_nonnegative(state):
     for comp in state.components:
         if np.min(comp.values) < 0.0:
@@ -125,22 +82,14 @@ def solve_chromatography(U0, config):
     when it stays above zero the stronger regime G applies with that floor.
     """
     _require_nonnegative(U0)
-    from .core import chromatography_flux
-    from .transport import joint_speed_flux
 
     def b_of(v):
         return 1.0 / (1.0 + v)
 
-    flux = joint_speed_flux(chromatography_flux(), b_of)
     v0, w0 = to_vw(U0)
-    v_traj = solve_scalar(flux, v0, replace(config, record_fluxes=True))
-
-    w_trajs = [solve_continuity_upwind(v_traj, b_of, wi) for wi in w0]
-
-    states = []
-    for j in range(len(v_traj.times)):
-        states.append(from_vw(v_traj.fields[j],
-                              [wt.fields[j] for wt in w_trajs]))
+    v_traj, w_trajs = solve_split(chromatography_flux(), b_of, v0, w0, config)
+    states = [from_vw(v_traj.fields[j], [wt.fields[j] for wt in w_trajs])
+              for j in range(len(v_traj))]
     delta0 = float(np.min(v0.values))
     tv0 = total_variation(v0)
     meta = {
@@ -149,7 +98,7 @@ def solve_chromatography(U0, config):
         "tv0": tv0,
         "speed_bound": v_traj.meta["speed_bound"],
     }
-    return ChromTrajectory(v_traj.times, states, v_traj, w_trajs, meta)
+    return SplitTrajectory(v_traj.times, states, v_traj, w_trajs, meta)
 
 
 @dataclass
@@ -272,7 +221,6 @@ def check_domain(state, which, window=None, delta=None):
     total bounded below by delta on the window)."""
     if which not in ("F", "G"):
         raise InvalidArgument("which must be 'F' or 'G'")
-    from .core import _window_slice
     idx = _window_slice(state.grid, window)
     min_comp = min(float(np.min(c.values[idx])) for c in state.components)
     v = state.total()
@@ -299,40 +247,36 @@ def solve_direct(U0, config):
     _require_nonnegative(U0)
     grid = U0.grid
     dx = grid.dx
-    k = U0.k
-    comps = [c.values.astype(float).copy() for c in U0.components]
+    periodic = U0.boundary == "periodic"
+    U = np.array([c.values for c in U0.components], dtype=float)  # (k, n)
+    Ue = np.empty((U0.k, grid.n + 2))  # U plus one ghost cell on each side
 
     def speed():
-        v_min = min(float(c.min()) for c in comps)
-        return 1.0 / (1.0 + max(v_min, 0.0))  # bounds both wave families
+        return 1.0 / (1.0 + max(float(U.min()), 0.0))  # bounds both families
 
     times = [0.0]
     states = [U0.copy()]
     for step, dt, t, lands in _time_steps(config, dx, speed):
-        exts = [CellField(grid, c, U0.boundary).extended(1) for c in comps]
-        v_ext = np.sum(exts, axis=0)
+        _fill_ghosts(Ue, U, periodic)
+        F = Ue / (1.0 + Ue.sum(axis=0))
         inv2mu = dx / (2.0 * dt)
-        new_comps = []
-        for c, ce in zip(comps, exts):
-            F = ce / (1.0 + v_ext)
-            G = _kernels.lxf_fluxes(ce, F, inv2mu)
-            new_comps.append(_kernels.scalar_step(c, np.asarray(G), dt / dx))
-        comps = new_comps
-        if not all(np.all(np.isfinite(c)) for c in comps):
+        for i in range(U0.k):
+            G = _kernels.lxf_fluxes(Ue[i], F[i], inv2mu)
+            U[i] = _kernels.scalar_step(U[i], G, dt / dx)
+        if not np.all(np.isfinite(U)):
             raise NumericalBlowup(step)
 
         if lands:
             times.append(t)
             states.append(ChromState(
-                [CellField(grid, c.copy(), U0.boundary) for c in comps]))
+                [CellField(grid, u.copy(), U0.boundary) for u in U]))
 
-    meta = {"method": "lax-friedrichs", "k": k}
-    return ChromTrajectory(times, states, None, [], meta)
+    meta = {"method": "lax-friedrichs", "k": U0.k}
+    return SplitTrajectory(times, states, None, [], meta)
 
 
 def state_l1_distance(a, b, window=None):
     """Sum over components of the windowed L1 distance."""
-    from .core import lp_distance
     if a.k != b.k:
         raise InvalidArgument("component count mismatch")
     return math.fsum(lp_distance(ca, cb, 1, window)

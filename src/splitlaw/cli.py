@@ -286,14 +286,11 @@ def _run_kk(cfg):
     f, fprime = _parse_direction_speed(cfg.speed)
     traj = solve_kk(KKState(comps), f, fprime, cfg.scalar_config())
     xs = grid.centers()
-    per_time = []
-    for j in range(len(traj.times)):
-        st = traj.state_at_index(j)
-        rho = traj.rho_at_index(j)
-        per_time.append([c.values for c in st.components] + [rho.values])
+    per_time = [[c.values for c in st.components] + [rho.values]
+                for st, rho in zip(traj.states, traj.v_traj.fields)]
     rows = _component_rows(traj.times, xs, per_time)
     excess, gap = renormalization_defect(traj, None)
-    rho0, rho1 = traj.rho_traj.fields[0], traj.rho_traj.fields[-1]
+    rho0, rho1 = traj.v_traj.fields[0], traj.v_traj.fields[-1]
     diag = {"pointwise_excess": excess, "l1_gap": gap,
             "rho_mass_defect": abs(mass(rho1) - mass(rho0))}
     return (["t", "x"] + keys + ["rho"], rows, diag, traj)
@@ -333,16 +330,7 @@ _RUNNERS = {"riemann": _run_riemann, "chroma": _run_chroma,
 
 
 def run_experiment(cfg):
-    if cfg.kind == "verify":
-        from .acceptance import run_all
-        results = run_all(cfg.level)
-        diag = {"criteria": [
-            {"number": r.number, "name": r.name, "passed": r.passed,
-             "details": r.details} for r in results],
-            "all_passed": all(r.passed for r in results)}
-        return None, None, diag, None
-    header, rows, diag, traj = _RUNNERS[cfg.kind](cfg)
-    return header, rows, diag, traj
+    return _RUNNERS[cfg.kind](cfg)
 
 
 def trajectory_payload(header, rows, cfg):
@@ -366,18 +354,28 @@ def read_trajectory_json(path):
         return json.load(fh)
 
 
-def _cmd_run(args):
-    cfg = load_config(args.config)
-    header, rows, diag, _ = run_experiment(cfg)
+def _output_base(cfg):
     root = output_root()
     os.makedirs(root, exist_ok=True)
-    base = os.path.join(root, cfg.basename)
+    return os.path.join(root, cfg.basename)
+
+
+def _cmd_run(args):
+    cfg = load_config(args.config)
     if cfg.kind == "verify":
-        write_json(base + ".diagnostics.json", diag)
-        for item in diag["criteria"]:
-            tag = "PASS" if item["passed"] else "FAIL"
-            print(f"criterion {item['number']:02d} [{tag}] {item['name']}")
+        from .acceptance import run_all
+        results = run_all(cfg.level)
+        diag = {"criteria": [
+            {"number": r.number, "name": r.name, "passed": r.passed,
+             "details": r.details} for r in results],
+            "all_passed": all(r.passed for r in results)}
+        write_json(_output_base(cfg) + ".diagnostics.json", diag)
+        for r in results:
+            tag = "PASS" if r.passed else "FAIL"
+            print(f"criterion {r.number:02d} [{tag}] {r.name}")
         return 0 if diag["all_passed"] else 1
+    header, rows, diag, _ = run_experiment(cfg)
+    base = _output_base(cfg)
     write_csv(base + ".trajectory.csv", header, rows)
     write_json(base + ".diagnostics.json", diag)
     print(base + ".trajectory.csv")
@@ -400,9 +398,7 @@ def _cmd_export(args):
     header, rows, _, _ = run_experiment(cfg)
     out = args.out
     if out is None:
-        root = output_root()
-        os.makedirs(root, exist_ok=True)
-        out = os.path.join(root, cfg.basename + ".trajectory." + args.format)
+        out = _output_base(cfg) + ".trajectory." + args.format
     if args.format == "csv":
         write_csv(out, header, rows)
     else:

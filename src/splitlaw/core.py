@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 
-BOUNDARY_MODES = ("outflow", "periodic", "constant-extension")
+BOUNDARY_MODES = ("periodic", "constant-extension")
 
 
 class Grid1D:
@@ -42,11 +42,8 @@ class Grid1D:
 
 
 class CellField:
-    """Cell-averaged values plus a ghost-cell policy.
-
-    'outflow' and 'constant-extension' are two names for the same ghost rule
-    (copy the edge cell); both are kept because configs use either term.
-    """
+    """Cell-averaged values plus a ghost-cell policy: 'periodic' wraps,
+    'constant-extension' copies the edge cell."""
 
     def __init__(self, grid, values, boundary="constant-extension"):
         if boundary not in BOUNDARY_MODES:
@@ -73,6 +70,52 @@ class CellField:
 
     def copy(self):
         return CellField(self.grid, self.values.copy(), self.boundary)
+
+
+def _fill_ghosts(ext, values, periodic):
+    """Write values into ext[..., 1:-1] and one ghost cell on each side.
+
+    values is (n,) or (k, n) and ext the matching (..., n + 2) buffer.
+    """
+    ext[..., 1:-1] = values
+    if periodic:
+        ext[..., 0] = values[..., -1]
+        ext[..., -1] = values[..., 0]
+    else:
+        ext[..., 0] = values[..., 0]
+        ext[..., -1] = values[..., -1]
+
+
+class VectorState:
+    """Vector state (u_1, ..., u_k): at least min_components finite cell
+    fields on one shared grid and boundary mode."""
+
+    min_components = 1
+
+    def __init__(self, components):
+        components = list(components)
+        if len(components) < self.min_components:
+            raise InvalidArgument(
+                f"need at least {self.min_components} component(s)")
+        grid = components[0].grid
+        boundary = components[0].boundary
+        for comp in components:
+            if comp.grid != grid:
+                raise InvalidArgument("components live on different grids")
+            if comp.boundary != boundary:
+                raise InvalidArgument("components disagree on boundary mode")
+            if not np.all(np.isfinite(comp.values)):
+                raise InvalidArgument("components must be finite")
+        self.components = components
+        self.grid = grid
+        self.boundary = boundary
+
+    @property
+    def k(self):
+        return len(self.components)
+
+    def copy(self):
+        return type(self)([c.copy() for c in self.components])
 
 
 def project(fn, grid, boundary="constant-extension"):
@@ -181,6 +224,37 @@ class Trajectory:
 
     def values_matrix(self):
         return np.stack([f.values for f in self.fields])
+
+    def __len__(self):
+        return len(self.times)
+
+
+class SplitTrajectory:
+    """Recorded states of a split system plus the runs they came from.
+
+    v_traj is the scalar run; w_trajs[i] is the continuity run locked to
+    it. states[j] is the VectorState at times[j]. The scalar field is kept
+    as solved, not recomputed from the states, so the gap between the two
+    stays measurable.
+    """
+
+    def __init__(self, times, states, v_traj, w_trajs, meta):
+        self.times = list(map(float, times))
+        self.states = list(states)
+        self.v_traj = v_traj
+        self.w_trajs = list(w_trajs)
+        self.meta = dict(meta)
+
+    @property
+    def grid(self):
+        return self.states[0].grid
+
+    def at(self, t):
+        return self.states[_record_index(self.times, t)]
+
+    def component_trajectory(self, i):
+        fields = [s.components[i] for s in self.states]
+        return Trajectory(self.times, fields, {"component": i})
 
     def __len__(self):
         return len(self.times)

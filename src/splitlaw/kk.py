@@ -7,42 +7,20 @@ this way is that the transported |U| never exceeds the scalar rho, and
 the two agree in L1 as the grid refines.
 """
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from .core import CellField, FluxFunction, Trajectory
-from .errors import HypothesisViolation, InvalidArgument, InvalidFlux
-from .scalar import solve_scalar
-from .transport import solve_continuity_upwind
+from .core import (CellField, FluxFunction, SplitTrajectory, VectorState,
+                   _window_slice)
+from .errors import HypothesisViolation, InvalidFlux
+from .transport import solve_split
 
 _CONVEXITY_FLOOR = 1e-8
 _SECOND_DIFF_POINTS = 257
 
 
-class KKState:
+class KKState(VectorState):
     """Vector state with its cellwise Euclidean modulus."""
-
-    def __init__(self, components):
-        components = list(components)
-        if not components:
-            raise InvalidArgument("need at least one component")
-        grid = components[0].grid
-        boundary = components[0].boundary
-        for comp in components:
-            if comp.grid != grid:
-                raise InvalidArgument("components live on different grids")
-            if comp.boundary != boundary:
-                raise InvalidArgument("components disagree on boundary mode")
-            if not np.all(np.isfinite(comp.values)):
-                raise InvalidArgument("components must be finite")
-        self.components = components
-        self.grid = grid
-        self.boundary = boundary
-
-    @property
-    def k(self):
-        return len(self.components)
 
     def norm(self):
         sq = np.zeros(self.grid.n)
@@ -87,54 +65,22 @@ def kk_flux(f, fprime, rho_range):
                         name="rho*f(rho)")
 
 
-class KKTrajectory:
-    """Recorded component trajectories plus the scalar modulus run.
-
-    rho at each record time is the scalar solver's output, deliberately
-    not recomputed from the components; the gap between it and the
-    transported |U| is the quantity renormalization_defect measures.
-    """
-
-    def __init__(self, times, comp_trajs, rho_traj, meta=None):
-        self.times = list(map(float, times))
-        self.comp_trajs = list(comp_trajs)
-        self.rho_traj = rho_traj
-        self.meta = dict(meta or {})
-
-    @property
-    def grid(self):
-        return self.rho_traj.grid
-
-    @property
-    def k(self):
-        return len(self.comp_trajs)
-
-    def state_at_index(self, j):
-        return KKState([ct.fields[j] for ct in self.comp_trajs])
-
-    def rho_at_index(self, j):
-        return self.rho_traj.fields[j]
-
-    def __len__(self):
-        return len(self.times)
-
-
 def solve_kk(U0, f, fprime, config):
-    """Split solve of the system from vacuum-free data."""
+    """Split solve of the system from vacuum-free data.
+
+    v_traj of the result is the scalar modulus run rho and w_trajs are the
+    component runs; states[j] holds the transported components.
+    """
     rho0 = U0.norm()
     if float(np.min(rho0.values)) <= 0.0:
         raise HypothesisViolation("initial modulus must stay away from zero")
-    from .transport import joint_speed_flux
-    flux = joint_speed_flux(
-        kk_flux(f, fprime,
-                (float(np.min(rho0.values)), float(np.max(rho0.values)))),
-        f)
-    rho_traj = solve_scalar(flux, rho0, replace(config, record_fluxes=True))
-
-    comp_trajs = [solve_continuity_upwind(rho_traj, f, comp)
-                  for comp in U0.components]
-    meta = {"c": flux.c, "speed_bound": rho_traj.meta["speed_bound"]}
-    return KKTrajectory(rho_traj.times, comp_trajs, rho_traj, meta)
+    flux = kk_flux(f, fprime,
+                   (float(np.min(rho0.values)), float(np.max(rho0.values))))
+    v_traj, w_trajs = solve_split(flux, f, rho0, U0.components, config)
+    states = [KKState([wt.fields[j] for wt in w_trajs])
+              for j in range(len(v_traj))]
+    meta = {"c": flux.c, "speed_bound": v_traj.meta["speed_bound"]}
+    return SplitTrajectory(v_traj.times, states, v_traj, w_trajs, meta)
 
 
 def renormalization_defect(traj, window=None):
@@ -143,14 +89,11 @@ def renormalization_defect(traj, window=None):
     The excess is the worst (|U| - rho)+ over all cells and record times;
     the gap is the worst windowed L1 distance over record times.
     """
-    from .core import _window_slice
     idx = _window_slice(traj.grid, window)
     excess = 0.0
     gap = 0.0
-    for j in range(len(traj)):
-        normU = traj.state_at_index(j).norm().values
-        rho = traj.rho_at_index(j).values
-        diff = normU - rho
+    for state, rho in zip(traj.states, traj.v_traj.fields):
+        diff = state.norm().values - rho.values
         excess = max(excess, float(np.max(diff)))
         gap = max(gap, traj.grid.dx * math.fsum(
             abs(float(d)) for d in diff[idx]))

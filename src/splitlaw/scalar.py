@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import CellField, Trajectory, total_variation, _window_slice
+from .core import (CellField, Trajectory, _fill_ghosts, _window_slice,
+                   total_variation)
 from .errors import (HypothesisViolation, InvalidArgument, NumericalBlowup,
                      UnsupportedFlux)
 
@@ -275,13 +276,7 @@ def solve_scalar(flux, init, config):
 
     ve = np.empty(grid.n + 2)  # v plus one ghost cell on each side
     for step, dt, t, lands in _time_steps(config, dx, speed):
-        ve[1:-1] = v
-        if periodic:
-            ve[0] = v[-1]
-            ve[-1] = v[0]
-        else:
-            ve[0] = v[0]
-            ve[-1] = v[-1]
+        _fill_ghosts(ve, v, periodic)
         gve = np.asarray(flux.g(ve), dtype=float)
         G = _kernels.godunov_fluxes(ve[:-1], ve[1:], gve[:-1], gve[1:],
                                     g_omega, omega, convex)

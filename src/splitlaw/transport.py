@@ -8,13 +8,14 @@ story; the exact discrete invariants |w| <= v and sign preservation
 belong to the upwind route alone.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
 from .core import CellField, FluxFunction, Trajectory, _window_slice
 from .errors import DegenerateDensity, InvalidArgument, OutOfDomain
+from .scalar import _check_test_fns, _spacetime_quadrature, solve_scalar
 
 _SIGN_EPS = 0.0  # b must be strictly positive on the sampled range
 
@@ -67,8 +68,8 @@ def mollify(fieldv, spec):
 class TransportPair:
     """A scalar trajectory v together with the velocity b(v) it induces."""
 
-    def __init__(self, rho_traj, b_of, C=None, window=None):
-        self.rho = rho_traj
+    def __init__(self, v_traj, b_of, C=None, window=None):
+        self.rho = v_traj
         self.b_of = b_of
         self.C = C
         self.window = window
@@ -98,7 +99,6 @@ class TransportPair:
 
     def continuity_residual(self, w_traj, test_fns):
         """Weak residual of w_t + (b w)_x against space-time tests."""
-        from .scalar import _check_test_fns, _spacetime_quadrature
         _check_test_fns(w_traj, test_fns)
         worst = 0.0
         for tf in test_fns:
@@ -167,6 +167,18 @@ def solve_continuity_upwind(v_traj, b_of_v, w0):
     meta = {"locked_to": v_traj.meta.get("flux_name", ""),
             "dt_schedule": list(dt_schedule)}
     return Trajectory(times, fields, meta)
+
+
+def solve_split(flux, b_of_v, v0, w0s, config):
+    """Split solve: the scalar law for v, then each w locked to that run.
+
+    The scalar run takes its steps from joint_speed_flux(flux, b_of_v), so
+    every transport step stays a convex combination, and records its
+    interface fluxes for the replay. Returns (v_traj, w_trajs).
+    """
+    v_traj = solve_scalar(joint_speed_flux(flux, b_of_v), v0,
+                          replace(config, record_fluxes=True))
+    return v_traj, [solve_continuity_upwind(v_traj, b_of_v, w0) for w0 in w0s]
 
 
 def weighted_sup_norm(w_field, v_field):
@@ -304,16 +316,14 @@ class _Reversed:
         return -self.velocity.sample(self.t_top - s, x)
 
 
-def renorm_residual(pair, w_traj, beta, beta_prime, test_fns):
+def renorm_residual(pair, w_traj, beta, test_fns):
     """Weak residual of the renormalized equation for u = w/rho.
 
     Tests  rho beta(u) phi_t + b rho beta(u) phi_x  against each test
     function; for solutions of the continuity equation with the recorded
     density this vanishes up to discretization error.
     """
-    from .scalar import _check_test_fns, _spacetime_quadrature
     _check_test_fns(w_traj, test_fns)
-    del beta_prime  # reserved for a chain-rule variant; unused here
     worst = 0.0
     for tf in test_fns:
         def arrays(j):

@@ -305,8 +305,7 @@ def _reference_solve_direct(U0, config):
 
 def _outflow_riemann_state(grid):
     return ChromState([
-        project(lambda x: np.where(np.asarray(x) < 0.0, left, right), grid,
-                boundary="outflow")
+        project(lambda x: np.where(np.asarray(x) < 0.0, left, right), grid)
         for left, right in [(0.25, 0.5), (0.75, 0.1)]])
 
 

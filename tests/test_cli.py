@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splitlaw import acceptance
 from splitlaw.cli import (
     load_config,
     main,
@@ -225,3 +226,26 @@ def test_verify_subcommand_prints_one_line_per_criterion(capsys):
     assert len(out) == 12
     for number, line in enumerate(out, start=1):
         assert line.startswith(f"criterion {number:02d} [PASS]")
+
+
+def test_run_verify_config_writes_diagnostics_and_exits_one_on_a_failure(
+        tmp_path, monkeypatch, capsys):
+    results = [acceptance.CriterionResult(1, "first", True, "ok"),
+               acceptance.CriterionResult(2, "second", False, "broken")]
+    levels = []
+
+    def run_all(level):
+        levels.append(level)
+        return results
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    monkeypatch.setenv("SPLITLAW_OUTPUT_ROOT", str(tmp_path / "out"))
+    cfg = _write(tmp_path, "gate.ini", "[experiment]\nkind = verify\n\n"
+                 "[output]\nbasename = gate\n")
+    assert main(["run", cfg]) == 1
+    assert levels == ["fast"]
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 01 [PASS] first", "criterion 02 [FAIL] second"]
+    diag = json.loads((tmp_path / "out" / "gate.diagnostics.json").read_text())
+    assert diag["all_passed"] is False
+    assert [c["passed"] for c in diag["criteria"]] == [True, False]

@@ -73,8 +73,7 @@ def test_constant_direction_reduces_to_the_scalar_law():
                   rho0.with_values(0.8 * rho0.values)])
     cfg = ScalarConfig(t_end=0.5, record_times=[0.25, 0.5])
     traj = solve_kk(U0, _f, _fprime, cfg)
-    for j in range(len(traj)):
-        state = traj.state_at_index(j)
+    for state in traj.states:
         norm = state.norm().values
         assert np.min(norm) > 0.0
         theta1 = state.components[0].values / norm
@@ -100,9 +99,8 @@ def test_trajectory_accessors():
     U0 = KKState([_riemann(grid, 0.5, 0.25), _riemann(grid, 0.25, 0.5)])
     cfg = ScalarConfig(t_end=0.25, record_times=[0.25])
     traj = solve_kk(U0, _f, _fprime, cfg)
-    assert traj.k == 2
+    assert traj.states[0].k == 2
     assert len(traj) == 2
     assert traj.grid == grid
-    rho0 = traj.rho_at_index(0).values
-    assert np.allclose(traj.state_at_index(0).norm().values, rho0,
-                       atol=1e-12)
+    rho0 = traj.v_traj.fields[0].values
+    assert np.allclose(traj.states[0].norm().values, rho0, atol=1e-12)

@@ -388,8 +388,7 @@ def _reference_solve_scalar(flux, init, config):
 
 
 def _outflow_riemann(grid, left, right):
-    return project(lambda x: np.where(np.asarray(x) < 0.0, left, right), grid,
-                   boundary="outflow")
+    return project(lambda x: np.where(np.asarray(x) < 0.0, left, right), grid)
 
 
 def _smooth_periodic(grid, mean, amplitude):
