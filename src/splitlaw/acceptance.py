@@ -39,7 +39,6 @@ from .core import (
 from .depauw import (
     DyadicSchedule,
     Grid2D,
-    build_stage,
     chessboard,
     evolve,
     field_diagnostics,
@@ -563,7 +562,7 @@ def criterion_11(level="full"):
         end_ok = True
         for (k, t0, t1) in strong.stages:
             samples = np.linspace(t0, t1, 21)
-            stage = build_stage(k, grid)
+            stage = strong.stage(k)
             sups = []
             for t in samples:
                 scale, kk = strong.field_scale(t)
@@ -581,7 +580,7 @@ def criterion_11(level="full"):
         ok = ok and bv_ok
         parts.append(f"(d) bv>=0.1/t {bv_ok}")
 
-        div_worst = max(build_stage(k, grid).div_max
+        div_worst = max(sched.stage(k).div_max
                         for k in range(2, k_max + 1))
         ok = ok and div_worst <= DEPAUW_DIV_TOL
         parts.append(f"(e) divergence {div_worst:.0e}")

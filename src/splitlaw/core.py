@@ -18,6 +18,8 @@ class Grid1D:
     """Uniform cell grid on [x_min, x_max] with n cells."""
 
     def __init__(self, x_min, x_max, n):
+        if not math.isfinite(float(x_max) - float(x_min)):
+            raise InvalidArgument("grid bounds and length must be finite")
         if not (x_max > x_min):
             raise InvalidArgument("need x_max > x_min")
         if n < 2:

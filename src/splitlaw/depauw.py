@@ -57,11 +57,10 @@ class CellField2D:
 
     def l1(self):
         return self.grid.dx ** 2 * math.fsum(
-            abs(float(v)) for v in self.values.ravel())
+            np.abs(self.values).ravel().tolist())
 
     def mass(self):
-        return self.grid.dx ** 2 * math.fsum(
-            float(v) for v in self.values.ravel())
+        return self.grid.dx ** 2 * math.fsum(self.values.ravel().tolist())
 
     def linf(self):
         return float(np.max(np.abs(self.values)))
@@ -71,7 +70,7 @@ def l1_distance_2d(a, b):
     if a.grid != b.grid:
         raise InvalidArgument("fields on different grids")
     return a.grid.dx ** 2 * math.fsum(
-        abs(float(v)) for v in (a.values - b.values).ravel())
+        np.abs(a.values - b.values).ravel().tolist())
 
 
 def chessboard(k, grid):
@@ -117,16 +116,14 @@ class StageMap:
     def _build_permutation(self):
         N, B, off = self.grid.n, self.B, self.off
         i = np.arange(N)
-        I, J = np.meshgrid((i - off) % N, (i - off) % N, indexing="ij")
-        a, p = I // B, I % B
-        b, q = J // B, J % B
+        r = (i - off) % N  # rolled coordinate, used on both axes
+        a, p = r[:, None] // B, r[:, None] % B
+        b, q = r[None, :] // B, r[None, :] % B
         rot = (a + b) % 2 == 1
-        src_i = np.where(rot, (a * B + q + off) % N, np.arange(N)[:, None])
-        src_j = np.where(rot, (b * B + (B - 1 - p) + off) % N,
-                         np.arange(N)[None, :])
+        src_i = np.where(rot, (a * B + q + off) % N, i[:, None])
+        src_j = np.where(rot, (b * B + (B - 1 - p) + off) % N, i[None, :])
         self.src_i = src_i
         self.src_j = src_j
-        self._rot_mask_rolled = rot  # in the rolled frame used by apply_partial
 
     def _build_rings(self):
         # concentric square rings of a block, cells listed counterclockwise
@@ -186,9 +183,9 @@ class StageMap:
     def _measure_field(self):
         N = self.grid.n
         dx = self.grid.dx
+        # broadcast axes: the same elementwise arithmetic as full meshgrids
         c = np.arange(N) + 0.5
-        XX, YY = np.meshgrid(c, c, indexing="ij")
-        vx, vy = self.unit_field(XX, YY)
+        vx, vy = self.unit_field(c[:, None], c[None, :])
         self._center_vx = vx
         self._center_vy = vy
         self.sup_unit = float(max(np.max(np.abs(vx)), np.max(np.abs(vy))))
@@ -203,11 +200,9 @@ class StageMap:
         self.sup_scheduled = rate * self.sup_unit
         self.bv_scheduled = rate * self.bv_unit
 
-        i = np.arange(N)
-        XF, YF = np.meshgrid(i.astype(float), c, indexing="ij")
-        vx_face, _ = self.unit_field(XF, YF)
-        XG, YG = np.meshgrid(c, i.astype(float), indexing="ij")
-        _, vy_face = self.unit_field(XG, YG)
+        i = np.arange(N, dtype=float)
+        vx_face, _ = self.unit_field(i[:, None], c[None, :])
+        _, vy_face = self.unit_field(c[:, None], i[None, :])
         div = (np.roll(vx_face, -1, axis=0) - vx_face
                + np.roll(vy_face, -1, axis=1) - vy_face) / dx
         self.div_max = float(np.max(np.abs(div)))
@@ -252,7 +247,7 @@ class StageMap:
     def _self_check(self):
         N = self.grid.n
         flat = self.src_i.astype(np.int64) * N + self.src_j
-        if len(np.unique(flat)) != N * N:
+        if not np.array_equal(np.sort(flat, axis=None), np.arange(N * N)):
             raise ConstructionBug("stage map is not a permutation")
         fine = chessboard(self.k, self.grid)
         coarse = chessboard(self.k - 1, self.grid)
@@ -346,6 +341,18 @@ class DyadicSchedule:
         self._acts = {
             k: _Trapezoid(_ramp_fraction(k, m)) for k, _, _ in self.stages
         } if variant == "strong" else {}
+        self._stage_maps = {}
+
+    def stage(self, k):
+        """The StageMap of level k on this schedule's grid, built on first
+        use and kept on this schedule, so each schedule pays for its own
+        builds."""
+        st = self._stage_maps.get(k)
+        if st is None:
+            if not 2 <= k <= self.k_max:
+                raise InvalidArgument(f"no stage at level {k}")
+            st = self._stage_maps[k] = build_stage(k, Grid2D(self.m))
+        return st
 
     def stage_at(self, t):
         """(k, t0, t1) of the stage containing t, or None outside all."""
@@ -387,13 +394,6 @@ class DyadicSchedule:
         raise InvalidArgument(f"no stage at level {k}")
 
 
-def _stage_cache(schedule, grid, cache):
-    for k, _, _ in schedule.stages:
-        if k not in cache:
-            cache[k] = build_stage(k, grid)
-    return cache
-
-
 def evolve(schedule, init, t_query):
     """Advect init through the schedule, sampling at the query times.
 
@@ -404,8 +404,6 @@ def evolve(schedule, init, t_query):
     """
     if schedule.m != init.grid.m:
         raise InvalidArgument("schedule and data resolved at different scales")
-    stages = {}
-    _stage_cache(schedule, init.grid, stages)
     times = []
     fields = []
     partial_flags = []
@@ -417,10 +415,10 @@ def evolve(schedule, init, t_query):
         partial = False
         for k, t0, t1 in schedule.stages:
             if t >= t1:
-                vals = stages[k].apply(vals)
+                vals = schedule.stage(k).apply(vals)
             elif t > t0:
                 frac = schedule.progress(k, t)
-                vals = stages[k].apply_partial(vals, frac)
+                vals = schedule.stage(k).apply_partial(vals, frac)
                 partial = 0.0 < frac < 1.0
                 break
             else:
@@ -485,8 +483,8 @@ def mixing_report(traj, test_fns=None):
 def field_diagnostics(schedule, t_list, grid):
     """Per-time table: stage level, field sup and BV norms, and the sup
     distance to the previous sampled field."""
-    stages = {}
-    _stage_cache(schedule, grid, stages)
+    if schedule.m != grid.m:
+        raise InvalidArgument("schedule and grid resolved at different scales")
     rows = []
     prev = None
     for t in t_list:
@@ -498,7 +496,7 @@ def field_diagnostics(schedule, t_list, grid):
             sup = 0.0
             bv = 0.0
         else:
-            st = stages[k]
+            st = schedule.stage(k)
             vx = scale * st._center_vx
             vy = scale * st._center_vy
             sup = scale * st.sup_unit
@@ -568,8 +566,8 @@ def continuity_residual_2d(schedule, init, test_fns, samples_per_stage=33):
     field switches at stage boundaries.
     """
     grid = init.grid
-    stages = {}
-    _stage_cache(schedule, grid, stages)
+    if schedule.m != grid.m:
+        raise InvalidArgument("schedule and data resolved at different scales")
     c = (np.arange(grid.n) + 0.5) * grid.dx
     X, Y = np.meshgrid(c, c, indexing="ij")
     dA = grid.dx ** 2
@@ -597,7 +595,7 @@ def continuity_residual_2d(schedule, init, test_fns, samples_per_stage=33):
                 scale, k = schedule.field_scale(t)
                 integ = np.asarray(tf.dt(t, X, Y), dtype=float)
                 if k is not None and scale != 0.0:
-                    st = stages[k]
+                    st = schedule.stage(k)
                     integ = integ + scale * (
                         st._center_vx * np.asarray(tf.dx(t, X, Y), dtype=float)
                         + st._center_vy * np.asarray(tf.dy(t, X, Y), dtype=float))

@@ -113,6 +113,23 @@ class TransportPair:
         return worst
 
 
+def _oversized_step(step, dt_schedule, v, G, mu, tol):
+    """The error for a replay step that is not a convex combination: the
+    step, its start time, and the worst cell or interface against -tol."""
+    t = math.fsum(dt_schedule[:step])
+    left = v - mu * G[1:]
+    i = int(np.argmin(left))
+    if left[i] < -tol:
+        what = f"v - mu*G = {left[i]:.6g} at cell {i}"
+    else:
+        i = int(np.argmin(G))
+        what = f"G = {G[i]:.6g} at interface {i}"
+    return InvalidArgument(
+        f"recorded scalar run took steps too large for the transport stage "
+        f"in step {step}, from t={t!r}: {what}, below the bound {-tol:.6g}; "
+        f"solve it with joint_speed_flux")
+
+
 def solve_continuity_upwind(v_traj, b_of_v, w0):
     """Advance w with the flux-split upwind scheme locked to a scalar run.
 
@@ -127,6 +144,8 @@ def solve_continuity_upwind(v_traj, b_of_v, w0):
         raise InvalidArgument("w0 grid differs from the scalar grid")
     if w0.boundary != v_traj.fields[0].boundary:
         raise InvalidArgument("w0 boundary differs from the scalar run")
+    if not np.all(np.isfinite(w0.values)):
+        raise InvalidArgument("w0 must be finite")
     dt_schedule = v_traj.meta["dt_schedule"]
     fluxes = v_traj.meta["fluxes"]
     record_steps = v_traj.meta["record_steps"]
@@ -151,16 +170,19 @@ def solve_continuity_upwind(v_traj, b_of_v, w0):
         mu = dt / dx
         tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
         if float(np.min(v - mu * G[1:])) < -tol or float(np.min(G)) < -tol:
-            raise InvalidArgument(
-                "recorded scalar run took steps too large for the transport "
-                "stage; solve it with joint_speed_flux")
+            raise _oversized_step(step, dt_schedule, v, G, mu, tol)
         v, w = _kernels.upwind_step(v, w, G, mu, periodic)
         if (step + 1) in rec:
             i = rec[step + 1]
             ref = v_traj.fields[i].values
             if not np.array_equal(v, ref):
+                gap = np.abs(v - ref)
+                j = int(np.argmax(gap))
                 raise InvalidArgument(
-                    "scalar replay diverged from the recorded trajectory")
+                    f"scalar replay diverged from the recorded trajectory "
+                    f"after step {step}, at the record t={v_traj.times[i]!r}: "
+                    f"largest gap |v - recorded| = {gap[j]:.6g} at cell {j}, "
+                    f"bound 0 (bitwise)")
             times.append(v_traj.times[i])
             fields.append(CellField(grid, w.copy(), w0.boundary))
 

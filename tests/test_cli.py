@@ -7,12 +7,15 @@ import pytest
 
 from splitlaw import acceptance
 from splitlaw.cli import (
+    _fmt,
     load_config,
     main,
     parse_initial,
     read_trajectory_json,
     trajectory_payload,
+    write_csv,
 )
+from splitlaw.depauw import DyadicSchedule, Grid2D, chessboard, evolve
 from splitlaw.errors import InvalidArgument
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -173,6 +176,63 @@ def test_export_json_roundtrip(tmp_path, monkeypatch):
     rows = payload["fields"]["0.25"]
     assert len(rows) == 64
     assert rows[0][1] == 1.0  # left state still upstream of the shock
+
+
+def test_write_csv_matches_the_per_value_format(tmp_path):
+    header = ["t", "x", "u"]
+    rows = [[0.0, -0.0, 5e-324], [1e300, 3, np.float64(0.1)],
+            [np.float64(-2.5), 2 ** 60, float("inf")]]
+    array = np.array([[0.25, -0.0, 1.0 / 3.0], [-1e-300, 5e-324, 1e300]])
+    for data in (rows, array):
+        path = tmp_path / "out.csv"
+        write_csv(str(path), header, data)
+        want = "t,x,u\n" + "".join(
+            ",".join(_fmt(x) for x in row) + "\n" for row in data)
+        assert path.read_bytes() == want.encode()
+
+
+DEPAUW_CFG = """\
+[experiment]
+kind = depauw
+
+[schedule]
+k_max = 3
+m = 3
+
+[time]
+record = 0.25, 0.5
+"""
+
+
+def test_export_depauw_in_both_formats(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPLITLAW_OUTPUT_ROOT", str(tmp_path / "out"))
+    cfg = _write(tmp_path, "mix.ini", DEPAUW_CFG)
+    # the rows as the per-cell loop wrote them: t, x, y, u with x major
+    grid = Grid2D(3)
+    traj = evolve(DyadicSchedule("original", 3, 3), chessboard(3, grid),
+                  [0.25, 0.5])
+    c = (np.arange(grid.n) + 0.5) * grid.dx
+    rows = [[t, c[i], c[j], f.values[i, j]]
+            for t, f in zip(traj.times, traj.fields)
+            for i in range(grid.n) for j in range(grid.n)]
+
+    out_csv = tmp_path / "mix.csv"
+    assert main(["export", cfg, "--format", "csv", "--out", str(out_csv)]) == 0
+    want = "t,x,y,u\n" + "".join(
+        ",".join(_fmt(x) for x in row) + "\n" for row in rows)
+    assert out_csv.read_bytes() == want.encode()
+
+    out_json = tmp_path / "mix.json"
+    assert main(["export", cfg, "--format", "json", "--out",
+                 str(out_json)]) == 0
+    payload = read_trajectory_json(str(out_json))
+    assert payload["times"] == [0.25, 0.5]
+    assert payload["grid"] == {"m": 3}
+    assert payload["meta"]["columns"] == ["x", "y", "u"]
+    assert payload["fields"]["0.25"] == [
+        [float(v) for v in row[1:]] for row in rows[:64]]
+    assert payload["fields"]["0.5"] == [
+        [float(v) for v in row[1:]] for row in rows[64:]]
 
 
 def test_trajectory_payload_groups_rows_by_time(tmp_path):

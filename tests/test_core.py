@@ -49,6 +49,14 @@ def test_grid_rejects_degenerate_inputs():
         Grid1D(0.0, 1.0, 1)
 
 
+def test_grid_rejects_non_finite_bounds():
+    inf = float("inf")
+    for lo, hi in ((-1.0, inf), (-inf, 1.0), (float("nan"), 1.0),
+                   (-1e308, 1e308)):
+        with pytest.raises(InvalidArgument, match="finite"):
+            Grid1D(lo, hi, 16)
+
+
 def test_cell_field_validates_shape_and_boundary():
     g = Grid1D(0.0, 1.0, 4)
     with pytest.raises(InvalidArgument):

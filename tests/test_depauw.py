@@ -1,8 +1,12 @@
 """Chessboard coarsening schedule on the torus: stage maps, timetables,
 mixing diagnostics, and the weak continuity residual."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from splitlaw import cli, depauw
+from splitlaw.acceptance import criterion_11
 from splitlaw.depauw import (
     CellField2D,
     DyadicSchedule,
@@ -18,7 +22,9 @@ from splitlaw.depauw import (
     strong_modulus_2d,
     torus_test,
 )
-from splitlaw.errors import InvalidArgument, UnresolvedScale
+from splitlaw.errors import ConstructionBug, InvalidArgument, UnresolvedScale
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 class _HalfSpeed(DyadicSchedule):
@@ -250,3 +256,101 @@ def test_strong_modulus_reports_later_snapshots():
     assert all(d > 0.0 for _, d in out)
     assert out[0][1] == pytest.approx(
         l1_distance_2d(traj.at(0.25), traj.at(0.0)))
+
+
+def _meshgrid_stage_reference(st):
+    """Stage arrays computed the earlier way, over full N x N meshgrids."""
+    N, B, off, dx = st.grid.n, st.B, st.off, st.grid.dx
+    i = np.arange(N)
+    I, J = np.meshgrid((i - off) % N, (i - off) % N, indexing="ij")
+    a, p = I // B, I % B
+    b, q = J // B, J % B
+    rot = (a + b) % 2 == 1
+    src_i = np.where(rot, (a * B + q + off) % N, np.arange(N)[:, None])
+    src_j = np.where(rot, (b * B + (B - 1 - p) + off) % N,
+                     np.arange(N)[None, :])
+    c = np.arange(N) + 0.5
+    XX, YY = np.meshgrid(c, c, indexing="ij")
+    vx, vy = st.unit_field(XX, YY)
+    tv = 0.0
+    for comp in (vx, vy):
+        tv += np.sum(np.abs(np.diff(comp, axis=0)))
+        tv += np.sum(np.abs(comp[0] - comp[-1]))
+        tv += np.sum(np.abs(np.diff(comp, axis=1)))
+        tv += np.sum(np.abs(comp[:, 0] - comp[:, -1]))
+    XF, YF = np.meshgrid(i.astype(float), c, indexing="ij")
+    vx_face, _ = st.unit_field(XF, YF)
+    XG, YG = np.meshgrid(c, i.astype(float), indexing="ij")
+    _, vy_face = st.unit_field(XG, YG)
+    div = (np.roll(vx_face, -1, axis=0) - vx_face
+           + np.roll(vy_face, -1, axis=1) - vy_face) / dx
+    return {
+        "src_i": src_i, "src_j": src_j, "_center_vx": vx, "_center_vy": vy,
+        "sup_unit": float(max(np.max(np.abs(vx)), np.max(np.abs(vy)))),
+        "bv_unit": float(tv) * dx,
+        "div_max": float(np.max(np.abs(div))),
+    }
+
+
+def test_stage_arrays_match_the_meshgrid_computation_bitwise():
+    grid = Grid2D(8)
+    for k in range(2, 7):
+        st = build_stage(k, grid)
+        ref = _meshgrid_stage_reference(st)
+        for name in ("src_i", "src_j", "_center_vx", "_center_vy"):
+            got, want = getattr(st, name), ref[name]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), (k, name)
+        for name in ("sup_unit", "bv_unit", "div_max"):
+            assert getattr(st, name).hex() == ref[name].hex(), (k, name)
+
+
+def test_self_check_rejects_a_map_with_a_shared_source():
+    st = build_stage(3, Grid2D(4))
+    st._self_check()
+    # another cell reading from the same column as cell (0, 0) is sent to
+    # that cell's source row too, so two cells share one source
+    hits = np.argwhere(st.src_j == st.src_j[0, 0])
+    r, c = hits[1]
+    st.src_i = st.src_i.copy()
+    st.src_i[r, c] = st.src_i[0, 0]
+    with pytest.raises(ConstructionBug, match="not a permutation"):
+        st._self_check()
+
+
+def test_schedule_owns_its_stage_maps():
+    sched = DyadicSchedule("original", 3, 4)
+    st = sched.stage(3)
+    assert st is sched.stage(3)
+    assert (st.k, st.grid) == (3, Grid2D(4))
+    assert DyadicSchedule("original", 3, 4).stage(3) is not st
+    for k in (1, 4):
+        with pytest.raises(InvalidArgument):
+            sched.stage(k)
+
+
+def test_each_schedule_builds_each_stage_once(tmp_path, monkeypatch):
+    calls = []
+    real = depauw.build_stage
+
+    def counting(k, grid):
+        calls.append((k, grid.m))
+        return real(k, grid)
+
+    monkeypatch.setattr(depauw, "build_stage", counting)
+    monkeypatch.setenv("SPLITLAW_OUTPUT_ROOT", str(tmp_path))
+    assert cli.main(["run", str(FIXTURES / "criterion_11.ini")]) == 0
+    assert sorted(calls) == [(k, 8) for k in range(2, 7)]
+    calls.clear()
+    assert criterion_11("full").passed
+    # one build per stage for each of the original and strong schedules
+    assert sorted(calls) == sorted(2 * [(k, 8) for k in range(2, 7)])
+
+
+def test_diagnostics_reject_a_grid_at_another_scale():
+    sched = DyadicSchedule("original", 3, 4)
+    with pytest.raises(InvalidArgument, match="different scales"):
+        field_diagnostics(sched, [0.3], Grid2D(5))
+    with pytest.raises(InvalidArgument, match="different scales"):
+        continuity_residual_2d(sched, chessboard(3, Grid2D(5)),
+                               [torus_test(0.03, 0.47, 1, 1)])

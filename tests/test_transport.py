@@ -144,6 +144,33 @@ def test_upwind_rejects_scalar_runs_without_the_joint_bound():
     vt = solve_scalar(chromatography_flux(), v0, cfg)
     with pytest.raises(InvalidArgument, match="joint_speed_flux"):
         solve_continuity_upwind(vt, _b, v0.copy())
+    # the error names the step, its start time, the worst cell, and the
+    # measured value against its bound
+    with pytest.raises(InvalidArgument, match=(
+            r"in step 0, from t=0\.0: v - mu\*G = -\S+ at cell \d+, "
+            r"below the bound -1\.\d+e-12")):
+        solve_continuity_upwind(vt, _b, v0.copy())
+
+
+def test_upwind_names_the_record_where_the_replay_diverges():
+    grid, vt = _smooth_run(n=64, t_end=0.125, records=2)
+    bumped = vt.fields[1].values.copy()
+    bumped[7] += 1e-9
+    vt.fields[1] = vt.fields[1].with_values(bumped)
+    step = vt.meta["record_steps"][0] - 1
+    with pytest.raises(InvalidArgument, match=(
+            rf"diverged .* after step {step}, at the record "
+            rf"t={vt.times[1]!r}: largest gap \|v - recorded\| = 1e-09 at "
+            r"cell 7, bound 0")):
+        solve_continuity_upwind(vt, _b, vt.fields[0].copy())
+
+
+def test_upwind_rejects_non_finite_w0():
+    _, vt = _smooth_run(n=64, t_end=0.125, records=2)
+    values = vt.fields[0].values.copy()
+    values[10] = np.nan
+    with pytest.raises(InvalidArgument, match="finite"):
+        solve_continuity_upwind(vt, _b, vt.fields[0].with_values(values))
 
 
 def test_upwind_rejects_inconsistent_inputs():
