@@ -26,6 +26,15 @@ from .scalar import solve_scalar  # noqa: F401
 from .transport import solve_split
 
 
+def _fsum_columns(cols):
+    """math.fsum down each column of the (k, n) array cols, k >= 2."""
+    if len(cols) == 2:
+        # one IEEE add is already correctly rounded; + 0.0 turns the -0.0
+        # of (-0.0) + (-0.0) into fsum's 0.0
+        return (cols[0] + cols[1]) + 0.0
+    return np.array([math.fsum(r) for r in cols.T.tolist()])
+
+
 class ChromState(VectorState):
     """Vector state U = (u_1, ..., u_k), k >= 2, on one shared grid."""
 
@@ -33,9 +42,7 @@ class ChromState(VectorState):
 
     def total(self):
         """v = sum of the components, cellwise exact rounding."""
-        cols = np.stack([c.values for c in self.components])
-        vals = np.array([math.fsum(map(float, cols[:, j]))
-                         for j in range(self.grid.n)])
+        vals = _fsum_columns(np.stack([c.values for c in self.components]))
         return CellField(self.grid, vals, self.boundary)
 
 
@@ -52,10 +59,7 @@ def from_vw(v, w):
     if len(w) == 1:
         u1_vals = v.values - w[0].values
     else:
-        cols = np.stack([f.values for f in w])
-        u1_vals = np.array([
-            float(v.values[j]) - math.fsum(map(float, cols[:, j]))
-            for j in range(v.grid.n)])
+        u1_vals = v.values - _fsum_columns(np.stack([f.values for f in w]))
     u1 = CellField(v.grid, u1_vals, v.boundary)
     return ChromState([u1] + [f.copy() for f in w])
 
@@ -303,7 +307,7 @@ def semigroup_defect(U0, t, s, config, solver=solve_chromatography):
         if round(tau / dt) == 0:
             return state
         cfg = ScalarConfig(t_end=tau, cfl=config.cfl, record_times=[tau],
-                           record_fluxes=config.record_fluxes, fixed_dt=dt)
+                           fixed_dt=dt)
         return solver(state, cfg).at(tau)
 
     direct = advance(U0, t + s)

@@ -213,12 +213,13 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def _component_rows(times, grids_x, per_time_columns):
-    rows = []
-    for t, cols in zip(times, per_time_columns):
-        for j, x in enumerate(grids_x):
-            rows.append([t, x] + [c[j] for c in cols])
-    return rows
+def _component_rows(times, xs, per_time_columns):
+    """One (t, x, c_1, c_2, ...) row per cell and record time, x fastest;
+    per_time_columns holds one list of column arrays per time."""
+    n, nt = len(xs), len(times)
+    cols = np.asarray(per_time_columns, dtype=float)  # (nt, columns, n)
+    return np.column_stack([np.repeat(times, n), np.tile(xs, nt),
+                            cols.transpose(0, 2, 1).reshape(nt * n, -1)])
 
 
 def _run_riemann(cfg):

@@ -134,7 +134,6 @@ class ScalarConfig:
     t_end: float
     cfl: float = 0.45
     record_times: list = field(default_factory=list)
-    record_fluxes: bool = False
     fixed_dt: float = None
 
     def __post_init__(self):
@@ -232,15 +231,32 @@ def _time_steps(config, dx, speed):
 def solve_scalar(flux, init, config):
     """March the Godunov scheme to t_end, recording the requested times.
 
-    The returned Trajectory always includes t=0. meta carries the per-step
-    dt schedule and (with config.record_fluxes) every interface flux array,
-    which is what lets the transport stage replay the run in lockstep.
+    The returned Trajectory always includes t=0; meta carries the per-step
+    dt schedule, the steps that landed on a record, and the largest speed
+    bound used.
 
     The step constants (speed bound L, the critical point of g and g
     there) depend on the data only through its range (min v, max v), so
     they are recomputed only when that range changes. With fixed_dt, a
     step that breaks the CFL hypothesis dt*L/dx <= 1 raises
     HypothesisViolation.
+    """
+    return _march(flux, init, config)[0]
+
+
+def _march(flux, init, config, b_of_v=None, w0s=()):
+    """The one Godunov step loop: v alone, or v with a locked w stack.
+
+    With b_of_v, each w0 in w0s rides w_t + (b(v) w)_x = 0 on the same
+    steps: the update alpha = v - mu*G_out, beta = mu*G_in is computed once,
+    v becomes alpha + beta and each w row lam*alpha + lam_left*beta, with
+    lam = w/v (0/0 := 0) taken from the cell and its upwind neighbour. That
+    is the association of _kernels.scalar_step and _kernels.upwind_step, so
+    v is bitwise the scalar run. The update is a convex combination only
+    while alpha >= 0 and G >= 0; a step that breaks either by more than
+    roundoff raises InvalidArgument. A w that is not finite at a record
+    (w/v overflows where v is tiny against |w|) raises NumericalBlowup.
+    Returns (v_traj, w_trajs), with w_trajs empty without b_of_v.
     """
     flux.check_admissible(init.values)
     if not np.all(np.isfinite(init.values)):
@@ -254,10 +270,11 @@ def solve_scalar(flux, init, config):
 
     want_zero = 0.0 in config.record_times or not config.record_times
     v = init.values.astype(float).copy()
+    W = None if b_of_v is None else _w_stack(init, b_of_v, w0s)
     times = [0.0]
     fields = [init.copy()]
+    w_fields = [[w0.copy()] for w0 in w0s]
     dt_schedule = []
-    fluxes = [] if config.record_fluxes else None
     record_steps = []
     speed_bound = 0.0
     data_range = L = omega = g_omega = None
@@ -280,16 +297,31 @@ def solve_scalar(flux, init, config):
         gve = np.asarray(flux.g(ve), dtype=float)
         G = _kernels.godunov_fluxes(ve[:-1], ve[1:], gve[:-1], gve[1:],
                                     g_omega, omega, convex)
-        v = _kernels.scalar_step(v, np.asarray(G), dt / dx)
+        mu = dt / dx
+        if W is None:
+            v = _kernels.scalar_step(v, G, mu)
+        else:
+            alpha = v - mu * G[1:]
+            beta = mu * G[:-1]
+            # max|v| from the range the speed bound was just taken on
+            tol = 1e-12 * max(1.0, abs(data_range[0]), abs(data_range[1]))
+            if alpha.min() < -tol or G.min() < -tol:
+                raise _oversized_step(step, dt_schedule, alpha, G, tol)
+            W = _ride(W, v, alpha, beta, periodic)
+            v = alpha + beta
         if not np.all(np.isfinite(v)):
             raise NumericalBlowup(step)
 
         dt_schedule.append(dt)
-        if fluxes is not None:
-            fluxes.append(np.asarray(G))
         if lands:
             times.append(t)
             fields.append(CellField(grid, v.copy(), init.boundary))
+            if W is not None and not np.all(np.isfinite(W)):
+                # w/v overflows where v is tiny against |w|; NaN persists
+                raise NumericalBlowup(step, f"non-finite w by step {step}, "
+                                            f"t={t!r}")
+            for r, rows in enumerate(w_fields):
+                rows.append(CellField(grid, W[r].copy(), init.boundary))
             record_steps.append(step + 1)
 
     meta = {
@@ -301,9 +333,54 @@ def solve_scalar(flux, init, config):
         "fixed_dt": config.fixed_dt,
         "includes_zero": want_zero,
     }
-    if fluxes is not None:
-        meta["fluxes"] = fluxes
-    return Trajectory(times, fields, meta)
+    return (Trajectory(times, fields, meta),
+            [Trajectory(list(times), rows, {"locked_to": flux.name,
+                                            "dt_schedule": list(dt_schedule)})
+             for rows in w_fields])
+
+
+def _w_stack(v0, b_of_v, w0s):
+    """The (m, n) stack of the w0s, after checking them against v0."""
+    for w0 in w0s:
+        if w0.grid != v0.grid:
+            raise InvalidArgument("w0 grid differs from the scalar grid")
+        if w0.boundary != v0.boundary:
+            raise InvalidArgument("w0 boundary differs from the scalar run")
+        if not np.all(np.isfinite(w0.values)):
+            raise InvalidArgument("w0 must be finite")
+    if np.any(np.asarray(b_of_v(v0.values), dtype=float) <= 0.0):
+        raise InvalidArgument("transport velocity must be positive")
+    return np.array([w0.values for w0 in w0s], dtype=float).reshape(
+        len(w0s), v0.grid.n)
+
+
+def _ride(W, v, alpha, beta, periodic):
+    """Each row w -> lam*alpha + lam_left*beta, lam = w/v with 0/0 := 0 and
+    lam_left the upwind (left) neighbour's ratio."""
+    lam = np.divide(W, v, out=np.zeros_like(W), where=v != 0.0)
+    lam_left = np.empty_like(lam)
+    lam_left[:, 1:] = lam[:, :-1]
+    lam_left[:, 0] = lam[:, -1] if periodic else lam[:, 0]
+    lam *= alpha
+    lam_left *= beta
+    lam += lam_left
+    return lam
+
+
+def _oversized_step(step, dt_schedule, alpha, G, tol):
+    """The error for a locked step that is not a convex combination: the
+    step, its start time, and the worst cell or interface against -tol."""
+    t = math.fsum(dt_schedule[:step])
+    i = int(np.argmin(alpha))
+    if alpha[i] < -tol:
+        what = f"v - mu*G = {alpha[i]:.6g} at cell {i}"
+    else:
+        i = int(np.argmin(G))
+        what = f"G = {G[i]:.6g} at interface {i}"
+    return InvalidArgument(
+        f"split step too large for the transport stage in step {step}, "
+        f"from t={t!r}: {what}, below the bound {-tol:.6g}; the speed bound "
+        f"must cover b(v), as joint_speed_flux does")
 
 
 def oleinik_excess(fieldv, t, c, orientation="convex"):

@@ -1,23 +1,20 @@
-"""Continuity equation w_t + (b(v) w)_x = 0 driven by a recorded scalar run.
+"""Continuity equation w_t + (b(v) w)_x = 0 driven by a scalar run.
 
 Two independent routes to the same solution: the matched upwind scheme
-that replays the scalar trajectory step for step, and a mollified
-characteristics construction whose flow map transports the initial
-ratio w/v. Their agreement (after smoothing) is the renormalization
-story; the exact discrete invariants |w| <= v and sign preservation
-belong to the upwind route alone.
+of solve_split, which advances each w on the very steps of the scalar
+law for v, and a mollified characteristics construction whose flow map
+transports the initial ratio w/v. Their agreement (after smoothing) is
+the renormalization story; the exact discrete invariants |w| <= v and
+sign preservation belong to the upwind route alone.
 """
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core import CellField, FluxFunction, Trajectory, _window_slice
 from .errors import DegenerateDensity, InvalidArgument, OutOfDomain
-from .scalar import _check_test_fns, _spacetime_quadrature, solve_scalar
-
-_SIGN_EPS = 0.0  # b must be strictly positive on the sampled range
+from .scalar import _check_test_fns, _march, _spacetime_quadrature
 
 
 def joint_speed_flux(flux, b_of):
@@ -113,108 +110,28 @@ class TransportPair:
         return worst
 
 
-def _oversized_step(step, dt_schedule, v, G, mu, tol):
-    """The error for a replay step that is not a convex combination: the
-    step, its start time, and the worst cell or interface against -tol."""
-    t = math.fsum(dt_schedule[:step])
-    left = v - mu * G[1:]
-    i = int(np.argmin(left))
-    if left[i] < -tol:
-        what = f"v - mu*G = {left[i]:.6g} at cell {i}"
-    else:
-        i = int(np.argmin(G))
-        what = f"G = {G[i]:.6g} at interface {i}"
-    return InvalidArgument(
-        f"recorded scalar run took steps too large for the transport stage "
-        f"in step {step}, from t={t!r}: {what}, below the bound {-tol:.6g}; "
-        f"solve it with joint_speed_flux")
-
-
-def solve_continuity_upwind(v_traj, b_of_v, w0):
-    """Advance w with the flux-split upwind scheme locked to a scalar run.
-
-    The scalar trajectory must carry its interface fluxes and dt schedule.
-    Each step recomputes the scalar update with the same floating-point
-    association, so the replayed density matches the recorded one bitwise;
-    any mismatch means the inputs are inconsistent and is an error.
-    """
-    if "fluxes" not in v_traj.meta:
-        raise InvalidArgument("scalar trajectory lacks recorded fluxes")
-    if w0.grid != v_traj.grid:
-        raise InvalidArgument("w0 grid differs from the scalar grid")
-    if w0.boundary != v_traj.fields[0].boundary:
-        raise InvalidArgument("w0 boundary differs from the scalar run")
-    if not np.all(np.isfinite(w0.values)):
-        raise InvalidArgument("w0 must be finite")
-    dt_schedule = v_traj.meta["dt_schedule"]
-    fluxes = v_traj.meta["fluxes"]
-    record_steps = v_traj.meta["record_steps"]
-    if len(dt_schedule) != len(fluxes):
-        raise InvalidArgument("inconsistent scalar metadata")
-
-    grid = v_traj.grid
-    dx = grid.dx
-    periodic = 1 if w0.boundary == "periodic" else 0
-    v = v_traj.fields[0].values.astype(float).copy()
-    w = w0.values.astype(float).copy()
-
-    b0 = np.asarray(b_of_v(v), dtype=float)
-    if np.any(b0 <= _SIGN_EPS):
-        raise InvalidArgument("transport velocity must be positive")
-
-    times = [v_traj.times[0]]
-    fields = [w0.copy()]
-    rec = {s: i + 1 for i, s in enumerate(record_steps)}
-    for step, (dt, G) in enumerate(zip(dt_schedule, fluxes)):
-        G = np.asarray(G, dtype=float)
-        mu = dt / dx
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
-        if float(np.min(v - mu * G[1:])) < -tol or float(np.min(G)) < -tol:
-            raise _oversized_step(step, dt_schedule, v, G, mu, tol)
-        v, w = _kernels.upwind_step(v, w, G, mu, periodic)
-        if (step + 1) in rec:
-            i = rec[step + 1]
-            ref = v_traj.fields[i].values
-            if not np.array_equal(v, ref):
-                gap = np.abs(v - ref)
-                j = int(np.argmax(gap))
-                raise InvalidArgument(
-                    f"scalar replay diverged from the recorded trajectory "
-                    f"after step {step}, at the record t={v_traj.times[i]!r}: "
-                    f"largest gap |v - recorded| = {gap[j]:.6g} at cell {j}, "
-                    f"bound 0 (bitwise)")
-            times.append(v_traj.times[i])
-            fields.append(CellField(grid, w.copy(), w0.boundary))
-
-    meta = {"locked_to": v_traj.meta.get("flux_name", ""),
-            "dt_schedule": list(dt_schedule)}
-    return Trajectory(times, fields, meta)
-
-
 def solve_split(flux, b_of_v, v0, w0s, config):
-    """Split solve: the scalar law for v, then each w locked to that run.
+    """Split solve: the scalar law for v and each w locked to it, in one march.
 
-    The scalar run takes its steps from joint_speed_flux(flux, b_of_v), so
-    every transport step stays a convex combination, and records its
-    interface fluxes for the replay. Returns (v_traj, w_trajs).
+    Every step advances v and the whole w stack together
+    (scalar._march): the scalar update is computed once and each w takes
+    the upwind form lam*(v - mu G_out) + lam_left*(mu G_in) of it. The
+    steps come from joint_speed_flux(flux, b_of_v), so each transport step
+    stays a convex combination; v is bitwise the scalar run. Returns
+    (v_traj, w_trajs).
     """
-    v_traj = solve_scalar(joint_speed_flux(flux, b_of_v), v0,
-                          replace(config, record_fluxes=True))
-    return v_traj, [solve_continuity_upwind(v_traj, b_of_v, w0) for w0 in w0s]
+    return _march(joint_speed_flux(flux, b_of_v), v0, config, b_of_v, w0s)
 
 
 def weighted_sup_norm(w_field, v_field):
     """sup |w|/v with 0/0 counted as 0 and w/0 for w != 0 as inf."""
     w = w_field.values
     v = v_field.values
-    out = 0.0
-    for wi, vi in zip(w, v):
-        if vi == 0.0:
-            if wi != 0.0:
-                return math.inf
-            continue
-        out = max(out, abs(wi) / vi)
-    return out
+    zero = v == 0.0
+    if np.any(w[zero] != 0.0):
+        return math.inf
+    ratios = np.abs(w[~zero]) / v[~zero]
+    return max(0.0, float(ratios.max())) if ratios.size else 0.0
 
 
 def regularized_velocity(pair, spec, t):

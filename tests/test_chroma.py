@@ -1,4 +1,6 @@
 """Split chromatography solver, entropy lifting, and the direct oracle."""
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,41 @@ def test_change_of_variables_roundtrip():
     assert back.k == 3
     for orig, rec in zip(state.components, back.components):
         assert np.allclose(orig.values, rec.values, atol=1e-13)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# signed zeros, subnormals, large magnitudes with cancellation, and
+# ordinary values; VectorState only asks for finite components
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e300, -1e300, 1e-16,
+                1.0, -1.0, 0.1, 3.0, 1e16]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_total_and_from_vw_are_bitwise_the_per_cell_fsum(k):
+    rng = np.random.default_rng(k)
+    n = 400
+    grid = _grid(n)
+    comps = [CellField(grid, rng.choice(_EDGE_VALUES, n)) for _ in range(k)]
+    cols = np.stack([c.values for c in comps])
+    fsums = np.array([math.fsum(map(float, cols[:, j])) for j in range(n)])
+    assert _bits(ChromState(comps).total().values) == _bits(fsums)
+    v, w = comps[0], comps[1:]
+    u1 = from_vw(v, w).components[0].values
+    if k == 2:
+        expect = v.values - w[0].values
+    else:
+        expect = np.array([float(v.values[j])
+                           - math.fsum(map(float, cols[1:, j]))
+                           for j in range(n)])
+    assert _bits(u1) == _bits(expect)
+    # negative control: the plain sum keeps -0.0 + -0.0 = -0.0
+    zeros = CellField(grid, np.full(n, -0.0))
+    assert _bits(ChromState([zeros] * k).total().values) == _bits(
+        np.zeros(n))
+    assert _bits(zeros.values + zeros.values) != _bits(np.zeros(n))
 
 
 def test_from_vw_rejects_mismatched_grids():

@@ -337,7 +337,7 @@ def _reference_solve_scalar(flux, init, config):
         stops.append(config.t_end)
     v = init.values.astype(float).copy()
     times, fields = [0.0], [init.copy()]
-    dt_schedule, fluxes, record_steps = [], [], []
+    dt_schedule, record_steps = [], []
     speed_bound = 0.0
     t, step = 0.0, 0
     if config.fixed_dt is not None:
@@ -372,7 +372,6 @@ def _reference_solve_scalar(flux, init, config):
                                     g_omega, omega, convex)
         v = _kernels.scalar_step(v, np.asarray(G), dt / dx)
         dt_schedule.append(dt)
-        fluxes.append(np.asarray(G))
         t = t_next
         step += 1
         if lands:
@@ -384,7 +383,7 @@ def _reference_solve_scalar(flux, init, config):
                 if nxt is None:
                     break
                 next_stop = nxt
-    return times, fields, dt_schedule, fluxes, record_steps, speed_bound
+    return times, fields, dt_schedule, record_steps, speed_bound
 
 
 def _outflow_riemann(grid, left, right):
@@ -422,16 +421,14 @@ def test_solver_is_bitwise_equal_to_the_per_step_reference(flux, data,
     grid = Grid1D(-2.0, 2.0, 96)
     v0 = data(grid)
     cfg = ScalarConfig(t_end=0.5, record_times=[0.125, 0.5],
-                       record_fluxes=True, fixed_dt=fixed_dt)
+                       fixed_dt=fixed_dt)
     traj = solve_scalar(flux, v0, cfg)
-    times, fields, dts, fluxes, rec, speed = _reference_solve_scalar(
+    times, fields, dts, rec, speed = _reference_solve_scalar(
         flux, v0, cfg)
     assert traj.times == times
     assert all(np.array_equal(a.values, b.values)
                for a, b in zip(traj.fields, fields, strict=True))
     assert traj.meta["dt_schedule"] == dts
-    assert all(np.array_equal(a, b)
-               for a, b in zip(traj.meta["fluxes"], fluxes, strict=True))
     assert traj.meta["record_steps"] == rec
     assert traj.meta["speed_bound"] == speed
 

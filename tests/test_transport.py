@@ -3,24 +3,32 @@ characteristics route.
 
 The smooth runs here all use the chromatography velocity b(v) = 1/(1+v)
 riding on a scalar trajectory solved with the joint speed bound, which is
-the only mode the locked scheme accepts.
+the bound solve_split steps with.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splitlaw import _kernels
 from splitlaw.core import (
     CellField,
+    FluxFunction,
     Grid1D,
     Trajectory,
+    _fill_ghosts,
     bump_test,
+    burgers_flux,
     chromatography_flux,
     lp_distance,
     project,
 )
-from splitlaw.errors import DegenerateDensity, InvalidArgument, OutOfDomain
-from splitlaw.scalar import ScalarConfig, solve_scalar
+from splitlaw.errors import (DegenerateDensity, InvalidArgument,
+                             NumericalBlowup, OutOfDomain)
+from splitlaw.scalar import (ScalarConfig, _time_steps, critical_point,
+                             solve_scalar)
 from splitlaw.transport import (
     MollifierSpec,
     TransportPair,
@@ -32,7 +40,7 @@ from splitlaw.transport import (
     regularized_velocity,
     renorm_residual,
     solve_by_characteristics,
-    solve_continuity_upwind,
+    solve_split,
     strong_continuity_modulus,
     weighted_sup_norm,
 )
@@ -42,13 +50,26 @@ def _b(v):
     return 1.0 / (1.0 + np.asarray(v, dtype=float))
 
 
+def _bump(grid):
+    return project(lambda x: 1.0 + 0.5 * np.exp(-4.0 * x * x), grid)
+
+
 def _smooth_run(n=256, t_end=0.5, records=21):
     grid = Grid1D(-2.0, 2.0, n)
-    v0 = project(lambda x: 1.0 + 0.5 * np.exp(-4.0 * x * x), grid)
+    v0 = _bump(grid)
     flux = joint_speed_flux(chromatography_flux(), _b)
-    cfg = ScalarConfig(t_end=t_end, record_fluxes=True,
+    cfg = ScalarConfig(t_end=t_end,
                        record_times=list(np.linspace(0.0, t_end, records)))
     return grid, solve_scalar(flux, v0, cfg)
+
+
+def _smooth_split(w0s_of, n, t_end, records):
+    """solve_split for the chromatography law on _smooth_run's data, with
+    the w0s that w0s_of builds from v0."""
+    v0 = _bump(Grid1D(-2.0, 2.0, n))
+    cfg = ScalarConfig(t_end=t_end,
+                       record_times=list(np.linspace(0.0, t_end, records)))
+    return solve_split(chromatography_flux(), _b, v0, w0s_of(v0), cfg)
 
 
 def _constant_pair(b_value, n=256):
@@ -106,88 +127,198 @@ def test_transport_pair_time_interpolation():
 
 
 def test_upwind_ratio_one_rides_the_density_bitwise():
-    grid, vt = _smooth_run(n=128, t_end=0.25, records=6)
-    w_traj = solve_continuity_upwind(vt, _b, vt.fields[0].copy())
-    for wf, vf in zip(w_traj.fields, vt.fields):
+    vt, (wt,) = _smooth_split(lambda v0: [v0.copy()], 128, 0.25, 6)
+    for wf, vf in zip(wt.fields, vt.fields, strict=True):
         assert np.array_equal(wf.values, vf.values)
 
 
 def test_upwind_constant_ratio_is_exact():
-    grid, vt = _smooth_run(n=128, t_end=0.25, records=6)
-    w0 = vt.fields[0].with_values(-0.5 * vt.fields[0].values)
-    w_traj = solve_continuity_upwind(vt, _b, w0)
-    for wf, vf in zip(w_traj.fields, vt.fields):
+    vt, (wt,) = _smooth_split(
+        lambda v0: [v0.with_values(-0.5 * v0.values)], 128, 0.25, 6)
+    for wf, vf in zip(wt.fields, vt.fields, strict=True):
         assert np.array_equal(wf.values, -0.5 * vf.values)
         assert weighted_sup_norm(wf.with_values(np.abs(wf.values)), vf) == 0.5
 
 
 def test_upwind_exact_invariants_for_signed_data():
-    grid, vt = _smooth_run(n=96, t_end=0.2, records=6)
-    rng = np.random.default_rng(4)
-    lam = rng.uniform(-1.0, 1.0, grid.n)
-    w0 = vt.fields[0].with_values(lam * vt.fields[0].values)
-    w_traj = solve_continuity_upwind(vt, _b, w0)
-    sup0 = weighted_sup_norm(w_traj.fields[0], vt.fields[0])
-    for wf, vf in zip(w_traj.fields, vt.fields):
+    lam = np.random.default_rng(4).uniform(-1.0, 1.0, 96)
+
+    def w0s(v0):
+        return [v0.with_values(lam * v0.values),
+                v0.with_values(np.abs(lam) * v0.values)]
+
+    vt, (signed, nonneg) = _smooth_split(w0s, 96, 0.2, 6)
+    sup0 = weighted_sup_norm(signed.fields[0], vt.fields[0])
+    for wf, vf in zip(signed.fields, vt.fields, strict=True):
         assert np.all(np.abs(wf.values) <= vf.values)
         assert weighted_sup_norm(wf, vf) <= sup0
-    nonneg = vt.fields[0].with_values(np.abs(lam) * vt.fields[0].values)
-    for wf in solve_continuity_upwind(vt, _b, nonneg).fields:
+    for wf in nonneg.fields:
         assert np.min(wf.values) >= 0.0
 
 
 def test_upwind_rejects_scalar_runs_without_the_joint_bound():
+    # the flux's speed bound and the velocity both understate the speed
+    # 10x, so the steps are too long to be convex combinations
+    base = chromatography_flux()
+    slow = FluxFunction(g=base.g, gprime=base.gprime,
+                        convexity=base.convexity, c=base.c,
+                        L_of_range=lambda lo, hi: 0.1 * base.L_of_range(lo, hi),
+                        name="slow", admissible_min=base.admissible_min)
     grid = Grid1D(-2.0, 2.0, 128)
     v0 = project(lambda x: 1.0 + 0.5 * np.sin(np.pi * x / 2.0), grid)
-    cfg = ScalarConfig(t_end=0.25, cfl=0.9, record_fluxes=True,
-                       record_times=[0.25])
-    vt = solve_scalar(chromatography_flux(), v0, cfg)
-    with pytest.raises(InvalidArgument, match="joint_speed_flux"):
-        solve_continuity_upwind(vt, _b, v0.copy())
+    cfg = ScalarConfig(t_end=0.25, cfl=0.9, record_times=[0.25])
     # the error names the step, its start time, the worst cell, and the
     # measured value against its bound
     with pytest.raises(InvalidArgument, match=(
             r"in step 0, from t=0\.0: v - mu\*G = -\S+ at cell \d+, "
-            r"below the bound -1\.\d+e-12")):
-        solve_continuity_upwind(vt, _b, v0.copy())
-
-
-def test_upwind_names_the_record_where_the_replay_diverges():
-    grid, vt = _smooth_run(n=64, t_end=0.125, records=2)
-    bumped = vt.fields[1].values.copy()
-    bumped[7] += 1e-9
-    vt.fields[1] = vt.fields[1].with_values(bumped)
-    step = vt.meta["record_steps"][0] - 1
-    with pytest.raises(InvalidArgument, match=(
-            rf"diverged .* after step {step}, at the record "
-            rf"t={vt.times[1]!r}: largest gap \|v - recorded\| = 1e-09 at "
-            r"cell 7, bound 0")):
-        solve_continuity_upwind(vt, _b, vt.fields[0].copy())
+            r"below the bound -1\.\d+e-12; .*joint_speed_flux")):
+        solve_split(slow, lambda v: 0.1 * _b(v), v0, [v0.copy()], cfg)
 
 
 def test_upwind_rejects_non_finite_w0():
-    _, vt = _smooth_run(n=64, t_end=0.125, records=2)
-    values = vt.fields[0].values.copy()
-    values[10] = np.nan
+    def w0s(v0):
+        values = v0.values.copy()
+        values[10] = np.nan
+        return [v0.with_values(values)]
+
     with pytest.raises(InvalidArgument, match="finite"):
-        solve_continuity_upwind(vt, _b, vt.fields[0].with_values(values))
+        _smooth_split(w0s, 64, 0.125, 2)
 
 
 def test_upwind_rejects_inconsistent_inputs():
-    grid, vt = _smooth_run(n=64, t_end=0.125, records=2)
-    w0 = vt.fields[0].copy()
-    bare = Trajectory(vt.times, vt.fields, {"dt_schedule": []})
-    with pytest.raises(InvalidArgument):
-        solve_continuity_upwind(bare, _b, w0)
+    grid = Grid1D(-2.0, 2.0, 64)
+    v0 = _bump(grid)
+    cfg = ScalarConfig(t_end=0.125, record_times=[0.125])
+    flux = chromatography_flux()
     other = CellField(Grid1D(-2.0, 2.0, 32), np.ones(32))
-    with pytest.raises(InvalidArgument):
-        solve_continuity_upwind(vt, _b, other)
-    wrong_boundary = CellField(grid, w0.values, boundary="periodic")
-    with pytest.raises(InvalidArgument):
-        solve_continuity_upwind(vt, _b, wrong_boundary)
-    with pytest.raises(InvalidArgument):
-        solve_continuity_upwind(vt, lambda v: -np.ones_like(
-            np.asarray(v, dtype=float)), w0)
+    with pytest.raises(InvalidArgument, match="grid"):
+        solve_split(flux, _b, v0, [other], cfg)
+    wrong_boundary = CellField(grid, v0.values, boundary="periodic")
+    with pytest.raises(InvalidArgument, match="boundary"):
+        solve_split(flux, _b, v0, [v0.copy(), wrong_boundary], cfg)
+    with pytest.raises(InvalidArgument, match="positive"):
+        solve_split(flux, lambda v: -np.ones_like(np.asarray(v, dtype=float)),
+                    v0, [v0.copy()], cfg)
+
+
+def _record_and_replay(flux, b_of_v, v0, w0s, config):
+    """The split solve as record and replay, kept here as a reference.
+
+    The scalar run under joint_speed_flux keeps every interface flux
+    array; each w is then replayed on those fluxes with
+    _kernels.upwind_step, and the replayed v must equal the recorded one
+    at every record. Returns (v records, dt schedule, w records per w0).
+    """
+    joint = joint_speed_flux(flux, b_of_v)
+    grid = v0.grid
+    dx = grid.dx
+    periodic = v0.boundary == "periodic"
+    convex = 1 if joint.convexity == "convex" else 0
+    const = {"range": None}
+    v = v0.values.astype(float).copy()
+
+    def speed():
+        lo, hi = float(v.min()), float(v.max())
+        if (lo, hi) != const["range"]:
+            omega = critical_point(joint, lo, hi)
+            const.update(range=(lo, hi), L=joint.L_of_range(lo, hi),
+                         omega=omega, g_omega=float(joint.g(omega))
+                         if math.isfinite(omega) else 0.0)
+        return const["L"]
+
+    ve = np.empty(grid.n + 2)
+    fluxes, dts, lands_at, v_records = [], [], [], [v.copy()]
+    for _, dt, _, lands in _time_steps(config, dx, speed):
+        _fill_ghosts(ve, v, periodic)
+        gve = np.asarray(joint.g(ve), dtype=float)
+        G = np.asarray(_kernels.godunov_fluxes(
+            ve[:-1], ve[1:], gve[:-1], gve[1:], const["g_omega"],
+            const["omega"], convex))
+        v = _kernels.scalar_step(v, G, dt / dx)
+        fluxes.append(G)
+        dts.append(dt)
+        lands_at.append(lands)
+        if lands:
+            v_records.append(v.copy())
+
+    w_records = []
+    for w0 in w0s:
+        vr = v0.values.astype(float).copy()
+        w = w0.values.astype(float).copy()
+        rows = [w.copy()]
+        for dt, G, lands in zip(dts, fluxes, lands_at):
+            vr, w = _kernels.upwind_step(vr, w, G, dt / dx, int(periodic))
+            if lands:
+                assert np.array_equal(vr, v_records[len(rows)])
+                rows.append(w.copy())
+        w_records.append(rows)
+    return v_records, dts, w_records
+
+
+def _same_bits(arrays, fields):
+    return len(arrays) == len(fields) and all(
+        a.tobytes() == f.values.tobytes() for a, f in zip(arrays, fields))
+
+
+@st.composite
+def _split_cases(draw):
+    """Piecewise-constant v (with exact zeros possible) and 1-3 signed w."""
+    n = draw(st.integers(16, 120))
+
+    def piecewise(lo, hi):
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=1,
+                                    max_size=4, unique=True)))
+        vals = draw(st.lists(st.floats(lo, hi), min_size=len(cuts) + 1,
+                             max_size=len(cuts) + 1))
+        return np.repeat(vals, np.diff([0] + cuts + [n]))
+
+    if draw(st.booleans()):
+        flux, b_of_v, v_vals = (chromatography_flux(), _b,
+                                piecewise(0.0, 2.0))
+    else:
+        flux, v_vals = burgers_flux(), piecewise(0.0, 1.0)
+
+        def b_of_v(v):
+            v = np.asarray(v, dtype=float)
+            return 1.0 / (1.0 + v * v)
+    boundary = draw(st.sampled_from(["constant-extension", "periodic"]))
+    grid = Grid1D(-1.0, 1.0, n)
+    v0 = CellField(grid, v_vals, boundary)
+    w0s = [CellField(grid, piecewise(-1.0, 1.0), boundary)
+           for _ in range(draw(st.integers(1, 3)))]
+    t_end = 0.25
+    fixed_dt = None
+    if draw(st.booleans()):
+        # the joint speed bound is at most 2 on these ranges
+        fixed_dt = t_end / (2 * math.ceil(t_end / (2 * 0.45 * grid.dx / 2.0)))
+    cfg = ScalarConfig(t_end=t_end, record_times=[0.0, t_end / 2, t_end],
+                       fixed_dt=fixed_dt)
+    return flux, b_of_v, v0, w0s, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(_split_cases())
+def test_split_is_bitwise_equal_to_record_and_replay(case):
+    flux, b_of_v, v0, w0s, cfg = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        v_records, dts, w_records = _record_and_replay(flux, b_of_v, v0, w0s,
+                                                       cfg)
+        if not all(np.all(np.isfinite(w)) for r in w_records for w in r):
+            # w/v overflowed where v is subnormal: the march reports it
+            with pytest.raises(NumericalBlowup, match="non-finite w"):
+                solve_split(flux, b_of_v, v0, w0s, cfg)
+            return
+        v_traj, w_trajs = solve_split(flux, b_of_v, v0, w0s, cfg)
+    assert v_traj.meta["dt_schedule"] == dts
+    assert _same_bits(v_records, v_traj.fields)
+    assert len(w_trajs) == len(w_records)
+    for w_traj, rows in zip(w_trajs, w_records):
+        assert w_traj.times == v_traj.times
+        assert _same_bits(rows, w_traj.fields)
+    # negative control: one ulp in one cell of the last record is caught
+    rows = w_records[-1]
+    rows[-1][0] = np.nextafter(rows[-1][0], math.inf)
+    assert not _same_bits(rows, w_trajs[-1].fields)
 
 
 def test_weighted_sup_norm_conventions():
@@ -197,6 +328,31 @@ def test_weighted_sup_norm_conventions():
     assert weighted_sup_norm(w, v) == 0.5
     w_bad = CellField(grid, [0.5, -1.0, 0.1, 1.0])
     assert weighted_sup_norm(w_bad, v) == math.inf
+
+
+def test_weighted_sup_norm_matches_the_per_cell_definition():
+    def per_cell(w, v):
+        out = 0.0
+        for wi, vi in zip(w, v):
+            if vi == 0.0:
+                if wi != 0.0:
+                    return math.inf
+                continue
+            out = max(out, abs(wi) / vi)
+        return out
+
+    grid = Grid1D(0.0, 1.0, 64)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        v = rng.choice([0.0, -0.0, 5e-324, 0.3, 2.0, -1.0], grid.n)
+        w = np.where(v == 0.0, 0.0, rng.uniform(-3.0, 3.0, grid.n))
+        if rng.random() < 0.3:
+            w[rng.integers(grid.n)] = 0.5
+        with np.errstate(over="ignore"):  # |w| / 5e-324 is inf
+            got = weighted_sup_norm(CellField(grid, w), CellField(grid, v))
+            assert got == per_cell(w, v)
+    zero = CellField(grid, np.zeros(grid.n))
+    assert weighted_sup_norm(zero, zero) == 0.0
 
 
 def test_regularized_velocity_is_a_weighted_average_of_b():
@@ -292,7 +448,7 @@ def test_renorm_residual_separates_matched_from_mismatched_velocity():
     grid = Grid1D(-2.0, 2.0, 256)
     v0 = project(lambda x: np.where(np.asarray(x) < 0.0, 0.1, 2.0), grid)
     flux = joint_speed_flux(chromatography_flux(), _b)
-    cfg = ScalarConfig(t_end=0.5, record_fluxes=True,
+    cfg = ScalarConfig(t_end=0.5,
                        record_times=list(np.linspace(0.0, 0.5, 21)))
     vt = solve_scalar(flux, v0, cfg)
     pair = TransportPair(vt, _b)
@@ -309,7 +465,7 @@ def test_strong_continuity_modulus_grows_with_the_shock():
     grid = Grid1D(-2.0, 2.0, 256)
     v0 = project(lambda x: np.where(np.asarray(x) < 0.0, 1.0, 0.0), grid)
     flux = joint_speed_flux(chromatography_flux(), _b)
-    cfg = ScalarConfig(t_end=0.5, record_fluxes=True,
+    cfg = ScalarConfig(t_end=0.5,
                        record_times=list(np.linspace(0.0, 0.5, 11)))
     vt = solve_scalar(flux, v0, cfg)
     out = strong_continuity_modulus(vt, 0.0)
