@@ -5,21 +5,31 @@ operation; both must produce bit-identical results, which the test suite
 checks. Keep every arithmetic expression in the same order in both files
 (and no FMA contraction on the C side) or the parity test will fail.
 """
+import math
+
 import numpy as np
 
 
 def godunov_fluxes(a, b, ga, gb, g_omega, omega, convex):
     """Interface fluxes from left/right states and precomputed g values.
 
-    a, b: states; ga, gb: g(a), g(b); omega: interior critical point of g
-    (+-inf when g is monotone on the data range); convex: 1 for convex,
-    0 for concave.
+    a, b: finite states; ga, gb: g(a), g(b); omega: interior critical
+    point of g (+-inf when g is monotone on the data range); convex: 1 for
+    convex, 0 for concave.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     ga = np.asarray(ga)
     gb = np.asarray(gb)
     up = a <= b
+    if math.isinf(omega):
+        # g is monotone on the range, so the clamped critical point is the
+        # same endpoint at every interface: a when g increases (convex with
+        # omega = -inf, concave with omega = +inf), b when it decreases
+        end = ga if (omega < 0.0) == bool(convex) else gb
+        if convex:
+            return np.where(up, end, np.maximum(ga, gb))
+        return np.where(up, np.minimum(ga, gb), end)
     if convex:
         # min over [a,b] sits at the clamped critical point; max over [b,a]
         # at an endpoint

@@ -144,7 +144,7 @@ def criterion_01(level="full"):
                                                            record_times=[1.0]))
                 exact = RiemannFan(flux, v_l, v_r).eval(g.centers() / 1.0)
                 f = traj.at(1.0)
-                err = g.dx * math.fsum(np.abs(f.values - exact))
+                err = g.dx * math.fsum(np.abs(f.values - exact).tolist())
                 errs.append(err)
             ok = ok and errs[0] <= RIEMANN_L1_MAX
             rates = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]

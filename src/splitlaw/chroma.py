@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core import (CellField, SplitTrajectory, VectorState, _fill_ghosts,
                    _window_slice, chromatography_flux, lp_distance,
                    total_variation)
@@ -253,22 +252,40 @@ def solve_direct(U0, config):
     dx = grid.dx
     periodic = U0.boundary == "periodic"
     U = np.array([c.values for c in U0.components], dtype=float)  # (k, n)
-    Ue = np.empty((U0.k, grid.n + 2))  # U plus one ghost cell on each side
+    U_min = float(U.min())
+    # per-solve buffers: U plus one ghost cell on each side, 1 + v and the
+    # fluxes there, and the interface fluxes with their jump term
+    Ue = np.empty((U0.k, grid.n + 2))
+    one_plus_v = np.empty(grid.n + 2)
+    F = np.empty_like(Ue)
+    G = np.empty((U0.k, grid.n + 1))
+    jump = np.empty_like(G)
 
     def speed():
-        return 1.0 / (1.0 + max(float(U.min()), 0.0))  # bounds both families
+        return 1.0 / (1.0 + max(U_min, 0.0))  # bounds both families
 
     times = [0.0]
     states = [U0.copy()]
     for step, dt, t, lands in _time_steps(config, dx, speed):
         _fill_ghosts(Ue, U, periodic)
-        F = Ue / (1.0 + Ue.sum(axis=0))
-        inv2mu = dx / (2.0 * dt)
-        for i in range(U0.k):
-            G = _kernels.lxf_fluxes(Ue[i], F[i], inv2mu)
-            U[i] = _kernels.scalar_step(U[i], G, dt / dx)
-        if not np.all(np.isfinite(U)):
-            raise NumericalBlowup(step)
+        np.sum(Ue, axis=0, out=one_plus_v)
+        np.add(one_plus_v, 1.0, out=one_plus_v)
+        np.divide(Ue, one_plus_v, out=F)
+        # every component at once, in the association of
+        # _kernels.lxf_fluxes, G = 0.5*(F_l + F_r) - inv2mu*(u_r - u_l), and
+        # of _kernels.scalar_step, U = (U - mu*G_out) + mu*G_in
+        np.add(F[:, :-1], F[:, 1:], out=G)
+        G *= 0.5
+        np.subtract(Ue[:, 1:], Ue[:, :-1], out=jump)
+        jump *= dx / (2.0 * dt)
+        G -= jump
+        G *= dt / dx
+        U -= G[:, 1:]
+        U += G[:, :-1]
+        U_min = float(U.min())
+        if not (math.isfinite(U_min) and math.isfinite(float(U.max()))):
+            raise NumericalBlowup(step, f"non-finite state at step {step}, "
+                                        f"t={t!r}")
 
         if lands:
             times.append(t)

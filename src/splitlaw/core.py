@@ -278,12 +278,12 @@ def total_variation(field, window=None):
     if len(idx) < 2:
         return 0.0
     v = field.values[idx[0]:idx[-1] + 1]
-    return math.fsum(abs(float(d)) for d in np.diff(v))
+    return math.fsum(np.abs(np.diff(v)).tolist())
 
 
 def mass(field, window=None):
     idx = _window_slice(field.grid, window)
-    return field.grid.dx * math.fsum(float(field.values[i]) for i in idx)
+    return field.grid.dx * math.fsum(field.values[idx].tolist())
 
 
 def lp_distance(a, b, p=1, window=None):
@@ -292,7 +292,7 @@ def lp_distance(a, b, p=1, window=None):
     idx = _window_slice(a.grid, window)
     diff = np.abs(a.values[idx] - b.values[idx])
     if p == 1:
-        return a.grid.dx * math.fsum(map(float, diff))
+        return a.grid.dx * math.fsum(diff.tolist())
     if p in (np.inf, "inf", math.inf):
         return float(diff.max()) if len(diff) else 0.0
     raise InvalidArgument("p must be 1 or inf")
@@ -303,8 +303,7 @@ def weak_pairing(field, test_fn, window=None):
     idx = _window_slice(field.grid, window)
     x = field.grid.centers()[idx]
     phi = np.asarray(test_fn(x), dtype=float)
-    return field.grid.dx * math.fsum(
-        float(v * p) for v, p in zip(field.values[idx], phi))
+    return field.grid.dx * math.fsum((field.values[idx] * phi).tolist())
 
 
 class SpaceTimeTest:

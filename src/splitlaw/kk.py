@@ -95,6 +95,5 @@ def renormalization_defect(traj, window=None):
     for state, rho in zip(traj.states, traj.v_traj.fields):
         diff = state.norm().values - rho.values
         excess = max(excess, float(np.max(diff)))
-        gap = max(gap, traj.grid.dx * math.fsum(
-            abs(float(d)) for d in diff[idx]))
+        gap = max(gap, traj.grid.dx * math.fsum(np.abs(diff[idx]).tolist()))
     return max(0.0, excess), gap

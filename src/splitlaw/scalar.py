@@ -248,20 +248,26 @@ def _march(flux, init, config, b_of_v=None, w0s=()):
     """The one Godunov step loop: v alone, or v with a locked w stack.
 
     With b_of_v, each w0 in w0s rides w_t + (b(v) w)_x = 0 on the same
-    steps: the update alpha = v - mu*G_out, beta = mu*G_in is computed once,
-    v becomes alpha + beta and each w row lam*alpha + lam_left*beta, with
-    lam = w/v (0/0 := 0) taken from the cell and its upwind neighbour. That
-    is the association of _kernels.scalar_step and _kernels.upwind_step, so
-    v is bitwise the scalar run. The update is a convex combination only
-    while alpha >= 0 and G >= 0; a step that breaks either by more than
-    roundoff raises InvalidArgument. A w that is not finite at a record
-    (w/v overflows where v is tiny against |w|) raises NumericalBlowup.
-    Returns (v_traj, w_trajs), with w_trajs empty without b_of_v.
+    steps. Every step computes alpha = v - mu*G_out and beta = mu*G_in
+    once; each w row becomes lam*alpha + lam_left*beta, with lam = w/v
+    (0/0 := 0) taken from the cell and its upwind neighbour, and v becomes
+    alpha + beta. That is the association of _kernels.scalar_step and
+    _kernels.upwind_step, so v is bitwise the scalar run. The update is a
+    convex combination only while alpha >= 0 and G >= 0; a locked step
+    that breaks either by more than roundoff raises InvalidArgument. A v
+    that is not finite after a step, or a w that is not finite at a record
+    (w/v overflows where v is tiny against |w|), raises NumericalBlowup.
+
+    Every per-step buffer is allocated once per solve, and the range
+    (min v, max v) is reduced once per step: it is both the blow-up check
+    and the input of the step constants. Returns (v_traj, w_trajs), with
+    w_trajs empty without b_of_v.
     """
     flux.check_admissible(init.values)
     if not np.all(np.isfinite(init.values)):
         raise InvalidArgument("initial data must be finite")
     grid = init.grid
+    n = grid.n
     dx = grid.dx
     periodic = init.boundary == "periodic"
     convex = 1 if flux.convexity == "convex" else 0
@@ -269,54 +275,60 @@ def _march(flux, init, config, b_of_v=None, w0s=()):
         raise UnsupportedFlux("solver needs a convex or concave flux")
 
     want_zero = 0.0 in config.record_times or not config.record_times
+    locked = b_of_v is not None
     v = init.values.astype(float).copy()
-    W = None if b_of_v is None else _w_stack(init, b_of_v, w0s)
+    W = _w_stack(init, b_of_v, w0s) if locked else np.empty((0, n))
     times = [0.0]
     fields = [init.copy()]
     w_fields = [[w0.copy()] for w0 in w0s]
     dt_schedule = []
     record_steps = []
     speed_bound = 0.0
+    v_range = (float(v.min()), float(v.max()))
     data_range = L = omega = g_omega = None
 
     def speed():
         nonlocal data_range, L, omega, g_omega, speed_bound
-        lo = float(v.min())
-        hi = float(v.max())
-        if (lo, hi) != data_range:
-            data_range = (lo, hi)
+        if v_range != data_range:
+            data_range = lo, hi = v_range
             L = flux.L_of_range(lo, hi)
             speed_bound = max(speed_bound, L)
             omega = critical_point(flux, lo, hi)
             g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
         return L
 
-    ve = np.empty(grid.n + 2)  # v plus one ghost cell on each side
+    ve = np.empty(n + 2)  # v plus one ghost cell on each side
+    muG = np.empty(n + 1)
+    beta = muG[:-1]  # mu*G_in; muG[1:] is mu*G_out
+    alpha = np.empty(n)
+    nonzero = np.empty(n, dtype=bool)
+    lam = np.empty_like(W)
+    lam_left = np.empty_like(W)
     for step, dt, t, lands in _time_steps(config, dx, speed):
         _fill_ghosts(ve, v, periodic)
         gve = np.asarray(flux.g(ve), dtype=float)
         G = _kernels.godunov_fluxes(ve[:-1], ve[1:], gve[:-1], gve[1:],
                                     g_omega, omega, convex)
-        mu = dt / dx
-        if W is None:
-            v = _kernels.scalar_step(v, G, mu)
-        else:
-            alpha = v - mu * G[1:]
-            beta = mu * G[:-1]
+        np.multiply(G, dt / dx, out=muG)
+        np.subtract(v, muG[1:], out=alpha)
+        if locked:
             # max|v| from the range the speed bound was just taken on
             tol = 1e-12 * max(1.0, abs(data_range[0]), abs(data_range[1]))
             if alpha.min() < -tol or G.min() < -tol:
                 raise _oversized_step(step, dt_schedule, alpha, G, tol)
-            W = _ride(W, v, alpha, beta, periodic)
-            v = alpha + beta
-        if not np.all(np.isfinite(v)):
-            raise NumericalBlowup(step)
+            _ride(W, v, alpha, beta, periodic, nonzero, lam, lam_left)
+            W, lam = lam, W  # the old stack is the next lam buffer
+        np.add(alpha, beta, out=v)
+        v_range = (float(v.min()), float(v.max()))
+        if not (math.isfinite(v_range[0]) and math.isfinite(v_range[1])):
+            raise NumericalBlowup(step, f"non-finite v at step {step}, "
+                                        f"t={t!r}")
 
         dt_schedule.append(dt)
         if lands:
             times.append(t)
             fields.append(CellField(grid, v.copy(), init.boundary))
-            if W is not None and not np.all(np.isfinite(W)):
+            if not np.isfinite(W).all():
                 # w/v overflows where v is tiny against |w|; NaN persists
                 raise NumericalBlowup(step, f"non-finite w by step {step}, "
                                             f"t={t!r}")
@@ -354,17 +366,20 @@ def _w_stack(v0, b_of_v, w0s):
         len(w0s), v0.grid.n)
 
 
-def _ride(W, v, alpha, beta, periodic):
-    """Each row w -> lam*alpha + lam_left*beta, lam = w/v with 0/0 := 0 and
-    lam_left the upwind (left) neighbour's ratio."""
-    lam = np.divide(W, v, out=np.zeros_like(W), where=v != 0.0)
-    lam_left = np.empty_like(lam)
+def _ride(W, v, alpha, beta, periodic, nonzero, lam, lam_left):
+    """Each row w -> lam*alpha + lam_left*beta, written into lam, with
+    lam = w/v (0/0 := 0) and lam_left the upwind (left) neighbour's ratio.
+
+    nonzero, lam and lam_left are the caller's buffers, shaped like v and W.
+    """
+    np.not_equal(v, 0.0, out=nonzero)
+    lam.fill(0.0)
+    np.divide(W, v, out=lam, where=nonzero)
     lam_left[:, 1:] = lam[:, :-1]
     lam_left[:, 0] = lam[:, -1] if periodic else lam[:, 0]
     lam *= alpha
     lam_left *= beta
     lam += lam_left
-    return lam
 
 
 def _oversized_step(step, dt_schedule, alpha, G, tol):
@@ -437,7 +452,7 @@ def _spacetime_quadrature(traj, cell_arrays_at, test_fn):
         A, B = cell_arrays_at(j)
         phit = np.asarray(test_fn.dt(tj, x), dtype=float)
         phix = np.asarray(test_fn.dx(tj, x), dtype=float)
-        slabs.append(grid.dx * math.fsum(map(float, A * phit + B * phix)))
+        slabs.append(grid.dx * math.fsum((A * phit + B * phix).tolist()))
     total = 0.0
     for j in range(len(slabs) - 1):
         dt = traj.times[j + 1] - traj.times[j]
@@ -486,7 +501,7 @@ def max_principle_defect(traj):
 def _positive_part_integral(fieldv, window):
     idx = _window_slice(fieldv.grid, window)
     vals = fieldv.values[idx]
-    return fieldv.grid.dx * math.fsum(float(v) for v in vals if v > 0.0)
+    return fieldv.grid.dx * math.fsum(vals[vals > 0.0].tolist())
 
 
 def comparison_defect(traj_u, traj_v, R):

@@ -56,7 +56,7 @@ def mollify(fieldv, spec):
     K = int(math.ceil(6.0 * spec.epsilon / dx))
     offsets = np.arange(-K, K + 1) * dx
     weights = np.exp(-offsets * offsets / (2.0 * spec.epsilon * spec.epsilon))
-    weights /= math.fsum(map(float, weights))
+    weights /= math.fsum(weights.tolist())
     ext = fieldv.extended(K)
     sm = np.convolve(ext, weights[::-1], mode="valid")
     return fieldv.with_values(sm)
@@ -287,7 +287,7 @@ def strong_continuity_modulus(traj, t0, window=None):
         if t <= t0:
             continue
         d = traj.grid.dx * math.fsum(
-            float(a) for a in np.abs(f.values[idx] - f0.values[idx]))
+            np.abs(f.values[idx] - f0.values[idx]).tolist())
         out.append((t, d))
     return out
 

@@ -22,8 +22,9 @@ from splitlaw.chroma import (
 )
 from splitlaw import _kernels
 from splitlaw.core import CellField, Grid1D, bump_test, mass, project
-from splitlaw.errors import HypothesisViolation, InvalidArgument, InvalidEntropy
-from splitlaw.scalar import ScalarConfig
+from splitlaw.errors import (HypothesisViolation, InvalidArgument,
+                             InvalidEntropy, NumericalBlowup)
+from splitlaw.scalar import ScalarConfig, _time_steps
 
 
 def _grid(n=128):
@@ -426,3 +427,44 @@ def test_trajectory_accessors():
                           traj.states[-1].components[1].values)
     with pytest.raises(InvalidArgument):
         traj.at(0.1)
+
+
+def _first_non_finite_direct_step(U0, config):
+    """The first step after which a component is not finite, from a plain
+    per-component Lax-Friedrichs loop on the shared time plan that checks
+    np.isfinite after each step; None when the state stays finite."""
+    grid = U0.grid
+    dx = grid.dx
+    comps = [c.values.copy() for c in U0.components]
+
+    def speed():
+        return 1.0 / (1.0 + max(min(float(c.min()) for c in comps), 0.0))
+
+    for step, dt, _, _ in _time_steps(config, dx, speed):
+        exts = [CellField(grid, c, U0.boundary).extended(1) for c in comps]
+        v_ext = np.sum(exts, axis=0)
+        comps = [_kernels.scalar_step(
+                     c, _kernels.lxf_fluxes(ce, ce / (1.0 + v_ext),
+                                            dx / (2.0 * dt)), dt / dx)
+                 for c, ce in zip(comps, exts)]
+        if not all(np.all(np.isfinite(c)) for c in comps):
+            return step
+    return None
+
+
+def test_direct_blowup_names_the_first_non_finite_step():
+    """A record 1e-9 after the third CFL step makes the fourth step that
+    short, so its jump term dx/(2 dt) * (u_r - u_l) overflows on a
+    1e305 plateau that the full steps carry."""
+    grid = _grid(64)
+    plateau = project(
+        lambda x: np.where(np.abs(np.asarray(x)) < 0.25, 1e305, 0.0), grid)
+    U0 = ChromState([plateau, project(lambda x: 0.5 + 0.0 * x, grid)])
+    cfg = ScalarConfig(t_end=3 * (0.45 * grid.dx) + 1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _first_non_finite_direct_step(U0, cfg)
+        with pytest.raises(NumericalBlowup) as err:
+            solve_direct(U0, cfg)
+    assert expected == 3
+    assert err.value.step == expected
+    assert f"non-finite state at step {expected}," in str(err.value)

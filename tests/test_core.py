@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitlaw.core import (
     BOUNDARY_MODES,
@@ -20,7 +22,9 @@ from splitlaw.core import (
     total_variation,
     weak_pairing,
 )
+from splitlaw.core import _window_slice
 from splitlaw.errors import InvalidArgument
+from splitlaw.scalar import _positive_part_integral
 
 
 def test_grid_spacing_and_centers():
@@ -192,3 +196,34 @@ def test_bump_test_partials_match_finite_differences():
         fd_x = (float(tf.fn(t, x + h)) - float(tf.fn(t, x - h))) / (2.0 * h)
         assert fd_t == pytest.approx(float(tf.dt(t, x)), abs=1e-5)
         assert fd_x == pytest.approx(float(tf.dx(t, x)), abs=1e-5)
+
+
+_CELL_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -1e300, 1e300]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+
+
+@given(u=st.lists(_CELL_VALUES, min_size=8, max_size=8),
+       w=st.lists(_CELL_VALUES, min_size=8, max_size=8),
+       window=st.sampled_from([None, (-0.6, 0.9), (0.1, 0.2)]))
+@settings(max_examples=150, deadline=None)
+def test_fsum_reductions_match_the_per_cell_sums(u, w, window):
+    """The reductions hand math.fsum one list; the reference converts cell
+    by cell through NumPy scalars. fsum rounds once, so the bits agree."""
+    g = Grid1D(-1.0, 1.0, 8)
+    a = CellField(g, np.array(u))
+    b = CellField(g, np.array(w))
+    idx = _window_slice(g, window)
+    phi = np.cos(g.centers()[idx])
+    if len(idx) >= 2:
+        span = a.values[idx[0]:idx[-1] + 1]
+        tv = math.fsum(abs(float(d)) for d in np.diff(span))
+        assert total_variation(a, window).hex() == tv.hex()
+    assert mass(a, window).hex() == (g.dx * math.fsum(
+        float(a.values[i]) for i in idx)).hex()
+    assert lp_distance(a, b, 1, window).hex() == (g.dx * math.fsum(
+        map(float, np.abs(a.values[idx] - b.values[idx])))).hex()
+    assert weak_pairing(a, np.cos, window).hex() == (g.dx * math.fsum(
+        float(v * p) for v, p in zip(a.values[idx], phi))).hex()
+    assert _positive_part_integral(a, window).hex() == (
+        g.dx * math.fsum(float(v) for v in a.values[idx] if v > 0.0)).hex()

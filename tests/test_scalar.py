@@ -19,7 +19,9 @@ from splitlaw.core import (
     project,
 )
 from splitlaw import _kernels
-from splitlaw.errors import HypothesisViolation, InvalidArgument, UnsupportedFlux
+from splitlaw._kernels import py_backend
+from splitlaw.errors import (HypothesisViolation, InvalidArgument,
+                             NumericalBlowup, UnsupportedFlux)
 from splitlaw.scalar import (
     RiemannFan,
     ScalarConfig,
@@ -34,6 +36,7 @@ from splitlaw.scalar import (
     solve_scalar,
     tvd_defect,
 )
+from splitlaw.transport import solve_split
 
 
 def _riemann(grid, left, right):
@@ -450,3 +453,158 @@ def test_speed_bound_is_evaluated_once_per_data_range(fixed_dt):
     # outflow Riemann data keeps its range [0.25, 1] under the max principle
     assert len(traj.meta["dt_schedule"]) > 1
     assert calls == [(0.25, 1.0)]
+
+
+def _nested_where_godunov(a, b, ga, gb, g_omega, omega, convex):
+    """The Godunov selection as nested np.where for every omega: the
+    reference the kernels must match, kept apart from _kernels."""
+    up = a <= b
+    if convex:
+        rare = np.where(omega <= a, ga, np.where(omega >= b, gb, g_omega))
+        return np.where(up, rare, np.maximum(ga, gb))
+    shock = np.where(omega >= a, ga, np.where(omega <= b, gb, g_omega))
+    return np.where(up, np.minimum(ga, gb), shock)
+
+
+def _swapped_endpoint_godunov(a, b, ga, gb, g_omega, omega, convex):
+    """A wrong kernel: the monotone-range selection with the endpoint
+    swapped (b where g increases, a where it decreases)."""
+    up = a <= b
+    end = gb if (omega < 0.0) == bool(convex) else ga
+    if convex:
+        return np.where(up, end, np.maximum(ga, gb))
+    return np.where(up, np.minimum(ga, gb), end)
+
+
+def _godunov_inputs(pairs, convex, omega):
+    """Kernel arguments for the interfaces (a, b) under g = v^2 (convex) or
+    -v^2 (concave). g maps -0.0 and 0.0 to the same zero: np.maximum and
+    the compiled kernel break a -0.0 == 0.0 tie in g differently."""
+    a = np.array([p[0] for p in pairs], dtype=float)
+    b = np.array([p[1] for p in pairs], dtype=float)
+    sign = 1.0 if convex else -1.0
+    g_omega = sign * omega * omega if math.isfinite(omega) else 0.0
+    return a, b, sign * a * a, sign * b * b, g_omega, omega, convex
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape \
+        and x.tobytes() == y.tobytes()
+
+
+_STATES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+                    st.floats(min_value=-2.0, max_value=2.0,
+                              allow_nan=False))
+_INTERFACES = st.lists(st.one_of(st.tuples(_STATES, _STATES),
+                                 _STATES.map(lambda s: (s, s))),
+                       min_size=1, max_size=32)
+_OMEGAS = st.one_of(st.sampled_from([-math.inf, math.inf, -0.0, 0.0]),
+                    st.floats(min_value=-2.0, max_value=2.0,
+                              allow_nan=False))
+
+
+@given(pairs=_INTERFACES, convex=st.sampled_from([0, 1]), omega=_OMEGAS)
+@settings(max_examples=300, deadline=None)
+def test_godunov_kernel_is_bitwise_the_nested_selection(pairs, convex,
+                                                        omega):
+    """Ties a == b, signed zeros, and omega finite or +-inf (the monotone
+    range, where the NumPy kernel selects one endpoint array)."""
+    args = _godunov_inputs(pairs, convex, omega)
+    ref = _nested_where_godunov(*args)
+    assert _same_bits(_kernels.godunov_fluxes(*args), ref)
+    assert _same_bits(py_backend.godunov_fluxes(*args), ref)
+
+
+@pytest.mark.parametrize("convex", [0, 1])
+@pytest.mark.parametrize("omega", [-math.inf, math.inf])
+def test_godunov_reference_rejects_a_swapped_endpoint(convex, omega):
+    args = _godunov_inputs([(0.25, 1.0), (1.0, 0.25), (-0.5, -0.5)],
+                           convex, omega)
+    ref = _nested_where_godunov(*args)
+    assert _same_bits(py_backend.godunov_fluxes(*args), ref)
+    assert not _same_bits(_swapped_endpoint_godunov(*args), ref)
+
+
+def _first_non_finite_step(flux, v0, dt, n_steps):
+    """The first step after which v is not finite, from a plain fixed-dt
+    Godunov loop that rebuilds every step constant and checks np.isfinite
+    after each step; None when v stays finite."""
+    convex = 1 if flux.convexity == "convex" else 0
+    v = v0.values.copy()
+    for step in range(n_steps):
+        ve = v0.with_values(v).extended(1)
+        gve = np.asarray(flux.g(ve), dtype=float)
+        omega = critical_point(flux, float(ve.min()), float(ve.max()))
+        g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
+        G = _kernels.godunov_fluxes(ve[:-1], ve[1:], gve[:-1], gve[1:],
+                                    g_omega, omega, convex)
+        v = _kernels.scalar_step(v, G, dt / v0.grid.dx)
+        if not np.all(np.isfinite(v)):
+            return step
+    return None
+
+
+def _flux_undefined_on(lo, hi):
+    """v/(1+v), but NaN for lo < v < hi: a flux that fails on part of the
+    range the solution sweeps through."""
+    base = chromatography_flux()
+
+    def g(v):
+        v = np.asarray(v, dtype=float)
+        return np.where((v > lo) & (v < hi), np.nan, v / (1.0 + v))
+
+    return FluxFunction(g=g, gprime=base.gprime, convexity="concave",
+                        L_of_range=base.L_of_range, name="holed v/(1+v)",
+                        admissible_min=0.0)
+
+
+def _burgers_with_a_false_speed_bound():
+    """rho^2 claiming speed 1 whatever the data, so a fixed dt passes the
+    CFL check while the scheme is unstable and overflows."""
+    base = burgers_flux()
+    return FluxFunction(g=base.g, gprime=base.gprime, convexity="convex",
+                        c=2.0, L_of_range=lambda lo, hi: 1.0,
+                        name="rho^2, false bound")
+
+
+def _rarefaction_into_the_hole(grid):
+    return _outflow_riemann(grid, 1.0, 0.0)
+
+
+def _bump_that_overflows(grid):
+    return project(lambda x: 1.0 + np.cos(np.pi * np.asarray(x)), grid,
+                   boundary="periodic")
+
+
+def _scalar_solve(flux, v0, cfg):
+    return solve_scalar(flux, v0, cfg)
+
+
+def _split_solve(flux, v0, cfg):
+    return solve_split(flux, lambda v: 1.0 / (1.0 + v), v0,
+                       [v0.with_values(0.5 * v0.values)], cfg)
+
+
+# The false speed bound is not tried on the split solve: there it breaks
+# the transport step's convex combination first (InvalidArgument).
+@pytest.mark.parametrize("solve, flux, data", [
+    pytest.param(_scalar_solve, _flux_undefined_on(0.5, 0.6),
+                 _rarefaction_into_the_hole, id="scalar-nan"),
+    pytest.param(_scalar_solve, _burgers_with_a_false_speed_bound(),
+                 _bump_that_overflows, id="scalar-inf"),
+    pytest.param(_split_solve, _flux_undefined_on(0.5, 0.6),
+                 _rarefaction_into_the_hole, id="split-nan"),
+])
+def test_blowup_names_the_first_non_finite_step(solve, flux, data):
+    grid = Grid1D(-1.0, 1.0, 32)
+    v0 = data(grid)
+    dt = 0.5 * grid.dx
+    n_steps = 200
+    cfg = ScalarConfig(t_end=n_steps * dt, fixed_dt=dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _first_non_finite_step(flux, v0, dt, n_steps)
+        with pytest.raises(NumericalBlowup) as err:
+            solve(flux, v0, cfg)
+    assert expected is not None and expected > 0
+    assert err.value.step == expected
+    assert f"non-finite v at step {expected}," in str(err.value)
