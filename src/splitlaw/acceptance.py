@@ -20,9 +20,10 @@ from .chroma import (
     entropy_compat_defect,
     lift_entropy,
     project_to_lifted,
-    semigroup_defect,
+    semigroup_defect_many,
     solve_chromatography,
-    solve_direct,
+    solve_chromatography_many,
+    solve_direct_many,
     state_l1_distance,
 )
 from .core import (
@@ -44,7 +45,7 @@ from .depauw import (
     field_diagnostics,
     mixing_report,
 )
-from .kk import KKState, renormalization_defect, solve_kk
+from .kk import KKState, renormalization_defect, solve_kk, solve_kk_many
 from .scalar import (
     RiemannFan,
     ScalarConfig,
@@ -58,7 +59,7 @@ from .transport import (
     TransportPair,
     renorm_residual,
     solve_by_characteristics,
-    solve_split,
+    solve_split_many,
     weighted_sup_norm,
 )
 
@@ -221,9 +222,8 @@ def criterion_04(level="full"):
         flux = chromatography_flux()
         g = Grid1D(-2.0, 2.0, 256)
         trials = 10 if level == "full" else 3
-        worst_contract = 0.0
-        worst_dom = 0.0
-        worst_sign = 0.0
+        v0s = []
+        w0s = []
         for trial in range(trials):
             kts = np.sort(rng.uniform(-1.5, 1.5, rng.integers(2, 5)))
             v_vals = rng.uniform(0.2, 2.2, len(kts) + 1)
@@ -240,9 +240,16 @@ def criterion_04(level="full"):
                 return ic
 
             v0 = project(pc(v_vals), g)
-            w0 = v0.with_values(project(pc(lam), g).values * v0.values)
-            cfg = ScalarConfig(t_end=0.5, record_times=[0.1, 0.3, 0.5])
-            v_traj, (w_traj,) = solve_split(flux, b_of, v0, [w0], cfg)
+            v0s.append(v0)
+            w0s.append([v0.with_values(project(pc(lam), g).values
+                                       * v0.values)])
+        cfg = ScalarConfig(t_end=0.5, record_times=[0.1, 0.3, 0.5])
+        runs = solve_split_many(flux, b_of, v0s, w0s, cfg)
+        worst_contract = 0.0
+        worst_dom = 0.0
+        worst_sign = 0.0
+        for trial, (v0, (w0,), (v_traj, (w_traj,))) in enumerate(
+                zip(v0s, w0s, runs)):
             sup0 = weighted_sup_norm(w0, v0)
             for v_t, w_t in zip(v_traj.fields, w_traj.fields):
                 worst_contract = max(worst_contract,
@@ -298,21 +305,25 @@ def criterion_06(level="full"):
     def body():
         names = list(SPLIT_FIXTURES) if level == "full" else ["S", "Q"]
         grids = (512, 1024, 2048) if level == "full" else (512,)
+        gaps = {name: [] for name in names}
+        for n in grids:
+            g = Grid1D(-2.0, 2.0, n)
+            U0s = [_split_state(g, SPLIT_FIXTURES[name]) for name in names]
+            cfg = ScalarConfig(t_end=1.0, record_times=[1.0])
+            splits = solve_chromatography_many(U0s, cfg)
+            directs = solve_direct_many(U0s, cfg)
+            for name, split, direct in zip(names, splits, directs):
+                gaps[name].append(state_l1_distance(split.at(1.0),
+                                                    direct.at(1.0)))
         ok = True
         parts = []
         for name in names:
-            gaps = []
-            for n in grids:
-                g = Grid1D(-2.0, 2.0, n)
-                U0 = _split_state(g, SPLIT_FIXTURES[name])
-                cfg = ScalarConfig(t_end=1.0, record_times=[1.0])
-                split = solve_chromatography(U0, cfg)
-                direct = solve_direct(U0, cfg)
-                gaps.append(state_l1_distance(split.at(1.0), direct.at(1.0)))
-            ok = ok and gaps[0] <= SPLIT_GAP_MAX
-            if len(gaps) > 1:
-                ok = ok and all(a > b for a, b in zip(gaps, gaps[1:]))
-            parts.append(name + " " + "/".join(f"{x:.4f}" for x in gaps))
+            ok = ok and gaps[name][0] <= SPLIT_GAP_MAX
+            if len(gaps[name]) > 1:
+                ok = ok and all(a > b for a, b in zip(gaps[name],
+                                                      gaps[name][1:]))
+            parts.append(name + " " + "/".join(f"{x:.4f}"
+                                               for x in gaps[name]))
         return ok, "; ".join(parts)
     return _timed(6, "split vs direct", body)
 
@@ -468,14 +479,11 @@ def criterion_09(level="full"):
     def body():
         g = Grid1D(-2.0, 2.0, 256)
         names = list(SPLIT_FIXTURES) if level == "full" else ["S", "E"]
-        worst = 0.0
-        for name in names:
-            U0 = _split_state(g, SPLIT_FIXTURES[name])
-            cfg = ScalarConfig(t_end=1.0, record_times=[1.0],
-                               fixed_dt=1.0 / 512)
-            worst = max(worst,
-                        semigroup_defect(U0, 0.5, 0.5, cfg),
-                        semigroup_defect(U0, 0.75, 0.25, cfg))
+        U0s = [_split_state(g, SPLIT_FIXTURES[name]) for name in names]
+        cfg = ScalarConfig(t_end=1.0, record_times=[1.0],
+                           fixed_dt=1.0 / 512)
+        worst = max(semigroup_defect_many(U0s, 0.5, 0.5, cfg)
+                    + semigroup_defect_many(U0s, 0.75, 0.25, cfg))
         ok = worst <= EXACT_TOL
         return ok, f"{len(names)} fixtures, worst defect {worst:.1e}"
     return _timed(9, "semigroup property", body)
@@ -489,22 +497,26 @@ def criterion_10(level="full"):
         ok = True
         parts = []
         grids = (512, 1024, 2048) if level == "full" else (256, 512)
-        for name, (ul, ur) in (("flip", ((0.75, 0.25), (0.25, 0.75))),
-                               ("mild", ((0.5, 0.25), (0.25, 0.5)))):
-            gaps = []
-            for n in grids:
-                g = Grid1D(-2.0, 2.0, n)
-                U0 = KKState([project(_riemann_ic(ul[0], ur[0]), g),
-                              project(_riemann_ic(ul[1], ur[1]), g)])
-                traj = solve_kk(U0, f, fp,
-                                ScalarConfig(t_end=1.0, record_times=[1.0]))
+        fixtures = {"flip": ((0.75, 0.25), (0.25, 0.75)),
+                    "mild": ((0.5, 0.25), (0.25, 0.5))}
+        gaps = {name: [] for name in fixtures}
+        for n in grids:
+            g = Grid1D(-2.0, 2.0, n)
+            U0s = [KKState([project(_riemann_ic(ul[0], ur[0]), g),
+                            project(_riemann_ic(ul[1], ur[1]), g)])
+                   for ul, ur in fixtures.values()]
+            trajs = solve_kk_many(U0s, f, fp,
+                                  ScalarConfig(t_end=1.0, record_times=[1.0]))
+            for name, traj in zip(fixtures, trajs):
                 exc, gap = renormalization_defect(traj, None)
                 ok = ok and exc <= KK_EXCESS_TOL
-                gaps.append(gap)
-            ok = ok and gaps[0] <= KK_GAP_MAX
-            rates = [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]
+                gaps[name].append(gap)
+        for name, gaps_n in gaps.items():
+            ok = ok and gaps_n[0] <= KK_GAP_MAX
+            rates = [a / b for a, b in zip(gaps_n, gaps_n[1:])]
             ok = ok and all(r >= KK_RATE_MIN for r in rates)
-            parts.append(name + " gaps " + "/".join(f"{x:.4f}" for x in gaps)
+            parts.append(name + " gaps "
+                         + "/".join(f"{x:.4f}" for x in gaps_n)
                          + " rates " + "/".join(f"{r:.2f}" for r in rates))
 
         n = 512 if level == "full" else 256

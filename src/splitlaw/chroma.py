@@ -8,21 +8,23 @@ untransformed system. The entropy machinery implements the lifted pairs
 eta = eta_s(u1+u2) + C(u1-u2) and the compatibility test grad(eta) DF =
 grad(q) that characterizes them.
 """
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CellField, SplitTrajectory, VectorState, _fill_ghosts,
+from .core import (CellField, SplitTrajectory, VectorState, _ghost_cells,
                    _window_slice, chromatography_flux, lp_distance,
                    total_variation)
 from .errors import InvalidArgument, InvalidEntropy, NumericalBlowup
-from .scalar import (ScalarConfig, _check_test_fns, _spacetime_quadrature,
-                     _time_steps)
-# Re-exported, not called here (the split solve goes through solve_split):
+from .scalar import (ScalarConfig, _batch_grid, _check_test_fns, _in_row,
+                     _lockstep, _spacetime_quadrature)
+# Re-exported, not called here (the split solve goes through
+# solve_split_many):
 # perfbench's tracer test reads chroma.solve_scalar.
 from .scalar import solve_scalar  # noqa: F401
-from .transport import solve_split
+from .transport import solve_split_many
 
 
 def _fsum_columns(cols):
@@ -71,10 +73,17 @@ def difference_form(state):
     return state.total(), u1.with_values(u1.values - u2.values)
 
 
-def _require_nonnegative(state):
-    for comp in state.components:
-        if np.min(comp.values) < 0.0:
-            raise InvalidArgument("components must be nonnegative")
+def _require_nonnegative(states):
+    """Every component of every state of a batch is >= 0."""
+    for r, state in enumerate(states):
+        if any(np.min(comp.values) < 0.0 for comp in state.components):
+            raise _in_row(InvalidArgument("components must be nonnegative"),
+                          r, len(states))
+
+
+def _velocity(v):
+    """The transport velocity b(v) = 1/(1+v) of the w_i."""
+    return 1.0 / (1.0 + v)
 
 
 def solve_chromatography(U0, config):
@@ -84,24 +93,35 @@ def solve_chromatography(U0, config):
     is always of bounded variation on the grid (regime F, with its TV), and
     when it stays above zero the stronger regime G applies with that floor.
     """
-    _require_nonnegative(U0)
+    return solve_chromatography_many([U0], config)[0]
 
-    def b_of(v):
-        return 1.0 / (1.0 + v)
 
-    v0, w0 = to_vw(U0)
-    v_traj, w_trajs = solve_split(chromatography_flux(), b_of, v0, w0, config)
-    states = [from_vw(v_traj.fields[j], [wt.fields[j] for wt in w_trajs])
-              for j in range(len(v_traj))]
-    delta0 = float(np.min(v0.values))
-    tv0 = total_variation(v0)
-    meta = {
-        "regime": "G" if delta0 > 0.0 else "F",
-        "delta0": delta0,
-        "tv0": tv0,
-        "speed_bound": v_traj.meta["speed_bound"],
-    }
-    return SplitTrajectory(v_traj.times, states, v_traj, w_trajs, meta)
+def solve_chromatography_many(U0s, config):
+    """solve_chromatography for B states on one grid under one config,
+    stepped as one (B, n) split march (transport.solve_split_many). The
+    states share k; each keeps its own time plan and is bitwise its
+    solve_chromatography. Returns one trajectory per state.
+    """
+    _require_nonnegative(U0s)
+    vws = [to_vw(U0) for U0 in U0s]
+    runs = solve_split_many(chromatography_flux(), _velocity,
+                            [v0 for v0, _ in vws], [w0 for _, w0 in vws],
+                            config)
+    trajs = []
+    for (v0, _), (v_traj, w_trajs) in zip(vws, runs):
+        states = [from_vw(v_traj.fields[j], [wt.fields[j] for wt in w_trajs])
+                  for j in range(len(v_traj))]
+        delta0 = float(np.min(v0.values))
+        tv0 = total_variation(v0)
+        meta = {
+            "regime": "G" if delta0 > 0.0 else "F",
+            "delta0": delta0,
+            "tv0": tv0,
+            "speed_bound": v_traj.meta["speed_bound"],
+        }
+        trajs.append(SplitTrajectory(v_traj.times, states, v_traj, w_trajs,
+                                     meta))
+    return trajs
 
 
 @dataclass
@@ -247,53 +267,87 @@ def solve_direct(U0, config):
     dt*L/dx <= 1, with L = 1/(1 + max(min u_i, 0)) over all components,
     raises HypothesisViolation.
     """
-    _require_nonnegative(U0)
-    grid = U0.grid
+    return solve_direct_many([U0], config)[0]
+
+
+def solve_direct_many(U0s, config):
+    """solve_direct for B states on one grid under one config, stepped as
+    one (B, k, n) array. The states share k; each row keeps its own time
+    plan and speed bound, leaves the array once its plan has ended, and is
+    bitwise its solve_direct. An error from one row of a batch names the
+    row. Returns one trajectory per state.
+    """
+    batch = len(U0s)
+    _require_nonnegative(U0s)
+    grid, boundary = _batch_grid(U0s)
+    if len({U0.k for U0 in U0s}) > 1:
+        raise InvalidArgument("batch states differ in component count")
+    k = U0s[0].k
+    n = grid.n
     dx = grid.dx
-    periodic = U0.boundary == "periodic"
-    U = np.array([c.values for c in U0.components], dtype=float)  # (k, n)
-    U_min = float(U.min())
-    # per-solve buffers: U plus one ghost cell on each side, 1 + v and the
-    # fluxes there, and the interface fluxes with their jump term
-    Ue = np.empty((U0.k, grid.n + 2))
-    one_plus_v = np.empty(grid.n + 2)
-    F = np.empty_like(Ue)
-    G = np.empty((U0.k, grid.n + 1))
-    jump = np.empty_like(G)
+    periodic = boundary == "periodic"
+    U = np.array([[c.values for c in U0.components] for U0 in U0s],
+                 dtype=float)  # (B, k, n)
+    U_min = np.minimum.reduce(U, axis=(1, 2)).tolist()
 
-    def speed():
-        return 1.0 / (1.0 + max(U_min, 0.0))  # bounds both families
+    def speed(r):
+        return 1.0 / (1.0 + max(U_min[r], 0.0))  # bounds both families
 
-    times = [0.0]
-    states = [U0.copy()]
-    for step, dt, t, lands in _time_steps(config, dx, speed):
-        _fill_ghosts(Ue, U, periodic)
-        np.sum(Ue, axis=0, out=one_plus_v)
+    def workspace(b):
+        # U plus one ghost cell on each side, 1 + v and the fluxes there,
+        # the interface fluxes with their jump term, and per-row factors
+        return (np.empty((b, k, n + 2)), np.empty((b, 1, n + 2)),
+                np.empty((b, k, n + 2)), np.empty((b, k, n + 1)),
+                np.empty((b, k, n + 1)), np.empty((b, 1, 1)),
+                np.empty((b, 1, 1)))
+
+    times = [[0.0] for _ in U0s]
+    states = [[U0.copy()] for U0 in U0s]
+    rows = list(range(batch))  # the state held in each row of U
+    Ue = None
+    speeds = [functools.partial(speed, r) for r in rows]
+    for plan in _lockstep(config, dx, speeds):
+        if Ue is None or len(plan) < len(rows):
+            # the first step, or some plans have ended: (re)build the arrays
+            keep = [rows.index(r) for r, *_ in plan]
+            rows = [r for r, *_ in plan]
+            Ue, one_plus_v, F, G, jump, inv2mu, mu = workspace(len(rows))
+            Ue[..., 1:-1] = U[keep]
+            U = Ue[..., 1:-1]  # U lives between its ghost cells
+            ghosts, edges = _ghost_cells(Ue, periodic)
+        inv2mu[:, 0, 0] = [dx / (2.0 * dt) for _, _, dt, _, _ in plan]
+        mu[:, 0, 0] = [dt / dx for _, _, dt, _, _ in plan]
+        ghosts[...] = edges
+        np.sum(Ue, axis=1, keepdims=True, out=one_plus_v)
         np.add(one_plus_v, 1.0, out=one_plus_v)
         np.divide(Ue, one_plus_v, out=F)
         # every component at once, in the association of
         # _kernels.lxf_fluxes, G = 0.5*(F_l + F_r) - inv2mu*(u_r - u_l), and
         # of _kernels.scalar_step, U = (U - mu*G_out) + mu*G_in
-        np.add(F[:, :-1], F[:, 1:], out=G)
+        np.add(F[..., :-1], F[..., 1:], out=G)
         G *= 0.5
-        np.subtract(Ue[:, 1:], Ue[:, :-1], out=jump)
-        jump *= dx / (2.0 * dt)
+        np.subtract(Ue[..., 1:], Ue[..., :-1], out=jump)
+        jump *= inv2mu
         G -= jump
-        G *= dt / dx
-        U -= G[:, 1:]
-        U += G[:, :-1]
-        U_min = float(U.min())
-        if not (math.isfinite(U_min) and math.isfinite(float(U.max()))):
-            raise NumericalBlowup(step, f"non-finite state at step {step}, "
-                                        f"t={t!r}")
+        G *= mu
+        U -= G[..., 1:]
+        U += G[..., :-1]
+        lo = np.minimum.reduce(U, axis=(1, 2)).tolist()
+        hi = np.maximum.reduce(U, axis=(1, 2)).tolist()
+        for i, (r, step, _, t, lands) in enumerate(plan):
+            U_min[r] = lo[i]
+            if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
+                raise _in_row(NumericalBlowup(
+                    step, f"non-finite state at step {step}, t={t!r}"),
+                    r, batch)
+            if lands:
+                times[r].append(t)
+                states[r].append(ChromState(
+                    [CellField(grid, u.copy(), boundary) for u in U[i]]))
 
-        if lands:
-            times.append(t)
-            states.append(ChromState(
-                [CellField(grid, u.copy(), U0.boundary) for u in U]))
-
-    meta = {"method": "lax-friedrichs", "k": U0.k}
-    return SplitTrajectory(times, states, None, [], meta)
+    meta = {"method": "lax-friedrichs", "k": k}
+    return [SplitTrajectory(times[r], states[r], None, [], dict(meta))
+            for r in range(batch)]
 
 
 def state_l1_distance(a, b, window=None):
@@ -310,6 +364,16 @@ def semigroup_defect(U0, t, s, config, solver=solve_chromatography):
     The discrete update is a plain state map, so aligned compositions agree
     bitwise and the defect is exactly zero.
     """
+    return semigroup_defect_many(
+        [U0], t, s, config,
+        lambda states, cfg: [solver(st, cfg) for st in states])[0]
+
+
+def semigroup_defect_many(U0s, t, s, config,
+                          solver=solve_chromatography_many):
+    """semigroup_defect for B states, each advance one batch solve:
+    solver(states, config) returns one trajectory per state. Returns one
+    defect per state."""
     if config.fixed_dt is None:
         raise InvalidArgument("semigroup defect needs fixed-step mode")
     dt = config.fixed_dt
@@ -320,16 +384,16 @@ def semigroup_defect(U0, t, s, config, solver=solve_chromatography):
         if abs(j * dt - tau) > 1e-9 * max(tau, dt):
             raise InvalidArgument("time not aligned with fixed_dt")
 
-    def advance(state, tau):
+    def advance(states, tau):
         if round(tau / dt) == 0:
-            return state
+            return states
         cfg = ScalarConfig(t_end=tau, cfl=config.cfl, record_times=[tau],
                            fixed_dt=dt)
-        return solver(state, cfg).at(tau)
+        return [traj.at(tau) for traj in solver(states, cfg)]
 
-    direct = advance(U0, t + s)
-    staged = advance(advance(U0, s), t)
-    return state_l1_distance(direct, staged)
+    direct = advance(U0s, t + s)
+    staged = advance(advance(U0s, s), t)
+    return [state_l1_distance(a, b) for a, b in zip(direct, staged)]
 
 
 _POLY_DEGREE = 4

@@ -71,7 +71,11 @@ def parse_initial(spec):
         return lambda x: np.full_like(np.asarray(x, dtype=float), value)
     if spec.startswith("expr:"):
         body = spec[len("expr:"):].strip()
-        code = compile(body, "<initial>", "eval")
+        try:
+            code = compile(body, "<initial>", "eval")
+        except (SyntaxError, ValueError) as exc:
+            raise InvalidArgument(
+                f"malformed expression {body!r}: {exc}") from None
         for name in code.co_names:
             if name not in _EXPR_NAMES and name != "x":
                 raise InvalidArgument(f"unknown name in expression: {name}")
@@ -79,8 +83,13 @@ def parse_initial(spec):
         def ic(x):
             env = dict(_EXPR_NAMES)
             env["x"] = np.asarray(x, dtype=float)
-            return np.asarray(eval(code, {"__builtins__": {}}, env),
-                              dtype=float)
+            try:
+                return np.asarray(eval(code, {"__builtins__": {}}, env),
+                                  dtype=float)
+            except (ArithmeticError, LookupError, TypeError,
+                    ValueError) as exc:
+                raise InvalidArgument(
+                    f"expression {body!r} failed: {exc}") from None
         return ic
     raise InvalidArgument(f"unrecognized initial condition: {spec!r}")
 

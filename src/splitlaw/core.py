@@ -80,12 +80,19 @@ def _fill_ghosts(ext, values, periodic):
     values is (n,) or (k, n) and ext the matching (..., n + 2) buffer.
     """
     ext[..., 1:-1] = values
-    if periodic:
-        ext[..., 0] = values[..., -1]
-        ext[..., -1] = values[..., 0]
-    else:
-        ext[..., 0] = values[..., 0]
-        ext[..., -1] = values[..., -1]
+    ghosts, edges = _ghost_cells(ext, periodic)
+    ghosts[...] = edges
+
+
+def _ghost_cells(ext, periodic):
+    """Views (ghosts, edges) of the (..., n + 2) buffer ext: its two ghost
+    cells, and the two cells of ext[..., 1:-1] they copy (the far edge
+    when periodic, the near edge otherwise), so ghosts[...] = edges fills
+    them in one assignment."""
+    n = ext.shape[-1] - 2
+    ghosts = ext[..., ::n + 1]
+    edges = ext[..., n:0:1 - n] if periodic else ext[..., 1:n + 1:n - 1]
+    return ghosts, edges
 
 
 class VectorState:

@@ -12,8 +12,9 @@ import numpy as np
 
 from .core import (CellField, FluxFunction, SplitTrajectory, VectorState,
                    _window_slice)
-from .errors import HypothesisViolation, InvalidFlux
-from .transport import solve_split
+from .errors import HypothesisViolation, InvalidFlux, SplitlawError
+from .scalar import _batch_grid, _in_row
+from .transport import solve_split_many
 
 _CONVEXITY_FLOOR = 1e-8
 _SECOND_DIFF_POINTS = 257
@@ -71,16 +72,41 @@ def solve_kk(U0, f, fprime, config):
     v_traj of the result is the scalar modulus run rho and w_trajs are the
     component runs; states[j] holds the transported components.
     """
-    rho0 = U0.norm()
-    if float(np.min(rho0.values)) <= 0.0:
-        raise HypothesisViolation("initial modulus must stay away from zero")
-    flux = kk_flux(f, fprime,
-                   (float(np.min(rho0.values)), float(np.max(rho0.values))))
-    v_traj, w_trajs = solve_split(flux, f, rho0, U0.components, config)
-    states = [KKState([wt.fields[j] for wt in w_trajs])
-              for j in range(len(v_traj))]
-    meta = {"c": flux.c, "speed_bound": v_traj.meta["speed_bound"]}
-    return SplitTrajectory(v_traj.times, states, v_traj, w_trajs, meta)
+    return solve_kk_many([U0], f, fprime, config)[0]
+
+
+def solve_kk_many(U0s, f, fprime, config):
+    """solve_kk for B states on one grid under one config, stepped as one
+    (B, n) split march (transport.solve_split_many). The rows share f and
+    f'; each row's flux rho f(rho) is certified on its own modulus range,
+    and its meta["c"] is the constant certified there. Each row is bitwise
+    its solve_kk. Returns one trajectory per state.
+    """
+    _batch_grid(U0s)
+    rho0s = []
+    fluxes = []
+    for r, U0 in enumerate(U0s):
+        try:
+            rho0 = U0.norm()
+            if float(np.min(rho0.values)) <= 0.0:
+                raise HypothesisViolation(
+                    "initial modulus must stay away from zero")
+            fluxes.append(kk_flux(f, fprime, (float(np.min(rho0.values)),
+                                              float(np.max(rho0.values)))))
+        except SplitlawError as exc:
+            raise _in_row(exc, r, len(U0s)) from None
+        rho0s.append(rho0)
+    # the fluxes differ only in the certified c, which the march never reads
+    runs = solve_split_many(fluxes[0], f, rho0s,
+                            [U0.components for U0 in U0s], config)
+    trajs = []
+    for flux, (v_traj, w_trajs) in zip(fluxes, runs):
+        states = [KKState([wt.fields[j] for wt in w_trajs])
+                  for j in range(len(v_traj))]
+        meta = {"c": flux.c, "speed_bound": v_traj.meta["speed_bound"]}
+        trajs.append(SplitTrajectory(v_traj.times, states, v_traj, w_trajs,
+                                     meta))
+    return trajs
 
 
 def renormalization_defect(traj, window=None):

@@ -6,16 +6,16 @@ exact Riemann fans (the convergence oracle), one-sided slope excess,
 entropy residuals against space-time test functions, and the localized
 comparison defect.
 """
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from .core import (CellField, Trajectory, _fill_ghosts, _window_slice,
+from .core import (CellField, Trajectory, _ghost_cells, _window_slice,
                    total_variation)
 from .errors import (HypothesisViolation, InvalidArgument, NumericalBlowup,
-                     UnsupportedFlux)
+                     SplitlawError, UnsupportedFlux)
 
 _BISECT_TOL = 1e-12
 
@@ -64,11 +64,59 @@ def godunov_flux(flux, a, b):
     lo, hi = (a, b) if a <= b else (b, a)
     omega = critical_point(flux, lo, hi)
     g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
-    G = _kernels.godunov_fluxes(
-        np.array([float(a)]), np.array([float(b)]),
-        np.array([float(flux.g(a))]), np.array([float(flux.g(b))]),
-        g_omega, omega, 1 if flux.convexity == "convex" else 0)
-    return float(G[0])
+    select = _Selection((1, 1), flux.convexity == "convex")
+    G = select(np.array([[float(a)]]), np.array([[float(b)]]),
+               np.array([[float(flux.g(a))]]), np.array([[float(flux.g(b))]]),
+               omega, g_omega)
+    return float(G[0, 0])
+
+
+class _Selection:
+    """The Godunov interface flux, written into buffers of one shape.
+
+    For left and right states a and b with g values ga and gb, the flux is
+    the min of g over [a, b] when a <= b and the max over [b, a] otherwise.
+    For convex g the min sits at the critical point omega clamped to
+    [a, b] and the max at an endpoint; for concave g it is the reverse.
+    g_omega is g(omega). Each row of the (B, n) arrays may have its own
+    omega and g_omega, passed as (B, 1) columns; a float omega holds for
+    every row. A float omega of +-inf (g monotone the same way on every
+    row's range) skips the clamp: every interface then takes the same
+    endpoint. The result is bitwise the nested np.where selection.
+    """
+
+    def __init__(self, shape, convex):
+        self.convex = convex
+        self.G = np.empty(shape)
+        self.other = np.empty(shape)
+        self.take = np.empty(shape, dtype=bool)
+        self.hit = np.empty(shape, dtype=bool)
+
+    def __call__(self, a, b, ga, gb, omega, g_omega):
+        G, other, take, hit = self.G, self.other, self.take, self.hit
+        if isinstance(omega, float) and math.isinf(omega):
+            # a where g increases (convex with omega = -inf, concave with
+            # omega = +inf), b where it decreases
+            other = ga if (omega < 0.0) == self.convex else gb
+        else:
+            other[...] = g_omega
+            if self.convex:
+                np.greater_equal(omega, b, out=hit)
+                np.copyto(other, gb, where=hit)
+                np.less_equal(omega, a, out=hit)
+            else:
+                np.less_equal(omega, b, out=hit)
+                np.copyto(other, gb, where=hit)
+                np.greater_equal(omega, a, out=hit)
+            np.copyto(other, ga, where=hit)
+        if self.convex:
+            np.maximum(ga, gb, out=G)
+            np.less_equal(a, b, out=take)
+        else:
+            np.minimum(ga, gb, out=G)
+            np.greater(a, b, out=take)  # the states are finite
+        np.copyto(G, other, where=take)
+        return G
 
 
 class RiemannFan:
@@ -228,6 +276,55 @@ def _time_steps(config, dx, speed):
             step += 1
 
 
+def _lockstep(config, dx, speeds):
+    """The time plans of B runs on one grid, stepped together.
+
+    speeds[r]() is run r's speed bound, as _time_steps takes it. Each
+    yield lists (r, step, dt, t_next, lands) for every run whose plan goes
+    on, in the order of r; a run leaves the list for good once its own plan
+    has ended. An error from run r's plan names the row when B > 1.
+    """
+    batch = len(speeds)
+    plans = [_time_steps(config, dx, speed) for speed in speeds]
+    rows = list(range(batch))
+    r = None
+    try:
+        while rows:
+            steps = []
+            for r in rows:
+                item = next(plans[r], None)
+                if item is not None:
+                    steps.append((r, *item))
+            if len(steps) < len(rows):
+                rows = [step[0] for step in steps]
+                if not rows:
+                    return
+            yield steps
+    except SplitlawError as exc:
+        raise _in_row(exc, r, batch) from None
+
+
+def _in_row(exc, r, batch):
+    """exc, with its message naming row r when the batch has B > 1 runs."""
+    if batch > 1:
+        exc.message = f"row {r}: {exc.message}"
+        exc.args = (f"{exc.ident}: {exc.message}",)
+    return exc
+
+
+def _batch_grid(fields):
+    """The grid and boundary mode that every field of a batch shares."""
+    if not fields:
+        raise InvalidArgument("a batch needs at least one run")
+    grid, boundary = fields[0].grid, fields[0].boundary
+    for f in fields:
+        if f.grid != grid:
+            raise InvalidArgument("batch runs on different grids")
+        if f.boundary != boundary:
+            raise InvalidArgument("batch runs disagree on boundary mode")
+    return grid, boundary
+
+
 def solve_scalar(flux, init, config):
     """March the Godunov scheme to t_end, recording the requested times.
 
@@ -241,14 +338,27 @@ def solve_scalar(flux, init, config):
     step that breaks the CFL hypothesis dt*L/dx <= 1 raises
     HypothesisViolation.
     """
-    return _march(flux, init, config)[0]
+    return _march(flux, [init], config)[0][0]
 
 
-def _march(flux, init, config, b_of_v=None, w0s=()):
-    """The one Godunov step loop: v alone, or v with a locked w stack.
+def _workspace(b, m, n, convex):
+    """The per-step arrays of _march for b rows of n cells, each row with
+    m locked w rows: v plus one ghost cell on each side, the Godunov
+    selection, mu*G, alpha = v - mu*G_out, the v != 0 mask and the two
+    ride buffers."""
+    return (np.empty((b, n + 2)), _Selection((b, n + 1), convex),
+            np.empty((b, n + 1)), np.empty((b, n)),
+            np.empty((b, 1, n), dtype=bool), np.empty((b, m, n)),
+            np.empty((b, m, n)))
 
-    With b_of_v, each w0 in w0s rides w_t + (b(v) w)_x = 0 on the same
-    steps. Every step computes alpha = v - mu*G_out and beta = mu*G_in
+
+def _march(flux, inits, config, b_of_v=None, w0s=None):
+    """The one Godunov step loop: B runs of v on one grid, each alone or
+    with a locked w stack.
+
+    With b_of_v, each run r carries the w fields w0s[r] (the same number m
+    for every run), and each rides w_t + (b(v) w)_x = 0 on the steps of
+    its v. Every step computes alpha = v - mu*G_out and beta = mu*G_in
     once; each w row becomes lam*alpha + lam_left*beta, with lam = w/v
     (0/0 := 0) taken from the cell and its upwind neighbour, and v becomes
     alpha + beta. That is the association of _kernels.scalar_step and
@@ -258,97 +368,160 @@ def _march(flux, init, config, b_of_v=None, w0s=()):
     that is not finite after a step, or a w that is not finite at a record
     (w/v overflows where v is tiny against |w|), raises NumericalBlowup.
 
-    Every per-step buffer is allocated once per solve, and the range
-    (min v, max v) is reduced once per step: it is both the blow-up check
-    and the input of the step constants. Returns (v_traj, w_trajs), with
-    w_trajs empty without b_of_v.
+    The runs share the grid, the boundary mode, the flux and the config,
+    and step together as one (B, n) array v and one (B, m, n) array W.
+    Each row keeps its own time plan, mu = dt/dx, range (min v, max v),
+    speed bound and step constants, so each row is bitwise its own
+    unbatched run; a row whose plan has ended leaves the arrays. An error
+    from one row of a batch names the row. The per-step arrays are
+    allocated once per solve, and the range is reduced once per step: it
+    is both the blow-up check and the input of the step constants.
+
+    Returns one (v_traj, w_trajs) pair per run, with w_trajs empty without
+    b_of_v.
     """
-    flux.check_admissible(init.values)
-    if not np.all(np.isfinite(init.values)):
-        raise InvalidArgument("initial data must be finite")
-    grid = init.grid
+    batch = len(inits)
+    locked = b_of_v is not None
+    w0s = list(w0s) if locked else [()] * batch
+    for r, init in enumerate(inits):
+        try:
+            flux.check_admissible(init.values)
+            if not np.all(np.isfinite(init.values)):
+                raise InvalidArgument("initial data must be finite")
+        except SplitlawError as exc:
+            raise _in_row(exc, r, batch) from None
+    grid, boundary = _batch_grid(inits)
     n = grid.n
     dx = grid.dx
-    periodic = init.boundary == "periodic"
-    convex = 1 if flux.convexity == "convex" else 0
+    periodic = boundary == "periodic"
+    convex = flux.convexity == "convex"
     if flux.convexity == "none":
         raise UnsupportedFlux("solver needs a convex or concave flux")
+    if len(w0s) != batch or len({len(row) for row in w0s}) > 1:
+        raise InvalidArgument("each run of a batch needs the same number "
+                              "of w fields")
+    m = len(w0s[0])
 
     want_zero = 0.0 in config.record_times or not config.record_times
-    locked = b_of_v is not None
-    v = init.values.astype(float).copy()
-    W = _w_stack(init, b_of_v, w0s) if locked else np.empty((0, n))
-    times = [0.0]
-    fields = [init.copy()]
-    w_fields = [[w0.copy()] for w0 in w0s]
-    dt_schedule = []
-    record_steps = []
-    speed_bound = 0.0
-    v_range = (float(v.min()), float(v.max()))
-    data_range = L = omega = g_omega = None
+    v = np.array([init.values for init in inits], dtype=float)
+    W = np.empty((batch, m, n))
+    for r, init in enumerate(inits if locked else ()):
+        try:
+            W[r] = _w_stack(init, b_of_v, w0s[r])
+        except SplitlawError as exc:
+            raise _in_row(exc, r, batch) from None
+    times = [[0.0] for _ in inits]
+    fields = [[init.copy()] for init in inits]
+    w_fields = [[[w0.copy()] for w0 in row] for row in w0s]
+    dt_schedule = [[] for _ in inits]
+    record_steps = [[] for _ in inits]
+    speed_bound = [0.0] * batch
+    v_range = list(zip(v.min(axis=1).tolist(), v.max(axis=1).tolist()))
+    data_range = [None] * batch
+    L = [None] * batch
+    omega = [None] * batch
+    g_omega = [None] * batch
+    tol = [None] * batch
+    stale = True  # the step constants of some row changed
 
-    def speed():
-        nonlocal data_range, L, omega, g_omega, speed_bound
-        if v_range != data_range:
-            data_range = lo, hi = v_range
-            L = flux.L_of_range(lo, hi)
-            speed_bound = max(speed_bound, L)
-            omega = critical_point(flux, lo, hi)
-            g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
-        return L
+    def speed(r):
+        nonlocal stale
+        if v_range[r] != data_range[r]:
+            data_range[r] = lo, hi = v_range[r]
+            L[r] = flux.L_of_range(lo, hi)
+            speed_bound[r] = max(speed_bound[r], L[r])
+            omega[r] = critical_point(flux, lo, hi)
+            g_omega[r] = (float(flux.g(omega[r])) if math.isfinite(omega[r])
+                          else 0.0)
+            # max|v| from the range the speed bound is taken on
+            tol[r] = 1e-12 * max(1.0, abs(lo), abs(hi))
+            stale = True
+        return L[r]
 
-    ve = np.empty(n + 2)  # v plus one ghost cell on each side
-    muG = np.empty(n + 1)
-    beta = muG[:-1]  # mu*G_in; muG[1:] is mu*G_out
-    alpha = np.empty(n)
-    nonzero = np.empty(n, dtype=bool)
-    lam = np.empty_like(W)
-    lam_left = np.empty_like(W)
-    for step, dt, t, lands in _time_steps(config, dx, speed):
-        _fill_ghosts(ve, v, periodic)
+    rows = list(range(batch))  # the run held in each row of v and W
+    ve = None
+    speeds = [functools.partial(speed, r) for r in rows]
+    for plan in _lockstep(config, dx, speeds):
+        if ve is None or len(plan) < len(rows):
+            # the first step, or some plans have ended: (re)build the arrays
+            keep = [rows.index(r) for r, *_ in plan]
+            rows = [r for r, *_ in plan]
+            ve, select, muG, alpha, nonzero, lam, lam_left = _workspace(
+                len(rows), m, n, convex)
+            ve[:, 1:-1] = v[keep]
+            v = ve[:, 1:-1]  # v lives between its ghost cells
+            W = W[keep]
+            ghosts, edges = _ghost_cells(ve, periodic)
+            left, right = ve[:, :-1], ve[:, 1:]
+            beta, mu_out = muG[:, :-1], muG[:, 1:]  # mu*G_in, mu*G_out
+            stale = True
+        if stale:
+            omegas = [omega[r] for r in rows]
+            if math.isinf(omegas[0]) and omegas.count(omegas[0]) == len(rows):
+                omega_col, g_omega_col = omegas[0], 0.0
+            else:
+                omega_col = np.array(omegas)[:, None]
+                g_omega_col = np.array([g_omega[r] for r in rows])[:, None]
+            stale = False
+        if len(plan) == 1:
+            mu = plan[0][2] / dx
+        else:
+            mu = np.divide(np.array([item[2] for item in plan])[:, None], dx)
+        ghosts[...] = edges
         gve = np.asarray(flux.g(ve), dtype=float)
-        G = _kernels.godunov_fluxes(ve[:-1], ve[1:], gve[:-1], gve[1:],
-                                    g_omega, omega, convex)
-        np.multiply(G, dt / dx, out=muG)
-        np.subtract(v, muG[1:], out=alpha)
+        G = select(left, right, gve[:, :-1], gve[:, 1:], omega_col,
+                   g_omega_col)
+        np.multiply(G, mu, out=muG)
+        np.subtract(v, mu_out, out=alpha)
         if locked:
-            # max|v| from the range the speed bound was just taken on
-            tol = 1e-12 * max(1.0, abs(data_range[0]), abs(data_range[1]))
-            if alpha.min() < -tol or G.min() < -tol:
-                raise _oversized_step(step, dt_schedule, alpha, G, tol)
+            alpha_min = np.minimum.reduce(alpha, axis=1).tolist()
+            G_min = np.minimum.reduce(G, axis=1).tolist()
+            for i, (r, step, *_) in enumerate(plan):
+                if alpha_min[i] < -tol[r] or G_min[i] < -tol[r]:
+                    raise _in_row(_oversized_step(
+                        step, dt_schedule[r], alpha[i], G[i], tol[r]),
+                        r, batch)
             _ride(W, v, alpha, beta, periodic, nonzero, lam, lam_left)
             W, lam = lam, W  # the old stack is the next lam buffer
         np.add(alpha, beta, out=v)
-        v_range = (float(v.min()), float(v.max()))
-        if not (math.isfinite(v_range[0]) and math.isfinite(v_range[1])):
-            raise NumericalBlowup(step, f"non-finite v at step {step}, "
-                                        f"t={t!r}")
+        lo = np.minimum.reduce(v, axis=1).tolist()
+        hi = np.maximum.reduce(v, axis=1).tolist()
+        for i, (r, step, dt, t, lands) in enumerate(plan):
+            v_range[r] = (lo[i], hi[i])
+            if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
+                raise _in_row(NumericalBlowup(
+                    step, f"non-finite v at step {step}, t={t!r}"), r, batch)
+            dt_schedule[r].append(dt)
+            if lands:
+                times[r].append(t)
+                fields[r].append(CellField(grid, v[i].copy(), boundary))
+                if not np.isfinite(W[i]).all():
+                    # w/v overflows where v is tiny against |w|; NaN persists
+                    raise _in_row(NumericalBlowup(
+                        step, f"non-finite w by step {step}, t={t!r}"),
+                        r, batch)
+                for j, w_rows in enumerate(w_fields[r]):
+                    w_rows.append(CellField(grid, W[i, j].copy(), boundary))
+                record_steps[r].append(step + 1)
 
-        dt_schedule.append(dt)
-        if lands:
-            times.append(t)
-            fields.append(CellField(grid, v.copy(), init.boundary))
-            if not np.isfinite(W).all():
-                # w/v overflows where v is tiny against |w|; NaN persists
-                raise NumericalBlowup(step, f"non-finite w by step {step}, "
-                                            f"t={t!r}")
-            for r, rows in enumerate(w_fields):
-                rows.append(CellField(grid, W[r].copy(), init.boundary))
-            record_steps.append(step + 1)
-
-    meta = {
-        "dt_schedule": dt_schedule,
-        "record_steps": record_steps,
-        "speed_bound": speed_bound,
-        "cfl": config.cfl,
-        "flux_name": flux.name,
-        "fixed_dt": config.fixed_dt,
-        "includes_zero": want_zero,
-    }
-    return (Trajectory(times, fields, meta),
-            [Trajectory(list(times), rows, {"locked_to": flux.name,
-                                            "dt_schedule": list(dt_schedule)})
-             for rows in w_fields])
+    runs = []
+    for r in range(batch):
+        meta = {
+            "dt_schedule": dt_schedule[r],
+            "record_steps": record_steps[r],
+            "speed_bound": speed_bound[r],
+            "cfl": config.cfl,
+            "flux_name": flux.name,
+            "fixed_dt": config.fixed_dt,
+            "includes_zero": want_zero,
+        }
+        runs.append((
+            Trajectory(times[r], fields[r], meta),
+            [Trajectory(list(times[r]), w_rows,
+                        {"locked_to": flux.name,
+                         "dt_schedule": list(dt_schedule[r])})
+             for w_rows in w_fields[r]]))
+    return runs
 
 
 def _w_stack(v0, b_of_v, w0s):
@@ -367,18 +540,21 @@ def _w_stack(v0, b_of_v, w0s):
 
 
 def _ride(W, v, alpha, beta, periodic, nonzero, lam, lam_left):
-    """Each row w -> lam*alpha + lam_left*beta, written into lam, with
-    lam = w/v (0/0 := 0) and lam_left the upwind (left) neighbour's ratio.
+    """Each row w of the (b, m, n) stack W -> lam*alpha + lam_left*beta,
+    written into lam, with lam = w/v (0/0 := 0) and lam_left the upwind
+    (left) neighbour's ratio.
 
-    nonzero, lam and lam_left are the caller's buffers, shaped like v and W.
+    v, alpha and beta are (b, n); nonzero is the caller's (b, 1, n) buffer
+    and lam, lam_left are shaped like W.
     """
+    v = v[:, None, :]
     np.not_equal(v, 0.0, out=nonzero)
     lam.fill(0.0)
     np.divide(W, v, out=lam, where=nonzero)
-    lam_left[:, 1:] = lam[:, :-1]
-    lam_left[:, 0] = lam[:, -1] if periodic else lam[:, 0]
-    lam *= alpha
-    lam_left *= beta
+    lam_left[..., 1:] = lam[..., :-1]
+    lam_left[..., 0] = lam[..., -1] if periodic else lam[..., 0]
+    lam *= alpha[:, None, :]
+    lam_left *= beta[:, None, :]
     lam += lam_left
 
 

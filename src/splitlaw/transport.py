@@ -120,7 +120,17 @@ def solve_split(flux, b_of_v, v0, w0s, config):
     stays a convex combination; v is bitwise the scalar run. Returns
     (v_traj, w_trajs).
     """
-    return _march(joint_speed_flux(flux, b_of_v), v0, config, b_of_v, w0s)
+    return solve_split_many(flux, b_of_v, [v0], [w0s], config)[0]
+
+
+def solve_split_many(flux, b_of_v, v0s, w0s, config):
+    """solve_split for B runs on one grid under one config, stepped as one
+    (B, n) march: run r starts from v0s[r] with the w fields w0s[r], and
+    every run carries the same number of them. Each run keeps its own time
+    plan and is bitwise its solve_split. Returns one (v_traj, w_trajs) pair
+    per run.
+    """
+    return _march(joint_speed_flux(flux, b_of_v), v0s, config, b_of_v, w0s)
 
 
 def weighted_sup_norm(w_field, v_field):

@@ -1,5 +1,8 @@
 """Command line front end: config parsing, outputs, exit codes."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +264,25 @@ def test_exit_code_for_config_problems(tmp_path, capsys):
                     "[experiment]\nkind = riemann\n")
     assert main(["run", noinit]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("expr", ["x[", "exp()"])
+def test_malformed_expression_is_a_config_error(tmp_path, expr):
+    """A syntax error, and a call that fails when evaluated: both exit 2
+    with a one-line message naming the expression, not a traceback."""
+    cfg = _write(tmp_path, "bad.ini", RIEMANN_CFG.replace(
+        "riemann(1.0, 0.0)", f"expr: {expr}"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, SPLITLAW_OUTPUT_ROOT=str(tmp_path / "out"),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-m", "splitlaw.cli", "run", cfg],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("invalid-argument:")
+    assert repr(expr) in done.stderr
 
 
 def test_exit_code_for_solver_failures(tmp_path, monkeypatch, capsys):

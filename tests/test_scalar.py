@@ -23,6 +23,7 @@ from splitlaw._kernels import py_backend
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup, UnsupportedFlux)
 from splitlaw.scalar import (
+    _Selection,
     RiemannFan,
     ScalarConfig,
     cfl_dt,
@@ -503,16 +504,83 @@ _OMEGAS = st.one_of(st.sampled_from([-math.inf, math.inf, -0.0, 0.0]),
                               allow_nan=False))
 
 
-@given(pairs=_INTERFACES, convex=st.sampled_from([0, 1]), omega=_OMEGAS)
-@settings(max_examples=300, deadline=None)
-def test_godunov_kernel_is_bitwise_the_nested_selection(pairs, convex,
-                                                        omega):
+def _batched_inputs(rows, convex):
+    """The (B, n) arrays and (B, 1) omega columns of the rows' inputs."""
+    per_row = [_godunov_inputs(pairs, convex, omega) for pairs, omega in rows]
+    a, b, ga, gb = (np.array([args[i] for args in per_row])
+                    for i in range(4))
+    g_omega = np.array([[args[4]] for args in per_row])
+    omega = np.array([[args[5]] for args in per_row])
+    return per_row, (a, b, ga, gb, omega, g_omega)
+
+
+@st.composite
+def _selection_batches(draw):
+    """Rows (interfaces, omega) of one length n: up to three drawn rows and
+    one row each with a finite, a +inf and a -inf omega, in drawn order."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    interfaces = st.lists(st.one_of(st.tuples(_STATES, _STATES),
+                                    _STATES.map(lambda s: (s, s))),
+                          min_size=n, max_size=n)
+    omegas = [draw(_OMEGAS) for _ in range(draw(st.integers(0, 3)))]
+    omegas += [draw(st.floats(min_value=-2.0, max_value=2.0,
+                              allow_nan=False)), math.inf, -math.inf]
+    return [(draw(interfaces), omega)
+            for omega in draw(st.permutations(omegas))]
+
+
+@given(rows=_selection_batches(), convex=st.sampled_from([0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_godunov_kernel_is_bitwise_the_nested_selection(rows, convex):
     """Ties a == b, signed zeros, and omega finite or +-inf (the monotone
-    range, where the NumPy kernel selects one endpoint array)."""
-    args = _godunov_inputs(pairs, convex, omega)
+    range, where a float omega selects one endpoint array), row by row in
+    a (B, n) batch that holds finite, +inf and -inf omega at once."""
+    per_row, batch = _batched_inputs(rows, convex)
+    G = _Selection(batch[0].shape, bool(convex))(*batch)
+    for r, args in enumerate(per_row):
+        ref = _nested_where_godunov(*args)
+        assert _same_bits(G[r], ref)
+        assert _same_bits(_kernels.godunov_fluxes(*args), ref)
+        assert _same_bits(py_backend.godunov_fluxes(*args), ref)
+    for end in (math.inf, -math.inf):
+        G = _Selection(batch[0].shape, bool(convex))(*batch[:4], end, 0.0)
+        for r, (pairs, _) in enumerate(rows):
+            ref = _nested_where_godunov(*_godunov_inputs(pairs, convex, end))
+            assert _same_bits(G[r], ref)
+
+
+def _parabola(lo, hi):
+    """The convex flux (v - lo)(v - hi), whose g(lo) is -0.0 for lo < hi."""
+    def g(v):
+        return (np.asarray(v) - lo) * (np.asarray(v) - hi)
+
+    return FluxFunction(g=g, gprime=lambda v: 2.0 * np.asarray(v) - lo - hi,
+                        convexity="convex", c=2.0, name="parabola")
+
+
+# Where g ties at -0.0 == 0.0 the compiled kernel breaks the tie the other
+# way: -0.0 against 0.0 for the first case, 0.0 against -0.0 for the second.
+@pytest.mark.parametrize("flux, a, b, expected", [
+    pytest.param(chromatography_flux(), -0.0, 0.0, 0.0,
+                 id="concave-monotone"),
+    pytest.param(_parabola(0.5, 1.0), 1.0, 0.5, -0.0, id="convex-interior"),
+])
+def test_tied_signed_zeros_take_the_numpy_selection(flux, a, b, expected):
+    omega = critical_point(flux, min(a, b), max(a, b))
+    ga, gb = float(flux.g(a)), float(flux.g(b))
+    assert ga == gb == 0.0 and math.copysign(1.0, ga) != math.copysign(1.0, gb)
+    convex = flux.convexity == "convex"
+    g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
+    args = (np.array([a]), np.array([b]), np.array([ga]), np.array([gb]),
+            g_omega, omega, int(convex))
     ref = _nested_where_godunov(*args)
-    assert _same_bits(_kernels.godunov_fluxes(*args), ref)
+    G = _Selection((1, 1), convex)(*(x[None] for x in args[:4]),
+                                   omega, g_omega)
+    assert _same_bits(G[0], ref)
     assert _same_bits(py_backend.godunov_fluxes(*args), ref)
+    got = godunov_flux(flux, a, b)
+    assert got == expected == 0.0
+    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
 
 
 @pytest.mark.parametrize("convex", [0, 1])
