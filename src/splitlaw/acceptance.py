@@ -475,7 +475,7 @@ def criterion_08(level="full"):
 
 
 def criterion_09(level="full"):
-    """Evolving to t+s equals evolving to s then t, bitwise."""
+    """Evolving to t+s equals evolving to s then t, to roundoff."""
     def body():
         g = Grid1D(-2.0, 2.0, 256)
         names = list(SPLIT_FIXTURES) if level == "full" else ["S", "E"]

@@ -215,14 +215,13 @@ def admissibility_residual(traj, pairs, test_fns):
     _check_test_fns(ref, test_fns)
     worst = 0.0
     for pair in pairs:
-        for tf in test_fns:
-            def arrays(j):
-                comps = [c.values for c in traj.states[j].components]
-                return (np.asarray(pair.eta(comps), dtype=float),
-                        np.asarray(pair.q(comps), dtype=float))
+        def arrays(j):
+            comps = [c.values for c in traj.states[j].components]
+            return (np.asarray(pair.eta(comps), dtype=float),
+                    np.asarray(pair.q(comps), dtype=float))
 
-            r = -_spacetime_quadrature(ref, arrays, tf)
-            worst = max(worst, max(0.0, r))
+        for r in _spacetime_quadrature(ref, arrays, test_fns):
+            worst = max(worst, max(0.0, -r))
     return worst
 
 
@@ -361,8 +360,10 @@ def state_l1_distance(a, b, window=None):
 def semigroup_defect(U0, t, s, config, solver=solve_chromatography):
     """L1 gap between solve(t+s) and solve(t) after solve(s); fixed-dt only.
 
-    The discrete update is a plain state map, so aligned compositions agree
-    bitwise and the defect is exactly zero.
+    The discrete update is a plain state map, but the staged run restarts
+    from the recorded state rebuilt by from_vw (u1 = v - w), whose total
+    need not round back to the recorded v. So aligned compositions agree
+    to roundoff, not bitwise: the defect is at the 1e-17 scale, not zero.
     """
     return semigroup_defect_many(
         [U0], t, s, config,

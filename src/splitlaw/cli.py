@@ -205,15 +205,24 @@ def _fmt(x):
 def write_csv(path, header, rows):
     """One %.17g line per row; rows is a sequence of rows or a 2D array.
 
-    Rows are formatted in blocks converted to Python floats, which format
-    faster than NumPy scalars, without holding a copy of every row.
+    Rows are written in blocks, without holding a copy of every row. Each
+    distinct bit pattern of a block (so -0.0 and 0.0 stay apart) is
+    formatted once, and the block's cells are looked up from those strings.
     """
-    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK):
-            block = np.asarray(rows[start:start + _CSV_BLOCK], dtype=float)
-            fh.writelines(line % tuple(row) for row in block.tolist())
+            block = np.ascontiguousarray(rows[start:start + _CSV_BLOCK],
+                                         dtype=float)
+            bits, which = np.unique(block.view(np.int64), return_inverse=True)
+            which = which.reshape(block.shape)
+            text = [_fmt(x) for x in bits.view(np.float64).tolist()]
+            cells = np.empty(block.shape, dtype=object)
+            cells[:, :-1] = np.array([s + "," for s in text],
+                                     dtype=object)[which[:, :-1]]
+            cells[:, -1] = np.array([s + "\n" for s in text],
+                                    dtype=object)[which[:, -1]]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def write_json(path, payload):

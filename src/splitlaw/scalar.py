@@ -616,24 +616,35 @@ def _check_test_fns(traj, test_fns):
             raise InvalidArgument("test function must vanish before t_end")
 
 
-def _spacetime_quadrature(traj, cell_arrays_at, test_fn):
-    """Trapezoid in t, midpoint in x of  A*phi_t + B*phi_x  over the records.
+def _spacetime_quadrature(traj, cell_arrays_at, test_fns):
+    """Trapezoid in t, midpoint in x of  A*phi_t + B*phi_x  over the records,
+    one total per test function.
 
-    cell_arrays_at(j) returns the pair (A_j, B_j) on the grid at record j.
+    cell_arrays_at(j) returns the pair (A_j, B_j) on the grid at record j;
+    it is called once per record, and each test's space factors are
+    evaluated once.
     """
+    if not test_fns:
+        return []
     grid = traj.grid
     x = grid.centers()
+    fx = np.stack([np.asarray(tf.fx(x), dtype=float) for tf in test_fns])
+    dfx = np.stack([np.asarray(tf.dfx(x), dtype=float) for tf in test_fns])
     slabs = []
     for j, tj in enumerate(traj.times):
         A, B = cell_arrays_at(j)
-        phit = np.asarray(test_fn.dt(tj, x), dtype=float)
-        phix = np.asarray(test_fn.dx(tj, x), dtype=float)
-        slabs.append(grid.dx * math.fsum((A * phit + B * phix).tolist()))
-    total = 0.0
-    for j in range(len(slabs) - 1):
-        dt = traj.times[j + 1] - traj.times[j]
-        total += 0.5 * dt * (slabs[j] + slabs[j + 1])
-    return total
+        ft = np.array([[tf.ft(tj)] for tf in test_fns], dtype=float)
+        dft = np.array([[tf.dft(tj)] for tf in test_fns], dtype=float)
+        integrand = A * (dft * fx) + B * (ft * dfx)
+        slabs.append([grid.dx * math.fsum(row) for row in integrand.tolist()])
+    totals = []
+    for k in range(len(test_fns)):
+        total = 0.0
+        for j in range(len(slabs) - 1):
+            dt = traj.times[j + 1] - traj.times[j]
+            total += 0.5 * dt * (slabs[j][k] + slabs[j + 1][k])
+        totals.append(total)
+    return totals
 
 
 def entropy_residual(traj, entropy_pair, test_fns):
@@ -644,15 +655,15 @@ def entropy_residual(traj, entropy_pair, test_fns):
     """
     eta, q = entropy_pair
     _check_test_fns(traj, test_fns)
-    worst = 0.0
-    for tf in test_fns:
-        def arrays(j):
-            vals = traj.fields[j].values
-            return (np.asarray(eta(vals), dtype=float),
-                    np.asarray(q(vals), dtype=float))
 
-        r = -_spacetime_quadrature(traj, arrays, tf)
-        worst = max(worst, max(0.0, r))
+    def arrays(j):
+        vals = traj.fields[j].values
+        return (np.asarray(eta(vals), dtype=float),
+                np.asarray(q(vals), dtype=float))
+
+    worst = 0.0
+    for r in _spacetime_quadrature(traj, arrays, test_fns):
+        worst = max(worst, max(0.0, -r))
     return worst
 
 

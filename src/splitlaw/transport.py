@@ -48,18 +48,26 @@ class MollifierSpec:
             raise InvalidArgument("only the gaussian mollifier is available")
 
 
-def mollify(fieldv, spec):
-    """Discrete convolution with a normalized gaussian of width epsilon."""
-    dx = fieldv.grid.dx
+def _gaussian_kernel(dx, spec):
+    """Half-width K in cells and the reversed normalized gaussian weights."""
     if spec.epsilon < dx:
         raise InvalidArgument("mollifier width below the grid scale")
     K = int(math.ceil(6.0 * spec.epsilon / dx))
     offsets = np.arange(-K, K + 1) * dx
     weights = np.exp(-offsets * offsets / (2.0 * spec.epsilon * spec.epsilon))
     weights /= math.fsum(weights.tolist())
-    ext = fieldv.extended(K)
-    sm = np.convolve(ext, weights[::-1], mode="valid")
+    return K, weights[::-1]
+
+
+def _convolve(fieldv, kernel):
+    K, reversed_weights = kernel
+    sm = np.convolve(fieldv.extended(K), reversed_weights, mode="valid")
     return fieldv.with_values(sm)
+
+
+def mollify(fieldv, spec):
+    """Discrete convolution with a normalized gaussian of width epsilon."""
+    return _convolve(fieldv, _gaussian_kernel(fieldv.grid.dx, spec))
 
 
 class TransportPair:
@@ -97,15 +105,15 @@ class TransportPair:
     def continuity_residual(self, w_traj, test_fns):
         """Weak residual of w_t + (b w)_x against space-time tests."""
         _check_test_fns(w_traj, test_fns)
-        worst = 0.0
-        for tf in test_fns:
-            def arrays(j):
-                w = w_traj.fields[j].values
-                v = self.rho.fields[j].values
-                b = np.asarray(self.b_of(v), dtype=float)
-                return w, b * w
 
-            r = _spacetime_quadrature(w_traj, arrays, tf)
+        def arrays(j):
+            w = w_traj.fields[j].values
+            v = self.rho.fields[j].values
+            b = np.asarray(self.b_of(v), dtype=float)
+            return w, b * w
+
+        worst = 0.0
+        for r in _spacetime_quadrature(w_traj, arrays, test_fns):
             worst = max(worst, abs(r))
         return worst
 
@@ -146,55 +154,63 @@ def weighted_sup_norm(w_field, v_field):
 
 def regularized_velocity(pair, spec, t):
     """Smoothed velocity mollify(b rho)/mollify(rho) at time t."""
+    return _regularized_velocity(pair, _gaussian_kernel(pair.grid.dx, spec), t)
+
+
+def _regularized_velocity(pair, kernel, t):
     rho = pair.rho_at(t)
     b = np.asarray(pair.b_of(rho.values), dtype=float)
-    num = mollify(rho.with_values(b * rho.values), spec)
-    den = mollify(rho, spec)
+    num = _convolve(rho.with_values(b * rho.values), kernel)
+    den = _convolve(rho, kernel)
     if np.any(den.values <= 0.0):
         raise DegenerateDensity("mollified density vanishes")
     return rho.with_values(num.values / den.values)
 
 
 class VelocityField:
-    """Time-indexed sampler of the regularized velocity."""
+    """Time-indexed sampler of the regularized velocity.
+
+    The mollifier's weights and the cell centres are built once per field.
+    """
 
     def __init__(self, pair, spec):
         self.pair = pair
         self.spec = spec
+        self.kernel = _gaussian_kernel(pair.grid.dx, spec)
+        self.centers = pair.grid.centers()
         self._cache = {}
-        self._pad = None
+        self._bounds = None
 
     def at(self, t):
         key = round(float(t), 14)
         if key not in self._cache:
-            self._cache[key] = regularized_velocity(self.pair, self.spec, t)
+            self._cache[key] = _regularized_velocity(self.pair, self.kernel, t)
         return self._cache[key]
 
-    def _padding(self):
+    def _padded_bounds(self):
         # Characteristics launched inside the box drift at most
         # speed * horizon beyond it; only queries past that margin
         # are genuine escapes.
-        if self._pad is None:
+        if self._bounds is None:
             b_max = 0.0
             for f in self.pair.rho.fields:
                 b = np.asarray(self.pair.b_of(f.values), dtype=float)
                 b_max = max(b_max, float(np.max(np.abs(b))))
             horizon = self.pair.rho.times[-1]
-            self._pad = (b_max * horizon + 6.0 * self.spec.epsilon
-                         + self.pair.grid.dx)
-        return self._pad
+            pad = b_max * horizon + 6.0 * self.spec.epsilon + self.pair.grid.dx
+            grid = self.pair.grid
+            self._bounds = (grid.x_min - pad, grid.x_max + pad)
+        return self._bounds
 
     def sample(self, t, x):
         """Velocity at (t, x): linear interpolation between cell midpoints,
         edge values extended through the padded band outside the box."""
         f = self.at(t)
-        grid = f.grid
         x = np.asarray(x, dtype=float)
-        pad = self._padding()
-        if np.any(x < grid.x_min - pad) or np.any(x > grid.x_max + pad):
+        lo, hi = self._padded_bounds()
+        if x.size and (x.min() < lo or x.max() > hi):
             raise OutOfDomain("characteristic left the padded domain")
-        centers = grid.centers()
-        return np.interp(x, centers, f.values)
+        return np.interp(x, self.centers, f.values)
 
 
 def flow_map(velocity, t0, t1, x0):
@@ -226,26 +242,23 @@ def solve_by_characteristics(pair, w0, spec, record_times):
     time t. Smooth route: approximate by construction, used as the
     independent cross-check against the upwind scheme.
     """
-    rho0 = pair.rho_at(0.0)
-    lam0_num = mollify(w0, spec)
-    lam0_den = mollify(rho0, spec)
-    if np.any(lam0_den.values <= 0.0):
-        raise DegenerateDensity("mollified initial density vanishes")
-    lam0 = lam0_num.values / lam0_den.values
-
     velocity = VelocityField(pair, spec)
+    kernel, centers = velocity.kernel, velocity.centers
+    rho0_smooth = _convolve(pair.rho_at(0.0), kernel).values
+    if np.any(rho0_smooth <= 0.0):
+        raise DegenerateDensity("mollified initial density vanishes")
+    lam0 = _convolve(w0, kernel).values / rho0_smooth
+
     grid = pair.grid
-    centers = grid.centers()
     times = []
     fields = []
     for t in record_times:
         if t == 0.0:
-            w_vals = lam0 * mollify(rho0, spec).values
+            w_vals = lam0 * rho0_smooth
         else:
             back = flow_map(_Reversed(velocity, t), 0.0, t, centers)
             lam = np.interp(back, centers, lam0)
-            rho_t = mollify(pair.rho_at(t), spec)
-            w_vals = lam * rho_t.values
+            w_vals = lam * _convolve(pair.rho_at(t), kernel).values
         times.append(float(t))
         fields.append(CellField(grid, w_vals, w0.boundary))
     return Trajectory(times, fields, {"mollifier": spec.epsilon})
@@ -273,17 +286,17 @@ def renorm_residual(pair, w_traj, beta, test_fns):
     density this vanishes up to discretization error.
     """
     _check_test_fns(w_traj, test_fns)
-    worst = 0.0
-    for tf in test_fns:
-        def arrays(j):
-            v = pair.rho.fields[j].values
-            w = w_traj.fields[j].values
-            u = np.where(v != 0.0, w / np.where(v != 0.0, v, 1.0), 0.0)
-            bu = np.asarray(beta(u), dtype=float)
-            b = np.asarray(pair.b_of(v), dtype=float)
-            return v * bu, b * v * bu
 
-        r = _spacetime_quadrature(w_traj, arrays, tf)
+    def arrays(j):
+        v = pair.rho.fields[j].values
+        w = w_traj.fields[j].values
+        u = np.where(v != 0.0, w / np.where(v != 0.0, v, 1.0), 0.0)
+        bu = np.asarray(beta(u), dtype=float)
+        b = np.asarray(pair.b_of(v), dtype=float)
+        return v * bu, b * v * bu
+
+    worst = 0.0
+    for r in _spacetime_quadrature(w_traj, arrays, test_fns):
         worst = max(worst, abs(r))
     return worst
 

@@ -187,13 +187,11 @@ def test_random_batches_keep_the_exact_invariants(batch):
         assert np.ptp(v0.values) > 0.0
         assert max_principle_defect(v_traj) <= EXACT_TOL
         assert _tvd_defect(v_traj) <= EXACT_TOL
-        if boundary == "constant-extension":
-            assert tvd_defect(v_traj) <= EXACT_TOL
+        assert tvd_defect(v_traj) <= EXACT_TOL
         control = Trajectory([0.0, 0.5], [v0, _anti_diffused(v0)], {})
         assert max_principle_defect(control) > EXACT_TOL
         assert _tvd_defect(control) > EXACT_TOL
-        if boundary == "constant-extension":
-            assert tvd_defect(control) > EXACT_TOL
+        assert tvd_defect(control) > EXACT_TOL
 
         for v_t, w_t in zip(v_traj.fields, w_traj.fields):
             assert _dominated(w_t, v_t)

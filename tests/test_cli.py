@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitlaw import acceptance
 from splitlaw.cli import (
+    _CSV_BLOCK,
     _fmt,
     load_config,
     main,
@@ -194,6 +197,46 @@ def test_write_csv_matches_the_per_value_format(tmp_path):
         assert path.read_bytes() == want.encode()
 
 
+# Values whose formatting is easy to get wrong once each distinct value is
+# formatted once: signed zeros, two NaN payloads, infinities, subnormals,
+# integers beyond 2**53 and neighbours one ulp apart.
+_CSV_POOL = [0.0, -0.0, float("nan"),
+             np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0],
+             float("inf"), -float("inf"), 5e-324, -5e-324, 2.2e-308,
+             float(2 ** 60), float(2 ** 60 + 2 ** 8), 0.1,
+             np.nextafter(0.1, 1.0), 1.0 / 3.0, -1e300]
+
+
+@st.composite
+def _csv_tables(draw):
+    """Tables of 0 to 2 * _CSV_BLOCK + 1 rows and 1 to 4 columns, drawn
+    from _CSV_POOL and from arbitrary floats, as a list or a 2D array."""
+    ncol = draw(st.integers(1, 4))
+    nrow = draw(st.sampled_from([0, 1, 7, _CSV_BLOCK, _CSV_BLOCK + 1,
+                                 2 * _CSV_BLOCK + 1]))
+    pool = _CSV_POOL + draw(st.lists(st.floats(allow_nan=True), max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = np.asarray(pool, dtype=float)[
+        rng.integers(0, len(pool), size=(nrow, ncol))]
+    if nrow:
+        # -0.0 and 0.0 always share the first block
+        table[0, 0], table[-1 if nrow < _CSV_BLOCK else 1, -1] = 0.0, -0.0
+    return table.tolist() if draw(st.booleans()) else table
+
+
+@settings(max_examples=30, deadline=None)
+@given(_csv_tables())
+def test_write_csv_is_bitwise_the_per_row_format(tmp_path_factory, table):
+    """Formatting each distinct bit pattern once writes byte for byte what
+    formatting every cell with _fmt writes, across block boundaries."""
+    header = ["c%d" % i for i in range(len(table[0]) if len(table) else 2)]
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(str(path), header, table)
+    want = ",".join(header) + "\n" + "".join(
+        ",".join(_fmt(x) for x in row) + "\n" for row in table)
+    assert path.read_bytes() == want.encode()
+
+
 DEPAUW_CFG = """\
 [experiment]
 kind = depauw
@@ -266,23 +309,68 @@ def test_exit_code_for_config_problems(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _run_in_subprocess(tmp_path, cfg):
+    """`python -m splitlaw.cli run cfg` in a fresh process, so a traceback
+    shows in stderr and a hang fails on the timeout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, SPLITLAW_OUTPUT_ROOT=str(tmp_path / "out"),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run([sys.executable, "-m", "splitlaw.cli", "run", cfg],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
 @pytest.mark.parametrize("expr", ["x[", "exp()"])
 def test_malformed_expression_is_a_config_error(tmp_path, expr):
     """A syntax error, and a call that fails when evaluated: both exit 2
     with a one-line message naming the expression, not a traceback."""
     cfg = _write(tmp_path, "bad.ini", RIEMANN_CFG.replace(
         "riemann(1.0, 0.0)", f"expr: {expr}"))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, SPLITLAW_OUTPUT_ROOT=str(tmp_path / "out"),
-               PYTHONPATH=os.pathsep.join(
-                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    done = subprocess.run([sys.executable, "-m", "splitlaw.cli", "run", cfg],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+    done = _run_in_subprocess(tmp_path, cfg)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("invalid-argument:")
     assert repr(expr) in done.stderr
+
+
+CHROMA_CFG = """\
+[experiment]
+kind = chroma
+
+[grid]
+n = 64
+
+[initial]
+u1 = riemann(0.75, 0.25)
+u2 = riemann(0.5, 0.5)
+
+[time]
+t_end = 0.25
+"""
+
+
+@pytest.mark.parametrize("cfg_text", [
+    RIEMANN_CFG.replace("riemann(1.0, 0.0)", "riemann(1e200, 0.0)"),
+    CHROMA_CFG.replace("riemann(0.75, 0.25)", "constant(1e308)"),
+], ids=["riemann-1e200", "chroma-1e308"])
+def test_huge_initial_data_does_not_crash(tmp_path, cfg_text):
+    """(1 + v)**2 overflows a Python float above about 1.3e154; g'(v) and
+    the speed bound take float64 semantics there (1/inf = 0), so the run
+    ends with a documented exit code, not a traceback and exit 1."""
+    done = _run_in_subprocess(tmp_path, _write(tmp_path, "huge.ini", cfg_text))
+    assert "Traceback" not in done.stderr
+    assert done.returncode in (0, 2, 3)
+
+
+def test_subnormal_cell_width_is_rejected_at_once(tmp_path):
+    """A subnormal dx made dt subnormal too, and the run never finished."""
+    cfg = _write(tmp_path, "tiny.ini", RIEMANN_CFG.replace(
+        "x_min = -2\nx_max = 2", "x_min = 0.0\nx_max = 1e-320").replace(
+        "n = 64", "n = 32"))
+    done = _run_in_subprocess(tmp_path, cfg)
+    assert done.returncode == 2
+    assert done.stderr.startswith("invalid-argument:")
 
 
 def test_exit_code_for_solver_failures(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Grids, cell fields, flux descriptions, and the measurement toolbox."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ def test_grid_rejects_degenerate_inputs():
         Grid1D(1.0, 0.0, 8)
     with pytest.raises(InvalidArgument):
         Grid1D(0.0, 1.0, 1)
+
+
+def test_grid_rejects_a_subnormal_cell_width():
+    with pytest.raises(InvalidArgument, match="smallest normal float"):
+        Grid1D(0.0, 1e-320, 32)
+    with pytest.raises(InvalidArgument):
+        Grid1D(0.0, 4.0 * sys.float_info.min, 8)
+    assert Grid1D(0.0, 32.0 * sys.float_info.min, 32).dx == sys.float_info.min
 
 
 def test_grid_rejects_non_finite_bounds():
@@ -133,6 +142,16 @@ def test_total_variation_of_monotone_step():
     assert total_variation(f, window=(0.9, 0.95)) == 0.0
     with pytest.raises(InvalidArgument):
         total_variation(f, window=(0.5, 0.1))
+
+
+def test_total_variation_of_a_periodic_field_crosses_the_seam():
+    g = Grid1D(0.0, 1.0, 4)
+    values = [0.0, 1.0, 1.0, 0.25]
+    assert total_variation(CellField(g, values, "periodic")) == 2.0
+    assert total_variation(CellField(g, values)) == 1.75
+    # a window is an interval, seam or not
+    assert total_variation(CellField(g, values, "periodic"),
+                           window=(0.0, 1.0)) == 1.75
 
 
 def test_mass_over_windows():

@@ -24,6 +24,7 @@ from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup, UnsupportedFlux)
 from splitlaw.scalar import (
     _Selection,
+    _spacetime_quadrature,
     RiemannFan,
     ScalarConfig,
     cfl_dt,
@@ -291,6 +292,71 @@ def test_entropy_residual_requires_interior_test_support():
         entropy_residual(traj, pair, [bump_test(0.0, 0.4, -0.5, 0.5)])
     with pytest.raises(InvalidArgument):
         entropy_residual(traj, pair, [bump_test(0.1, 0.6, -0.5, 0.5)])
+
+
+def _per_test_quadrature(traj, cell_arrays_at, test_fn):
+    """The quadrature as it was written for one test function at a time:
+    phi_t and phi_x evaluated whole at every record."""
+    grid = traj.grid
+    x = grid.centers()
+    slabs = []
+    for j, tj in enumerate(traj.times):
+        A, B = cell_arrays_at(j)
+        phit = np.asarray(test_fn.dt(tj, x), dtype=float)
+        phix = np.asarray(test_fn.dx(tj, x), dtype=float)
+        slabs.append(grid.dx * math.fsum((A * phit + B * phix).tolist()))
+    total = 0.0
+    for j in range(len(slabs) - 1):
+        dt = traj.times[j + 1] - traj.times[j]
+        total += 0.5 * dt * (slabs[j] + slabs[j + 1])
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), nt=st.integers(2, 9), k=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1), poison=st.booleans())
+def test_multi_test_quadrature_is_bitwise_the_per_test_loop(n, nt, k, seed,
+                                                            poison):
+    """One sweep of the records for every test gives, test by test, the
+    bits of the per-test loop; a NaN cell still reaches every total."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-1.0, 1.0, n)
+    times = np.cumsum(rng.uniform(0.01, 0.2, nt)) - 0.01
+    traj = Trajectory(times, [CellField(grid, np.zeros(n)) for _ in times])
+    A = rng.standard_normal((nt, n)) * 10.0 ** rng.integers(-3, 4)
+    B = rng.standard_normal((nt, n))
+    if poison:
+        A[rng.integers(nt), rng.integers(n)] = np.nan
+    tests = []
+    for _ in range(k):
+        t0, t1 = np.sort(rng.uniform(times[0], times[-1], 2))
+        x0, x1 = np.sort(rng.uniform(-1.2, 1.2, 2))
+        tests.append(bump_test(t0, t1, x0, x1))
+    calls = []
+
+    def arrays(j):
+        calls.append(j)
+        return A[j], B[j]
+
+    got = _spacetime_quadrature(traj, arrays, tests)
+    assert calls == list(range(nt))
+    want = [_per_test_quadrature(traj, arrays, tf) for tf in tests]
+    assert [r.hex() for r in got] == [r.hex() for r in want]
+    assert all(math.isnan(r) for r in got) == poison
+
+
+def test_periodic_tvd_defect_counts_the_seam():
+    """On periodic data the interval variation can grow while the total
+    variation around the circle falls; tvd_defect measures the latter.
+    Read as constant-extension data, the same fields do show growth."""
+    grid = Grid1D(-1.0, 1.0, 16)
+    v0 = CellField(grid, [0.0, 0.0] + [0.125] * 14, "periodic")
+    traj = solve_scalar(chromatography_flux(), v0,
+                        ScalarConfig(t_end=0.5, record_times=[0.25, 0.5]))
+    assert tvd_defect(traj) == 0.0
+    interval = Trajectory(traj.times, [
+        CellField(grid, f.values, "constant-extension") for f in traj.fields])
+    assert tvd_defect(interval) > 0.02
 
 
 def test_tvd_and_max_principle_defects_on_constructed_data():

@@ -390,6 +390,10 @@ def test_velocity_field_sampling_and_padding():
     assert edge == pytest.approx(float(velocity.at(0.1).values[-1]))
     with pytest.raises(OutOfDomain):
         velocity.sample(0.1, grid.x_max + 100.0)
+    # either side, and one escaped point among many
+    with pytest.raises(OutOfDomain):
+        velocity.sample(0.1, np.array([0.0, grid.x_min - 100.0, 0.5]))
+    assert velocity.sample(0.1, np.array([])).shape == (0,)
 
 
 def test_flow_map_constant_velocity_is_a_translation():
@@ -440,6 +444,95 @@ def test_characteristics_translate_a_bump_at_constant_speed():
         lambda x: np.exp(-4.0 * (x - 0.4) ** 2), grid), spec)
     assert lp_distance(w_traj.at(1.0), shifted, 1) <= 1e-3
     assert np.max(np.abs(w_traj.at(1.0).values - shifted.values)) <= 1e-3
+
+
+def _mollify_once_per_call(fieldv, spec):
+    """mollify as written before the weights were shared: built per call."""
+    dx = fieldv.grid.dx
+    K = int(math.ceil(6.0 * spec.epsilon / dx))
+    offsets = np.arange(-K, K + 1) * dx
+    weights = np.exp(-offsets * offsets / (2.0 * spec.epsilon * spec.epsilon))
+    weights /= math.fsum(weights.tolist())
+    sm = np.convolve(fieldv.extended(K), weights[::-1], mode="valid")
+    return fieldv.with_values(sm)
+
+
+class _VelocityPerCall:
+    """VelocityField as written before: weights rebuilt by every mollify,
+    cell centres by every sample, and two full escape comparisons."""
+
+    def __init__(self, pair, spec):
+        self.pair = pair
+        self.spec = spec
+        self._cache = {}
+        self._pad = None
+
+    def at(self, t):
+        key = round(float(t), 14)
+        if key not in self._cache:
+            rho = self.pair.rho_at(t)
+            b = np.asarray(self.pair.b_of(rho.values), dtype=float)
+            num = _mollify_once_per_call(rho.with_values(b * rho.values),
+                                         self.spec)
+            den = _mollify_once_per_call(rho, self.spec)
+            self._cache[key] = rho.with_values(num.values / den.values)
+        return self._cache[key]
+
+    def sample(self, t, x):
+        f = self.at(t)
+        grid = f.grid
+        x = np.asarray(x, dtype=float)
+        if self._pad is None:
+            b_max = 0.0
+            for g in self.pair.rho.fields:
+                b = np.asarray(self.pair.b_of(g.values), dtype=float)
+                b_max = max(b_max, float(np.max(np.abs(b))))
+            self._pad = (b_max * self.pair.rho.times[-1]
+                         + 6.0 * self.spec.epsilon + self.pair.grid.dx)
+        if (np.any(x < grid.x_min - self._pad)
+                or np.any(x > grid.x_max + self._pad)):
+            raise OutOfDomain("characteristic left the padded domain")
+        return np.interp(x, grid.centers(), f.values)
+
+
+def _characteristics_per_call(pair, w0, spec, record_times):
+    from splitlaw.transport import _Reversed
+    rho0 = pair.rho_at(0.0)
+    lam0 = (_mollify_once_per_call(w0, spec).values
+            / _mollify_once_per_call(rho0, spec).values)
+    velocity = _VelocityPerCall(pair, spec)
+    centers = pair.grid.centers()
+    out = []
+    for t in record_times:
+        if t == 0.0:
+            out.append(lam0 * _mollify_once_per_call(rho0, spec).values)
+            continue
+        back = flow_map(_Reversed(velocity, t), 0.0, t, centers)
+        lam = np.interp(back, centers, lam0)
+        out.append(lam * _mollify_once_per_call(pair.rho_at(t), spec).values)
+    return out
+
+
+@pytest.mark.parametrize("n, width, boundary", [
+    (64, 4.0, "constant-extension"), (96, 8.0, "periodic"),
+    (128, 5.5, "constant-extension")])
+def test_characteristics_are_bitwise_the_per_call_mollifier(n, width,
+                                                            boundary):
+    """Sharing the weights and the cell centres moves no bit of the
+    characteristics route, at record times on and off the solver's."""
+    grid = Grid1D(-2.0, 2.0, n)
+    v0 = CellField(grid, _bump(grid).values, boundary)
+    cfg = ScalarConfig(t_end=0.25,
+                       record_times=list(np.linspace(0.0, 0.25, 6)))
+    vt = solve_scalar(joint_speed_flux(chromatography_flux(), _b), v0, cfg)
+    pair = TransportPair(vt, _b)
+    spec = MollifierSpec(width * grid.dx)
+    w0 = v0.with_values(v0.values * np.cos(grid.centers()))
+    record = [0.0, 0.05, 0.13, 0.25]
+    got = solve_by_characteristics(pair, w0, spec, record)
+    want = _characteristics_per_call(pair, w0, spec, record)
+    for field, values in zip(got.fields, want):
+        assert field.values.tobytes() == values.tobytes()
 
 
 def test_renorm_residual_separates_matched_from_mismatched_velocity():
