@@ -1,13 +1,17 @@
-"""Pure NumPy reference kernels.
+"""Per-step NumPy reference kernels.
 
-The compiled backend in _speed.pyx mirrors these loops operation for
-operation; both must produce bit-identical results, which the test suite
-checks. Keep every arithmetic expression in the same order in both files
-(and no FMA contraction on the C side) or the parity test will fail.
+These are the one-step forms of the Godunov selection, the conservative
+update, the upwind transport step and the Lax-Friedrichs fluxes. No solver
+calls them: the step loops in `scalar` and `chroma` do the same arithmetic
+in per-solve buffers, and the tests compare the solvers against these
+forms bitwise. Keep every arithmetic expression in the order written here.
 """
 import math
 
 import numpy as np
+
+# perfbench's run header reads splitlaw.BACKEND.
+BACKEND = "python"
 
 
 def godunov_fluxes(a, b, ga, gb, g_omega, omega, convex):
@@ -43,7 +47,7 @@ def scalar_step(v, G, mu):
     """Conservative update, associated as (v - mu*G_out) + mu*G_in.
 
     The pairing matters: the transport stage reuses exactly these two terms,
-    so the replayed v is bit-identical to this one.
+    so the v of a split run is bit-identical to this one.
     """
     alpha = v - mu * G[1:]
     beta = mu * G[:-1]

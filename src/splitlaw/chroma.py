@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CellField, SplitTrajectory, VectorState, _ghost_cells,
-                   _window_slice, chromatography_flux, lp_distance,
-                   total_variation)
+                   _window_slice, _worst_residual, chromatography_flux,
+                   lp_distance, total_variation)
 from .errors import InvalidArgument, InvalidEntropy, NumericalBlowup
 from .scalar import (ScalarConfig, _batch_grid, _check_test_fns, _in_row,
                      _lockstep, _spacetime_quadrature)
@@ -213,16 +213,16 @@ def admissibility_residual(traj, pairs, test_fns):
     """Worst positive part of the weak entropy residual across pairs/tests."""
     ref = traj.component_trajectory(0)
     _check_test_fns(ref, test_fns)
-    worst = 0.0
-    for pair in pairs:
+
+    def totals(pair):
         def arrays(j):
             comps = [c.values for c in traj.states[j].components]
             return (np.asarray(pair.eta(comps), dtype=float),
                     np.asarray(pair.q(comps), dtype=float))
 
-        for r in _spacetime_quadrature(ref, arrays, test_fns):
-            worst = max(worst, max(0.0, -r))
-    return worst
+        return _spacetime_quadrature(ref, arrays, test_fns)
+
+    return _worst_residual(-r for pair in pairs for r in totals(pair))
 
 
 _FLOOR = -1e-14  # roundoff allowance when certifying nonnegativity

@@ -46,6 +46,7 @@ from .kk import KKState, renormalization_defect, solve_kk
 from .scalar import ScalarConfig, max_principle_defect, solve_scalar, tvd_defect
 
 KINDS = ("riemann", "chroma", "kk", "depauw", "verify")
+LEVELS = ("fast", "full")
 
 _IC_RIEMANN = re.compile(r"riemann\(\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
 _IC_CONSTANT = re.compile(r"constant\(\s*([^)]+)\s*\)$")
@@ -184,6 +185,8 @@ def load_config(path):
             cfg.init_k = parser.getint("schedule", "init_k")
     if parser.has_section("verify"):
         cfg.level = parser.get("verify", "level", fallback=cfg.level)
+        if cfg.level not in LEVELS:
+            raise InvalidArgument(f"unknown verify level: {cfg.level!r}")
     if parser.has_section("output"):
         cfg.basename = parser.get("output", "basename", fallback=stem)
     if not cfg.record and kind in ("riemann", "chroma", "kk"):
@@ -445,7 +448,7 @@ def build_parser():
     p_run.add_argument("config")
     p_run.set_defaults(fn=_cmd_run)
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--level", choices=("fast", "full"),
+    p_verify.add_argument("--level", choices=LEVELS,
                           default="fast")
     p_verify.set_defaults(fn=_cmd_verify)
     p_export = sub.add_parser("export", help="export a trajectory")

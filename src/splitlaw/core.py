@@ -333,6 +333,17 @@ def weak_pairing(field, test_fn, window=None):
     return field.grid.dx * math.fsum((field.values[idx] * phi).tolist())
 
 
+def _worst_residual(residuals):
+    """The largest residual, at least 0.0, or NaN as soon as one is NaN:
+    max() would drop a NaN and report a perfect residual."""
+    worst = 0.0
+    for r in residuals:
+        if math.isnan(r):
+            return math.nan
+        worst = max(worst, r)
+    return worst
+
+
 class SpaceTimeTest:
     """C^1 tensor-product test function phi(t, x) = ft(t) * fx(x), given by
     its factors and their derivatives, so a quadrature can evaluate the

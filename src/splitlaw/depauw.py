@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import Trajectory
+from .core import Trajectory, _worst_residual
 from .errors import ConstructionBug, InvalidArgument, UnresolvedScale
 
 _BOX_SCALES = 4  # coarse-grained L1 reported at 2^0 .. 2^-3
@@ -576,7 +576,7 @@ def continuity_residual_2d(schedule, init, test_fns, samples_per_stage=33):
     for _, _, t1 in schedule.stages:
         breakpoints.append(t1)
 
-    worst = 0.0
+    totals = []
     for tf in test_fns:
         lo = max(tf.t_support[0], 0.0)
         hi = min(tf.t_support[1], schedule.T)
@@ -603,8 +603,8 @@ def continuity_residual_2d(schedule, init, test_fns, samples_per_stage=33):
             slab = np.asarray(slab)
             dt = ts[1] - ts[0]
             total += float(dt * (np.sum(slab) - 0.5 * (slab[0] + slab[-1])))
-        worst = max(worst, abs(total))
-    return worst
+        totals.append(abs(total))
+    return _worst_residual(totals)
 
 
 def strong_modulus_2d(traj, t0):

@@ -8,12 +8,13 @@ comparison defect.
 """
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (CellField, Trajectory, _ghost_cells, _window_slice,
-                   total_variation)
+                   _worst_residual, total_variation)
 from .errors import (HypothesisViolation, InvalidArgument, NumericalBlowup,
                      SplitlawError, UnsupportedFlux)
 
@@ -185,12 +186,16 @@ class ScalarConfig:
     fixed_dt: float = None
 
     def __post_init__(self):
-        if not (0.0 < self.cfl < 1.0):
-            raise InvalidArgument("cfl must lie in (0, 1)")
+        # a subnormal cfl or fixed_dt makes a step that cannot advance t
+        if not (sys.float_info.min <= self.cfl < 1.0):
+            raise InvalidArgument(
+                "cfl must lie in (0, 1) and be a normal float")
         if not (0.0 < self.t_end < math.inf):
             raise InvalidArgument("t_end must be positive and finite")
-        if self.fixed_dt is not None and not (0.0 < self.fixed_dt < math.inf):
-            raise InvalidArgument("fixed_dt must be positive and finite")
+        if self.fixed_dt is not None and not (
+                sys.float_info.min <= self.fixed_dt < math.inf):
+            raise InvalidArgument(
+                "fixed_dt must be finite and a positive normal float")
         for t in self.record_times:
             if not (0.0 <= t <= self.t_end):
                 raise InvalidArgument("record times must lie in [0, t_end]")
@@ -225,7 +230,12 @@ def _fixed_step_plan(config, stops):
 
     Both t_end and every stop must be whole multiples of fixed_dt.
     """
-    n_steps = round(config.t_end / config.fixed_dt)
+    quotient = config.t_end / config.fixed_dt
+    if not math.isfinite(quotient):
+        raise InvalidArgument(
+            f"t_end / fixed_dt = {config.t_end!r} / {config.fixed_dt!r} "
+            "overflows")
+    n_steps = round(quotient)
     if abs(n_steps * config.fixed_dt - config.t_end) > 1e-9 * config.t_end:
         raise InvalidArgument("t_end is not a multiple of fixed_dt")
     stop_steps = set()
@@ -270,6 +280,10 @@ def _time_steps(config, dx, speed):
             if lands:
                 dt = next_stop - t
                 t = next_stop
+            elif t + dt == t:
+                raise InvalidArgument(
+                    f"the CFL step dt={dt!r} no longer advances t={t!r} "
+                    f"at step {step}")
             else:
                 t += dt
             yield step, dt, t, lands
@@ -661,10 +675,8 @@ def entropy_residual(traj, entropy_pair, test_fns):
         return (np.asarray(eta(vals), dtype=float),
                 np.asarray(q(vals), dtype=float))
 
-    worst = 0.0
-    for r in _spacetime_quadrature(traj, arrays, test_fns):
-        worst = max(worst, max(0.0, -r))
-    return worst
+    return _worst_residual(
+        -r for r in _spacetime_quadrature(traj, arrays, test_fns))
 
 
 def tvd_defect(traj, window=None):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellField, FluxFunction, Trajectory, _window_slice
+from .core import (CellField, FluxFunction, Trajectory, _window_slice,
+                   _worst_residual)
 from .errors import DegenerateDensity, InvalidArgument, OutOfDomain
 from .scalar import _check_test_fns, _march, _spacetime_quadrature
 
@@ -112,10 +113,8 @@ class TransportPair:
             b = np.asarray(self.b_of(v), dtype=float)
             return w, b * w
 
-        worst = 0.0
-        for r in _spacetime_quadrature(w_traj, arrays, test_fns):
-            worst = max(worst, abs(r))
-        return worst
+        return _worst_residual(
+            abs(r) for r in _spacetime_quadrature(w_traj, arrays, test_fns))
 
 
 def solve_split(flux, b_of_v, v0, w0s, config):
@@ -295,10 +294,8 @@ def renorm_residual(pair, w_traj, beta, test_fns):
         b = np.asarray(pair.b_of(v), dtype=float)
         return v * bu, b * v * bu
 
-    worst = 0.0
-    for r in _spacetime_quadrature(w_traj, arrays, test_fns):
-        worst = max(worst, abs(r))
-    return worst
+    return _worst_residual(
+        abs(r) for r in _spacetime_quadrature(w_traj, arrays, test_fns))
 
 
 def strong_continuity_modulus(traj, t0, window=None):

@@ -12,11 +12,12 @@ from splitlaw.chroma import (ChromState, solve_chromatography,
                              solve_chromatography_many, solve_direct,
                              solve_direct_many)
 from splitlaw.core import (CellField, FluxFunction, Grid1D, Trajectory,
-                           chromatography_flux, project)
+                           chromatography_flux, mass, project)
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup)
 from splitlaw.kk import KKState, solve_kk, solve_kk_many
-from splitlaw.scalar import ScalarConfig, max_principle_defect, tvd_defect
+from splitlaw.scalar import (ScalarConfig, comparison_defect,
+                             max_principle_defect, tvd_defect)
 from splitlaw.transport import solve_split, solve_split_many
 
 EXACT_TOL = 1e-12
@@ -205,6 +206,85 @@ def test_random_batches_keep_the_exact_invariants(batch):
             w_t = w_traj.fields[-1].copy()
             w_t.values[i] = -sign * 5e-324
             assert not _keeps_sign(w_t, sign)
+
+
+def _leaky_step(field, dt, leak=2.0 ** -20):
+    """One upwind step of v/(1+v) in which each cell receives only
+    (1 - leak) of the flux its left neighbour loses: not conservative."""
+    ext = field.extended(1)
+    G = ext[:-1] / (1.0 + ext[:-1])
+    mu = dt / field.grid.dx
+    return field.with_values(field.values - mu * G[1:]
+                             + (1.0 - leak) * mu * G[:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_property_batches(), st.sampled_from(["split", "direct"]),
+       st.booleans())
+def test_random_periodic_batches_conserve_mass(batch, kind, fixed):
+    """On periodic data the mass of v, of each w and of each chromatography
+    component stays at its initial value to roundoff at every record; a
+    step that leaks flux between cells breaks that."""
+    n, _, rows = batch
+    grid = Grid1D(-1.0, 1.0, n)
+    cfg = _config(n, fixed)
+    v0s = [CellField(grid, v, "periodic") for v, _, _ in rows]
+    if kind == "split":
+        w0s = [[v0.with_values(lam * v0.values)]
+               for v0, (_, lam, _) in zip(v0s, rows)]
+        runs = [[v_traj.fields, *(w.fields for w in w_trajs)]
+                for v_traj, w_trajs in solve_split_many(
+                    chromatography_flux(), _b, v0s, w0s, cfg)]
+    else:
+        U0s = [ChromState([v0.with_values(0.5 * (1.0 + lam) * v0.values),
+                           v0.with_values(0.5 * (1.0 - lam) * v0.values)])
+               for v0, (_, lam, _) in zip(v0s, rows)]
+        runs = [[[U.components[i] for U in traj.states] for i in range(2)]
+                for traj in solve_direct_many(U0s, cfg)]
+    for records in runs:
+        for fields in records:
+            m0 = mass(fields[0])
+            for f in fields[1:]:
+                assert abs(mass(f) - m0) <= EXACT_TOL
+    for v0 in v0s:
+        assert abs(mass(_leaky_step(v0, 0.5 / n)) - mass(v0)) > EXACT_TOL
+
+
+@st.composite
+def _ordered_pairs(draw):
+    """Rows (u0, v0) of one periodic grid with v0 - u0 >= 1/8 in every
+    cell: u0 a random piecewise-constant row, v0 = u0 plus one."""
+    n = draw(st.sampled_from([16, 32, 48]))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        u, _ = draw(_rows(n, st.integers(0, 16).map(lambda k: k / 8.0),
+                          min_jumps=1))
+        d, _ = draw(_rows(n, st.integers(1, 8).map(lambda k: k / 8.0)))
+        pairs.append((u, u + d))
+    return n, pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ordered_pairs())
+def test_ordered_pairs_keep_the_comparison_defect_at_roundoff(batch):
+    """u0 <= v0 under one fixed dt: the localized comparison defect stays
+    at roundoff. Swapping the pair's records after t = 0 keeps the initial
+    order but reverses every later one, and the defect must see it."""
+    n, pairs = batch
+    grid = Grid1D(-1.0, 1.0, n)
+    cfg = _config(n, True)
+    inits = [CellField(grid, x, "periodic") for pair in pairs for x in pair]
+    runs = solve_split_many(chromatography_flux(), _b, inits,
+                            [[] for _ in inits], cfg)
+    R = 1.0 - 0.25  # R + L t_end inside [-1, 1], as L <= 1
+    for r in range(len(pairs)):
+        tu, tv = runs[2 * r][0], runs[2 * r + 1][0]
+        assert comparison_defect(tu, tv, R) <= EXACT_TOL
+        swapped_u = Trajectory(tu.times, tu.fields[:1] + tv.fields[1:],
+                               tu.meta)
+        swapped_v = Trajectory(tv.times, tv.fields[:1] + tu.fields[1:],
+                               tv.meta)
+        assert comparison_defect(swapped_u, swapped_v, R) > EXACT_TOL
 
 
 def _riemann_components(grid, pairs):

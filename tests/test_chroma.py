@@ -1,5 +1,6 @@
 """Split chromatography solver, entropy lifting, and the direct oracle."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,6 +232,24 @@ def test_projection_rejects_off_family_functions_and_bad_shapes():
     assert resid >= 0.01
     with pytest.raises(InvalidArgument):
         project_to_lifted(eta, [np.array([1.0, 2.0, 3.0])])
+
+
+def test_admissibility_residual_is_nan_when_a_total_is_nan():
+    """A NaN total from any pair makes the residual NaN, in either order;
+    max() used to drop it."""
+    grid = _grid(32)
+    cfg = ScalarConfig(t_end=0.5,
+                       record_times=list(np.linspace(0.0, 0.5, 11)))
+    traj = solve_chromatography(
+        _riemann_state(grid, [(0.25, 0.5), (0.25, 0.75)]), cfg)
+    pair = lift_entropy(_eta_s, _q_s, 0.0)
+    holed = SimpleNamespace(
+        eta=lambda comps: np.where(comps[0] > 0.4, np.nan, comps[0]),
+        q=lambda comps: np.zeros_like(comps[0]))
+    tests = [bump_test(0.05, 0.45, -1.0, 1.0)]
+    assert admissibility_residual(traj, [pair], tests) <= 0.05
+    assert math.isnan(admissibility_residual(traj, [pair, holed], tests))
+    assert math.isnan(admissibility_residual(traj, [holed, pair], tests))
 
 
 def test_admissibility_residual_small_for_the_split_solution():

@@ -1,6 +1,10 @@
 """Command line front end: config parsing, outputs, exit codes."""
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +367,81 @@ def test_huge_initial_data_does_not_crash(tmp_path, cfg_text):
     assert done.returncode in (0, 2, 3)
 
 
+def test_an_overflowing_residual_is_reported_as_nan(tmp_path, monkeypatch,
+                                                    capsys):
+    """u1 = 1e308 makes the entropy quadrature total NaN: the run still
+    ends normally, but its diagnostics must say NaN, not a perfect 0.0."""
+    monkeypatch.setenv("SPLITLAW_OUTPUT_ROOT", str(tmp_path / "out"))
+    cfg = _write(tmp_path, "huge.ini", CHROMA_CFG.replace(
+        "riemann(0.75, 0.25)", "constant(1e308)"))
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "out" / "huge.diagnostics.json").read_text()
+    assert '"entropy_residual": NaN' in text
+    assert math.isnan(json.loads(text)["entropy_residual"])
+
+
+# Values a config line may hold by mistake: empty, non-finite, negative,
+# zero, subnormal, not a number, an interpolation, an unknown name.
+_HOSTILE = ["", "nan", "inf", "-1", "0", "1e-320", "x", "%(x)s", "nope"]
+
+
+@st.composite
+def _hostile_configs(draw):
+    """RIEMANN_CFG or CHROMA_CFG with one to three `key = value` lines
+    given a hostile value, duplicated or dropped. n stays at most 64."""
+    lines = draw(st.sampled_from([RIEMANN_CFG, CHROMA_CFG])).splitlines()
+    keyed = [i for i, line in enumerate(lines) if " = " in line]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(keyed))
+        key = lines[i].split(" = ")[0]
+        how = draw(st.sampled_from(["set"] * 8 + ["dup", "drop"]))
+        if how == "set":
+            lines[i] = f"{key} = {draw(st.sampled_from(_HOSTILE))}"
+        elif how == "dup":
+            lines.insert(i, lines[i])
+            keyed = [j + (j >= i) for j in keyed]
+        else:
+            lines[i] = ""
+            keyed.remove(i)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_hostile_configs())
+def test_hostile_configs_exit_with_a_documented_code(tmp_path_factory, text):
+    """main() returns an exit code in 0-4 for every mutated config: no
+    uncaught exception, and an error named by its identifier."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = root / "fuzz.ini"
+    cfg.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setenv("SPLITLAW_OUTPUT_ROOT", str(root / "out"))
+        rc = main(["run", str(cfg)])
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert re.match(r"[a-z-]+: ", err.getvalue())
+
+
+def test_a_time_step_that_cannot_advance_is_a_config_error(tmp_path,
+                                                           capsys):
+    """A subnormal cfl made the time loop run for ever, and t_end / fixed_dt
+    overflowing to inf crashed round() with a traceback; all exit 2."""
+    for lines, reason in (
+            ("cfl = 1e-320", "cfl must lie in (0, 1)"),
+            ("cfl = 0.45\nfixed_dt = 1e-320", "fixed_dt must be finite"),
+            ("cfl = 0.45\nfixed_dt = 1e-300",
+             "t_end / fixed_dt = 10000000000.0 / 1e-300 overflows")):
+        cfg = _write(tmp_path, "stuck.ini", RIEMANN_CFG.replace(
+            "cfl = 0.45", lines).replace("record = 0.125, 0.25\n", "").replace(
+            "t_end = 0.25", "t_end = 1e10"))
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"invalid-argument: {reason}")
+
+
 def test_subnormal_cell_width_is_rejected_at_once(tmp_path):
     """A subnormal dx made dt subnormal too, and the run never finished."""
     cfg = _write(tmp_path, "tiny.ini", RIEMANN_CFG.replace(
@@ -396,6 +475,19 @@ def test_verify_subcommand_prints_one_line_per_criterion(capsys):
     assert len(out) == 12
     for number, line in enumerate(out, start=1):
         assert line.startswith(f"criterion {number:02d} [PASS]")
+
+
+@pytest.mark.parametrize("level", ["nope", "ful", "FAST"])
+def test_a_mistyped_verify_level_is_a_config_error(tmp_path, monkeypatch,
+                                                   capsys, level):
+    levels = []
+    monkeypatch.setattr(acceptance, "run_all", levels.append)
+    cfg = _write(tmp_path, "gate.ini", "[experiment]\nkind = verify\n\n"
+                 f"[verify]\nlevel = {level}\n")
+    assert main(["run", cfg]) == 2
+    assert levels == []
+    err = capsys.readouterr().err
+    assert err.startswith("invalid-argument:") and repr(level) in err
 
 
 def test_run_verify_config_writes_diagnostics_and_exits_one_on_a_failure(

@@ -23,7 +23,7 @@ from splitlaw.core import (
     total_variation,
     weak_pairing,
 )
-from splitlaw.core import _window_slice
+from splitlaw.core import _window_slice, _worst_residual
 from splitlaw.errors import InvalidArgument
 from splitlaw.scalar import _positive_part_integral
 
@@ -246,3 +246,14 @@ def test_fsum_reductions_match_the_per_cell_sums(u, w, window):
         float(v * p) for v, p in zip(a.values[idx], phi))).hex()
     assert _positive_part_integral(a, window).hex() == (
         g.dx * math.fsum(float(v) for v in a.values[idx] if v > 0.0)).hex()
+
+
+@pytest.mark.parametrize("residuals, expected", [
+    ([], 0.0), ([-1.0, -0.0], 0.0), ([0.5, 2.0, 1.0], 2.0),
+    ([math.nan], math.nan), ([2.0, math.nan, 0.5], math.nan),
+    ([-1.0, math.nan], math.nan)])
+def test_worst_residual_keeps_nan(residuals, expected):
+    got = _worst_residual(residuals)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+    if got == 0.0:
+        assert math.copysign(1.0, got) == 1.0

@@ -1,6 +1,7 @@
 """Chessboard coarsening schedule on the torus: stage maps, timetables,
 mixing diagnostics, and the weak continuity residual."""
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -245,6 +246,21 @@ def test_continuity_residual_detects_a_wrong_field_strength():
     assert true_res <= 0.02
     assert bad_res >= 0.05
     assert bad_res >= 5.0 * true_res
+
+
+def test_continuity_residual_is_nan_when_a_total_is_nan():
+    """max() drops a NaN, so a NaN total used to read as a perfect 0.0."""
+    grid = Grid2D(5)
+    init = chessboard(3, grid)
+    sched = DyadicSchedule("original", 3, 5)
+    good = torus_test(0.03, 0.47, 1, 1)
+    holed = SimpleNamespace(
+        t_support=good.t_support,
+        dt=lambda t, X, Y: np.where(X < 0.5, np.nan, good.dt(t, X, Y)),
+        dx=good.dx, dy=good.dy)
+    assert continuity_residual_2d(sched, init, [good]) <= 0.02
+    assert np.isnan(continuity_residual_2d(sched, init, [good, holed]))
+    assert np.isnan(continuity_residual_2d(sched, init, [holed, good]))
 
 
 def test_strong_modulus_reports_later_snapshots():

@@ -1,5 +1,6 @@
 """Godunov solver, exact Riemann fans, and the scalar theorem-checkers."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,12 +20,12 @@ from splitlaw.core import (
     project,
 )
 from splitlaw import _kernels
-from splitlaw._kernels import py_backend
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup, UnsupportedFlux)
 from splitlaw.scalar import (
     _Selection,
     _spacetime_quadrature,
+    _time_steps,
     RiemannFan,
     ScalarConfig,
     cfl_dt,
@@ -148,6 +149,33 @@ def test_scalar_config_rejects_non_finite_times(bad):
         ScalarConfig(t_end=1.0, fixed_dt=bad)
     with pytest.raises(InvalidArgument):
         ScalarConfig(t_end=1.0, record_times=[0.5, bad])
+
+
+@pytest.mark.parametrize("small", [5e-324, 1e-320, sys.float_info.min / 2])
+def test_scalar_config_rejects_subnormal_steps(small):
+    # a subnormal cfl or fixed_dt gives a step that cannot advance t
+    with pytest.raises(InvalidArgument):
+        ScalarConfig(t_end=1.0, cfl=small)
+    with pytest.raises(InvalidArgument):
+        ScalarConfig(t_end=1.0, fixed_dt=small)
+    ScalarConfig(t_end=1.0, cfl=sys.float_info.min,
+                 fixed_dt=sys.float_info.min)
+
+
+def test_a_step_that_cannot_advance_t_is_refused():
+    """dt underflowing to 0, or a later dt below half an ulp of t, would
+    leave t where it is for ever."""
+    cfg = ScalarConfig(t_end=1.0, cfl=0.5)
+    with pytest.raises(InvalidArgument, match="no longer advances t=0.0 "
+                                              "at step 0"):
+        list(_time_steps(cfg, 1e-300, lambda: 1e30))
+    speeds = iter([1.0, 1e20])
+    with pytest.raises(InvalidArgument, match="no longer advances t=0.5 "
+                                              "at step 1"):
+        list(_time_steps(cfg, 1.0, lambda: next(speeds)))
+    with pytest.raises(InvalidArgument, match="t_end / fixed_dt"):
+        list(_time_steps(ScalarConfig(t_end=1e10, fixed_dt=1e-300), 1.0,
+                         lambda: 1.0))
 
 
 def test_cfl_dt_uses_the_range_speed_bound():
@@ -281,6 +309,22 @@ def test_entropy_residual_small_for_the_computed_rarefaction():
     pair = kruzkov_pair(burgers_flux(), 0.0)
     tests = [bump_test(0.1, 0.4, -1.0, 1.0)]
     assert entropy_residual(traj, pair, tests) <= 0.02
+
+
+def test_entropy_residual_is_nan_when_a_total_is_nan():
+    """max() drops a NaN, so a NaN total used to read as a perfect 0.0."""
+    grid = Grid1D(-1.0, 1.0, 200)
+    frozen = CellField(grid, np.where(grid.centers() < 0.0, -1.0, 1.0))
+    times = np.linspace(0.0, 0.5, 21)
+    traj = Trajectory(times, [frozen.copy() for _ in times])
+    eta, q = kruzkov_pair(burgers_flux(), 0.0)
+    tests = [bump_test(0.1, 0.4, -0.5, 0.5)]
+    assert entropy_residual(traj, (eta, q), tests) >= 0.1
+
+    def holed_eta(v):
+        return np.where(np.asarray(v) > 0.0, np.nan, eta(v))
+
+    assert math.isnan(entropy_residual(traj, (holed_eta, q), tests))
 
 
 def test_entropy_residual_requires_interior_test_support():
@@ -545,8 +589,8 @@ def _swapped_endpoint_godunov(a, b, ga, gb, g_omega, omega, convex):
 
 def _godunov_inputs(pairs, convex, omega):
     """Kernel arguments for the interfaces (a, b) under g = v^2 (convex) or
-    -v^2 (concave). g maps -0.0 and 0.0 to the same zero: np.maximum and
-    the compiled kernel break a -0.0 == 0.0 tie in g differently."""
+    -v^2 (concave). g maps -0.0 and 0.0 to the same zero, so no tie in g
+    pairs -0.0 with 0.0; the test below pins the sign such a tie takes."""
     a = np.array([p[0] for p in pairs], dtype=float)
     b = np.array([p[1] for p in pairs], dtype=float)
     sign = 1.0 if convex else -1.0
@@ -607,7 +651,6 @@ def test_godunov_kernel_is_bitwise_the_nested_selection(rows, convex):
         ref = _nested_where_godunov(*args)
         assert _same_bits(G[r], ref)
         assert _same_bits(_kernels.godunov_fluxes(*args), ref)
-        assert _same_bits(py_backend.godunov_fluxes(*args), ref)
     for end in (math.inf, -math.inf):
         G = _Selection(batch[0].shape, bool(convex))(*batch[:4], end, 0.0)
         for r, (pairs, _) in enumerate(rows):
@@ -624,8 +667,9 @@ def _parabola(lo, hi):
                         convexity="convex", c=2.0, name="parabola")
 
 
-# Where g ties at -0.0 == 0.0 the compiled kernel breaks the tie the other
-# way: -0.0 against 0.0 for the first case, 0.0 against -0.0 for the second.
+# Where g ties at -0.0 == 0.0, np.minimum (first case) and np.maximum
+# (second case) return their second argument, g(b): 0.0 in the first case,
+# -0.0 in the second. The outputs carry these signs, so they are pinned.
 @pytest.mark.parametrize("flux, a, b, expected", [
     pytest.param(chromatography_flux(), -0.0, 0.0, 0.0,
                  id="concave-monotone"),
@@ -643,7 +687,7 @@ def test_tied_signed_zeros_take_the_numpy_selection(flux, a, b, expected):
     G = _Selection((1, 1), convex)(*(x[None] for x in args[:4]),
                                    omega, g_omega)
     assert _same_bits(G[0], ref)
-    assert _same_bits(py_backend.godunov_fluxes(*args), ref)
+    assert _same_bits(_kernels.godunov_fluxes(*args), ref)
     got = godunov_flux(flux, a, b)
     assert got == expected == 0.0
     assert math.copysign(1.0, got) == math.copysign(1.0, expected)
@@ -655,8 +699,18 @@ def test_godunov_reference_rejects_a_swapped_endpoint(convex, omega):
     args = _godunov_inputs([(0.25, 1.0), (1.0, 0.25), (-0.5, -0.5)],
                            convex, omega)
     ref = _nested_where_godunov(*args)
-    assert _same_bits(py_backend.godunov_fluxes(*args), ref)
+    assert _same_bits(_kernels.godunov_fluxes(*args), ref)
     assert not _same_bits(_swapped_endpoint_godunov(*args), ref)
+
+
+def test_scalar_step_keeps_the_documented_association():
+    # the transport stage relies on (v - mu*G_out) + mu*G_in exactly
+    rng = np.random.default_rng(20240817)
+    v = rng.normal(size=257)
+    G = rng.normal(size=258)
+    mu = 0.41
+    expected = (v - mu * G[1:]) + mu * G[:-1]
+    assert np.array_equal(_kernels.scalar_step(v, G, mu), expected)
 
 
 def _first_non_finite_step(flux, v0, dt, n_steps):

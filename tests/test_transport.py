@@ -535,6 +535,23 @@ def test_characteristics_are_bitwise_the_per_call_mollifier(n, width,
         assert field.values.tobytes() == values.tobytes()
 
 
+def test_transport_residuals_are_nan_when_a_total_is_nan():
+    """max(worst, abs(nan)) is worst, so a NaN total used to be dropped."""
+    _, vt = _smooth_run(n=64, records=11)
+    tests = [bump_test(0.05, 0.45, -1.5, 1.5)]
+    pair = TransportPair(vt, _b)
+    assert pair.continuity_residual(vt, tests) <= 5e-3
+    assert renorm_residual(pair, vt, lambda u: u * u, tests) <= 5e-3
+
+    def holed_b(v):
+        v = np.asarray(v, dtype=float)
+        return np.where(v > 1.2, np.nan, _b(v))
+
+    holed = TransportPair(vt, holed_b)
+    assert math.isnan(holed.continuity_residual(vt, tests))
+    assert math.isnan(renorm_residual(holed, vt, lambda u: u * u, tests))
+
+
 def test_renorm_residual_separates_matched_from_mismatched_velocity():
     # Shock data: the mismatch term integrates the flux variation across the
     # jump, so a smooth near-symmetric profile would mask it.
