@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CellField, SplitTrajectory, VectorState, _ghost_cells,
-                   _window_slice, _worst_residual, chromatography_flux,
-                   lp_distance, total_variation)
+from .core import (CellField, SplitTrajectory, VectorState, _flat_rows,
+                   _ghost_cells, _window_slice, _worst_residual,
+                   chromatography_flux, lp_distance, total_variation)
 from .errors import InvalidArgument, InvalidEntropy, NumericalBlowup
 from .scalar import (ScalarConfig, _batch_grid, _check_test_fns, _in_row,
                      _lockstep, _spacetime_quadrature)
@@ -275,6 +275,15 @@ def solve_direct_many(U0s, config):
     plan and speed bound, leaves the array once its plan has ended, and is
     bitwise its solve_direct. An error from one row of a batch names the
     row. Returns one trajectory per state.
+
+    The batch steps as one contiguous block, in the layout of
+    core._flat_rows: each component of each state is a row that carries
+    its two ghost cells, and the rows sit back to back, so the left and
+    right states and fluxes, and G_in and G_out, are contiguous views at a
+    one-element offset. Each step updates whole padded rows; the seam
+    column between two rows and the ghost columns after an update are junk
+    that no cell reads, and the ghosts are refilled at the start of each
+    step.
     """
     batch = len(U0s)
     _require_nonnegative(U0s)
@@ -293,12 +302,13 @@ def solve_direct_many(U0s, config):
         return 1.0 / (1.0 + max(U_min[r], 0.0))  # bounds both families
 
     def workspace(b):
-        # U plus one ghost cell on each side, 1 + v and the fluxes there,
-        # the interface fluxes with their jump term, and per-row factors
-        return (np.empty((b, k, n + 2)), np.empty((b, 1, n + 2)),
-                np.empty((b, k, n + 2)), np.empty((b, k, n + 1)),
-                np.empty((b, k, n + 1)), np.empty((b, 1, 1)),
-                np.empty((b, 1, 1)))
+        shape = (b, k, n + 2)
+        _, Ue, U_r = _flat_rows(shape)  # U and the cell to the right
+        _, F, F_r = _flat_rows(shape)  # the fluxes there
+        # G[..., j] is the flux out of column j, so G_in is G one cell behind
+        _, G_in, G = _flat_rows(shape)
+        return (Ue, U_r, np.empty((b, 1, n + 2)), F, F_r, G_in, G,
+                np.empty(shape), np.empty((b, 1, 1)), np.empty((b, 1, 1)))
 
     times = [[0.0] for _ in U0s]
     states = [[U0.copy()] for U0 in U0s]
@@ -310,7 +320,8 @@ def solve_direct_many(U0s, config):
             # the first step, or some plans have ended: (re)build the arrays
             keep = [rows.index(r) for r, *_ in plan]
             rows = [r for r, *_ in plan]
-            Ue, one_plus_v, F, G, jump, inv2mu, mu = workspace(len(rows))
+            (Ue, U_r, one_plus_v, F, F_r, G_in, G, jump, inv2mu,
+             mu) = workspace(len(rows))
             Ue[..., 1:-1] = U[keep]
             U = Ue[..., 1:-1]  # U lives between its ghost cells
             ghosts, edges = _ghost_cells(Ue, periodic)
@@ -323,14 +334,14 @@ def solve_direct_many(U0s, config):
         # every component at once, in the association of
         # _kernels.lxf_fluxes, G = 0.5*(F_l + F_r) - inv2mu*(u_r - u_l), and
         # of _kernels.scalar_step, U = (U - mu*G_out) + mu*G_in
-        np.add(F[..., :-1], F[..., 1:], out=G)
+        np.add(F, F_r, out=G)
         G *= 0.5
-        np.subtract(Ue[..., 1:], Ue[..., :-1], out=jump)
+        np.subtract(U_r, Ue, out=jump)
         jump *= inv2mu
         G -= jump
         G *= mu
-        U -= G[..., 1:]
-        U += G[..., :-1]
+        Ue -= G
+        Ue += G_in
         lo = np.minimum.reduce(U, axis=(1, 2)).tolist()
         hi = np.maximum.reduce(U, axis=(1, 2)).tolist()
         for i, (r, step, _, t, lands) in enumerate(plan):

@@ -143,6 +143,18 @@ class ExperimentConfig:
 
 
 def load_config(path):
+    """The ExperimentConfig of the INI file at path. A file configparser
+    rejects raises InvalidArgument with configparser's message on one
+    line, which names the config by its base name: the message already
+    carries the line number, and the section and key where known."""
+    try:
+        return _experiment_config(path)
+    except configparser.Error as exc:
+        raise InvalidArgument(" ".join(exc.message.replace(
+            path, os.path.basename(path)).split())) from None
+
+
+def _experiment_config(path):
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -467,7 +479,7 @@ def main(argv=None):
     except ValidationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (configparser.Error, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid-argument: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

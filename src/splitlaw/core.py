@@ -94,11 +94,39 @@ def _ghost_cells(ext, periodic):
     """Views (ghosts, edges) of the (..., n + 2) buffer ext: its two ghost
     cells, and the two cells of ext[..., 1:-1] they copy (the far edge
     when periodic, the near edge otherwise), so ghosts[...] = edges fills
-    them in one assignment."""
+    them in one assignment.
+
+    The batched steps keep ext in the layout of _flat_rows and write junk
+    into the ghost columns of every row as they update it, so they run
+    ghosts[...] = edges at the start of each step: a ghost then holds the
+    bits of the cell it copies, and anything computed cellwise from it
+    (g(v), w/v, u/(1+v)) is bitwise that cell's value.
+    """
     n = ext.shape[-1] - 2
     ghosts = ext[..., ::n + 1]
     edges = ext[..., n:0:1 - n] if periodic else ext[..., 1:n + 1:n - 1]
     return ghosts, edges
+
+
+def _flat_rows(shape):
+    """The memory layout of every batched step: a new zeroed flat buffer
+    of prod(shape) + 1 cells and two views of it, (buf, rows, ahead).
+
+    rows is the buffer without its last cell and ahead the buffer without
+    its first, both reshaped to shape = (..., n + 2). So every row of n
+    cells carries its two ghost cells, all rows sit back to back, and the
+    buffer ends in one spare cell. ahead[..., j] is rows[..., j + 1] for
+    j <= n, so a left and a right state, a flux into and out of a cell, or
+    a cell and its upwind neighbour are two contiguous views at a
+    one-element offset, never strided [..., :-1] / [..., 1:] slices.
+    ahead[..., n + 1] is the first cell of the next row (the spare after
+    the last row): that seam column is junk, and no cell reads it. A step
+    whose operands are all elementwise may take the same two views flat,
+    as buf[:-1] and buf[1:]. The spare cell and any cell never written
+    read 0.0.
+    """
+    buf = np.zeros(math.prod(shape) + 1)
+    return buf, buf[:-1].reshape(shape), buf[1:].reshape(shape)
 
 
 class VectorState:

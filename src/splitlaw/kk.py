@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .core import (CellField, FluxFunction, SplitTrajectory, VectorState,
-                   _window_slice)
+                   _window_slice, _worst_residual)
 from .errors import HypothesisViolation, InvalidFlux, SplitlawError
 from .scalar import _batch_grid, _in_row
 from .transport import solve_split_many
@@ -113,13 +113,14 @@ def renormalization_defect(traj, window=None):
     """(pointwise excess, L1 gap) between the transported |U| and rho.
 
     The excess is the worst (|U| - rho)+ over all cells and record times;
-    the gap is the worst windowed L1 distance over record times.
+    the gap is the worst windowed L1 distance over record times. Each is
+    NaN when a record is NaN.
     """
     idx = _window_slice(traj.grid, window)
-    excess = 0.0
-    gap = 0.0
+    excesses = []
+    gaps = []
     for state, rho in zip(traj.states, traj.v_traj.fields):
         diff = state.norm().values - rho.values
-        excess = max(excess, float(np.max(diff)))
-        gap = max(gap, traj.grid.dx * math.fsum(np.abs(diff[idx]).tolist()))
-    return max(0.0, excess), gap
+        excesses.append(float(np.max(diff)))
+        gaps.append(traj.grid.dx * math.fsum(np.abs(diff[idx]).tolist()))
+    return _worst_residual(excesses), _worst_residual(gaps)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CellField, Trajectory, _ghost_cells, _window_slice,
-                   _worst_residual, total_variation)
+from .core import (CellField, Trajectory, _flat_rows, _ghost_cells,
+                   _window_slice, _worst_residual, total_variation)
 from .errors import (HypothesisViolation, InvalidArgument, NumericalBlowup,
                      SplitlawError, UnsupportedFlux)
 
@@ -79,11 +79,13 @@ class _Selection:
     the min of g over [a, b] when a <= b and the max over [b, a] otherwise.
     For convex g the min sits at the critical point omega clamped to
     [a, b] and the max at an endpoint; for concave g it is the reverse.
-    g_omega is g(omega). Each row of the (B, n) arrays may have its own
-    omega and g_omega, passed as (B, 1) columns; a float omega holds for
-    every row. A float omega of +-inf (g monotone the same way on every
-    row's range) skips the clamp: every interface then takes the same
-    endpoint. The result is bitwise the nested np.where selection.
+    g_omega is g(omega). Each interface may have its own omega and
+    g_omega, passed as arrays that broadcast against the states (a (B, 1)
+    column for the rows of a (B, n) batch, or one value per interface); a
+    float omega holds for every interface. A float omega of +-inf (g
+    monotone the same way on every row's range) skips the clamp: every
+    interface then takes the same endpoint. The result is bitwise the
+    nested np.where selection.
     """
 
     def __init__(self, shape, convex):
@@ -357,13 +359,31 @@ def solve_scalar(flux, init, config):
 
 def _workspace(b, m, n, convex):
     """The per-step arrays of _march for b rows of n cells, each row with
-    m locked w rows: v plus one ghost cell on each side, the Godunov
-    selection, mu*G, alpha = v - mu*G_out, the v != 0 mask and the two
-    ride buffers."""
-    return (np.empty((b, n + 2)), _Selection((b, n + 1), convex),
-            np.empty((b, n + 1)), np.empty((b, n)),
-            np.empty((b, 1, n), dtype=bool), np.empty((b, m, n)),
-            np.empty((b, m, n)))
+    m locked w rows, all (.., n + 2) in the layout of core._flat_rows:
+    every v row and every w row carries its two ghost cells, and the rows
+    of each stack sit back to back in one flat buffer with a spare cell.
+
+    Returns the flat v buffer, its padded rows, and its flat views
+    (buf[:-1], buf[1:]): the left and right states of the b*(n + 2) flat
+    interfaces. Then the Godunov selection on those interfaces and its
+    (b, n + 2) view G, the views (beta, mu_out) = (mu*G_in, mu*G_out) of
+    one buffer into whose ahead view mu*G is written, alpha = v -
+    mu*G_out, the v != 0 mask, the W stack, and the views (lam_left, lam)
+    of one buffer into whose ahead view w/v is written. Column j of G is
+    the interface between columns j and j + 1 of v; its last column, and
+    the ghost columns of alpha, beta, v and W after an update, are junk
+    that no cell reads.
+    """
+    shape = (b, n + 2)
+    vbuf, ve, _ = _flat_rows(shape)
+    select = _Selection((b * (n + 2),), convex)
+    _, beta, mu_out = _flat_rows(shape)
+    _, W, _ = _flat_rows((b, m, n + 2))
+    _, lam_left, lam = _flat_rows((b, m, n + 2))
+    return (vbuf, ve, (vbuf[:-1], vbuf[1:]), select,
+            select.G.reshape(shape), beta, mu_out,
+            np.empty(shape), np.empty((b, 1, n + 2), dtype=bool), W,
+            lam_left, lam)
 
 
 def _march(flux, inits, config, b_of_v=None, w0s=None):
@@ -388,8 +408,18 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     speed bound and step constants, so each row is bitwise its own
     unbatched run; a row whose plan has ended leaves the arrays. An error
     from one row of a batch names the row. The per-step arrays are
-    allocated once per solve, and the range is reduced once per step: it
-    is both the blow-up check and the input of the step constants.
+    allocated once per plan change (_workspace), and the range is reduced
+    once per step: it is both the blow-up check and the input of the step
+    constants.
+
+    A batch steps as one contiguous block, in the layout of
+    core._flat_rows: each v row and each w row carries its two ghost
+    cells, and the rows sit back to back, so every shifted operand (left
+    and right states, G_in and G_out, lam and lam_left) is a contiguous
+    view at a one-element offset. Each step updates whole padded rows; the
+    seam column between two rows and the ghost columns after an update
+    are junk that no cell reads, and the ghosts of v and W are refilled
+    at the start of each step.
 
     Returns one (v_traj, w_trajs) pair per run, with w_trajs empty without
     b_of_v.
@@ -431,6 +461,7 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     record_steps = [[] for _ in inits]
     speed_bound = [0.0] * batch
     v_range = list(zip(v.min(axis=1).tolist(), v.max(axis=1).tolist()))
+    lo = [row[0] for row in v_range]  # the row minima of v before a step
     data_range = [None] * batch
     L = [None] * batch
     omega = [None] * batch
@@ -460,44 +491,49 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
             # the first step, or some plans have ended: (re)build the arrays
             keep = [rows.index(r) for r, *_ in plan]
             rows = [r for r, *_ in plan]
-            ve, select, muG, alpha, nonzero, lam, lam_left = _workspace(
-                len(rows), m, n, convex)
+            (vbuf, ve, (left, right), select, G, beta, mu_out, alpha,
+             nonzero, We, lam_left, lam) = _workspace(len(rows), m, n, convex)
             ve[:, 1:-1] = v[keep]
-            v = ve[:, 1:-1]  # v lives between its ghost cells
-            W = W[keep]
-            ghosts, edges = _ghost_cells(ve, periodic)
-            left, right = ve[:, :-1], ve[:, 1:]
-            beta, mu_out = muG[:, :-1], muG[:, 1:]  # mu*G_in, mu*G_out
+            We[..., 1:-1] = W[keep]
+            v, W = ve[:, 1:-1], We[..., 1:-1]  # the cells between the ghosts
+            vbuf[-1] = v[-1, -1]  # the spare cell is in g's domain
+            v_ghosts, v_edges = _ghost_cells(ve, periodic)
+            w_ghosts, w_edges = _ghost_cells(We, periodic)
+            # the cells of alpha and the interfaces between them
+            alpha_cells, G_inner = alpha[:, 1:-1], G[:, :-1]
             stale = True
         if stale:
             omegas = [omega[r] for r in rows]
-            if math.isinf(omegas[0]) and omegas.count(omegas[0]) == len(rows):
-                omega_col, g_omega_col = omegas[0], 0.0
-            else:
-                omega_col = np.array(omegas)[:, None]
-                g_omega_col = np.array([g_omega[r] for r in rows])[:, None]
+            if omegas.count(omegas[0]) == len(rows):
+                omega_col, g_omega_col = omegas[0], g_omega[rows[0]]
+            else:  # one value for each cell of the flat rows
+                omega_col = np.repeat(omegas, n + 2)
+                g_omega_col = np.repeat([g_omega[r] for r in rows], n + 2)
             stale = False
         if len(plan) == 1:
             mu = plan[0][2] / dx
         else:
             mu = np.divide(np.array([item[2] for item in plan])[:, None], dx)
-        ghosts[...] = edges
-        gve = np.asarray(flux.g(ve), dtype=float)
-        G = select(left, right, gve[:, :-1], gve[:, 1:], omega_col,
-                   g_omega_col)
-        np.multiply(G, mu, out=muG)
-        np.subtract(v, mu_out, out=alpha)
+        v_ghosts[...] = v_edges
+        gv = np.asarray(flux.g(vbuf), dtype=float)
+        select(left, right, gv[:-1], gv[1:], omega_col, g_omega_col)
+        np.multiply(G, mu, out=mu_out)
+        np.subtract(ve, mu_out, out=alpha)
         if locked:
-            alpha_min = np.minimum.reduce(alpha, axis=1).tolist()
-            G_min = np.minimum.reduce(G, axis=1).tolist()
+            alpha_min = np.minimum.reduce(alpha_cells, axis=1).tolist()
+            G_min = np.minimum.reduce(G_inner, axis=1).tolist()
             for i, (r, step, *_) in enumerate(plan):
                 if alpha_min[i] < -tol[r] or G_min[i] < -tol[r]:
                     raise _in_row(_oversized_step(
-                        step, dt_schedule[r], alpha[i], G[i], tol[r]),
-                        r, batch)
-            _ride(W, v, alpha, beta, periodic, nonzero, lam, lam_left)
-            W, lam = lam, W  # the old stack is the next lam buffer
-        np.add(alpha, beta, out=v)
+                        step, dt_schedule[r], alpha_cells[i], G_inner[i],
+                        tol[r]), r, batch)
+            w_ghosts[...] = w_edges
+            # regime G on every row: lo holds the row minima of v before
+            # this step, and of rows that have since left the arrays,
+            # which can only send the step to the masked divide
+            positive = min(lo) > 0.0
+            _ride(We, ve, alpha, beta, positive, nonzero, lam, lam_left)
+        np.add(alpha, beta, out=ve)
         lo = np.minimum.reduce(v, axis=1).tolist()
         hi = np.maximum.reduce(v, axis=1).tolist()
         for i, (r, step, dt, t, lands) in enumerate(plan):
@@ -553,23 +589,30 @@ def _w_stack(v0, b_of_v, w0s):
         len(w0s), v0.grid.n)
 
 
-def _ride(W, v, alpha, beta, periodic, nonzero, lam, lam_left):
-    """Each row w of the (b, m, n) stack W -> lam*alpha + lam_left*beta,
-    written into lam, with lam = w/v (0/0 := 0) and lam_left the upwind
-    (left) neighbour's ratio.
+def _ride(W, v, alpha, beta, positive, nonzero, lam, lam_left):
+    """Each row w of the (b, m, n + 2) stack W -> lam_left*beta + lam*alpha,
+    in place, with lam = w/v (0/0 := 0) and lam_left the upwind (left)
+    neighbour's ratio.
 
-    v, alpha and beta are (b, n); nonzero is the caller's (b, 1, n) buffer
-    and lam, lam_left are shaped like W.
+    v, alpha and beta are (b, n + 2) and every row of v and W has its
+    ghost cells filled, so the ratio at a ghost is bitwise the ratio of
+    the cell it copies, and lam_left is lam's buffer one cell behind
+    (core._flat_rows). The sum is lam*alpha + lam_left*beta of
+    _kernels.upwind_step with its terms swapped, which IEEE addition
+    leaves bitwise the same. With positive (min v > 0 on every row:
+    regime G) the ratio is a plain divide; otherwise the caller's
+    (b, 1, n + 2) buffer nonzero masks v = 0.
     """
     v = v[:, None, :]
-    np.not_equal(v, 0.0, out=nonzero)
-    lam.fill(0.0)
-    np.divide(W, v, out=lam, where=nonzero)
-    lam_left[..., 1:] = lam[..., :-1]
-    lam_left[..., 0] = lam[..., -1] if periodic else lam[..., 0]
+    if positive:
+        np.divide(W, v, out=lam)
+    else:
+        np.not_equal(v, 0.0, out=nonzero)
+        lam.fill(0.0)
+        np.divide(W, v, out=lam, where=nonzero)
+    np.multiply(lam_left, beta[:, None, :], out=W)
     lam *= alpha[:, None, :]
-    lam_left *= beta[:, None, :]
-    lam += lam_left
+    W += lam
 
 
 def _oversized_step(step, dt_schedule, alpha, G, tol):
@@ -680,33 +723,34 @@ def entropy_residual(traj, entropy_pair, test_fns):
 
 
 def tvd_defect(traj, window=None):
-    """Worst growth of total variation over the initial value."""
+    """Worst growth of total variation over the initial value; NaN when a
+    record is NaN."""
     tv0 = total_variation(traj.fields[0], window)
-    worst = 0.0
-    for f in traj.fields[1:]:
-        worst = max(worst, total_variation(f, window) - tv0)
-    return max(0.0, worst)
+    return _worst_residual(total_variation(f, window) - tv0
+                           for f in traj.fields[1:])
 
 
 def max_principle_defect(traj):
+    """Worst excursion of a record outside the initial range; NaN when a
+    record is NaN."""
     v0 = traj.fields[0].values
     lo, hi = float(v0.min()), float(v0.max())
-    worst = 0.0
-    for f in traj.fields[1:]:
-        worst = max(worst, float(f.values.max()) - hi, lo - float(f.values.min()))
-    return max(0.0, worst)
+    return _worst_residual(
+        x for f in traj.fields[1:]
+        for x in (float(f.values.max()) - hi, lo - float(f.values.min())))
 
 
 def _positive_part_integral(fieldv, window):
     idx = _window_slice(fieldv.grid, window)
     vals = fieldv.values[idx]
-    return fieldv.grid.dx * math.fsum(vals[vals > 0.0].tolist())
+    # ~(vals <= 0) keeps a NaN, which vals > 0 would drop
+    return fieldv.grid.dx * math.fsum(vals[~(vals <= 0.0)].tolist())
 
 
 def comparison_defect(traj_u, traj_v, R):
     """Kruzkov localized comparison: the L1 positive part of u - v inside
     |x| <= R must not exceed the initial positive part inside the widened
-    window |x| <= R + L t."""
+    window |x| <= R + L t. NaN when a record is NaN."""
     if traj_u.grid != traj_v.grid:
         raise InvalidArgument("trajectories on different grids")
     if traj_u.times != traj_v.times:
@@ -715,7 +759,7 @@ def comparison_defect(traj_u, traj_v, R):
     L = max(traj_u.meta.get("speed_bound", 0.0), traj_v.meta.get("speed_bound", 0.0))
     diff0 = traj_u.fields[0].with_values(
         traj_u.fields[0].values - traj_v.fields[0].values)
-    worst = 0.0
+    gaps = []
     for j, t in enumerate(traj_u.times):
         Rt = R + L * t
         if -Rt < grid.x_min or Rt > grid.x_max:
@@ -724,5 +768,5 @@ def comparison_defect(traj_u, traj_v, R):
             traj_u.fields[j].values - traj_v.fields[j].values)
         now = _positive_part_integral(diff, (-R, R))
         init = _positive_part_integral(diff0, (-Rt, Rt))
-        worst = max(worst, now - init)
-    return max(0.0, worst)
+        gaps.append(now - init)
+    return _worst_residual(gaps)

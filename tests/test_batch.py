@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitlaw import _kernels
 from splitlaw.chroma import (ChromState, solve_chromatography,
                              solve_chromatography_many, solve_direct,
                              solve_direct_many)
@@ -16,9 +17,11 @@ from splitlaw.core import (CellField, FluxFunction, Grid1D, Trajectory,
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup)
 from splitlaw.kk import KKState, solve_kk, solve_kk_many
-from splitlaw.scalar import (ScalarConfig, comparison_defect,
-                             max_principle_defect, tvd_defect)
-from splitlaw.transport import solve_split, solve_split_many
+from splitlaw.scalar import (ScalarConfig, _time_steps, comparison_defect,
+                             critical_point, max_principle_defect,
+                             tvd_defect)
+from splitlaw.transport import (joint_speed_flux, solve_split,
+                                solve_split_many)
 
 EXACT_TOL = 1e-12
 
@@ -127,6 +130,198 @@ def test_each_batch_row_is_bitwise_its_unbatched_run(batch, data):
     r = data.draw(st.integers(0, len(rows) - 1))
     _one_ulp_up(last_record(got[r]), data.draw(st.integers(0, n - 1)))
     assert not same(got[r], want[r])
+
+
+@st.composite
+def _seam_batches(draw):
+    """B = 2..6 rows on one grid, each with m = 2 w rows; a row either
+    touches v = 0 (regime F) or keeps min v >= 1/4 (regime G)."""
+    n = draw(st.sampled_from([8, 16, 24]))
+    rows = []
+    for _ in range(draw(st.integers(2, 6))):
+        vacuum = draw(st.booleans())
+        v, lam = draw(_rows(n, st.floats(0.0 if vacuum else 0.25, 3.0)))
+        if vacuum:
+            v[draw(st.integers(0, n - 1))] = 0.0
+        rows.append((v, lam))
+    return (n, draw(st.sampled_from(["constant-extension", "periodic"])),
+            draw(st.booleans()), rows)
+
+
+def _kernel_split(flux, v0, w0s, config):
+    """One split run as a per-step loop over the _kernels forms on plain
+    (n,) arrays: the record times, and the v and w records."""
+    joint = joint_speed_flux(flux, _b)
+    dx = v0.grid.dx
+    periodic = v0.boundary == "periodic"
+    v = v0.values.copy()
+    ws = [w0.values.copy() for w0 in w0s]
+
+    def speed():
+        return joint.L_of_range(float(v.min()), float(v.max()))
+
+    times, v_recs, w_recs = [0.0], [v.copy()], [[w.copy()] for w in ws]
+    for _, dt, t, lands in _time_steps(config, dx, speed):
+        omega = critical_point(joint, float(v.min()), float(v.max()))
+        g_omega = float(joint.g(omega)) if math.isfinite(omega) else 0.0
+        ve = v0.with_values(v).extended(1)
+        gve = np.asarray(joint.g(ve), dtype=float)
+        G = np.asarray(_kernels.godunov_fluxes(
+            ve[:-1], ve[1:], gve[:-1], gve[1:], g_omega, omega,
+            joint.convexity == "convex"))
+        ws = [_kernels.upwind_step(v, w, G, dt / dx, periodic)[1]
+              for w in ws]
+        v = _kernels.scalar_step(v, G, dt / dx)
+        if lands:
+            times.append(t)
+            v_recs.append(v.copy())
+            for recs, w in zip(w_recs, ws):
+                recs.append(w.copy())
+    return times, v_recs, w_recs
+
+
+def _kernel_direct(U0, config):
+    """One Lax-Friedrichs run as a per-step, per-component loop over the
+    _kernels forms on plain (n,) arrays: the record times and states."""
+    dx = U0.grid.dx
+    comps = [c.values.copy() for c in U0.components]
+
+    def speed():
+        return 1.0 / (1.0 + max(min(float(c.min()) for c in comps), 0.0))
+
+    times, states = [0.0], [[c.copy() for c in comps]]
+    for _, dt, t, lands in _time_steps(config, dx, speed):
+        exts = [U0.components[0].with_values(c).extended(1) for c in comps]
+        v_ext = np.sum(exts, axis=0)
+        comps = [_kernels.scalar_step(
+                     c, _kernels.lxf_fluxes(ce, ce / (1.0 + v_ext),
+                                            dx / (2.0 * dt)), dt / dx)
+                 for c, ce in zip(comps, exts)]
+        if lands:
+            times.append(t)
+            states.append([c.copy() for c in comps])
+    return times, states
+
+
+def _same_records(arrays, fields):
+    return len(arrays) == len(fields) and all(
+        a.tobytes() == f.values.tobytes() for a, f in zip(arrays, fields))
+
+
+def _check_split_rows_against_kernels(flux, batch, data):
+    """Every row of solve_split_many on the batch is bitwise _kernel_split
+    of that row alone, and one ulp in one record is told apart."""
+    n, boundary, fixed, rows = batch
+    grid = Grid1D(-1.0, 1.0, n)
+    cfg = _config(n, fixed)
+    v0s = [CellField(grid, v, boundary) for v, _ in rows]
+    w0s = [[v0.with_values(lam * v0.values),
+            v0.with_values(lam[::-1] * v0.values)]
+           for v0, (_, lam) in zip(v0s, rows)]
+    runs = solve_split_many(flux, _b, v0s, w0s, cfg)
+    for v0, w0, (v_traj, w_trajs) in zip(v0s, w0s, runs):
+        times, v_recs, w_recs = _kernel_split(flux, v0, w0, cfg)
+        assert v_traj.times == times
+        assert _same_records(v_recs, v_traj.fields)
+        assert len(w_trajs) == 2
+        for recs, w_traj in zip(w_recs, w_trajs):
+            assert _same_records(recs, w_traj.fields)
+    r = data.draw(st.integers(0, len(rows) - 1))
+    v_traj, w_trajs = runs[r]
+    _, v_recs, w_recs = _kernel_split(flux, v0s[r], w0s[r], cfg)
+    field = data.draw(st.sampled_from([v_traj, *w_trajs])).fields[-1]
+    _one_ulp_up(field, data.draw(st.integers(0, n - 1)))
+    assert not (_same_records(v_recs, v_traj.fields)
+                and all(_same_records(recs, w.fields)
+                        for recs, w in zip(w_recs, w_trajs)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_seam_batches(), st.data())
+def test_split_batch_rows_are_bitwise_the_kernel_loop(batch, data):
+    """Every row of a batched split march, whose rows sit back to back
+    with their ghost cells in one buffer, is bitwise a loop over
+    _kernels.godunov_fluxes, upwind_step and scalar_step on that row
+    alone: nothing leaks across the seam between rows, in either regime
+    of the ride. One ulp in one record is told apart."""
+    _check_split_rows_against_kernels(chromatography_flux(), batch, data)
+
+
+def _valley():
+    """g(v) = (v - 1)^2 / 4: convex, with its critical point at v = 1."""
+    return FluxFunction(g=lambda v: 0.25 * (v - 1.0) * (v - 1.0),
+                        gprime=lambda v: 0.5 * (v - 1.0),
+                        convexity="convex", c=0.5, name="valley")
+
+
+@st.composite
+def _valley_batches(draw):
+    """B = 2..6 rows of v in [1/2, 3/2], each with m = 2 w rows. The first
+    row straddles the critical point v = 1 of _valley, the second lies
+    below or above it, and the rest anywhere."""
+    n = draw(st.sampled_from([8, 16, 24]))
+    below, above = st.floats(0.5, 0.95), st.floats(1.05, 1.5)
+    rows = []
+    for i in range(draw(st.integers(2, 6))):
+        side = "straddle" if i == 0 else draw(st.sampled_from(
+            ["below", "above"] + (["straddle"] if i > 1 else [])))
+        if side == "straddle":
+            v, lam = draw(_rows(n, st.floats(0.5, 1.5)))
+            v[:2] = draw(below)  # the first piece spans at least 2 cells
+            v[-2:] = draw(above)  # and so does the last
+        else:
+            v, lam = draw(_rows(n, below if side == "below" else above))
+        rows.append((v, lam))
+    return (n, draw(st.sampled_from(["constant-extension", "periodic"])),
+            draw(st.booleans()), rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_valley_batches(), st.data())
+def test_split_rows_with_their_own_critical_points_are_the_kernel_loop(
+        batch, data):
+    """Rows whose ranges put the critical point of g in different places
+    (finite on one row, +-inf on another) take the selection with one
+    omega per interface; each row is still bitwise the _kernels loop on
+    that row alone. One ulp in one record is told apart."""
+    flux = _valley()
+    omegas = {critical_point(flux, float(v.min()), float(v.max()))
+              for v, _ in batch[3]}
+    assert len(omegas) > 1 and any(map(math.isfinite, omegas))
+    _check_split_rows_against_kernels(flux, batch, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_seam_batches(), st.data())
+def test_direct_batch_rows_are_bitwise_the_kernel_loop(batch, data):
+    """Every state of a batched Lax-Friedrichs run (k = 3: v and two w
+    rows' worth of components, each a row of one buffer) is bitwise a
+    per-component loop over _kernels.lxf_fluxes and scalar_step. One ulp
+    in one record is told apart."""
+    n, boundary, fixed, rows = batch
+    grid = Grid1D(-1.0, 1.0, n)
+    U0s = [ChromState([CellField(grid, 0.25 * (1.0 + lam) * v, boundary),
+                       CellField(grid, 0.25 * (1.0 - lam) * v, boundary),
+                       CellField(grid, 0.5 * v, boundary)])
+           for v, lam in rows]
+    cfg = _config(n, fixed)
+    trajs = solve_direct_many(U0s, cfg)
+
+    def same(traj, states):
+        return len(traj.states) == len(states) and all(
+            _same_records(comps, U.components)
+            for comps, U in zip(states, traj.states))
+
+    for U0, traj in zip(U0s, trajs):
+        times, states = _kernel_direct(U0, cfg)
+        assert traj.times == times
+        assert same(traj, states)
+    r = data.draw(st.integers(0, len(rows) - 1))
+    _, states = _kernel_direct(U0s[r], cfg)
+    comp = data.draw(st.integers(0, 2))
+    _one_ulp_up(trajs[r].states[-1].components[comp],
+                data.draw(st.integers(0, n - 1)))
+    assert not same(trajs[r], states)
 
 
 def _anti_diffused(field, eps=0.25):

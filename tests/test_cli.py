@@ -313,6 +313,24 @@ def test_exit_code_for_config_problems(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line, says", [
+    ("= ", "Source contains parsing errors: 'bad.ini' [line 3]: "),
+    ("kind = chroma", "While reading from 'bad.ini' [line 3]: option 'kind' "
+                      "in section 'experiment' already exists"),
+], ids=["no-key", "duplicate-key"])
+def test_a_config_parse_error_is_one_line_without_the_directory(
+        tmp_path, capsys, line, says):
+    """configparser's own text spans two lines for a line it cannot parse
+    and names the config by the path it was given."""
+    bad = _write(tmp_path, "bad.ini",
+                 f"[experiment]\nkind = riemann\n{line}\n")
+    assert main(["run", str(Path(bad).resolve())]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"invalid-argument: {says}")
+    assert str(tmp_path) not in err
+
+
 def _run_in_subprocess(tmp_path, cfg):
     """`python -m splitlaw.cli run cfg` in a fresh process, so a traceback
     shows in stderr and a hang fails on the timeout."""
@@ -367,6 +385,8 @@ def test_huge_initial_data_does_not_crash(tmp_path, cfg_text):
     assert done.returncode in (0, 2, 3)
 
 
+# eta = v*v overflows on purpose here, then inf * 0 is NaN; numpy warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_residual_is_reported_as_nan(tmp_path, monkeypatch,
                                                     capsys):
     """u1 = 1e308 makes the entropy quadrature total NaN: the run still

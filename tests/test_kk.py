@@ -1,9 +1,12 @@
 """Keyfitz-Kranzer splitting: flux certification, vacuum guard, and the
 renormalization gap."""
+import math
+
 import numpy as np
 import pytest
 
-from splitlaw.core import CellField, Grid1D, project
+from splitlaw.core import (CellField, Grid1D, SplitTrajectory, Trajectory,
+                           project)
 from splitlaw.errors import HypothesisViolation, InvalidArgument, InvalidFlux
 from splitlaw.kk import KKState, kk_flux, renormalization_defect, solve_kk
 from splitlaw.scalar import ScalarConfig
@@ -92,6 +95,24 @@ def test_transported_modulus_never_exceeds_the_scalar_run():
     assert gap <= 0.05
     assert traj.meta["c"] > 0.0
     assert traj.meta["speed_bound"] >= 2.0
+
+
+def test_renormalization_defect_is_nan_when_a_record_is_nan():
+    """max(0.0, nan) is 0.0, so a NaN modulus record used to read as a
+    perfect match; both the excess and the gap now report it."""
+    grid = Grid1D(-1.0, 1.0, 4)
+    U = KKState([CellField(grid, [0.6] * 4), CellField(grid, [0.8] * 4)])
+    rho = CellField(grid, [1.0] * 4)
+    holed = CellField(grid, [1.0, np.nan, 1.0, 1.0])
+    times = [0.0, 0.5, 1.0]
+
+    def traj(rhos):
+        return SplitTrajectory(times, [U, U.copy(), U.copy()],
+                               Trajectory(times, rhos), [], {})
+
+    excess, gap = renormalization_defect(traj([rho, holed, rho]))
+    assert math.isnan(excess) and math.isnan(gap)
+    assert renormalization_defect(traj([rho, rho, rho])) == (0.0, 0.0)
 
 
 def test_trajectory_accessors():

@@ -415,6 +415,34 @@ def test_tvd_and_max_principle_defects_on_constructed_data():
     assert max_principle_defect(flat) == 0.0
 
 
+def _with_nan_record():
+    """A hand-built run whose second record holds one NaN cell and whose
+    other cells stay inside the initial range and variation."""
+    grid = Grid1D(-1.0, 1.0, 4)
+    a = CellField(grid, [0.0, 1.0, 1.0, 0.0])
+    holed = CellField(grid, [0.0, np.nan, 0.5, 0.0])
+    return Trajectory([0.0, 0.5, 1.0], [a, holed, a.copy()])
+
+
+def test_tvd_defect_is_nan_when_a_record_is_nan():
+    """max(0.0, nan) is 0.0, so a NaN record used to read as no growth."""
+    assert math.isnan(tvd_defect(_with_nan_record()))
+
+
+def test_max_principle_defect_is_nan_when_a_record_is_nan():
+    assert math.isnan(max_principle_defect(_with_nan_record()))
+
+
+def test_comparison_defect_is_nan_when_a_record_is_nan():
+    """The positive part of a NaN difference is NaN, not a dropped cell."""
+    traj = _with_nan_record()
+    below = Trajectory(traj.times, [f.with_values(np.zeros(4))
+                                    for f in traj.fields])
+    assert math.isnan(comparison_defect(traj, below, 0.5))
+    steady = Trajectory(traj.times, [traj.fields[0]] * 3)
+    assert comparison_defect(steady, below, 0.5) == 0.0
+
+
 def test_comparison_defect_vanishes_for_ordered_data():
     grid = Grid1D(-2.0, 2.0, 128)
     cfg = ScalarConfig(t_end=0.25, record_times=[0.25], fixed_dt=0.0078125)
