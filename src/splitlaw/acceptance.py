@@ -569,7 +569,7 @@ def criterion_11(level="full"):
         parts.append(f"(b) |L1-1| {l1_dev:.1e}, weak at finest "
                      f"{weak_fine:.1e}")
 
-        strong = DyadicSchedule("strong", k_max, m)
+        strong = DyadicSchedule("strong", k_max, m, maps_from=sched)
         sup_ok = True
         end_ok = True
         for (k, t0, t1) in strong.stages:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CellField, SplitTrajectory, VectorState, _flat_rows,
-                   _ghost_cells, _window_slice, _worst_residual,
+from .core import (CellField, SplitTrajectory, VectorState, _aligned_zeros,
+                   _flat_rows, _ghost_cells, _window_slice, _worst_residual,
                    chromatography_flux, lp_distance, total_variation)
 from .errors import InvalidArgument, InvalidEntropy, NumericalBlowup
 from .scalar import (ScalarConfig, _batch_grid, _check_test_fns, _in_row,
@@ -307,8 +307,9 @@ def solve_direct_many(U0s, config):
         _, F, F_r = _flat_rows(shape)  # the fluxes there
         # G[..., j] is the flux out of column j, so G_in is G one cell behind
         _, G_in, G = _flat_rows(shape)
-        return (Ue, U_r, np.empty((b, 1, n + 2)), F, F_r, G_in, G,
-                np.empty(shape), np.empty((b, 1, 1)), np.empty((b, 1, 1)))
+        return (Ue, U_r, _aligned_zeros((b, 1, n + 2)), F, F_r, G_in, G,
+                _aligned_zeros(shape), np.empty((b, 1, 1)),
+                np.empty((b, 1, 1)))
 
     times = [[0.0] for _ in U0s]
     states = [[U0.copy()] for U0 in U0s]

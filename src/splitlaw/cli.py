@@ -154,11 +154,27 @@ def load_config(path):
             path, os.path.basename(path)).split())) from None
 
 
+def _floats(text):
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
 def _experiment_config(path):
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise InvalidArgument(f"config not found: {path}")
+    name = os.path.basename(path)
+
+    def number(section, key, convert, fallback=None):
+        """[section] key through convert, fallback when it is absent."""
+        if not parser.has_option(section, key):
+            return fallback
+        try:
+            return convert(parser.get(section, key))
+        except ValueError as exc:
+            raise InvalidArgument(
+                f"{name}: [{section}] {key}: {exc}") from None
+
     try:
         kind = parser.get("experiment", "kind").strip()
     except (configparser.NoSectionError, configparser.NoOptionError) as exc:
@@ -166,41 +182,29 @@ def _experiment_config(path):
     if kind not in KINDS:
         raise InvalidArgument(f"unknown experiment kind: {kind!r}")
     cfg = ExperimentConfig(kind=kind, path=path)
-    stem = os.path.splitext(os.path.basename(path))[0]
-    cfg.basename = stem
+    stem = os.path.splitext(name)[0]
 
-    if parser.has_section("grid"):
-        cfg.x_min = parser.getfloat("grid", "x_min", fallback=cfg.x_min)
-        cfg.x_max = parser.getfloat("grid", "x_max", fallback=cfg.x_max)
-        cfg.n = parser.getint("grid", "n", fallback=cfg.n)
-    if parser.has_section("flux"):
-        cfg.flux = parser.get("flux", "id", fallback=cfg.flux)
-        cfg.speed = parser.get("flux", "speed", fallback=cfg.speed)
+    cfg.x_min = number("grid", "x_min", float, cfg.x_min)
+    cfg.x_max = number("grid", "x_max", float, cfg.x_max)
+    cfg.n = number("grid", "n", int, cfg.n)
+    cfg.flux = parser.get("flux", "id", fallback=cfg.flux)
+    cfg.speed = parser.get("flux", "speed", fallback=cfg.speed)
     if parser.has_section("initial"):
         for key, value in parser.items("initial"):
             cfg.initials[key] = value
-    if parser.has_section("time"):
-        cfg.t_end = parser.getfloat("time", "t_end", fallback=cfg.t_end)
-        rec = parser.get("time", "record", fallback="")
-        cfg.record = [float(tok) for tok in rec.split(",") if tok.strip()]
-        cfg.cfl = parser.getfloat("time", "cfl", fallback=cfg.cfl)
-        if parser.has_option("time", "fixed_dt"):
-            cfg.fixed_dt = parser.getfloat("time", "fixed_dt")
-    if parser.has_section("transport"):
-        if parser.has_option("transport", "epsilon"):
-            cfg.epsilon = parser.getfloat("transport", "epsilon")
-    if parser.has_section("schedule"):
-        cfg.variant = parser.get("schedule", "variant", fallback=cfg.variant)
-        cfg.k_max = parser.getint("schedule", "k_max", fallback=cfg.k_max)
-        cfg.m = parser.getint("schedule", "m", fallback=cfg.m)
-        if parser.has_option("schedule", "init_k"):
-            cfg.init_k = parser.getint("schedule", "init_k")
-    if parser.has_section("verify"):
-        cfg.level = parser.get("verify", "level", fallback=cfg.level)
-        if cfg.level not in LEVELS:
-            raise InvalidArgument(f"unknown verify level: {cfg.level!r}")
-    if parser.has_section("output"):
-        cfg.basename = parser.get("output", "basename", fallback=stem)
+    cfg.t_end = number("time", "t_end", float, cfg.t_end)
+    cfg.record = number("time", "record", _floats, cfg.record)
+    cfg.cfl = number("time", "cfl", float, cfg.cfl)
+    cfg.fixed_dt = number("time", "fixed_dt", float)
+    cfg.epsilon = number("transport", "epsilon", float)
+    cfg.variant = parser.get("schedule", "variant", fallback=cfg.variant)
+    cfg.k_max = number("schedule", "k_max", int, cfg.k_max)
+    cfg.m = number("schedule", "m", int, cfg.m)
+    cfg.init_k = number("schedule", "init_k", int)
+    cfg.level = parser.get("verify", "level", fallback=cfg.level)
+    if cfg.level not in LEVELS:
+        raise InvalidArgument(f"unknown verify level: {cfg.level!r}")
+    cfg.basename = parser.get("output", "basename", fallback=stem)
     if not cfg.record and kind in ("riemann", "chroma", "kk"):
         cfg.record = [cfg.t_end]
     return cfg
@@ -374,7 +378,15 @@ _RUNNERS = {"riemann": _run_riemann, "chroma": _run_chroma,
 
 
 def run_experiment(cfg):
-    return _RUNNERS[cfg.kind](cfg)
+    """Run cfg; a refused allocation names the key that sized the grid."""
+    try:
+        return _RUNNERS[cfg.kind](cfg)
+    except MemoryError as exc:
+        size = (f"[schedule] m = {cfg.m} ({2 ** cfg.m} x {2 ** cfg.m} cells)"
+                if cfg.kind == "depauw" else f"[grid] n = {cfg.n}")
+        raise InvalidArgument(
+            f"{os.path.basename(cfg.path)}: {size}: the run's arrays cannot "
+            f"be allocated: {exc}") from None
 
 
 def trajectory_payload(header, rows, cfg):

@@ -108,6 +108,17 @@ def _ghost_cells(ext, periodic):
     return ghosts, edges
 
 
+def _aligned_zeros(shape, dtype=float):
+    """A zeroed array whose data starts on a 64-byte cache line. malloc
+    aligns to 16 bytes only, so a step buffer's offset into its line
+    depends on everything allocated before it, and the step loops ran up
+    to 25% slower on a buffer 16 or 48 bytes into a line."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.zeros(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 def _flat_rows(shape):
     """The memory layout of every batched step: a new zeroed flat buffer
     of prod(shape) + 1 cells and two views of it, (buf, rows, ahead).
@@ -125,7 +136,7 @@ def _flat_rows(shape):
     as buf[:-1] and buf[1:]. The spare cell and any cell never written
     read 0.0.
     """
-    buf = np.zeros(math.prod(shape) + 1)
+    buf = _aligned_zeros((math.prod(shape) + 1,))
     return buf, buf[:-1].reshape(shape), buf[1:].reshape(shape)
 
 

@@ -103,53 +103,41 @@ class StageMap:
             raise InvalidArgument("stages exist for k >= 2")
         self.k = int(k)
         self.grid = grid
-        N = grid.n
         self.B = 2 ** (grid.m - k + 1)  # block side in cells
         self.off = self.B // 2
         self.amplitude = 1.0  # time-1 normalization
-        self._build_permutation()
+        # permutation: out[i,j] = values[src_i[i,j], src_j[i,j]]
+        p, q = np.indices((self.B, self.B))
+        self.src_i, self.src_j = self._sources(q, self.B - 1 - p)
         self._build_rings()
         self._measure_field()
         self._self_check()
 
-    # permutation: out[i,j] = values[src_i[i,j], src_j[i,j]]
-    def _build_permutation(self):
+    def _sources(self, lp, lq):
+        """Global (src_i, src_j) of the map that moves each cell (p, q) of
+        every rotating block from block cell (lp[p, q], lq[p, q]) and fixes
+        every other cell."""
         N, B, off = self.grid.n, self.B, self.off
         i = np.arange(N)
         r = (i - off) % N  # rolled coordinate, used on both axes
         a, p = r[:, None] // B, r[:, None] % B
         b, q = r[None, :] // B, r[None, :] % B
         rot = (a + b) % 2 == 1
-        src_i = np.where(rot, (a * B + q + off) % N, i[:, None])
-        src_j = np.where(rot, (b * B + (B - 1 - p) + off) % N, i[None, :])
-        self.src_i = src_i
-        self.src_j = src_j
+        src_i = np.where(rot, (a * B + lp[p, q] + off) % N, i[:, None])
+        src_j = np.where(rot, (b * B + lq[p, q] + off) % N, i[None, :])
+        return src_i, src_j
 
     def _build_rings(self):
-        # concentric square rings of a block, cells listed counterclockwise
-        B = self.B
-        C = (B - 1) / 2.0
+        # concentric square rings of a block, cells listed counterclockwise:
+        # right side going up, top going left, left going down, bottom
+        # going right; ring r has side 2r+1 around the block centre
+        h = self.B // 2
         rings = []
-        for r in range(B // 2):
-            rho = r + 0.5
-            side = 2 * r + 1
-            dx0 = []
-            dy0 = []
-            for u in range(side):  # right side, going up
-                dx0.append(rho)
-                dy0.append(-rho + u)
-            for u in range(side):  # top side, going left
-                dx0.append(rho - u)
-                dy0.append(rho)
-            for u in range(side):  # left side, going down
-                dx0.append(-rho)
-                dy0.append(rho - u)
-            for u in range(side):  # bottom side, going right
-                dx0.append(-rho + u)
-                dy0.append(-rho)
-            p = (np.asarray(dx0) + C).astype(int)
-            q = (np.asarray(dy0) + C).astype(int)
-            rings.append((p, q))
+        for r in range(h):
+            u = np.arange(2 * r + 1)
+            lo, hi = np.full_like(u, h - 1 - r), np.full_like(u, h + r)
+            rings.append((np.concatenate([hi, hi - u, lo, lo + u]),
+                          np.concatenate([lo + u, hi, hi - u, lo])))
         self.rings = rings
 
     def _relative_coords(self, xc, yc):
@@ -228,21 +216,12 @@ class StageMap:
             return values.copy()
         if fraction >= 1.0:
             return self.apply(values)
-        N, B, off = self.grid.n, self.B, self.off
-        W = np.roll(values, (-off, -off), axis=(0, 1))
-        out = W.copy()
-        nb = N // B
-        for a in range(nb):
-            for b in range(nb):
-                if (a + b) % 2 != 1:
-                    continue
-                blk = W[a * B:(a + 1) * B, b * B:(b + 1) * B]
-                dst = out[a * B:(a + 1) * B, b * B:(b + 1) * B]
-                for p, q in self.rings:
-                    steps = int(math.floor(fraction * (len(p) / 4.0) + 0.5))
-                    if steps:
-                        dst[p, q] = np.roll(blk[p, q], steps)
-        return np.roll(out, (off, off), axis=(0, 1))
+        lp, lq = np.indices((self.B, self.B))
+        for p, q in self.rings:
+            steps = int(math.floor(fraction * (len(p) / 4.0) + 0.5))
+            lp[p, q] = np.roll(p, steps)
+            lq[p, q] = np.roll(q, steps)
+        return values[self._sources(lp, lq)]
 
     def _self_check(self):
         N = self.grid.n
@@ -317,13 +296,15 @@ class DyadicSchedule:
               to zero at both ends of the interval.
     """
 
-    def __init__(self, variant, k_max, m):
+    def __init__(self, variant, k_max, m, maps_from=None):
         if variant not in ("original", "strong"):
             raise InvalidArgument("variant must be 'original' or 'strong'")
         if k_max < 2:
             raise InvalidArgument("need k_max >= 2")
         if k_max > m:
             raise UnresolvedScale("k_max finer than the grid resolves")
+        if maps_from is not None and maps_from.m != m:
+            raise InvalidArgument("maps_from is resolved at another scale")
         self.variant = variant
         self.k_max = int(k_max)
         self.m = int(m)
@@ -341,16 +322,18 @@ class DyadicSchedule:
         self._acts = {
             k: _Trapezoid(_ramp_fraction(k, m)) for k, _, _ in self.stages
         } if variant == "strong" else {}
-        self._stage_maps = {}
+        self._stage_maps = {} if maps_from is None else maps_from._stage_maps
 
     def stage(self, k):
         """The StageMap of level k on this schedule's grid, built on first
-        use and kept on this schedule, so each schedule pays for its own
-        builds."""
+        use. A StageMap depends only on (k, grid), so a schedule made with
+        maps_from=other shares other's maps both ways: a level either one
+        built is built once for both. Nothing is kept across schedules
+        otherwise, so each fresh schedule pays for its own builds."""
+        if not 2 <= k <= self.k_max:
+            raise InvalidArgument(f"no stage at level {k}")
         st = self._stage_maps.get(k)
         if st is None:
-            if not 2 <= k <= self.k_max:
-                raise InvalidArgument(f"no stage at level {k}")
             st = self._stage_maps[k] = build_stage(k, Grid2D(self.m))
         return st
 
@@ -400,31 +383,34 @@ def evolve(schedule, init, t_query):
     States at stage boundaries are exact permutation images; inside a
     stage the rings have turned by whole cells for the elapsed fraction,
     still a permutation but positionally approximate (flagged in meta).
-    Before the first stage the state is frozen at init.
+    Before the first stage the state is frozen at init. Each completed
+    stage is applied once per call: query times in any order reuse the
+    state after the stages they have passed.
     """
     if schedule.m != init.grid.m:
         raise InvalidArgument("schedule and data resolved at different scales")
+    done = [init.values]  # done[j]: the state after the first j stages
     times = []
     fields = []
     partial_flags = []
     for t in t_query:
         t = float(t)
-        if t < 0.0 or t > schedule.T:
+        if not 0.0 <= t <= schedule.T:
             raise InvalidArgument(f"t={t} outside the schedule support")
-        vals = init.values
-        partial = False
-        for k, t0, t1 in schedule.stages:
-            if t >= t1:
-                vals = schedule.stage(k).apply(vals)
-            elif t > t0:
-                frac = schedule.progress(k, t)
-                vals = schedule.stage(k).apply_partial(vals, frac)
-                partial = 0.0 < frac < 1.0
-                break
-            else:
-                break
+        j = sum(t >= t1 for _, _, t1 in schedule.stages)  # t1 increases
+        while len(done) <= j:
+            k = schedule.stages[len(done) - 1][0]
+            done.append(schedule.stage(k).apply(done[-1]))
+        if j < len(schedule.stages) and t > schedule.stages[j][1]:
+            k = schedule.stages[j][0]
+            frac = schedule.progress(k, t)
+            vals = schedule.stage(k).apply_partial(done[j], frac)
+            partial = 0.0 < frac < 1.0
+        else:
+            vals = done[j].copy()
+            partial = False
         times.append(t)
-        fields.append(CellField2D(init.grid, vals.copy()))
+        fields.append(CellField2D(init.grid, vals))
         partial_flags.append(partial)
     meta = {"variant": schedule.variant, "k_max": schedule.k_max,
             "partial": partial_flags}
@@ -432,15 +418,13 @@ def evolve(schedule, init, t_query):
 
 
 def _fourier_modes(grid):
-    """The nine lowest torus modes as sampled complex exponentials."""
+    """The nine lowest torus modes as sampled complex exponentials, made
+    one at a time."""
     c = (np.arange(grid.n) + 0.5) * grid.dx
-    X, Y = np.meshgrid(c, c, indexing="ij")
-    modes = []
+    X, Y = c[:, None], c[None, :]
     for ax in (-1, 0, 1):
         for by in (-1, 0, 1):
-            modes.append(((ax, by),
-                          np.exp(-2j * np.pi * (ax * X + by * Y))))
-    return modes
+            yield np.exp(-2j * np.pi * (ax * X + by * Y))
 
 
 def box_averaged_l1(field, j):
@@ -460,22 +444,26 @@ def mixing_report(traj, test_fns=None):
     the nine lowest Fourier modes; custom callables phi(X, Y) are paired
     directly.
     """
-    rows = []
     grid = traj.grid
     dA = grid.dx ** 2
-    modes = _fourier_modes(grid) if test_fns is None else None
-    if test_fns is not None:
+    if test_fns is not None and not test_fns:
+        raise InvalidArgument("need at least one test function")
+    if test_fns is None:
+        pairings = _fourier_modes(grid)
+    else:
         c = (np.arange(grid.n) + 0.5) * grid.dx
         X, Y = np.meshgrid(c, c, indexing="ij")
-        sampled = [np.asarray(fn(X, Y), dtype=float) for fn in test_fns]
-    for t, f in zip(traj.times, traj.fields):
-        if modes is not None:
-            worst = max(abs(dA * np.sum(f.values * phi)) for _, phi in modes)
-        else:
-            worst = max(abs(dA * float(np.sum(f.values * phi)))
-                        for phi in sampled)
+        pairings = (np.asarray(fn(X, Y), dtype=float) for fn in test_fns)
+    # one pairing array alive at a time; each record keeps the first
+    # largest modulus in pairing order, as max() over the pairings would
+    worst = None
+    for phi in pairings:
+        moduli = [abs(dA * np.sum(f.values * phi)) for f in traj.fields]
+        worst = moduli if worst is None else list(map(max, worst, moduli))
+    rows = []
+    for t, f, w in zip(traj.times, traj.fields, worst):
         coarse = [box_averaged_l1(f, j) for j in range(_BOX_SCALES)]
-        rows.append({"t": t, "l1": f.l1(), "weak_max": float(worst),
+        rows.append({"t": t, "l1": f.l1(), "weak_max": float(w),
                      "coarse_l1": coarse})
     return rows
 

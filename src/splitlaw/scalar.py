@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CellField, Trajectory, _flat_rows, _ghost_cells,
-                   _window_slice, _worst_residual, total_variation)
+from .core import (CellField, Trajectory, _aligned_zeros, _flat_rows,
+                   _ghost_cells, _window_slice, _worst_residual,
+                   total_variation)
 from .errors import (HypothesisViolation, InvalidArgument, NumericalBlowup,
                      SplitlawError, UnsupportedFlux)
 
@@ -90,10 +91,10 @@ class _Selection:
 
     def __init__(self, shape, convex):
         self.convex = convex
-        self.G = np.empty(shape)
-        self.other = np.empty(shape)
-        self.take = np.empty(shape, dtype=bool)
-        self.hit = np.empty(shape, dtype=bool)
+        self.G = _aligned_zeros(shape)
+        self.other = _aligned_zeros(shape)
+        self.take = _aligned_zeros(shape, dtype=bool)
+        self.hit = _aligned_zeros(shape, dtype=bool)
 
     def __call__(self, a, b, ga, gb, omega, g_omega):
         G, other, take, hit = self.G, self.other, self.take, self.hit
@@ -381,9 +382,8 @@ def _workspace(b, m, n, convex):
     _, W, _ = _flat_rows((b, m, n + 2))
     _, lam_left, lam = _flat_rows((b, m, n + 2))
     return (vbuf, ve, (vbuf[:-1], vbuf[1:]), select,
-            select.G.reshape(shape), beta, mu_out,
-            np.empty(shape), np.empty((b, 1, n + 2), dtype=bool), W,
-            lam_left, lam)
+            select.G.reshape(shape), beta, mu_out, _aligned_zeros(shape),
+            _aligned_zeros((b, 1, n + 2), dtype=bool), W, lam_left, lam)
 
 
 def _march(flux, inits, config, b_of_v=None, w0s=None):

@@ -70,6 +70,21 @@ t_end = 0.25
 """
 
 
+DEPAUW_CFG = """\
+[experiment]
+kind = depauw
+
+[schedule]
+variant = original
+k_max = 3
+m = 4
+init_k = 3
+
+[time]
+record = 0.1875, 0.5
+"""
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -331,16 +346,61 @@ def test_a_config_parse_error_is_one_line_without_the_directory(
     assert str(tmp_path) not in err
 
 
+# `python -m splitlaw.cli` with the address space capped at 4 GiB first, so
+# no allocation the run tries can take more, whatever the host's overcommit
+# policy
+_CAPPED_CLI = ("import resource, runpy; "
+               "resource.setrlimit(resource.RLIMIT_AS, (2 ** 32, 2 ** 32)); "
+               "runpy.run_module('splitlaw.cli', run_name='__main__')")
+
+
 def _run_in_subprocess(tmp_path, cfg):
-    """`python -m splitlaw.cli run cfg` in a fresh process, so a traceback
-    shows in stderr and a hang fails on the timeout."""
+    """`splitlaw run cfg` in a fresh process, so a traceback shows in
+    stderr and a hang fails on the timeout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, SPLITLAW_OUTPUT_ROOT=str(tmp_path / "out"),
                PYTHONPATH=os.pathsep.join(
                    [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    return subprocess.run([sys.executable, "-m", "splitlaw.cli", "run", cfg],
+    return subprocess.run([sys.executable, "-c", _CAPPED_CLI, "run", cfg],
                           capture_output=True, text=True, env=env,
                           timeout=60)
+
+
+@pytest.mark.parametrize("base, line, says", [
+    (RIEMANN_CFG, "n = abc",
+     "[grid] n: invalid literal for int() with base 10: 'abc'"),
+    (RIEMANN_CFG, "x_min = 1e",
+     "[grid] x_min: could not convert string to float: '1e'"),
+    (RIEMANN_CFG, "record = 0.125, x",
+     "[time] record: could not convert string to float: ' x'"),
+    (DEPAUW_CFG, "m = 4.5",
+     "[schedule] m: invalid literal for int() with base 10: '4.5'"),
+], ids=["getint", "getfloat", "record", "schedule-getint"])
+def test_a_malformed_number_names_the_file_section_and_key(
+        tmp_path, capsys, base, line, says):
+    key = line.split(" = ")[0]
+    text = re.sub(rf"^{key} = .*$", line, base, count=1, flags=re.M)
+    assert main(["run", _write(tmp_path, "bad.ini", text)]) == 2
+    assert capsys.readouterr().err == f"invalid-argument: bad.ini: {says}\n"
+
+
+@pytest.mark.parametrize("base, line, says", [
+    (RIEMANN_CFG, "n = 1099511627776", "[grid] n = 1099511627776: "),
+    (DEPAUW_CFG, "m = 40",
+     "[schedule] m = 40 (1099511627776 x 1099511627776 cells): "),
+], ids=["riemann-n", "depauw-m"])
+def test_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, base, line,
+                                                       says):
+    """2^40 cells: the first array asks for 8 TiB, which is refused at once.
+    It used to end in numpy's traceback and exit 1."""
+    key = line.split(" = ")[0]
+    text = re.sub(rf"^{key} = .*$", line, base, count=1, flags=re.M)
+    done = _run_in_subprocess(tmp_path, _write(tmp_path, "huge.ini", text))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith(f"invalid-argument: huge.ini: {says}")
+    assert "cannot be allocated" in done.stderr
 
 
 @pytest.mark.parametrize("expr", ["x[", "exp()"])
@@ -408,9 +468,11 @@ _HOSTILE = ["", "nan", "inf", "-1", "0", "1e-320", "x", "%(x)s", "nope"]
 
 @st.composite
 def _hostile_configs(draw):
-    """RIEMANN_CFG or CHROMA_CFG with one to three `key = value` lines
-    given a hostile value, duplicated or dropped. n stays at most 64."""
-    lines = draw(st.sampled_from([RIEMANN_CFG, CHROMA_CFG])).splitlines()
+    """RIEMANN_CFG, CHROMA_CFG or DEPAUW_CFG with one to three
+    `key = value` lines given a hostile value, duplicated or dropped. n
+    stays at most 64, and m at most 6 (its default when dropped)."""
+    lines = draw(st.sampled_from([RIEMANN_CFG, CHROMA_CFG,
+                                  DEPAUW_CFG])).splitlines()
     keyed = [i for i, line in enumerate(lines) if " = " in line]
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.sampled_from(keyed))

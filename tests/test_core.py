@@ -23,7 +23,8 @@ from splitlaw.core import (
     total_variation,
     weak_pairing,
 )
-from splitlaw.core import _window_slice, _worst_residual
+from splitlaw.core import (_aligned_zeros, _flat_rows, _window_slice,
+                           _worst_residual)
 from splitlaw.errors import InvalidArgument
 from splitlaw.scalar import _positive_part_integral
 
@@ -257,3 +258,21 @@ def test_worst_residual_keeps_nan(residuals, expected):
     assert got == expected or (math.isnan(got) and math.isnan(expected))
     if got == 0.0:
         assert math.copysign(1.0, got) == 1.0
+
+
+def test_step_buffers_start_on_a_cache_line():
+    """malloc aligns to 16 bytes only; the step buffers are placed on a
+    64-byte line whatever was allocated before them."""
+    keep = []
+    for size in range(1, 40):
+        keep.append(np.zeros(size))  # move the heap between allocations
+        for shape, dtype in (((size,), float), ((2, size + 2), float),
+                             ((3, 1, size), bool)):
+            a = _aligned_zeros(shape, dtype)
+            assert (a.shape, a.dtype) == (shape, np.dtype(dtype))
+            assert a.ctypes.data % 64 == 0
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert not a.any()
+        buf, rows, ahead = _flat_rows((2, size + 2))
+        assert buf.ctypes.data % 64 == 0 and rows.ctypes.data % 64 == 0
+        assert ahead.ctypes.data == buf.ctypes.data + 8

@@ -1,5 +1,6 @@
 """Chessboard coarsening schedule on the torus: stage maps, timetables,
 mixing diagnostics, and the weak continuity residual."""
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -359,7 +360,10 @@ def test_each_schedule_builds_each_stage_once(tmp_path, monkeypatch):
     assert sorted(calls) == [(k, 8) for k in range(2, 7)]
     calls.clear()
     assert criterion_11("full").passed
-    # one build per stage for each of the original and strong schedules
+    # the strong schedule shares the original schedule's maps
+    assert sorted(calls) == [(k, 8) for k in range(2, 7)]
+    # and nothing is kept across calls: a second call builds them again
+    assert criterion_11("full").passed
     assert sorted(calls) == sorted(2 * [(k, 8) for k in range(2, 7)])
 
 
@@ -370,3 +374,168 @@ def test_diagnostics_reject_a_grid_at_another_scale():
     with pytest.raises(InvalidArgument, match="different scales"):
         continuity_residual_2d(sched, chessboard(3, Grid2D(5)),
                                [torus_test(0.03, 0.47, 1, 1)])
+
+
+def test_a_schedule_shares_the_maps_of_another():
+    sched = DyadicSchedule("original", 3, 4)
+    strong = DyadicSchedule("strong", 4, 4, maps_from=sched)
+    assert strong.stage(3) is sched.stage(3)
+    assert strong.stage(4) is strong.stage(4)
+    with pytest.raises(InvalidArgument):
+        sched.stage(4)  # shared, but above this schedule's k_max
+    with pytest.raises(InvalidArgument, match="another scale"):
+        DyadicSchedule("strong", 3, 5, maps_from=sched)
+
+
+def _ring_by_ring_rings(B):
+    """Block rings built cell by cell, the earlier way."""
+    C = (B - 1) / 2.0
+    rings = []
+    for r in range(B // 2):
+        rho = r + 0.5
+        side = 2 * r + 1
+        dx0, dy0 = [], []
+        for u in range(side):  # right side, going up
+            dx0.append(rho)
+            dy0.append(-rho + u)
+        for u in range(side):  # top side, going left
+            dx0.append(rho - u)
+            dy0.append(rho)
+        for u in range(side):  # left side, going down
+            dx0.append(-rho)
+            dy0.append(rho - u)
+        for u in range(side):  # bottom side, going right
+            dx0.append(-rho + u)
+            dy0.append(-rho)
+        rings.append(((np.asarray(dx0) + C).astype(int),
+                      (np.asarray(dy0) + C).astype(int)))
+    return rings
+
+
+def _ring_by_ring_apply_partial(st, values, fraction):
+    """A partial turn as one np.roll per ring of each rotating block, the
+    earlier way."""
+    if fraction <= 0.0:
+        return values.copy()
+    if fraction >= 1.0:
+        return st.apply(values)
+    N, B, off = st.grid.n, st.B, st.off
+    W = np.roll(values, (-off, -off), axis=(0, 1))
+    out = W.copy()
+    nb = N // B
+    for a in range(nb):
+        for b in range(nb):
+            if (a + b) % 2 != 1:
+                continue
+            blk = W[a * B:(a + 1) * B, b * B:(b + 1) * B]
+            dst = out[a * B:(a + 1) * B, b * B:(b + 1) * B]
+            for p, q in _ring_by_ring_rings(B):
+                steps = int(math.floor(fraction * (len(p) / 4.0) + 0.5))
+                if steps:
+                    dst[p, q] = np.roll(blk[p, q], steps)
+    return np.roll(out, (off, off), axis=(0, 1))
+
+
+# 0.5 puts fraction * len(p) / 4 = 0.5 (2r + 1) on a half for every ring r,
+# 0.1 and 1/6 do so for sides 5 and 3; 1e-9 turns no ring
+_FRACTIONS = (0.0, 1.0, 1e-9, 0.5, 0.1, 1.0 / 6.0, 0.3, 0.77)
+
+
+def test_apply_partial_is_the_ring_by_ring_roll_bitwise():
+    rng = np.random.default_rng(11)
+    for m in range(4, 9):
+        grid = Grid2D(m)
+        vals = rng.normal(size=(grid.n, grid.n))
+        for k in range(2, m + 1):
+            st = build_stage(k, grid)
+            want_rings = _ring_by_ring_rings(st.B)
+            assert len(st.rings) == len(want_rings)
+            for (p, q), (wp, wq) in zip(st.rings, want_rings):
+                assert (p.dtype, p.tobytes(), q.tobytes()) == (
+                    wp.dtype, wp.tobytes(), wq.tobytes())
+            # the reference is slow on many small blocks: fewer fractions
+            fracs = _FRACTIONS if st.B >= 8 else _FRACTIONS[:4]
+            for frac in fracs:
+                got = st.apply_partial(vals, frac)
+                want = _ring_by_ring_apply_partial(st, vals, frac)
+                assert got.tobytes() == want.tobytes(), (m, k, frac)
+
+
+@pytest.mark.parametrize("variant", ["original", "strong"])
+def test_evolve_matches_evolving_each_time_from_init(variant, monkeypatch):
+    grid = Grid2D(5)
+    sched = DyadicSchedule(variant, 4, 5)
+    rng = np.random.default_rng(12)
+    init = CellField2D(grid, rng.normal(size=(grid.n, grid.n)))
+    ends = [t1 for _, _, t1 in sched.stages]
+    mids = [0.5 * (t0 + t1) for _, t0, t1 in sched.stages]
+    ts = [sched.T, mids[1], 0.0, ends[0], mids[1], sched.t_start, ends[1],
+          mids[0], sched.T, 0.5 * sched.t_start, mids[2], ends[0]]
+    for k, _, _ in sched.stages:
+        sched.stage(k)  # built first: each build applies its map once
+    applied = []
+    real_apply = depauw.StageMap.apply
+
+    def counting(st, values):
+        applied.append(st.k)
+        return real_apply(st, values)
+
+    monkeypatch.setattr(depauw.StageMap, "apply", counting)
+    traj = evolve(sched, init, ts)
+    # each stage applied once for the call, however the times are ordered
+    assert sorted(applied) == sorted(k for k, _, _ in sched.stages)
+    assert traj.times == ts
+    fields = [f.values for f in traj.fields]
+    assert len({id(v) for v in fields}) == len(fields)  # no shared arrays
+    for t, got, flag in zip(ts, fields, traj.meta["partial"]):
+        one = evolve(sched, init, [t])
+        assert one.meta["partial"] == [flag]
+        assert got.tobytes() == one.fields[0].values.tobytes(), t
+
+
+def test_evolve_rejects_a_nan_time():
+    grid = Grid2D(4)
+    sched = DyadicSchedule("original", 3, 4)
+    with pytest.raises(InvalidArgument, match="outside the schedule"):
+        evolve(sched, chessboard(3, grid), [0.25, float("nan")])
+
+
+def _all_modes_at_once_report(traj, test_fns=None):
+    """mixing_report with every pairing array held at once, the earlier
+    way: records outer, modes inner."""
+    grid = traj.grid
+    dA = grid.dx ** 2
+    c = (np.arange(grid.n) + 0.5) * grid.dx
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    if test_fns is None:
+        pairings = [np.exp(-2j * np.pi * (ax * X + by * Y))
+                    for ax in (-1, 0, 1) for by in (-1, 0, 1)]
+    else:
+        pairings = [np.asarray(fn(X, Y), dtype=float) for fn in test_fns]
+    rows = []
+    for t, f in zip(traj.times, traj.fields):
+        worst = max(abs(dA * np.sum(f.values * phi)) for phi in pairings)
+        rows.append({"t": t, "l1": f.l1(), "weak_max": float(worst),
+                     "coarse_l1": [box_averaged_l1(f, j) for j in range(4)]})
+    return rows
+
+
+def test_mixing_report_is_the_all_modes_at_once_computation_bitwise():
+    grid = Grid2D(6)
+    sched = DyadicSchedule("strong", 4, 6)
+    rng = np.random.default_rng(13)
+    ts = sorted(set([0.0, sched.T] + [x for _, t0, t1 in sched.stages
+                                      for x in (t0, 0.5 * (t0 + t1))]))
+    tests = [lambda X, Y: np.cos(2 * np.pi * X),
+             lambda X, Y: np.sin(2 * np.pi * (X - Y)), lambda X, Y: X * Y]
+    for init in (chessboard(4, grid),
+                 CellField2D(grid, rng.normal(size=(grid.n, grid.n)))):
+        traj = evolve(sched, init, ts)
+        for fns in (None, tests):
+            got = mixing_report(traj, fns)
+            want = _all_modes_at_once_report(traj, fns)
+            assert [r["weak_max"].hex() for r in got] == [
+                r["weak_max"].hex() for r in want]
+            assert got == want
+    with pytest.raises(InvalidArgument):
+        mixing_report(traj, [])
