@@ -8,7 +8,6 @@ untransformed system. The entropy machinery implements the lifted pairs
 eta = eta_s(u1+u2) + C(u1-u2) and the compatibility test grad(eta) DF =
 grad(q) that characterizes them.
 """
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .core import (CellField, SplitTrajectory, VectorState, _aligned_zeros,
                    chromatography_flux, lp_distance, total_variation)
 from .errors import InvalidArgument, InvalidEntropy, NumericalBlowup
 from .scalar import (ScalarConfig, _batch_grid, _check_test_fns, _in_row,
-                     _lockstep, _spacetime_quadrature)
+                     _march_rows, _spacetime_quadrature)
 # Re-exported, not called here (the split solve goes through
 # solve_split_many):
 # perfbench's tracer test reads chroma.solve_scalar.
@@ -271,94 +270,71 @@ def solve_direct(U0, config):
 
 def solve_direct_many(U0s, config):
     """solve_direct for B states on one grid under one config, stepped as
-    one (B, k, n) array. The states share k; each row keeps its own time
-    plan and speed bound, leaves the array once its plan has ended, and is
-    bitwise its solve_direct. An error from one row of a batch names the
-    row. Returns one trajectory per state.
-
-    The batch steps as one contiguous block, in the layout of
-    core._flat_rows: each component of each state is a row that carries
-    its two ghost cells, and the rows sit back to back, so the left and
-    right states and fluxes, and G_in and G_out, are contiguous views at a
-    one-element offset. Each step updates whole padded rows; the seam
-    column between two rows and the ghost columns after an update are junk
-    that no cell reads, and the ghosts are refilled at the start of each
-    step.
+    one (B, k, n) array on the step loop of scalar._march_rows, each
+    component of each state a ghost-padded row. The states share k; each
+    keeps its own time plan and speed bound and is bitwise its
+    solve_direct. An error from one row of a batch names the row. Returns
+    one trajectory per state.
     """
-    batch = len(U0s)
     _require_nonnegative(U0s)
     grid, boundary = _batch_grid(U0s)
     if len({U0.k for U0 in U0s}) > 1:
         raise InvalidArgument("batch states differ in component count")
     k = U0s[0].k
-    n = grid.n
-    dx = grid.dx
+    n, dx = grid.n, grid.dx
     periodic = boundary == "periodic"
     U = np.array([[c.values for c in U0.components] for U0 in U0s],
                  dtype=float)  # (B, k, n)
-    U_min = np.minimum.reduce(U, axis=(1, 2)).tolist()
+    states = [[U0.copy()] for U0 in U0s]
 
-    def speed(r):
-        return 1.0 / (1.0 + max(U_min[r], 0.0))  # bounds both families
+    def speed(r, ranges):
+        return 1.0 / (1.0 + max(ranges[r][0], 0.0))  # bounds both families
 
-    def workspace(b):
-        shape = (b, k, n + 2)
+    def build(keep):
+        nonlocal U
+        shape = (len(keep), k, n + 2)
         _, Ue, U_r = _flat_rows(shape)  # U and the cell to the right
         _, F, F_r = _flat_rows(shape)  # the fluxes there
         # G[..., j] is the flux out of column j, so G_in is G one cell behind
         _, G_in, G = _flat_rows(shape)
-        return (Ue, U_r, _aligned_zeros((b, 1, n + 2)), F, F_r, G_in, G,
-                _aligned_zeros(shape), np.empty((b, 1, 1)),
-                np.empty((b, 1, 1)))
+        one_plus_v = _aligned_zeros((len(keep), 1, n + 2))
+        jump = _aligned_zeros(shape)
+        inv2mu, mu = np.empty((len(keep), 1, 1)), np.empty((len(keep), 1, 1))
+        Ue[..., 1:-1] = U[keep]
+        U = Ue[..., 1:-1]  # U lives between its ghost cells
+        ghosts, edges = _ghost_cells(Ue, periodic)
 
-    times = [[0.0] for _ in U0s]
-    states = [[U0.copy()] for U0 in U0s]
-    rows = list(range(batch))  # the state held in each row of U
-    Ue = None
-    speeds = [functools.partial(speed, r) for r in rows]
-    for plan in _lockstep(config, dx, speeds):
-        if Ue is None or len(plan) < len(rows):
-            # the first step, or some plans have ended: (re)build the arrays
-            keep = [rows.index(r) for r, *_ in plan]
-            rows = [r for r, *_ in plan]
-            (Ue, U_r, one_plus_v, F, F_r, G_in, G, jump, inv2mu,
-             mu) = workspace(len(rows))
-            Ue[..., 1:-1] = U[keep]
-            U = Ue[..., 1:-1]  # U lives between its ghost cells
-            ghosts, edges = _ghost_cells(Ue, periodic)
-        inv2mu[:, 0, 0] = [dx / (2.0 * dt) for _, _, dt, _, _ in plan]
-        mu[:, 0, 0] = [dt / dx for _, _, dt, _, _ in plan]
-        ghosts[...] = edges
-        np.sum(Ue, axis=1, keepdims=True, out=one_plus_v)
-        np.add(one_plus_v, 1.0, out=one_plus_v)
-        np.divide(Ue, one_plus_v, out=F)
-        # every component at once, in the association of
-        # _kernels.lxf_fluxes, G = 0.5*(F_l + F_r) - inv2mu*(u_r - u_l), and
-        # of _kernels.scalar_step, U = (U - mu*G_out) + mu*G_in
-        np.add(F, F_r, out=G)
-        G *= 0.5
-        np.subtract(U_r, Ue, out=jump)
-        jump *= inv2mu
-        G -= jump
-        G *= mu
-        Ue -= G
-        Ue += G_in
-        lo = np.minimum.reduce(U, axis=(1, 2)).tolist()
-        hi = np.maximum.reduce(U, axis=(1, 2)).tolist()
-        for i, (r, step, _, t, lands) in enumerate(plan):
-            U_min[r] = lo[i]
-            if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
-                raise _in_row(NumericalBlowup(
-                    step, f"non-finite state at step {step}, t={t!r}"),
-                    r, batch)
-            if lands:
-                times[r].append(t)
-                states[r].append(ChromState(
-                    [CellField(grid, u.copy(), boundary) for u in U[i]]))
+        def advance(plan):
+            nonlocal Ue, G, jump  # the in-place operators rebind them
+            inv2mu[:, 0, 0] = [dx / (2.0 * dt) for _, _, dt, _, _ in plan]
+            mu[:, 0, 0] = [dt / dx for _, _, dt, _, _ in plan]
+            ghosts[...] = edges
+            np.sum(Ue, axis=1, keepdims=True, out=one_plus_v)
+            np.add(one_plus_v, 1.0, out=one_plus_v)
+            np.divide(Ue, one_plus_v, out=F)
+            # every component at once, in the association of
+            # _kernels.lxf_fluxes, G = 0.5*(F_l + F_r) - inv2mu*(u_r - u_l),
+            # and of _kernels.scalar_step, U = (U - mu*G_out) + mu*G_in
+            np.add(F, F_r, out=G)
+            G *= 0.5
+            np.subtract(U_r, Ue, out=jump)
+            jump *= inv2mu
+            G -= jump
+            G *= mu
+            Ue -= G
+            Ue += G_in
 
+        return U, advance
+
+    def record(i, r, step, t):
+        states[r].append(ChromState(
+            [CellField(grid, u.copy(), boundary) for u in U[i]]))
+
+    times = _march_rows(config, dx, U, [[] for _ in U0s], speed, build,
+                        record, "state")
     meta = {"method": "lax-friedrichs", "k": k}
     return [SplitTrajectory(times[r], states[r], None, [], dict(meta))
-            for r in range(batch)]
+            for r in range(len(U0s))]
 
 
 def state_l1_distance(a, b, window=None):

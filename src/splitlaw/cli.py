@@ -378,15 +378,33 @@ _RUNNERS = {"riemann": _run_riemann, "chroma": _run_chroma,
 
 
 def run_experiment(cfg):
-    """Run cfg; a refused allocation names the key that sized the grid."""
+    """Run cfg; a grid too large to allocate names the key that sized it.
+
+    A grid of more float64 cells than one numpy array can address on this
+    platform is refused before any array is made (numpy would refuse it
+    with its own text, or overflow the shape); a smaller one that the
+    allocator refuses is named the same way.
+    """
+    most = np.iinfo(np.intp).max // np.dtype(float).itemsize
+    if cfg.kind == "depauw":
+        # 2^m x 2^m = 2^(2m) cells; a side past 2^64 is written as a power
+        side = 2 ** cfg.m if cfg.m <= 64 else f"2^{cfg.m}"
+        size = f"[schedule] m = {cfg.m} ({side} x {side} cells)"
+        fits = 2 * cfg.m < most.bit_length()
+    else:
+        size = f"[grid] n = {cfg.n}"
+        fits = cfg.n <= most
+
+    def refused(why):
+        return InvalidArgument(f"{os.path.basename(cfg.path)}: {size}: the "
+                               f"run's arrays cannot be allocated: {why}")
+
+    if not fits:
+        raise refused(f"one array holds at most {most} float64 cells")
     try:
         return _RUNNERS[cfg.kind](cfg)
     except MemoryError as exc:
-        size = (f"[schedule] m = {cfg.m} ({2 ** cfg.m} x {2 ** cfg.m} cells)"
-                if cfg.kind == "depauw" else f"[grid] n = {cfg.n}")
-        raise InvalidArgument(
-            f"{os.path.basename(cfg.path)}: {size}: the run's arrays cannot "
-            f"be allocated: {exc}") from None
+        raise refused(exc) from None
 
 
 def trajectory_payload(header, rows, cfg):
@@ -403,11 +421,6 @@ def trajectory_payload(header, rows, cfg):
         "meta": {"kind": cfg.kind, "columns": header[1:],
                  "t_end": cfg.t_end},
     }
-
-
-def read_trajectory_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _output_base(cfg):

@@ -80,16 +80,6 @@ class CellField:
         return CellField(self.grid, self.values.copy(), self.boundary)
 
 
-def _fill_ghosts(ext, values, periodic):
-    """Write values into ext[..., 1:-1] and one ghost cell on each side.
-
-    values is (n,) or (k, n) and ext the matching (..., n + 2) buffer.
-    """
-    ext[..., 1:-1] = values
-    ghosts, edges = _ghost_cells(ext, periodic)
-    ghosts[...] = edges
-
-
 def _ghost_cells(ext, periodic):
     """Views (ghosts, edges) of the (..., n + 2) buffer ext: its two ghost
     cells, and the two cells of ext[..., 1:-1] they copy (the far edge
@@ -284,9 +274,6 @@ class Trajectory:
 
     def at(self, t):
         return self.fields[_record_index(self.times, t)]
-
-    def values_matrix(self):
-        return np.stack([f.values for f in self.fields])
 
     def __len__(self):
         return len(self.times)

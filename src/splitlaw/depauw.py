@@ -12,6 +12,7 @@ boundary. Both transport zero data to zero and chessboard data to a
 coarse chessboard: two bounded solutions from weakly indistinguishable
 starts.
 """
+import itertools
 import math
 
 import numpy as np
@@ -387,12 +388,21 @@ def evolve(schedule, init, t_query):
     stage is applied once per call: query times in any order reuse the
     state after the stages they have passed.
     """
+    times, fields, partial_flags = [], [], []
+    for t, vals, partial in _states(schedule, init, t_query):
+        times.append(t)
+        fields.append(CellField2D(init.grid, vals))
+        partial_flags.append(partial)
+    meta = {"variant": schedule.variant, "k_max": schedule.k_max,
+            "partial": partial_flags}
+    return Trajectory(times, fields, meta)
+
+
+def _states(schedule, init, t_query):
+    """The (t, values, partial) of evolve, one query time at a time."""
     if schedule.m != init.grid.m:
         raise InvalidArgument("schedule and data resolved at different scales")
     done = [init.values]  # done[j]: the state after the first j stages
-    times = []
-    fields = []
-    partial_flags = []
     for t in t_query:
         t = float(t)
         if not 0.0 <= t <= schedule.T:
@@ -404,17 +414,10 @@ def evolve(schedule, init, t_query):
         if j < len(schedule.stages) and t > schedule.stages[j][1]:
             k = schedule.stages[j][0]
             frac = schedule.progress(k, t)
-            vals = schedule.stage(k).apply_partial(done[j], frac)
-            partial = 0.0 < frac < 1.0
+            yield t, schedule.stage(k).apply_partial(done[j], frac), \
+                0.0 < frac < 1.0
         else:
-            vals = done[j].copy()
-            partial = False
-        times.append(t)
-        fields.append(CellField2D(init.grid, vals))
-        partial_flags.append(partial)
-    meta = {"variant": schedule.variant, "k_max": schedule.k_max,
-            "partial": partial_flags}
-    return Trajectory(times, fields, meta)
+            yield t, done[j].copy(), False
 
 
 def _fourier_modes(grid):
@@ -564,22 +567,27 @@ def continuity_residual_2d(schedule, init, test_fns, samples_per_stage=33):
     for _, _, t1 in schedule.stages:
         breakpoints.append(t1)
 
-    totals = []
+    tests = []  # (test, the sample times of each segment it meets)
     for tf in test_fns:
         lo = max(tf.t_support[0], 0.0)
         hi = min(tf.t_support[1], schedule.T)
         if hi <= lo:
             continue
+        tests.append((tf, [
+            np.linspace(max(seg0, lo), min(seg1, hi), samples_per_stage)
+            for seg0, seg1 in zip(breakpoints[:-1], breakpoints[1:])
+            if min(seg1, hi) > max(seg0, lo)]))
+    # one pass of evolve over every sample, so each finished stage is
+    # applied once, and one sample is held at a time
+    samples = _states(schedule, init, (
+        t for _, segments in tests for ts in segments for t in ts))
+
+    totals = []
+    for tf, segments in tests:
         total = 0.0
-        for seg0, seg1 in zip(breakpoints[:-1], breakpoints[1:]):
-            a = max(seg0, lo)
-            b = min(seg1, hi)
-            if b <= a:
-                continue
-            ts = np.linspace(a, b, samples_per_stage)
-            traj = evolve(schedule, init, ts)
+        for ts in segments:
             slab = []
-            for t, f in zip(traj.times, traj.fields):
+            for t, values, _ in itertools.islice(samples, len(ts)):
                 scale, k = schedule.field_scale(t)
                 integ = np.asarray(tf.dt(t, X, Y), dtype=float)
                 if k is not None and scale != 0.0:
@@ -587,7 +595,7 @@ def continuity_residual_2d(schedule, init, test_fns, samples_per_stage=33):
                     integ = integ + scale * (
                         st._center_vx * np.asarray(tf.dx(t, X, Y), dtype=float)
                         + st._center_vy * np.asarray(tf.dy(t, X, Y), dtype=float))
-                slab.append(dA * float(np.sum(f.values * integ)))
+                slab.append(dA * float(np.sum(values * integ)))
             slab = np.asarray(slab)
             dt = ts[1] - ts[0]
             total += float(dt * (np.sum(slab) - 0.5 * (slab[0] + slab[-1])))

@@ -293,34 +293,6 @@ def _time_steps(config, dx, speed):
             step += 1
 
 
-def _lockstep(config, dx, speeds):
-    """The time plans of B runs on one grid, stepped together.
-
-    speeds[r]() is run r's speed bound, as _time_steps takes it. Each
-    yield lists (r, step, dt, t_next, lands) for every run whose plan goes
-    on, in the order of r; a run leaves the list for good once its own plan
-    has ended. An error from run r's plan names the row when B > 1.
-    """
-    batch = len(speeds)
-    plans = [_time_steps(config, dx, speed) for speed in speeds]
-    rows = list(range(batch))
-    r = None
-    try:
-        while rows:
-            steps = []
-            for r in rows:
-                item = next(plans[r], None)
-                if item is not None:
-                    steps.append((r, *item))
-            if len(steps) < len(rows):
-                rows = [step[0] for step in steps]
-                if not rows:
-                    return
-            yield steps
-    except SplitlawError as exc:
-        raise _in_row(exc, r, batch) from None
-
-
 def _in_row(exc, r, batch):
     """exc, with its message naming row r when the batch has B > 1 runs."""
     if batch > 1:
@@ -342,6 +314,76 @@ def _batch_grid(fields):
     return grid, boundary
 
 
+def _march_rows(config, dx, cells, dt_schedule, speed, build, record,
+                what):
+    """The one step loop of the explicit schemes (the Godunov march below,
+    the Lax-Friedrichs oracle chroma.solve_direct_many): B runs on one
+    grid, stepped together as one array.
+
+    cells is the (B, ..., n) array of the runs' initial cells. Each run r
+    keeps its own time plan (_time_steps) on the speed bound speed(r,
+    ranges), where ranges[r] is the range (min, max) of its cells before
+    the step. build(keep) moves rows keep of the cells into new step
+    buffers and returns (cells, advance): the view the cells now live in,
+    and advance(plan), which steps every row once, where plan lists (r,
+    step, dt, t_next, lands) for the run r in each row. build runs before
+    the first step and whenever a run's plan has ended, so that run leaves
+    the arrays for good. After each step the range of every row is
+    reduced once: it is both the blow-up check (a non-finite cell raises
+    NumericalBlowup, naming what) and the input of the next speed bound.
+    Each dt is appended to dt_schedule[r], and after a step that lands on
+    a record time, record(i, r, step, t) keeps row i, run r. An error from
+    one run of a batch names the run. Returns each run's record times.
+
+    The step buffers take the layout of core._flat_rows: each row (a v, a
+    w row, an LxF component) carries its two ghost cells, and the rows sit
+    back to back, so every shifted operand (left and right states, the
+    fluxes into and out of a cell, a cell and its upwind neighbour) is a
+    contiguous view at a one-element offset. A step updates whole padded
+    rows; the seam column between two rows and the ghost columns after an
+    update are junk that no cell reads, and each step refills the ghosts
+    first.
+    """
+    batch = len(cells)
+    axes = tuple(range(1, cells.ndim))
+    ranges = list(zip(np.minimum.reduce(cells, axis=axes).tolist(),
+                      np.maximum.reduce(cells, axis=axes).tolist()))
+    plans = [_time_steps(config, dx, functools.partial(speed, r, ranges))
+             for r in range(batch)]
+    times = [[0.0] for _ in range(batch)]
+    rows = list(range(batch))  # the run held in each row of the arrays
+    view = None
+    while True:
+        plan = []
+        for r in rows:
+            try:
+                item = next(plans[r], None)
+            except SplitlawError as exc:
+                raise _in_row(exc, r, batch) from None
+            if item is not None:
+                plan.append((r, *item))
+        if not plan:
+            return times
+        if view is None or len(plan) < len(rows):
+            # the first step, or some plans have ended: (re)build the arrays
+            keep = [rows.index(r) for r, *_ in plan]
+            rows = [r for r, *_ in plan]
+            view, advance = build(keep)
+        advance(plan)
+        lo = np.minimum.reduce(view, axis=axes).tolist()
+        hi = np.maximum.reduce(view, axis=axes).tolist()
+        for i, (r, step, dt, t, lands) in enumerate(plan):
+            ranges[r] = (lo[i], hi[i])
+            if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
+                raise _in_row(NumericalBlowup(
+                    step, f"non-finite {what} at step {step}, t={t!r}"),
+                    r, batch)
+            dt_schedule[r].append(dt)
+            if lands:
+                times[r].append(t)
+                record(i, r, step, t)
+
+
 def solve_scalar(flux, init, config):
     """March the Godunov scheme to t_end, recording the requested times.
 
@@ -358,37 +400,9 @@ def solve_scalar(flux, init, config):
     return _march(flux, [init], config)[0][0]
 
 
-def _workspace(b, m, n, convex):
-    """The per-step arrays of _march for b rows of n cells, each row with
-    m locked w rows, all (.., n + 2) in the layout of core._flat_rows:
-    every v row and every w row carries its two ghost cells, and the rows
-    of each stack sit back to back in one flat buffer with a spare cell.
-
-    Returns the flat v buffer, its padded rows, and its flat views
-    (buf[:-1], buf[1:]): the left and right states of the b*(n + 2) flat
-    interfaces. Then the Godunov selection on those interfaces and its
-    (b, n + 2) view G, the views (beta, mu_out) = (mu*G_in, mu*G_out) of
-    one buffer into whose ahead view mu*G is written, alpha = v -
-    mu*G_out, the v != 0 mask, the W stack, and the views (lam_left, lam)
-    of one buffer into whose ahead view w/v is written. Column j of G is
-    the interface between columns j and j + 1 of v; its last column, and
-    the ghost columns of alpha, beta, v and W after an update, are junk
-    that no cell reads.
-    """
-    shape = (b, n + 2)
-    vbuf, ve, _ = _flat_rows(shape)
-    select = _Selection((b * (n + 2),), convex)
-    _, beta, mu_out = _flat_rows(shape)
-    _, W, _ = _flat_rows((b, m, n + 2))
-    _, lam_left, lam = _flat_rows((b, m, n + 2))
-    return (vbuf, ve, (vbuf[:-1], vbuf[1:]), select,
-            select.G.reshape(shape), beta, mu_out, _aligned_zeros(shape),
-            _aligned_zeros((b, 1, n + 2), dtype=bool), W, lam_left, lam)
-
-
 def _march(flux, inits, config, b_of_v=None, w0s=None):
-    """The one Godunov step loop: B runs of v on one grid, each alone or
-    with a locked w stack.
+    """The Godunov scheme on the step loop of _march_rows: B runs of v on
+    one grid, each alone or with a locked w stack.
 
     With b_of_v, each run r carries the w fields w0s[r] (the same number m
     for every run), and each rides w_t + (b(v) w)_x = 0 on the steps of
@@ -402,27 +416,10 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     that is not finite after a step, or a w that is not finite at a record
     (w/v overflows where v is tiny against |w|), raises NumericalBlowup.
 
-    The runs share the grid, the boundary mode, the flux and the config,
-    and step together as one (B, n) array v and one (B, m, n) array W.
-    Each row keeps its own time plan, mu = dt/dx, range (min v, max v),
-    speed bound and step constants, so each row is bitwise its own
-    unbatched run; a row whose plan has ended leaves the arrays. An error
-    from one row of a batch names the row. The per-step arrays are
-    allocated once per plan change (_workspace), and the range is reduced
-    once per step: it is both the blow-up check and the input of the step
-    constants.
-
-    A batch steps as one contiguous block, in the layout of
-    core._flat_rows: each v row and each w row carries its two ghost
-    cells, and the rows sit back to back, so every shifted operand (left
-    and right states, G_in and G_out, lam and lam_left) is a contiguous
-    view at a one-element offset. Each step updates whole padded rows; the
-    seam column between two rows and the ghost columns after an update
-    are junk that no cell reads, and the ghosts of v and W are refilled
-    at the start of each step.
-
-    Returns one (v_traj, w_trajs) pair per run, with w_trajs empty without
-    b_of_v.
+    The runs share the grid, the boundary mode, the flux and the config.
+    Each row keeps its own mu = dt/dx and step constants, so each row is
+    bitwise its own unbatched run. Returns one (v_traj, w_trajs) pair per
+    run, with w_trajs empty without b_of_v.
     """
     batch = len(inits)
     locked = b_of_v is not None
@@ -435,8 +432,7 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
         except SplitlawError as exc:
             raise _in_row(exc, r, batch) from None
     grid, boundary = _batch_grid(inits)
-    n = grid.n
-    dx = grid.dx
+    n, dx = grid.n, grid.dx
     periodic = boundary == "periodic"
     convex = flux.convexity == "convex"
     if flux.convexity == "none":
@@ -454,106 +450,108 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
             W[r] = _w_stack(init, b_of_v, w0s[r])
         except SplitlawError as exc:
             raise _in_row(exc, r, batch) from None
-    times = [[0.0] for _ in inits]
     fields = [[init.copy()] for init in inits]
     w_fields = [[[w0.copy()] for w0 in row] for row in w0s]
     dt_schedule = [[] for _ in inits]
     record_steps = [[] for _ in inits]
-    speed_bound = [0.0] * batch
-    v_range = list(zip(v.min(axis=1).tolist(), v.max(axis=1).tolist()))
-    lo = [row[0] for row in v_range]  # the row minima of v before a step
-    data_range = [None] * batch
-    L = [None] * batch
-    omega = [None] * batch
-    g_omega = [None] * batch
-    tol = [None] * batch
+    # each run's step constants and the range (min v, max v) they were
+    # taken on: (range, speed bound L, critical point omega, g(omega),
+    # roundoff allowance of a locked step)
+    consts = [(None,)] * batch
+    speed_bound = [0.0] * batch  # the largest L of each run
     stale = True  # the step constants of some row changed
 
-    def speed(r):
+    def speed(r, ranges):
         nonlocal stale
-        if v_range[r] != data_range[r]:
-            data_range[r] = lo, hi = v_range[r]
-            L[r] = flux.L_of_range(lo, hi)
-            speed_bound[r] = max(speed_bound[r], L[r])
-            omega[r] = critical_point(flux, lo, hi)
-            g_omega[r] = (float(flux.g(omega[r])) if math.isfinite(omega[r])
-                          else 0.0)
+        if ranges[r] != consts[r][0]:
+            lo, hi = ranges[r]
+            L = flux.L_of_range(lo, hi)
+            speed_bound[r] = max(speed_bound[r], L)
+            omega = critical_point(flux, lo, hi)
+            g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
             # max|v| from the range the speed bound is taken on
-            tol[r] = 1e-12 * max(1.0, abs(lo), abs(hi))
+            tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+            consts[r] = (ranges[r], L, omega, g_omega, tol)
             stale = True
-        return L[r]
+        return consts[r][1]
 
-    rows = list(range(batch))  # the run held in each row of v and W
-    ve = None
-    speeds = [functools.partial(speed, r) for r in rows]
-    for plan in _lockstep(config, dx, speeds):
-        if ve is None or len(plan) < len(rows):
-            # the first step, or some plans have ended: (re)build the arrays
-            keep = [rows.index(r) for r, *_ in plan]
-            rows = [r for r, *_ in plan]
-            (vbuf, ve, (left, right), select, G, beta, mu_out, alpha,
-             nonzero, We, lam_left, lam) = _workspace(len(rows), m, n, convex)
-            ve[:, 1:-1] = v[keep]
-            We[..., 1:-1] = W[keep]
-            v, W = ve[:, 1:-1], We[..., 1:-1]  # the cells between the ghosts
-            vbuf[-1] = v[-1, -1]  # the spare cell is in g's domain
-            v_ghosts, v_edges = _ghost_cells(ve, periodic)
-            w_ghosts, w_edges = _ghost_cells(We, periodic)
-            # the cells of alpha and the interfaces between them
-            alpha_cells, G_inner = alpha[:, 1:-1], G[:, :-1]
-            stale = True
-        if stale:
-            omegas = [omega[r] for r in rows]
-            if omegas.count(omegas[0]) == len(rows):
-                omega_col, g_omega_col = omegas[0], g_omega[rows[0]]
-            else:  # one value for each cell of the flat rows
-                omega_col = np.repeat(omegas, n + 2)
-                g_omega_col = np.repeat([g_omega[r] for r in rows], n + 2)
-            stale = False
-        if len(plan) == 1:
-            mu = plan[0][2] / dx
-        else:
-            mu = np.divide(np.array([item[2] for item in plan])[:, None], dx)
-        v_ghosts[...] = v_edges
-        gv = np.asarray(flux.g(vbuf), dtype=float)
-        select(left, right, gv[:-1], gv[1:], omega_col, g_omega_col)
-        np.multiply(G, mu, out=mu_out)
-        np.subtract(ve, mu_out, out=alpha)
-        if locked:
-            alpha_min = np.minimum.reduce(alpha_cells, axis=1).tolist()
-            G_min = np.minimum.reduce(G_inner, axis=1).tolist()
-            for i, (r, step, *_) in enumerate(plan):
-                if alpha_min[i] < -tol[r] or G_min[i] < -tol[r]:
-                    raise _in_row(_oversized_step(
-                        step, dt_schedule[r], alpha_cells[i], G_inner[i],
-                        tol[r]), r, batch)
-            w_ghosts[...] = w_edges
-            # regime G on every row: lo holds the row minima of v before
-            # this step, and of rows that have since left the arrays,
-            # which can only send the step to the masked divide
-            positive = min(lo) > 0.0
-            _ride(We, ve, alpha, beta, positive, nonzero, lam, lam_left)
-        np.add(alpha, beta, out=ve)
-        lo = np.minimum.reduce(v, axis=1).tolist()
-        hi = np.maximum.reduce(v, axis=1).tolist()
-        for i, (r, step, dt, t, lands) in enumerate(plan):
-            v_range[r] = (lo[i], hi[i])
-            if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
-                raise _in_row(NumericalBlowup(
-                    step, f"non-finite v at step {step}, t={t!r}"), r, batch)
-            dt_schedule[r].append(dt)
-            if lands:
-                times[r].append(t)
-                fields[r].append(CellField(grid, v[i].copy(), boundary))
-                if not np.isfinite(W[i]).all():
-                    # w/v overflows where v is tiny against |w|; NaN persists
-                    raise _in_row(NumericalBlowup(
-                        step, f"non-finite w by step {step}, t={t!r}"),
-                        r, batch)
-                for j, w_rows in enumerate(w_fields[r]):
-                    w_rows.append(CellField(grid, W[i, j].copy(), boundary))
-                record_steps[r].append(step + 1)
+    def build(keep):
+        nonlocal v, W, stale
+        shape = (len(keep), n + 2)
+        vbuf, ve, _ = _flat_rows(shape)
+        # G[:, j] is the flux between columns j and j + 1 of v
+        select = _Selection((shape[0] * (n + 2),), convex)
+        G = select.G.reshape(shape)
+        # mu*G is written into mu_out, so beta is mu*G_in
+        _, beta, mu_out = _flat_rows(shape)
+        _, We, _ = _flat_rows((len(keep), m, n + 2))
+        # w/v is written into lam, so lam_left is the upwind ratio
+        _, lam_left, lam = _flat_rows((len(keep), m, n + 2))
+        alpha = _aligned_zeros(shape)
+        nonzero = _aligned_zeros((len(keep), 1, n + 2), dtype=bool)
+        ve[:, 1:-1] = v[keep]
+        We[..., 1:-1] = W[keep]
+        v, W = ve[:, 1:-1], We[..., 1:-1]  # the cells between the ghosts
+        vbuf[-1] = v[-1, -1]  # the spare cell is in g's domain
+        left, right = vbuf[:-1], vbuf[1:]
+        v_ghosts, v_edges = _ghost_cells(ve, periodic)
+        w_ghosts, w_edges = _ghost_cells(We, periodic)
+        # the cells of alpha and the interfaces between them
+        alpha_cells, G_inner = alpha[:, 1:-1], G[:, :-1]
+        stale = True
+        omega_col = g_omega_col = positive = None
 
+        def advance(plan):
+            nonlocal stale, omega_col, g_omega_col, positive
+            if stale:
+                omegas = [consts[r][2] for r, *_ in plan]
+                if omegas.count(omegas[0]) == len(plan):
+                    omega_col, g_omega_col = omegas[0], consts[plan[0][0]][3]
+                else:  # one value for each cell of the flat rows
+                    omega_col = np.repeat(omegas, n + 2)
+                    g_omega_col = np.repeat(
+                        [consts[r][3] for r, *_ in plan], n + 2)
+                # min v > 0 on every row (regime G): the ride's plain divide
+                positive = locked and min(
+                    [consts[r][0][0] for r, *_ in plan]) > 0.0
+                stale = False
+            if len(plan) == 1:
+                mu = plan[0][2] / dx
+            else:
+                mu = np.divide(np.array([item[2] for item in plan])[:, None],
+                               dx)
+            v_ghosts[...] = v_edges
+            gv = np.asarray(flux.g(vbuf), dtype=float)
+            select(left, right, gv[:-1], gv[1:], omega_col, g_omega_col)
+            np.multiply(G, mu, out=mu_out)
+            np.subtract(ve, mu_out, out=alpha)
+            if locked:
+                alpha_min = np.minimum.reduce(alpha_cells, axis=1).tolist()
+                G_min = np.minimum.reduce(G_inner, axis=1).tolist()
+                for i, (r, step, *_) in enumerate(plan):
+                    tol = consts[r][4]
+                    if alpha_min[i] < -tol or G_min[i] < -tol:
+                        raise _in_row(_oversized_step(
+                            step, dt_schedule[r], alpha_cells[i], G_inner[i],
+                            tol), r, batch)
+                w_ghosts[...] = w_edges
+                _ride(We, ve, alpha, beta, positive, nonzero, lam, lam_left)
+            np.add(alpha, beta, out=ve)
+
+        return v, advance
+
+    def record(i, r, step, t):
+        fields[r].append(CellField(grid, v[i].copy(), boundary))
+        if not np.isfinite(W[i]).all():
+            # w/v overflows where v is tiny against |w|; NaN persists
+            raise _in_row(NumericalBlowup(
+                step, f"non-finite w by step {step}, t={t!r}"), r, batch)
+        for w_rows, w in zip(w_fields[r], W[i]):
+            w_rows.append(CellField(grid, w.copy(), boundary))
+        record_steps[r].append(step + 1)
+
+    times = _march_rows(config, dx, v, dt_schedule, speed, build, record,
+                        "v")
     runs = []
     for r in range(batch):
         meta = {

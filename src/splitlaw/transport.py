@@ -310,13 +310,3 @@ def strong_continuity_modulus(traj, t0, window=None):
             np.abs(f.values[idx] - f0.values[idx]).tolist())
         out.append((t, d))
     return out
-
-
-def discrete_divergence(values, grid):
-    """Centered difference divergence diagnostic for a 1D cell field."""
-    v = np.asarray(values, dtype=float)
-    out = np.zeros_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * grid.dx)
-    out[0] = (v[1] - v[0]) / grid.dx
-    out[-1] = (v[-1] - v[-2]) / grid.dx
-    return out

@@ -4,14 +4,22 @@ Each test prints the criterion's one-line verdict, so `pytest -v -s` (or
 any failure) shows the measured numbers next to the pass/fail status. The
 tolerances these criteria enforce are frozen in splitlaw.acceptance; the
 final test pins them so a drive-by edit cannot quietly loosen the gate.
+Each verdict must also be byte for byte its line of the pinned
+`splitlaw verify --level full` output, tests/data/verify_full.txt.
 """
+from pathlib import Path
+
 from splitlaw import acceptance
+
+FULL_LINES = (Path(__file__).resolve().parent / "data" / "verify_full.txt"
+              ).read_text(encoding="utf-8").splitlines()
 
 
 def _check(criterion):
     res = criterion("full")
     print(res.line())
     assert res.passed, res.line()
+    assert res.line() == FULL_LINES[res.number - 1]
     return res
 
 

@@ -632,3 +632,111 @@ def test_a_step_too_large_for_transport_in_one_row_names_the_row():
                                                     [v0.copy()]], cfg)
     assert "row" not in str(single.value)
     assert str(batched.value) == _prefixed(single.value, 1)
+
+
+def _range_scaled_flux():
+    """v/(1+v) with the speed bound 0.62*(max v - min v): as a periodic
+    bump flattens, the CFL step outgrows the transport stage."""
+    base = chromatography_flux()
+    return FluxFunction(g=base.g, gprime=base.gprime, convexity="concave",
+                        L_of_range=lambda lo, hi: 0.62 * (hi - lo),
+                        name="range-scaled", admissible_min=0.0)
+
+
+def _split_runs(flux, calm, bad, cfg, b_of_v=_b, w_of=lambda v: [v.copy()]):
+    """solve(rows): the split march of bad alone, or of [calm, bad]."""
+    def solve(rows):
+        v0s = [calm, bad][-rows:]
+        return solve_split_many(flux, b_of_v, v0s, [w_of(v) for v in v0s],
+                                cfg)
+    return solve
+
+
+def _direct_runs(calm, bad, cfg):
+    return lambda rows: solve_direct_many([calm, bad][-rows:], cfg)
+
+
+def _pinned_error_cases():
+    g32, g64 = Grid1D(-1.0, 1.0, 32), Grid1D(-2.0, 2.0, 64)
+
+    def step_down(grid, left=1.0, right=0.0):
+        return project(lambda x: np.where(np.asarray(x) < 0.0, left, right),
+                       grid)
+
+    def flat(grid, value):
+        return CellField(grid, np.full(grid.n, value))
+
+    plateau = ChromState([
+        project(lambda x: np.where(np.abs(np.asarray(x)) < 0.25, 1e305, 0.0),
+                g64), flat(g64, 0.5)])
+    bump = project(lambda x: 1.0 + 0.5 * np.sin(np.pi * x / 2.0), g64,
+                   boundary="periodic")
+    return [
+        # v enters the flux's NaN hole; fixed dt
+        pytest.param(_split_runs(
+            _holed_flux(), flat(g32, 0.25), step_down(g32),
+            ScalarConfig(t_end=100 * g32.dx, fixed_dt=0.5 * g32.dx)),
+            NumericalBlowup, 3,
+            "numerical-blowup: non-finite v at step 3, t=0.125", id="v"),
+        # row 0 (v = 1e6) takes one CFL step and leaves the arrays
+        pytest.param(_split_runs(
+            _holed_flux(), flat(g32, 1e6), step_down(g32),
+            ScalarConfig(t_end=100 * g32.dx)),
+            NumericalBlowup, 4,
+            "numerical-blowup: non-finite v at step 4, t=0.140625",
+            id="v-rows-leave"),
+        # the jump term overflows on a 1e305 plateau; row 0 (u = 10) takes
+        # one CFL step and leaves the arrays
+        pytest.param(_direct_runs(
+            ChromState([flat(g64, 10.0), flat(g64, 10.0)]), plateau,
+            ScalarConfig(t_end=3 * (0.45 * g64.dx) + 1e-9)),
+            NumericalBlowup, 3,
+            "numerical-blowup: non-finite state at step 3, t=0.084375001",
+            id="state-rows-leave"),
+        # w/v overflows where v is subnormal
+        pytest.param(_split_runs(
+            chromatography_flux(), flat(g32, 0.25),
+            step_down(g32, 1e-310, 0.5),
+            ScalarConfig(t_end=0.25, record_times=[0.125, 0.25]),
+            w_of=lambda v: [flat(g32, 1.0)]),
+            NumericalBlowup, 4,
+            "numerical-blowup: non-finite w by step 4, t=0.125", id="w"),
+        pytest.param(_split_runs(
+            chromatography_flux(), step_down(g64, 2.0, 1.0), step_down(g64),
+            ScalarConfig(t_end=1.5 / 16.0 * 4, fixed_dt=1.5 / 16.0),
+            w_of=lambda v: []),
+            HypothesisViolation, None,
+            "hypothesis-violation: fixed_dt breaks the CFL condition at "
+            "step 0, t=0.0: dt*L/dx = 1.5 > 1", id="cfl-split"),
+        pytest.param(_direct_runs(
+            _riemann_state(g64, [(1.0, 1.5), (1.0, 1.0)]),
+            _riemann_state(g64, [(0.0, 0.5), (0.25, 0.75)]),
+            ScalarConfig(t_end=0.25, fixed_dt=0.125)),
+            HypothesisViolation, None,
+            "hypothesis-violation: fixed_dt breaks the CFL condition at "
+            "step 0, t=0.0: dt*L/dx = 2.0 > 1", id="cfl-direct"),
+        # row 0, a taller bump, steps on a larger speed bound and stays fine
+        pytest.param(_split_runs(
+            _range_scaled_flux(),
+            bump.with_values(1.0 + 1.8 * (bump.values - 1.0)), bump,
+            ScalarConfig(t_end=8.0, cfl=0.9), b_of_v=lambda v: 1e-3 * _b(v)),
+            InvalidArgument, None,
+            "invalid-argument: split step too large for the transport stage "
+            "in step 48, from t=4.464773604608946: v - mu*G = -0.000206189 "
+            "at cell 45, below the bound -1.47837e-12; the speed bound must "
+            "cover b(v), as joint_speed_flux does", id="oversized"),
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("solve, error, step, text", _pinned_error_cases())
+def test_the_march_error_texts_are_pinned(solve, error, step, text, rows):
+    """Each step-loop error, byte for byte: alone, and from row 1 of a
+    batch, where it names the row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error) as err:
+            solve(rows)
+    ident, message = text.split(": ", 1)
+    assert str(err.value) == (text if rows == 1
+                              else f"{ident}: row 1: {message}")
+    assert getattr(err.value, "step", None) == step

@@ -21,7 +21,6 @@ from splitlaw.cli import (
     load_config,
     main,
     parse_initial,
-    read_trajectory_json,
     trajectory_payload,
     write_csv,
 )
@@ -194,7 +193,7 @@ def test_export_json_roundtrip(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "exp.ini", RIEMANN_CFG)
     out = str(tmp_path / "exp.json")
     assert main(["export", cfg, "--format", "json", "--out", out]) == 0
-    payload = read_trajectory_json(out)
+    payload = json.loads(Path(out).read_text(encoding="utf-8"))
     assert payload["times"] == [0.0, 0.125, 0.25]
     assert payload["meta"]["columns"] == ["x", "v"]
     assert payload["grid"]["n"] == 64
@@ -290,7 +289,7 @@ def test_export_depauw_in_both_formats(tmp_path, monkeypatch):
     out_json = tmp_path / "mix.json"
     assert main(["export", cfg, "--format", "json", "--out",
                  str(out_json)]) == 0
-    payload = read_trajectory_json(str(out_json))
+    payload = json.loads(out_json.read_text(encoding="utf-8"))
     assert payload["times"] == [0.25, 0.5]
     assert payload["grid"] == {"m": 3}
     assert payload["meta"]["columns"] == ["x", "y", "u"]
@@ -401,6 +400,31 @@ def test_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, base, line,
     assert done.stderr.count("\n") == 1
     assert done.stderr.startswith(f"invalid-argument: huge.ini: {says}")
     assert "cannot be allocated" in done.stderr
+
+
+@pytest.mark.parametrize("base, line, says", [
+    (RIEMANN_CFG, "n = 4611686018427387904",
+     "[grid] n = 4611686018427387904: "),
+    (DEPAUW_CFG, "m = 64",
+     "[schedule] m = 64 (18446744073709551616 x 18446744073709551616 "
+     "cells): "),
+    (DEPAUW_CFG, "m = 63",
+     "[schedule] m = 63 (9223372036854775808 x 9223372036854775808 "
+     "cells): "),
+], ids=["riemann-n-2^62", "depauw-m-64", "depauw-m-63"])
+def test_a_grid_beyond_the_largest_array_is_a_config_error(
+        tmp_path, capsys, base, line, says):
+    """More float64 cells than one numpy array can address. numpy itself
+    refuses these sizes before allocating, with a text that names no key
+    (for m = 63 a misleading shape mismatch), so the run refuses them
+    before it makes any array."""
+    key = line.split(" = ")[0]
+    text = re.sub(rf"^{key} = .*$", line, base, count=1, flags=re.M)
+    assert main(["run", _write(tmp_path, "huge.ini", text)]) == 2
+    most = np.iinfo(np.intp).max // 8
+    assert capsys.readouterr().err == (
+        f"invalid-argument: huge.ini: {says}the run's arrays cannot be "
+        f"allocated: one array holds at most {most} float64 cells\n")
 
 
 @pytest.mark.parametrize("expr", ["x[", "exp()"])

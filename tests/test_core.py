@@ -189,7 +189,6 @@ def test_trajectory_record_lookup():
     assert len(traj) == 3
     assert traj.grid == g
     assert traj.at(0.25).values[0] == 1.0
-    assert traj.values_matrix().shape == (3, 4)
     with pytest.raises(InvalidArgument):
         traj.at(0.3)
     with pytest.raises(InvalidArgument):

@@ -539,3 +539,74 @@ def test_mixing_report_is_the_all_modes_at_once_computation_bitwise():
             assert got == want
     with pytest.raises(InvalidArgument):
         mixing_report(traj, [])
+
+
+def _residual_one_evolve_per_segment(schedule, init, test_fns,
+                                     samples_per_stage=33):
+    """continuity_residual_2d as it was: one evolve from init for each
+    test function and stage segment."""
+    grid = init.grid
+    c = (np.arange(grid.n) + 0.5) * grid.dx
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    dA = grid.dx ** 2
+    breakpoints = [0.0, schedule.t_start]
+    for _, _, t1 in schedule.stages:
+        breakpoints.append(t1)
+    totals = []
+    for tf in test_fns:
+        lo = max(tf.t_support[0], 0.0)
+        hi = min(tf.t_support[1], schedule.T)
+        if hi <= lo:
+            continue
+        total = 0.0
+        for seg0, seg1 in zip(breakpoints[:-1], breakpoints[1:]):
+            a = max(seg0, lo)
+            b = min(seg1, hi)
+            if b <= a:
+                continue
+            ts = np.linspace(a, b, samples_per_stage)
+            traj = evolve(schedule, init, ts)
+            slab = []
+            for t, f in zip(traj.times, traj.fields):
+                scale, k = schedule.field_scale(t)
+                integ = np.asarray(tf.dt(t, X, Y), dtype=float)
+                if k is not None and scale != 0.0:
+                    st = schedule.stage(k)
+                    integ = integ + scale * (
+                        st._center_vx * np.asarray(tf.dx(t, X, Y), dtype=float)
+                        + st._center_vy * np.asarray(tf.dy(t, X, Y),
+                                                     dtype=float))
+                slab.append(dA * float(np.sum(f.values * integ)))
+            slab = np.asarray(slab)
+            dt = ts[1] - ts[0]
+            total += float(dt * (np.sum(slab) - 0.5 * (slab[0] + slab[-1])))
+        totals.append(abs(total))
+    return max(totals, default=0.0)
+
+
+@pytest.mark.parametrize("variant", ["original", "strong"])
+def test_continuity_residual_evolves_once_per_call(variant, monkeypatch):
+    grid = Grid2D(5)
+    sched = DyadicSchedule(variant, 4, 5)
+    init = chessboard(4, grid)
+    T = sched.T
+    # the first test reaches T, the second meets some segments, the third
+    # starts after T
+    tests = [torus_test(0.06 * T, 2.0 * T, 1, 1),
+             torus_test(0.6 * T, 0.8 * T, 1, -1, "sin"),
+             torus_test(2.0 * T, 3.0 * T, 1, 0)]
+    want = [_residual_one_evolve_per_segment(sched, init, [tf])
+            for tf in tests]
+    applied = []
+    real_apply = depauw.StageMap.apply
+
+    def counting(st, values):
+        applied.append(st.k)
+        return real_apply(st, values)
+
+    monkeypatch.setattr(depauw.StageMap, "apply", counting)
+    assert continuity_residual_2d(sched, init, tests[:2]) == max(want)
+    # 3 stages, each applied once for the whole call
+    assert sorted(applied) == [2, 3, 4]
+    for tf, total in zip(tests, want):
+        assert continuity_residual_2d(sched, init, [tf]) == total
