@@ -27,6 +27,7 @@ from .chroma import (
     state_l1_distance,
 )
 from .core import (
+    CellField,
     Grid1D,
     SplitTrajectory,
     Trajectory,
@@ -114,6 +115,16 @@ def _riemann_ic(left, right):
     return lambda x: np.where(np.asarray(x) < 0.0, left, right)
 
 
+def _piecewise_ic(knots, vals):
+    """vals[0] left of knots[0], and vals[i + 1] from knots[i] on."""
+    def ic(x):
+        out = np.full_like(np.asarray(x, dtype=float), vals[0])
+        for kt, vv in zip(knots, vals[1:]):
+            out = np.where(np.asarray(x) >= kt, vv, out)
+        return out
+    return ic
+
+
 def _split_state(grid, fixture):
     (l1, r1), (l2, r2) = fixture
     return ChromState([
@@ -170,16 +181,8 @@ def criterion_02(level="full"):
             base = rng.uniform(0.0, 2.0, len(kts) + 1)
             upper = base + rng.uniform(0.0, 1.0, len(kts) + 1)
 
-            def pc(vals):
-                def ic(x):
-                    out = np.full_like(np.asarray(x, dtype=float), vals[0])
-                    for kt, vv in zip(kts, vals[1:]):
-                        out = np.where(np.asarray(x) >= kt, vv, out)
-                    return out
-                return ic
-
-            u0 = project(pc(base), g)
-            v0 = project(pc(upper), g)
+            u0 = project(_piecewise_ic(kts, base), g)
+            v0 = project(_piecewise_ic(kts, upper), g)
             L = flux.L_of_range(0.0, float(upper.max()) + 1e-9)
             steps = 2 * math.ceil(0.5 / (2 * 0.45 * g.dx / L))
             cfg = ScalarConfig(t_end=0.5, record_times=[0.25, 0.5],
@@ -231,18 +234,10 @@ def criterion_04(level="full"):
             if trial % 2 == 0:
                 lam = np.abs(lam)
 
-            def pc(vals):
-                def ic(x):
-                    out = np.full_like(np.asarray(x, dtype=float), vals[0])
-                    for kt, vv in zip(kts, vals[1:]):
-                        out = np.where(np.asarray(x) >= kt, vv, out)
-                    return out
-                return ic
-
-            v0 = project(pc(v_vals), g)
+            v0 = project(_piecewise_ic(kts, v_vals), g)
             v0s.append(v0)
-            w0s.append([v0.with_values(project(pc(lam), g).values
-                                       * v0.values)])
+            w0s.append([v0.with_values(project(_piecewise_ic(kts, lam),
+                                               g).values * v0.values)])
         cfg = ScalarConfig(t_end=0.5, record_times=[0.1, 0.3, 0.5])
         runs = solve_split_many(flux, b_of, v0s, w0s, cfg)
         worst_contract = 0.0
@@ -411,11 +406,10 @@ def criterion_07(level="full"):
         v_l, v_r = 2.0, 0.25
         speed = (flux.g(v_r) - flux.g(v_l)) / (v_r - v_l)
         times = list(np.linspace(0.0, 1.0, 201))
-        states = []
-        for t in times:
-            v = project(lambda x, t=t: np.where(x < speed * t, v_l, v_r), g)
-            states.append(ChromState([v.with_values(0.5 * v.values),
-                                      v.with_values(0.5 * v.values)]))
+        fans = np.where(g.centers() < speed * np.array(times)[:, None],
+                        v_l, v_r)  # the entropy-violating shock, per time
+        states = [ChromState([CellField(g, 0.5 * v), CellField(g, 0.5 * v)])
+                  for v in fans]
         comp = [Trajectory(times, [st.components[i] for st in states], {})
                 for i in range(2)]
         control = SplitTrajectory(times, states, None, comp, {})
@@ -439,10 +433,10 @@ def criterion_08(level="full"):
         if level != "full":
             g_fixtures = g_fixtures[:1]
             f_fixtures = f_fixtures[:1]
-        for fixture in g_fixtures:
-            U0 = _split_state(g, fixture)
-            traj = solve_chromatography(
-                U0, ScalarConfig(t_end=1.0, record_times=[0.25, 0.5, 1.0]))
+        trajs = solve_chromatography_many(
+            [_split_state(g, fixture) for fixture in g_fixtures + f_fixtures],
+            ScalarConfig(t_end=1.0, record_times=[0.25, 0.5, 1.0]))
+        for traj in trajs[:len(g_fixtures)]:
             L = traj.meta["speed_bound"]
             worst = math.inf
             for R in (0.5, 1.0):
@@ -457,10 +451,7 @@ def criterion_08(level="full"):
             rep = check_domain(traj.states[-1], "G", delta=0.25)
             ok = ok and worst >= -EXACT_TOL and rep.ok
             parts.append(f"floor margin {worst:.1e}")
-        for fixture in f_fixtures:
-            U0 = _split_state(g, fixture)
-            traj = solve_chromatography(
-                U0, ScalarConfig(t_end=1.0, record_times=[0.25, 0.5, 1.0]))
+        for traj in trajs[len(g_fixtures):]:
             tv0 = total_variation(traj.v_traj.fields[0])
             growth = max(total_variation(f) - tv0
                          for f in traj.v_traj.fields[1:])

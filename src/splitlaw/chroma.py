@@ -64,14 +64,6 @@ def from_vw(v, w):
     return ChromState([u1] + [f.copy() for f in w])
 
 
-def difference_form(state):
-    """The 2x2 presentation (v, u1 - u2); an output convention only."""
-    if state.k != 2:
-        raise InvalidArgument("difference form is the 2x2 presentation")
-    u1, u2 = state.components
-    return state.total(), u1.with_values(u1.values - u2.values)
-
-
 def _require_nonnegative(states):
     """Every component of every state of a batch is >= 0."""
     for r, state in enumerate(states):
@@ -129,21 +121,15 @@ class SystemEntropyPair:
 
     eta: callable
     q: callable
-    provenance: tuple = None
-    convex: bool = False
 
 
 def _scalar_pair_defect(eta_s, q_s):
     # spot-check q' = eta' * g' for g = v/(1+v) by centered differences
-    sample = np.array([0.0, 0.17, 0.5, 1.0, 1.9, 3.3, 6.1])
-    worst = 0.0
-    for v in sample:
-        h = 1e-5 * max(1.0, abs(v))
-        de = (float(eta_s(v + h)) - float(eta_s(v - h))) / (2.0 * h)
-        dq = (float(q_s(v + h)) - float(q_s(v - h))) / (2.0 * h)
-        gp = 1.0 / (1.0 + v) ** 2
-        worst = max(worst, abs(dq - de * gp))
-    return worst
+    v = np.array([[0.0, 0.17, 0.5, 1.0, 1.9, 3.3, 6.1]])
+    de = _fd_gradients(lambda U: eta_s(U[0]), v)[0]
+    dq = _fd_gradients(lambda U: q_s(U[0]), v)[0]
+    gp = 1.0 / (1.0 + v[0]) ** 2
+    return _worst_residual(np.abs(dq - de * gp).tolist())
 
 
 def lift_entropy(eta_s, q_s, C, check_tol=1e-6):
@@ -154,7 +140,7 @@ def lift_entropy(eta_s, q_s, C, check_tol=1e-6):
     not bend).
     """
     defect = _scalar_pair_defect(eta_s, q_s)
-    if defect > check_tol:
+    if not defect <= check_tol:  # a NaN defect is no entropy pair either
         raise InvalidEntropy(
             f"(eta, q) is not an entropy pair for v/(1+v): defect {defect:.3e}")
 
@@ -167,45 +153,39 @@ def lift_entropy(eta_s, q_s, C, check_tol=1e-6):
         s = u1 + u2
         return np.asarray(q_s(s), dtype=float) + C * (u1 - u2) / (1.0 + s)
 
-    return SystemEntropyPair(eta=eta, q=q, provenance=(eta_s, q_s, C))
+    return SystemEntropyPair(eta=eta, q=q)
 
 
 def flux_jacobian(U):
-    """DF at a point state U, with F_i(U) = u_i/(1+v), v = sum u_j."""
+    """DF at a point state U, with F_i(U) = u_i/(1+v), v = sum u_j; at each
+    column of a (k, S) stack of states, the (S, k, k) stack of them."""
     U = np.asarray(U, dtype=float)
-    k = len(U)
-    v = float(np.sum(U))
-    J = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            J[i, j] = (1.0 if i == j else 0.0) / (1.0 + v) \
-                - U[i] / (1.0 + v) ** 2
-    return J
+    s = 1.0 + np.sum(U, axis=0)
+    return (np.eye(len(U)) / s[..., None, None]
+            - np.moveaxis(U, 0, -1)[..., :, None] / (s * s)[..., None, None])
 
 
-def _fd_gradient(fn, U, rel=1e-5):
-    U = np.asarray(U, dtype=float)
-    g = np.empty(len(U))
-    for i in range(len(U)):
-        h = rel * max(1.0, abs(U[i]))
-        Up = U.copy()
-        Um = U.copy()
-        Up[i] += h
-        Um[i] -= h
-        g[i] = (float(fn(Up)) - float(fn(Um))) / (2.0 * h)
-    return g
+def _fd_gradients(fn, U):
+    """Centered-difference gradients (k, S) of fn at the columns of U, with
+    fn run once, on the (k, 2 k S) stack of every point U +- h e_i."""
+    k, S = U.shape
+    h = 1e-5 * np.maximum(1.0, np.abs(U))
+    pts = np.repeat(U[:, None, None, :], 2 * k, axis=1).reshape(k, 2, k, S)
+    i = np.arange(k)
+    pts[i, 0, i] += h
+    pts[i, 1, i] -= h
+    up, down = np.asarray(fn(pts.reshape(k, 2 * k * S)),
+                          dtype=float).reshape(2, k, S)
+    return (up - down) / (2.0 * h)
 
 
 def entropy_compat_defect(pair, states):
-    """max over sample states of |grad(eta) DF - grad(q)| (sup over entries)."""
-    worst = 0.0
-    for U in states:
-        U = np.asarray(U, dtype=float)
-        ge = _fd_gradient(pair.eta, U)
-        gq = _fd_gradient(pair.q, U)
-        resid = ge @ flux_jacobian(U) - gq
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+    """max over sample states of |grad(eta) DF - grad(q)| (sup over entries),
+    NaN if an entry is."""
+    U = np.asarray(states, dtype=float).T  # (k, S)
+    ge, gq = (_fd_gradients(fn, U) for fn in (pair.eta, pair.q))
+    resid = (ge.T[:, None, :] @ flux_jacobian(U))[:, 0] - gq.T
+    return _worst_residual(np.abs(resid).ravel().tolist())
 
 
 def admissibility_residual(traj, pairs, test_fns):
@@ -309,7 +289,10 @@ def solve_direct_many(U0s, config):
             inv2mu[:, 0, 0] = [dx / (2.0 * dt) for _, _, dt, _, _ in plan]
             mu[:, 0, 0] = [dt / dx for _, _, dt, _, _ in plan]
             ghosts[...] = edges
-            np.sum(Ue, axis=1, keepdims=True, out=one_plus_v)
+            # the components' total, added in order, then 1 + v
+            np.add(Ue[:, :1], Ue[:, 1:2], out=one_plus_v)
+            for c in range(2, k):
+                np.add(one_plus_v, Ue[:, c:c + 1], out=one_plus_v)
             np.add(one_plus_v, 1.0, out=one_plus_v)
             np.divide(Ue, one_plus_v, out=F)
             # every component at once, in the association of

@@ -27,8 +27,8 @@ class Grid2D:
     """2^m x 2^m cell grid on the unit torus."""
 
     def __init__(self, m):
-        if m < 1:
-            raise InvalidArgument("need m >= 1")
+        if not 1 <= m <= 1022:  # past 1022, dx = 2^-m is subnormal
+            raise InvalidArgument(f"need 1 <= m <= 1022, got m = {m}")
         self.m = int(m)
         self.n = 2 ** self.m
         self.dx = 1.0 / self.n

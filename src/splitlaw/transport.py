@@ -7,13 +7,13 @@ transports the initial ratio w/v. Their agreement (after smoothing) is
 the renormalization story; the exact discrete invariants |w| <= v and
 sign preservation belong to the upwind route alone.
 """
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CellField, FluxFunction, Trajectory, _window_slice,
-                   _worst_residual)
+from .core import CellField, FluxFunction, Trajectory, _worst_residual
 from .errors import DegenerateDensity, InvalidArgument, OutOfDomain
 from .scalar import _check_test_fns, _march, _spacetime_quadrature
 
@@ -60,10 +60,29 @@ def _gaussian_kernel(dx, spec):
     return K, weights[::-1]
 
 
-def _convolve(fieldv, kernel):
+def _smooth_rows(rows, kernel, periodic):
+    """Each row of the (R, n) stack rows, extended by K ghost cells like
+    CellField.extended(K), convolved with the kernel. The extended rows sit
+    back to back and one np.convolve runs over them all: row r's n valid
+    outputs start at r (n + 2K), each the dot product it is when the row is
+    convolved alone, so every bit is."""
     K, reversed_weights = kernel
-    sm = np.convolve(fieldv.extended(K), reversed_weights, mode="valid")
-    return fieldv.with_values(sm)
+    R, n = rows.shape
+    if periodic and K > n:
+        raise InvalidArgument("mollifier wider than the periodic grid")
+    width = n + 2 * K
+    flat = np.zeros(R * width + 2 * K)  # 2K zeros: R * width valid outputs
+    ext = flat[:R * width].reshape(R, width)
+    ext[:, K:K + n] = rows
+    ext[:, :K] = rows[:, n - K:] if periodic else rows[:, :1]
+    ext[:, K + n:] = rows[:, :K] if periodic else rows[:, n - 1:]
+    sm = np.convolve(flat, reversed_weights, mode="valid")
+    return sm.reshape(R, width)[:, :n]
+
+
+def _convolve(fieldv, kernel):
+    return fieldv.with_values(_smooth_rows(
+        fieldv.values[None], kernel, fieldv.boundary == "periodic")[0])
 
 
 def mollify(fieldv, spec):
@@ -74,11 +93,9 @@ def mollify(fieldv, spec):
 class TransportPair:
     """A scalar trajectory v together with the velocity b(v) it induces."""
 
-    def __init__(self, v_traj, b_of, C=None, window=None):
+    def __init__(self, v_traj, b_of):
         self.rho = v_traj
         self.b_of = b_of
-        self.C = C
-        self.window = window
 
     @property
     def grid(self):
@@ -86,18 +103,28 @@ class TransportPair:
 
     def rho_at(self, t):
         """Density at time t, linear in t between records."""
-        times = self.rho.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+        return self.rho.fields[0].with_values(self.rho_rows([t])[0])
+
+    def rho_rows(self, ts):
+        """rho_at(t) for each of the times ts, as one (len(ts), n) stack: a
+        record within 1e-12 of t as it is, else the records around t blended."""
+        times = np.asarray(self.rho.times)
+        ts = np.asarray(ts, dtype=float)
+        if np.any(ts < times[0] - 1e-12) or np.any(ts > times[-1] + 1e-12):
             raise OutOfDomain("time outside the recorded range")
-        j = int(np.searchsorted(times, t))
-        if j < len(times) and abs(times[j] - t) <= 1e-12:
-            return self.rho.fields[j].copy()
-        j = max(1, min(j, len(times) - 1))
-        t0, t1 = times[j - 1], times[j]
-        theta = (t - t0) / (t1 - t0)
-        vals = ((1.0 - theta) * self.rho.fields[j - 1].values
-                + theta * self.rho.fields[j].values)
-        return self.rho.fields[j].with_values(vals)
+        vals = [f.values for f in self.rho.fields]
+        j = np.searchsorted(times, ts)
+        at = np.minimum(j, len(times) - 1)
+        rows = np.array([vals[i] for i in at])
+        blend = np.flatnonzero((j == len(times))
+                               | (np.abs(times[at] - ts) > 1e-12))
+        if blend.size and len(times) > 1:  # one record: every t is it
+            hi = np.clip(j[blend], 1, len(times) - 1)
+            t0, t1 = times[hi - 1], times[hi]
+            theta = ((ts[blend] - t0) / (t1 - t0))[:, None]
+            rows[blend] = ((1.0 - theta) * np.array([vals[i - 1] for i in hi])
+                           + theta * np.array([vals[i] for i in hi]))
+        return rows
 
     def velocity_at(self, t):
         rho = self.rho_at(t)
@@ -151,85 +178,97 @@ def weighted_sup_norm(w_field, v_field):
     return max(0.0, float(ratios.max())) if ratios.size else 0.0
 
 
-def regularized_velocity(pair, spec, t):
-    """Smoothed velocity mollify(b rho)/mollify(rho) at time t."""
-    return _regularized_velocity(pair, _gaussian_kernel(pair.grid.dx, spec), t)
+_BLOCK_ROWS = 32  # rows per stack; 64 raised the gate's peak RSS by 1.1 MB
+
+
+def _velocity_rows(pair, kernel, ts):
+    """The regularized velocities mollify(b rho)/mollify(rho) at the times
+    ts, as one (len(ts), n) stack smoothed by one _smooth_rows."""
+    rho = pair.rho_rows(ts)
+    both = np.concatenate([np.asarray(pair.b_of(rho), dtype=float) * rho, rho])
+    periodic = pair.rho.fields[0].boundary == "periodic"
+    num, den = np.split(_smooth_rows(both, kernel, periodic), 2)
+    if np.any(den <= 0.0):
+        raise DegenerateDensity("mollified density vanishes")
+    return num / den
 
 
 def _regularized_velocity(pair, kernel, t):
-    rho = pair.rho_at(t)
-    b = np.asarray(pair.b_of(rho.values), dtype=float)
-    num = _convolve(rho.with_values(b * rho.values), kernel)
-    den = _convolve(rho, kernel)
-    if np.any(den.values <= 0.0):
-        raise DegenerateDensity("mollified density vanishes")
-    return rho.with_values(num.values / den.values)
+    """Smoothed velocity mollify(b rho)/mollify(rho) at time t."""
+    return pair.rho.fields[0].with_values(_velocity_rows(pair, kernel, [t])[0])
 
 
 class VelocityField:
     """Time-indexed sampler of the regularized velocity.
 
     The mollifier's weights and the cell centres are built once per field.
-    """
+    Once plan(times) names the coming sample times, their rows are built
+    _BLOCK_ROWS at a time; a time off the plan is a block of its own."""
 
     def __init__(self, pair, spec):
         self.pair = pair
         self.spec = spec
         self.kernel = _gaussian_kernel(pair.grid.dx, spec)
         self.centers = pair.grid.centers()
-        self._cache = {}
-        self._bounds = None
+        # Characteristics launched inside the box drift at most speed *
+        # horizon beyond it; only queries past that margin are escapes.
+        b_max = max(0.0, *(float(np.max(np.abs(np.asarray(
+            pair.b_of(f.values), dtype=float)))) for f in pair.rho.fields))
+        pad = b_max * pair.rho.times[-1] + 6.0 * spec.epsilon + pair.grid.dx
+        self._bounds = (pair.grid.x_min - pad, pair.grid.x_max + pad)
+        self.plan(())
+
+    def plan(self, times):
+        """Name the sample times the coming queries ask for, in order."""
+        self._times = list(dict.fromkeys(times))
+        self._index = {t: i for i, t in enumerate(self._times)}
+        self._rows = {}
 
     def at(self, t):
-        key = round(float(t), 14)
-        if key not in self._cache:
-            self._cache[key] = _regularized_velocity(self.pair, self.kernel, t)
-        return self._cache[key]
+        """The regularized velocity at time t, as a field."""
+        return _regularized_velocity(self.pair, self.kernel, t)
 
-    def _padded_bounds(self):
-        # Characteristics launched inside the box drift at most
-        # speed * horizon beyond it; only queries past that margin
-        # are genuine escapes.
-        if self._bounds is None:
-            b_max = 0.0
-            for f in self.pair.rho.fields:
-                b = np.asarray(self.pair.b_of(f.values), dtype=float)
-                b_max = max(b_max, float(np.max(np.abs(b))))
-            horizon = self.pair.rho.times[-1]
-            pad = b_max * horizon + 6.0 * self.spec.epsilon + self.pair.grid.dx
-            grid = self.pair.grid
-            self._bounds = (grid.x_min - pad, grid.x_max + pad)
-        return self._bounds
+    def _row(self, t):
+        if t not in self._rows:
+            i = self._index.get(t)
+            block = [t] if i is None else self._times[i:i + _BLOCK_ROWS]
+            self._rows = dict(zip(block, _velocity_rows(self.pair,
+                                                        self.kernel, block)))
+        return self._rows[t]
 
     def sample(self, t, x):
         """Velocity at (t, x): linear interpolation between cell midpoints,
         edge values extended through the padded band outside the box."""
-        f = self.at(t)
+        row = self._row(t)
         x = np.asarray(x, dtype=float)
-        lo, hi = self._padded_bounds()
+        lo, hi = self._bounds
         if x.size and (x.min() < lo or x.max() > hi):
             raise OutOfDomain("characteristic left the padded domain")
-        return np.interp(x, self.centers, f.values)
+        return np.interp(x, self.centers, row)
+
+
+def _rk4_steps(velocity, t0, t1):
+    """flow_map's RK4 step h from t0 to t1 and, per step, its sample times
+    (t, t + h/2, t + h), with t advanced by repeated addition of h."""
+    h_target = min(velocity.pair.grid.dx, velocity.spec.epsilon / 4.0)
+    n = max(1, int(math.ceil(abs(t1 - t0) / h_target)))
+    h = (t1 - t0) / n
+    starts = itertools.accumulate([h] * (n - 1), initial=t0)
+    return h, [(t, t + 0.5 * h, t + h) for t in starts]
 
 
 def flow_map(velocity, t0, t1, x0):
     """RK4 integration of dx/dt = velocity.sample(t, x) from t0 to t1."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    dx = velocity.pair.grid.dx
-    h_target = min(dx, velocity.spec.epsilon / 4.0)
-    span = t1 - t0
-    if span == 0.0:
+    if t1 - t0 == 0.0:
         return x if np.ndim(x0) else float(x[0])
-    n = max(1, int(math.ceil(abs(span) / h_target)))
-    h = span / n
-    t = t0
-    for _ in range(n):
+    h, steps = _rk4_steps(velocity, t0, t1)
+    for t, t_mid, t_end in steps:
         k1 = velocity.sample(t, x)
-        k2 = velocity.sample(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = velocity.sample(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = velocity.sample(t + h, x + h * k3)
+        k2 = velocity.sample(t_mid, x + 0.5 * h * k1)
+        k3 = velocity.sample(t_mid, x + 0.5 * h * k2)
+        k4 = velocity.sample(t_end, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
     return x if np.ndim(x0) else float(x[0])
 
 
@@ -239,7 +278,8 @@ def solve_by_characteristics(pair, w0, spec, record_times):
     For each record time t, cells are traced backward to time 0 through the
     mollified velocity; the ratio there multiplies the mollified density at
     time t. Smooth route: approximate by construction, used as the
-    independent cross-check against the upwind scheme.
+    independent cross-check against the upwind scheme. Each trace plans its
+    RK4 sample times, so its velocity rows come in stacks.
     """
     velocity = VelocityField(pair, spec)
     kernel, centers = velocity.kernel, velocity.centers
@@ -248,19 +288,19 @@ def solve_by_characteristics(pair, w0, spec, record_times):
         raise DegenerateDensity("mollified initial density vanishes")
     lam0 = _convolve(w0, kernel).values / rho0_smooth
 
-    grid = pair.grid
-    times = []
     fields = []
     for t in record_times:
         if t == 0.0:
             w_vals = lam0 * rho0_smooth
         else:
+            _, steps = _rk4_steps(velocity, 0.0, t)  # those of the trace
+            velocity.plan([t - s for step in steps for s in step])
             back = flow_map(_Reversed(velocity, t), 0.0, t, centers)
             lam = np.interp(back, centers, lam0)
             w_vals = lam * _convolve(pair.rho_at(t), kernel).values
-        times.append(float(t))
-        fields.append(CellField(grid, w_vals, w0.boundary))
-    return Trajectory(times, fields, {"mollifier": spec.epsilon})
+        fields.append(CellField(pair.grid, w_vals, w0.boundary))
+    return Trajectory([float(t) for t in record_times], fields,
+                      {"mollifier": spec.epsilon})
 
 
 class _Reversed:
@@ -296,17 +336,3 @@ def renorm_residual(pair, w_traj, beta, test_fns):
 
     return _worst_residual(
         abs(r) for r in _spacetime_quadrature(w_traj, arrays, test_fns))
-
-
-def strong_continuity_modulus(traj, t0, window=None):
-    """L1 distances to the t0 snapshot at each later record time."""
-    f0 = traj.at(t0)
-    idx = _window_slice(traj.grid, window)
-    out = []
-    for t, f in zip(traj.times, traj.fields):
-        if t <= t0:
-            continue
-        d = traj.grid.dx * math.fsum(
-            np.abs(f.values[idx] - f0.values[idx]).tolist())
-        out.append((t, d))
-    return out

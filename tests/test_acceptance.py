@@ -102,3 +102,37 @@ def test_acceptance_tolerances_are_pinned():
     }
     for name, value in frozen.items():
         assert getattr(acceptance, name) == value, name
+
+
+def _recorded_returns(monkeypatch, names):
+    """Spy on the acceptance module's calls to names: every return value,
+    in call order, per name."""
+    seen = {name: [] for name in names}
+    for name in names:
+        def spy(*args, _fn=getattr(acceptance, name), _out=seen[name]):
+            _out.append(_fn(*args))
+            return _out[-1]
+        monkeypatch.setattr(acceptance, name, spy)
+    return seen
+
+
+def test_gate_values_are_pinned_to_the_last_bit(monkeypatch):
+    """The floats behind criteria 7 and 12, which the verdicts print to a
+    few digits only: array-form rewrites of the entropy checks, the fixture
+    solves and the characteristics route must keep every bit of them."""
+    seen = _recorded_returns(monkeypatch, ("lp_distance",
+                                           "admissibility_residual",
+                                           "entropy_compat_defect"))
+    assert acceptance.criterion_07("full").passed
+    assert acceptance.criterion_12("full").passed
+    assert [repr(g) for g in seen["lp_distance"]] == [
+        "0.005002352725715191", "0.02348057393054543",
+        "0.0027016512278205374", "0.008642497754592107",
+        "0.0027650080926992972", "0.0021879558297441806"]
+    # the five fixtures S, E, F, G, Q, then the entropy-violating control
+    assert [repr(r) for r in seen["admissibility_residual"]] == [
+        "0.0", "0.0010320031474549763", "0.0010498010249108437",
+        "0.0008885549226846201", "0.001532497625694295",
+        "0.08868621172354213"]
+    assert len(seen["entropy_compat_defect"]) == 50
+    assert repr(max(seen["entropy_compat_defect"])) == "1.473416055830512e-09"

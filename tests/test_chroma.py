@@ -9,7 +9,6 @@ from splitlaw.chroma import (
     ChromState,
     admissibility_residual,
     check_domain,
-    difference_form,
     entropy_compat_defect,
     flux_jacobian,
     from_vw,
@@ -103,19 +102,6 @@ def test_from_vw_rejects_mismatched_grids():
         from_vw(v, w)
 
 
-def test_difference_form_is_the_two_component_presentation():
-    grid = _grid(16)
-    state = _riemann_state(grid, [(1.0, 0.5), (0.25, 0.75)])
-    v, d = difference_form(state)
-    assert np.allclose(v.values, state.total().values)
-    assert np.allclose(
-        d.values,
-        state.components[0].values - state.components[1].values)
-    three = _riemann_state(grid, [(1.0, 0.5)] * 3)
-    with pytest.raises(InvalidArgument):
-        difference_form(three)
-
-
 def test_chrom_state_validation():
     grid = _grid(16)
     ok = CellField(grid, np.ones(16))
@@ -196,6 +182,23 @@ def test_lift_entropy_accepts_the_quadratic_pair():
 def test_lift_entropy_rejects_a_mismatched_flux_pair():
     with pytest.raises(InvalidEntropy):
         lift_entropy(_eta_s, lambda v: 0.5 * np.asarray(v) ** 2, 0.0)
+
+
+def test_entropy_checks_report_a_nan_instead_of_dropping_it():
+    """max() skipped a NaN at one sample point, so a map undefined there
+    passed the lift check and read a clean compatibility defect."""
+    def holed(fn):
+        return lambda v: np.where(np.asarray(v) > 3.0, np.nan, fn(v))
+
+    with pytest.raises(InvalidEntropy, match="defect nan"):
+        lift_entropy(_eta_s, holed(_q_s), 0.0)
+    pair = lift_entropy(_eta_s, _q_s, 0.7)
+    states = np.array([[0.5, 0.25], [2.0, 1.5], [1.0, 0.75]])
+    assert entropy_compat_defect(pair, states) <= 1e-8
+    eta = pair.eta
+    holed_pair = SimpleNamespace(
+        eta=lambda U: np.where(U[0] + U[1] > 3.0, np.nan, eta(U)), q=pair.q)
+    assert math.isnan(entropy_compat_defect(holed_pair, states))
 
 
 def test_flux_jacobian_row_sums_match_the_scalar_speed():
@@ -366,16 +369,26 @@ def _outflow_riemann_state(grid):
         for left, right in [(0.25, 0.5), (0.75, 0.1)]])
 
 
-def _smooth_periodic_state(grid):
+def _smooth_periodic_state(grid, amps=(0.25, -0.125, 0.375)):
     return ChromState([
         project(lambda x, a=a: 0.5 + a * np.sin(0.5 * np.pi * np.asarray(x)),
                 grid, boundary="periodic")
-        for a in (0.25, -0.125, 0.375)])
+        for a in amps])
+
+
+def _periodic_states(k):
+    """_smooth_periodic_state with k components: the oracle adds up the
+    components one by one, in order, which must be the reference's sum."""
+    amps = (0.25, -0.125, 0.375, 0.0625, -0.3125, 0.1875)[:k]
+    return lambda grid: _smooth_periodic_state(grid, amps)
 
 
 @pytest.mark.parametrize("data", [_outflow_riemann_state,
-                                  _smooth_periodic_state],
-                         ids=["riemann-outflow", "smooth-periodic"])
+                                  _smooth_periodic_state,
+                                  _periodic_states(4), _periodic_states(5),
+                                  _periodic_states(6)],
+                         ids=["riemann-outflow", "smooth-periodic",
+                              "periodic-k4", "periodic-k5", "periodic-k6"])
 @pytest.mark.parametrize("fixed_dt", [None, 1.0 / 128.0],
                          ids=["adaptive", "fixed"])
 def test_direct_oracle_is_bitwise_equal_to_the_per_step_reference(data,

@@ -69,7 +69,8 @@ t_end = 0.25
 """
 
 
-DEPAUW_CFG = """\
+# every [schedule] key set, for the config fuzz
+DEPAUW_FULL_CFG = """\
 [experiment]
 kind = depauw
 
@@ -492,11 +493,11 @@ _HOSTILE = ["", "nan", "inf", "-1", "0", "1e-320", "x", "%(x)s", "nope"]
 
 @st.composite
 def _hostile_configs(draw):
-    """RIEMANN_CFG, CHROMA_CFG or DEPAUW_CFG with one to three
-    `key = value` lines given a hostile value, duplicated or dropped. n
-    stays at most 64, and m at most 6 (its default when dropped)."""
-    lines = draw(st.sampled_from([RIEMANN_CFG, CHROMA_CFG,
-                                  DEPAUW_CFG])).splitlines()
+    """RIEMANN_CFG, CHROMA_CFG, DEPAUW_CFG or DEPAUW_FULL_CFG with one to
+    three `key = value` lines given a hostile value, duplicated or dropped.
+    n stays at most 64, and m at most 6 (its default when dropped)."""
+    lines = draw(st.sampled_from([RIEMANN_CFG, CHROMA_CFG, DEPAUW_CFG,
+                                  DEPAUW_FULL_CFG])).splitlines()
     keyed = [i for i, line in enumerate(lines) if " = " in line]
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.sampled_from(keyed))

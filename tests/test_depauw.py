@@ -52,6 +52,16 @@ def test_grid_and_field_validation():
     assert f.linf() == 1.0
 
 
+
+def test_a_grid_too_fine_for_float64_fails_typed():
+    """2^-m is subnormal past m = 1022, and 2^m past 1023 does not even
+    convert to a float: both used to escape as OverflowError or a
+    subnormal cell width."""
+    assert Grid2D(1022).dx == 2.0 ** -1022
+    for m in (1023, 2000):
+        with pytest.raises(InvalidArgument, match=f"got m = {m}$"):
+            Grid2D(m)
+
 def test_chessboard_levels():
     grid = Grid2D(4)
     assert np.all(chessboard(0, grid).values == 1.0)

@@ -33,14 +33,15 @@ from splitlaw.transport import (
     MollifierSpec,
     TransportPair,
     VelocityField,
+    _gaussian_kernel,
+    _regularized_velocity,
+    _velocity_rows,
     flow_map,
     joint_speed_flux,
     mollify,
-    regularized_velocity,
     renorm_residual,
     solve_by_characteristics,
     solve_split,
-    strong_continuity_modulus,
     weighted_sup_norm,
 )
 
@@ -100,6 +101,10 @@ def test_mollifier_width_validation():
         MollifierSpec(0.1, kind="tophat")
     with pytest.raises(InvalidArgument):
         mollify(f, MollifierSpec(0.5 * grid.dx))
+    # 6 eps / dx = 120 ghost cells a side cannot wrap a 64-cell torus
+    ring = CellField(grid, np.ones(grid.n), boundary="periodic")
+    with pytest.raises(InvalidArgument, match="wider than the periodic"):
+        mollify(ring, MollifierSpec(20.0 * grid.dx))
 
 
 def test_joint_speed_flux_raises_the_bound_to_cover_transport():
@@ -123,6 +128,10 @@ def test_transport_pair_time_interpolation():
                           _b(vt.fields[0].values))
     with pytest.raises(OutOfDomain):
         pair.rho_at(vt.times[-1] + 1.0)
+    # one record: within 1e-12 of it, every time reads it
+    single = TransportPair(Trajectory([0.5], [vt.fields[2]]), _b)
+    for t in (0.5 - 1e-13, 0.5, 0.5 + 1e-13):
+        assert np.array_equal(single.rho_at(t).values, vt.fields[2].values)
 
 
 def test_upwind_ratio_one_rides_the_density_bitwise():
@@ -360,13 +369,15 @@ def test_regularized_velocity_is_a_weighted_average_of_b():
     grid, vt = _smooth_run(n=128, t_end=0.25, records=6)
     pair = TransportPair(vt, _b)
     spec = MollifierSpec(4.0 * grid.dx)
-    reg = regularized_velocity(pair, spec, 0.1)
+    reg = _regularized_velocity(pair, _gaussian_kernel(grid.dx, spec), 0.1)
     b_vals = _b(pair.rho_at(0.1).values)
     assert np.min(reg.values) >= np.min(b_vals) - 1e-12
     assert np.max(reg.values) <= np.max(b_vals) + 1e-12
     # constant b passes through the quotient untouched
     grid_c, pair_c = _constant_pair(0.4)
-    reg_c = regularized_velocity(pair_c, MollifierSpec(4.0 * grid_c.dx), 0.5)
+    spec_c = MollifierSpec(4.0 * grid_c.dx)
+    reg_c = _regularized_velocity(pair_c, _gaussian_kernel(grid_c.dx, spec_c),
+                                  0.5)
     assert np.max(np.abs(reg_c.values - 0.4)) <= 1e-12
 
 
@@ -376,7 +387,8 @@ def test_regularized_velocity_needs_positive_density():
     vt = Trajectory([0.0, 1.0], [zero, zero.copy()])
     pair = TransportPair(vt, _b)
     with pytest.raises(DegenerateDensity):
-        regularized_velocity(pair, MollifierSpec(4.0 * grid.dx), 0.5)
+        _regularized_velocity(
+            pair, _gaussian_kernel(grid.dx, MollifierSpec(4.0 * grid.dx)), 0.5)
 
 
 def test_velocity_field_sampling_and_padding():
@@ -536,6 +548,29 @@ def test_characteristics_are_bitwise_the_per_call_mollifier(n, width,
         assert field.values.tobytes() == values.tobytes()
 
 
+
+@pytest.mark.parametrize("boundary", ["constant-extension", "periodic"])
+def test_velocity_rows_built_as_one_stack_are_the_per_time_rows(boundary):
+    """One stack of sample times around the record at 0.1, on it and
+    within 1e-12 of it, gives row for row the velocity built at each time
+    alone, and the per-call mollifier's."""
+    grid = Grid1D(-2.0, 2.0, 96)
+    v0 = CellField(grid, _bump(grid).values, boundary)
+    cfg = ScalarConfig(t_end=0.25,
+                       record_times=list(np.linspace(0.0, 0.25, 6)))
+    vt = solve_scalar(joint_speed_flux(chromatography_flux(), _b), v0, cfg)
+    assert vt.times[2] == 0.1
+    pair = TransportPair(vt, _b)
+    spec = MollifierSpec(5.5 * grid.dx)
+    kernel = _gaussian_kernel(grid.dx, spec)
+    ts = [0.25, 0.0625, 0.09, 0.1, 0.1 + 5e-13, 0.1 - 5e-13, 0.11, 0.0]
+    rows = _velocity_rows(pair, kernel, ts)
+    assert rows.shape == (len(ts), grid.n)
+    for t, row in zip(ts, rows, strict=True):
+        alone = _regularized_velocity(pair, kernel, t).values
+        per_call = _VelocityPerCall(pair, spec).at(t).values
+        assert row.tobytes() == alone.tobytes() == per_call.tobytes()
+
 def test_transport_residuals_are_nan_when_a_total_is_nan():
     """max(worst, abs(nan)) is worst, so a NaN total used to be dropped."""
     _, vt = _smooth_run(n=64, records=11)
@@ -570,19 +605,3 @@ def test_renorm_residual_separates_matched_from_mismatched_velocity():
     mismatched = renorm_residual(pair_bad, vt, lambda u: u * u, tests)
     assert mismatched >= 10.0 * matched
     assert mismatched >= 0.03
-
-
-def test_strong_continuity_modulus_grows_with_the_shock():
-    grid = Grid1D(-2.0, 2.0, 256)
-    v0 = project(lambda x: np.where(np.asarray(x) < 0.0, 1.0, 0.0), grid)
-    flux = joint_speed_flux(chromatography_flux(), _b)
-    cfg = ScalarConfig(t_end=0.5,
-                       record_times=list(np.linspace(0.0, 0.5, 11)))
-    vt = solve_scalar(flux, v0, cfg)
-    out = strong_continuity_modulus(vt, 0.0)
-    assert len(out) == 10
-    dists = [d for _, d in out]
-    assert all(d > 0.0 for d in dists)
-    assert all(b >= a for a, b in zip(dists, dists[1:]))
-    windowed = strong_continuity_modulus(vt, 0.0, window=(-0.5, 0.5))
-    assert all(dw <= df + 1e-12 for (_, dw), (_, df) in zip(windowed, out))
