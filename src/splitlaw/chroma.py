@@ -56,12 +56,16 @@ def from_vw(v, w):
     w = list(w)
     if any(f.grid != v.grid for f in w):
         raise InvalidArgument("v and w on different grids")
+    return ChromState([_first_component(v, w)] + [f.copy() for f in w])
+
+
+def _first_component(v, w):
+    """The field u_1 = v - sum w_i of from_vw."""
     if len(w) == 1:
         u1_vals = v.values - w[0].values
     else:
         u1_vals = v.values - _fsum_columns(np.stack([f.values for f in w]))
-    u1 = CellField(v.grid, u1_vals, v.boundary)
-    return ChromState([u1] + [f.copy() for f in w])
+    return CellField(v.grid, u1_vals, v.boundary)
 
 
 def _require_nonnegative(states):
@@ -91,7 +95,9 @@ def solve_chromatography_many(U0s, config):
     """solve_chromatography for B states on one grid under one config,
     stepped as one (B, n) split march (transport.solve_split_many). The
     states share k; each keeps its own time plan and is bitwise its
-    solve_chromatography. Returns one trajectory per state.
+    solve_chromatography. Returns one trajectory per state. Each record's
+    state is (u_1, w_1, ..., w_{k-1}) with u_1 as from_vw computes it and
+    the w_i the very fields of w_trajs, so every w is stored once.
     """
     _require_nonnegative(U0s)
     vws = [to_vw(U0) for U0 in U0s]
@@ -100,8 +106,10 @@ def solve_chromatography_many(U0s, config):
                             config)
     trajs = []
     for (v0, _), (v_traj, w_trajs) in zip(vws, runs):
-        states = [from_vw(v_traj.fields[j], [wt.fields[j] for wt in w_trajs])
-                  for j in range(len(v_traj))]
+        states = [ChromState([_first_component(v, w)] + w)
+                  for v, w in zip(v_traj.fields,
+                                  map(list, zip(*(wt.fields
+                                                  for wt in w_trajs))))]
         delta0 = float(np.min(v0.values))
         tv0 = total_variation(v0)
         meta = {
@@ -337,35 +345,65 @@ def semigroup_defect(U0, t, s, config, solver=solve_chromatography):
     to roundoff, not bitwise: the defect is at the 1e-17 scale, not zero.
     """
     return semigroup_defect_many(
-        [U0], t, s, config,
-        lambda states, cfg: [solver(st, cfg) for st in states])[0]
+        [U0], [(t, s)], config,
+        lambda states, cfg: [solver(st, cfg) for st in states])[0][0]
 
 
-def semigroup_defect_many(U0s, t, s, config,
+def semigroup_defect_many(U0s, splits, config,
                           solver=solve_chromatography_many):
-    """semigroup_defect for B states, each advance one batch solve:
-    solver(states, config) returns one trajectory per state. Returns one
-    defect per state."""
+    """semigroup_defect for B states and each (t, s) of splits: one list
+    per split, of one defect per state.
+
+    Every advance is a batch solve: solver(states, config) returns one
+    trajectory per state. Leg 1 steps every state once, to the longest
+    t + s, and records every s and every t + s; with fixed dt a record's
+    bits do not depend on the stops after it, so each is the state a
+    solve to that time alone ends on. Leg 2 restarts from the states at
+    each s, one batch per distinct t, so no row steps past the time it
+    needs. A time of zero steps is the state itself, unsolved.
+    """
     if config.fixed_dt is None:
         raise InvalidArgument("semigroup defect needs fixed-step mode")
     dt = config.fixed_dt
-    for tau in (t, s):
-        if tau < 0.0:
-            raise InvalidArgument("times must be nonnegative")
-        j = round(tau / dt)
-        if abs(j * dt - tau) > 1e-9 * max(tau, dt):
-            raise InvalidArgument("time not aligned with fixed_dt")
+    splits = list(splits)
+    for split in splits:
+        for tau in split:
+            if tau < 0.0:
+                raise InvalidArgument("times must be nonnegative")
+            j = round(tau / dt)
+            if abs(j * dt - tau) > 1e-9 * max(tau, dt):
+                raise InvalidArgument("time not aligned with fixed_dt")
 
-    def advance(states, tau):
-        if round(tau / dt) == 0:
-            return states
-        cfg = ScalarConfig(t_end=tau, cfl=config.cfl, record_times=[tau],
-                           fixed_dt=dt)
-        return [traj.at(tau) for traj in solver(states, cfg)]
+    def solve(states, stops):
+        cfg = ScalarConfig(t_end=stops[-1], cfl=config.cfl,
+                           record_times=stops, fixed_dt=dt)
+        return solver(states, cfg)
 
-    direct = advance(U0s, t + s)
-    staged = advance(advance(U0s, s), t)
-    return [state_l1_distance(a, b) for a, b in zip(direct, staged)]
+    # leg 1: the states at every s and every t + s
+    at = {}
+    stops = sorted({tau for t, s in splits for tau in (s, t + s)
+                    if round(tau / dt) > 0})
+    if stops:
+        trajs = solve(U0s, stops)
+        at = {tau: [traj.at(tau) for traj in trajs] for tau in stops}
+
+    def states_at(tau):
+        return at.get(tau, U0s)
+
+    # leg 2: t more from each s, the rows of one t in one batch
+    B = len(U0s)
+    staged = {}
+    for t in sorted({t for t, _ in splits}):
+        starts = sorted({s for tt, s in splits if tt == t})
+        if round(t / dt) == 0:
+            staged.update({(t, s): states_at(s) for s in starts})
+            continue
+        trajs = solve([U for s in starts for U in states_at(s)], [t])
+        for i, s in enumerate(starts):
+            staged[t, s] = [traj.at(t) for traj in trajs[i * B:(i + 1) * B]]
+    return [[state_l1_distance(a, b)
+             for a, b in zip(states_at(t + s), staged[t, s])]
+            for t, s in splits]
 
 
 _POLY_DEGREE = 4

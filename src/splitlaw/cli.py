@@ -42,7 +42,7 @@ from .depauw import (
     mixing_report,
 )
 from .errors import InvalidArgument, SolverError, ValidationError
-from .kk import KKState, renormalization_defect, solve_kk
+from .kk import KKState, affine_speed, renormalization_defect, solve_kk
 from .scalar import ScalarConfig, max_principle_defect, solve_scalar, tvd_defect
 
 KINDS = ("riemann", "chroma", "kk", "depauw", "verify")
@@ -109,9 +109,7 @@ def _parse_direction_speed(spec):
     m = re.match(r"affine\(\s*([^,]+)\s*,\s*([^)]+)\s*\)$", spec.strip())
     if not m:
         raise InvalidArgument(f"unrecognized direction speed: {spec!r}")
-    a, b = float(m.group(1)), float(m.group(2))
-    return (lambda r: a + b * np.asarray(r, dtype=float),
-            lambda r: np.full_like(np.asarray(r, dtype=float), b))
+    return affine_speed(float(m.group(1)), float(m.group(2)))
 
 
 @dataclass

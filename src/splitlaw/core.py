@@ -173,13 +173,23 @@ class FluxFunction:
     convexity is one of 'convex', 'concave', 'none'; c is the uniform
     convexity (or concavity) constant, 0 when unknown. L_of_range defaults to
     sampling |g'| on a 1025-point grid of the requested interval.
+
+    g_into, when given, is g's buffer form: g_into(v, out) writes g(v) into
+    out, a float array of v's shape that is not v itself, with g's
+    operations in g's order, so out holds the bits of g(v). The Godunov
+    step loop then evaluates g into one buffer made per march instead of
+    allocating new arrays on every step; without it, it calls g and copies
+    the result into that buffer. The built-in fluxes have it:
+    chromatography_flux, burgers_flux, and kk.kk_flux for a direction
+    speed with a buffer form (kk.affine_speed).
     """
 
     def __init__(self, g, gprime, convexity="none", c=0.0, L_of_range=None,
-                 name="flux", admissible_min=None):
+                 name="flux", admissible_min=None, g_into=None):
         if convexity not in ("convex", "concave", "none"):
             raise InvalidArgument(f"unknown convexity {convexity!r}")
         self.g = g
+        self.g_into = g_into
         self.gprime = gprime
         self.convexity = convexity
         self.c = float(c)
@@ -215,10 +225,16 @@ def _inverse_square(s):
         return 0.0
 
 
+def _chromatography_g_into(v, out):
+    np.add(v, 1.0, out=out)  # 1.0 + v: IEEE addition commutes
+    np.divide(v, out, out=out)
+
+
 def chromatography_flux():
     """g(v) = v/(1+v): increasing, uniformly concave on bounded v >= 0."""
     return FluxFunction(
         g=lambda v: v / (1.0 + v),
+        g_into=_chromatography_g_into,
         gprime=lambda v: _inverse_square(1.0 + v),
         convexity="concave",
         c=0.0,  # range-dependent; use chromatography_c(v_max)
@@ -232,6 +248,7 @@ def burgers_flux():
     """g(rho) = rho^2, uniformly convex with g'' = 2."""
     return FluxFunction(
         g=lambda r: r * r,
+        g_into=lambda r, out: np.multiply(r, r, out=out),
         gprime=lambda r: 2.0 * r,
         convexity="convex",
         c=2.0,

@@ -30,11 +30,32 @@ class KKState(VectorState):
         return CellField(self.grid, np.sqrt(sq), self.boundary)
 
 
+def affine_speed(a, b):
+    """The direction speed f(rho) = a + b rho and its derivative, as the
+    pair (f, fprime) that solve_kk takes. f carries the buffer form
+    f.into(rho, out), which writes f(rho) into out with f's operations,
+    so kk_flux gives rho f(rho) a buffer form too."""
+    a, b = float(a), float(b)
+
+    def f(r):
+        return a + b * np.asarray(r, dtype=float)
+
+    def into(r, out):
+        # b * r, then a + that: IEEE multiplication and addition commute
+        np.multiply(r, b, out=out)
+        np.add(out, a, out=out)
+
+    f.into = into
+    return f, lambda r: np.full_like(np.asarray(r, dtype=float), b)
+
+
 def kk_flux(f, fprime, rho_range):
     """Flux rho -> rho f(rho), certified uniformly convex on the range.
 
     Uniform convexity is measured by second differences on a 257-point
-    grid; a floor at 1e-8 rejects linear and degenerate cases.
+    grid; a floor at 1e-8 rejects linear and degenerate cases. When f has
+    a buffer form f.into(rho, out) (affine_speed's f does), the flux gets
+    the buffer form g_into: f(rho) written into out, then rho times it.
     """
     lo, hi = float(rho_range[0]), float(rho_range[1])
     if lo > hi:
@@ -62,8 +83,14 @@ def kk_flux(f, fprime, rho_range):
         raise InvalidFlux(
             f"rho f(rho) is not uniformly convex on [{lo}, {hi}]: "
             f"measured lower bound {c_meas:.3e}")
+    g_into = None
+    f_into = getattr(f, "into", None)
+    if f_into is not None:
+        def g_into(r, out):
+            f_into(r, out)
+            np.multiply(r, out, out=out)
     return FluxFunction(g=g, gprime=gp, convexity="convex", c=c_meas,
-                        name="rho*f(rho)")
+                        name="rho*f(rho)", g_into=g_into)
 
 
 def solve_kk(U0, f, fprime, config):

@@ -400,6 +400,13 @@ def solve_scalar(flux, init, config):
     return _march(flux, [init], config)[0][0]
 
 
+def solve_scalar_many(flux, inits, config):
+    """solve_scalar for B runs on one grid under one config, stepped as one
+    (B, n) march. Each run keeps its own time plan and step constants and
+    is bitwise its solve_scalar. Returns one trajectory per run."""
+    return [v_traj for v_traj, _ in _march(flux, inits, config)]
+
+
 def _march(flux, inits, config, b_of_v=None, w0s=None):
     """The Godunov scheme on the step loop of _march_rows: B runs of v on
     one grid, each alone or with a locked w stack.
@@ -415,6 +422,10 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     that breaks either by more than roundoff raises InvalidArgument. A v
     that is not finite after a step, or a w that is not finite at a record
     (w/v overflows where v is tiny against |w|), raises NumericalBlowup.
+
+    Each step writes g(v) into one buffer made per build, through
+    flux.g_into, the flux's buffer form, when it has one; otherwise it
+    calls flux.g and copies the result in.
 
     The runs share the grid, the boundary mode, the flux and the config.
     Each row keeps its own mu = dt/dx and step constants, so each row is
@@ -435,6 +446,10 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     n, dx = grid.n, grid.dx
     periodic = boundary == "periodic"
     convex = flux.convexity == "convex"
+    g_into = flux.g_into
+    if g_into is None:  # a user g allocates its result; copy it in
+        def g_into(v, out):
+            out[...] = flux.g(v)
     if flux.convexity == "none":
         raise UnsupportedFlux("solver needs a convex or concave flux")
     if len(w0s) != batch or len({len(row) for row in w0s}) > 1:
@@ -489,6 +504,10 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
         _, lam_left, lam = _flat_rows((len(keep), m, n + 2))
         alpha = _aligned_zeros(shape)
         nonzero = _aligned_zeros((len(keep), 1, n + 2), dtype=bool)
+        # g(v) over the flat rows, and one mu = dt/dx per row
+        gbuf = _aligned_zeros(vbuf.shape)
+        ga, gb = gbuf[:-1], gbuf[1:]
+        mu_col = np.empty((len(keep), 1))
         ve[:, 1:-1] = v[keep]
         We[..., 1:-1] = W[keep]
         v, W = ve[:, 1:-1], We[..., 1:-1]  # the cells between the ghosts
@@ -518,11 +537,11 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
             if len(plan) == 1:
                 mu = plan[0][2] / dx
             else:
-                mu = np.divide(np.array([item[2] for item in plan])[:, None],
-                               dx)
+                mu_col[:, 0] = [item[2] for item in plan]
+                mu = np.divide(mu_col, dx, out=mu_col)
             v_ghosts[...] = v_edges
-            gv = np.asarray(flux.g(vbuf), dtype=float)
-            select(left, right, gv[:-1], gv[1:], omega_col, g_omega_col)
+            g_into(vbuf, gbuf)
+            select(left, right, ga, gb, omega_col, g_omega_col)
             np.multiply(G, mu, out=mu_out)
             np.subtract(ve, mu_out, out=alpha)
             if locked:

@@ -34,7 +34,8 @@ def joint_speed_flux(flux, b_of):
 
     return FluxFunction(g=flux.g, gprime=flux.gprime, convexity=flux.convexity,
                         c=flux.c, L_of_range=L, name=flux.name,
-                        admissible_min=flux.admissible_min)
+                        admissible_min=flux.admissible_min,
+                        g_into=flux.g_into)
 
 
 @dataclass

@@ -13,13 +13,13 @@ from splitlaw.chroma import (ChromState, solve_chromatography,
                              solve_chromatography_many, solve_direct,
                              solve_direct_many)
 from splitlaw.core import (CellField, FluxFunction, Grid1D, Trajectory,
-                           chromatography_flux, mass, project)
+                           burgers_flux, chromatography_flux, mass, project)
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup)
 from splitlaw.kk import KKState, solve_kk, solve_kk_many
 from splitlaw.scalar import (ScalarConfig, _time_steps, comparison_defect,
                              critical_point, max_principle_defect,
-                             tvd_defect)
+                             solve_scalar, solve_scalar_many, tvd_defect)
 from splitlaw.transport import (joint_speed_flux, solve_split,
                                 solve_split_many)
 
@@ -289,6 +289,58 @@ def test_split_rows_with_their_own_critical_points_are_the_kernel_loop(
               for v, _ in batch[3]}
     assert len(omegas) > 1 and any(map(math.isfinite, omegas))
     _check_split_rows_against_kernels(flux, batch, data)
+
+
+@st.composite
+def _burgers_batches(draw):
+    """B = 2..6 rows of v in [-3/2, 3/2] under rho^2. The first row
+    straddles the critical point 0 from below -1 to above 1, the second
+    lies in [1/16, 1/2], and the rest anywhere. So the first row's omega
+    is finite and the second's is -inf, and with adaptive dt the first
+    row, twice as fast at least, takes more steps."""
+    n = draw(st.sampled_from([8, 16, 24, 32]))
+    rows = []
+    for i in range(draw(st.integers(2, 6))):
+        if i == 0:
+            v, _ = draw(_rows(n, st.floats(-1.5, 1.5)))
+            v[:2] = draw(st.floats(-1.5, -1.0))
+            v[-2:] = draw(st.floats(1.0, 1.5))
+        else:
+            v, _ = draw(_rows(n, st.floats(0.0625, 0.5) if i == 1
+                              else st.floats(-1.5, 1.5)))
+        rows.append(v)
+    return (n, draw(st.sampled_from(["constant-extension", "periodic"])),
+            draw(st.booleans()), rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_burgers_batches(), st.data())
+def test_scalar_batch_rows_are_bitwise_their_solve_scalar(batch, data):
+    """Every row of solve_scalar_many is bitwise its solve_scalar run:
+    with an omega column of finite and infinite critical points, and, with
+    adaptive dt, when rows end on different steps so the march rebuilds
+    its buffers without them. One ulp in one record is told apart."""
+    n, boundary, fixed, rows = batch
+    grid = Grid1D(-1.0, 1.0, n)
+    flux = burgers_flux()
+    omegas = [critical_point(flux, float(v.min()), float(v.max()))
+              for v in rows[:2]]
+    assert math.isfinite(omegas[0]) and omegas[1] == -math.inf
+    # dx = 2/n and max|g'| <= 3: fixed_dt = 1/(2n) keeps dt*L/dx <= 3/4
+    cfg = (ScalarConfig(t_end=0.25, record_times=[0.125, 0.25],
+                        fixed_dt=0.5 / n) if fixed
+           else ScalarConfig(t_end=0.25, record_times=[0.1, 0.25]))
+    inits = [CellField(grid, v, boundary) for v in rows]
+    got = solve_scalar_many(flux, inits, cfg)
+    want = [solve_scalar(flux, init, cfg) for init in inits]
+    assert len(got) == len(rows)
+    for g, w in zip(got, want):
+        assert _same_trajectory(g, w)
+    steps = [len(traj.meta["dt_schedule"]) for traj in got]
+    assert fixed or steps[0] > steps[1]
+    r = data.draw(st.integers(0, len(rows) - 1))
+    _one_ulp_up(got[r].fields[-1], data.draw(st.integers(0, n - 1)))
+    assert not _same_trajectory(got[r], want[r])
 
 
 @settings(max_examples=30, deadline=None)

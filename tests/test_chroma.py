@@ -15,12 +15,15 @@ from splitlaw.chroma import (
     lift_entropy,
     project_to_lifted,
     semigroup_defect,
+    semigroup_defect_many,
     solve_chromatography,
+    solve_chromatography_many,
     solve_direct,
     state_l1_distance,
     to_vw,
 )
 from splitlaw import _kernels
+from splitlaw.acceptance import SPLIT_FIXTURES, _split_state
 from splitlaw.core import CellField, Grid1D, bump_test, mass, project
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              InvalidEntropy, NumericalBlowup)
@@ -437,6 +440,66 @@ def test_semigroup_defect_alignment_errors():
         semigroup_defect(state, 0.013, 0.25, cfg)
     with pytest.raises(InvalidArgument):
         semigroup_defect(state, -0.25, 0.25, cfg)
+
+
+def test_criterion_9_defects_are_pinned_to_the_last_bit():
+    """The ten defects of the full gate's criterion 9 (five fixtures, two
+    splits), as one-run-at-a-time staging gave them: every aligned
+    composition is exact but fixture G after s = 0.25, where the restart
+    from from_vw's state rounds its total differently."""
+    grid = Grid1D(-2.0, 2.0, 256)
+    U0s = [_split_state(grid, fixture) for fixture in SPLIT_FIXTURES.values()]
+    cfg = ScalarConfig(t_end=1.0, record_times=[1.0], fixed_dt=1.0 / 512)
+    defects = semigroup_defect_many(U0s, [(0.5, 0.5), (0.75, 0.25)], cfg)
+    assert [repr(d) for split in defects for d in split] == (
+        ["0.0"] * 8 + ["3.9898639947466563e-17", "0.0"])
+
+
+def test_semigroup_legs_step_each_row_only_as_far_as_it_needs():
+    """Leg 1 is one solve to the longest t + s that records every s and
+    t + s; leg 2 is one solve per distinct t, whose rows (each start s
+    once, each state) take exactly round(t / dt) steps. A split of zero
+    steps solves nothing."""
+    grid = _grid(32)
+    U0s = [_riemann_state(grid, [(0.25, 0.5), (0.25, 0.75)]),
+           _riemann_state(grid, [(0.5, 0.25), (0.25, 0.5)])]
+    dt = 1.0 / 64.0
+    cfg = ScalarConfig(t_end=1.0, record_times=[], fixed_dt=dt)
+    calls = []
+
+    def solver(states, config):
+        trajs = solve_chromatography_many(states, config)
+        calls.append((config.record_times, len(states),
+                      {len(traj.v_traj.meta["dt_schedule"])
+                       for traj in trajs}))
+        return trajs
+
+    splits = [(0.25, 0.25), (0.125, 0.375), (0.25, 0.125), (0.0, 0.0),
+              (0.25, 0.25)]
+    defects = semigroup_defect_many(U0s, splits, cfg, solver)
+    assert calls == [([0.125, 0.25, 0.375, 0.5], 2, {32}),
+                     ([0.125], 2, {8}),
+                     ([0.25], 4, {16})]
+    assert defects[3] == [0.0, 0.0]
+    assert defects[0] == defects[4]
+    for (t, s), row in zip(splits, defects):
+        assert row == [semigroup_defect(U0, t, s, cfg) for U0 in U0s]
+
+
+def test_split_records_store_each_w_once():
+    """A record's state holds the w fields of w_trajs themselves, and its
+    u1 is bitwise from_vw's."""
+    grid = _grid(32)
+    U0s = [_riemann_state(grid, [(0.25, 0.5), (0.25, 0.75), (0.5, 0.125)]),
+           _riemann_state(grid, [(0.5, 0.25), (0.25, 0.5), (0.0, 0.25)])]
+    cfg = ScalarConfig(t_end=0.25, record_times=[0.125, 0.25])
+    for traj in solve_chromatography_many(U0s, cfg):
+        for j, state in enumerate(traj.states):
+            ws = [wt.fields[j] for wt in traj.w_trajs]
+            assert all(a is b for a, b in zip(state.components[1:], ws))
+            want = from_vw(traj.v_traj.fields[j], ws)
+            assert [c.values.tobytes() for c in state.components] == [
+                c.values.tobytes() for c in want.components]
 
 
 def test_state_l1_distance_requires_matching_component_counts():

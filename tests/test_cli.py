@@ -486,23 +486,67 @@ def test_an_overflowing_residual_is_reported_as_nan(tmp_path, monkeypatch,
     assert math.isnan(json.loads(text)["entropy_residual"])
 
 
+# A kk config that runs: the direction-flip data of fixtures/criterion_10.ini
+# on 64 cells.
+KK_CFG = """\
+[experiment]
+kind = kk
+
+[grid]
+n = 64
+
+[flux]
+speed = affine(1.0, 1.0)
+
+[initial]
+u1 = riemann(0.75, 0.25)
+u2 = riemann(0.25, 0.75)
+
+[time]
+t_end = 0.25
+record = 0.125, 0.25
+"""
+
+
+def test_the_kk_fuzz_base_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPLITLAW_OUTPUT_ROOT", str(tmp_path / "out"))
+    assert main(["run", _write(tmp_path, "kk.ini", KK_CFG)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # Values a config line may hold by mistake: empty, non-finite, negative,
 # zero, subnormal, not a number, an interpolation, an unknown name.
 _HOSTILE = ["", "nan", "inf", "-1", "0", "1e-320", "x", "%(x)s", "nope"]
 
+# Keys that no fuzz base sets, each with its section, and a value it may
+# take: 1/512 divides every base's t_end and record times.
+_ABSENT = {("time", "fixed_dt"): "0.001953125",
+           ("transport", "epsilon"): "0.125"}
+
 
 @st.composite
 def _hostile_configs(draw):
-    """RIEMANN_CFG, CHROMA_CFG, DEPAUW_CFG or DEPAUW_FULL_CFG with one to
-    three `key = value` lines given a hostile value, duplicated or dropped.
-    n stays at most 64, and m at most 6 (its default when dropped)."""
-    lines = draw(st.sampled_from([RIEMANN_CFG, CHROMA_CFG, DEPAUW_CFG,
-                                  DEPAUW_FULL_CFG])).splitlines()
+    """RIEMANN_CFG, CHROMA_CFG, KK_CFG, DEPAUW_CFG or DEPAUW_FULL_CFG with
+    one to three mutations: a `key = value` line given a hostile value,
+    duplicated or dropped, or a line added for a key no base sets, with a
+    hostile or a working value. n stays at most 64, and m at most 6 (its
+    default when dropped)."""
+    lines = draw(st.sampled_from([RIEMANN_CFG, CHROMA_CFG, KK_CFG,
+                                  DEPAUW_CFG, DEPAUW_FULL_CFG])).splitlines()
     keyed = [i for i, line in enumerate(lines) if " = " in line]
     for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["set"] * 8 + ["dup", "drop", "add"]))
+        if how == "add":
+            (section, key), fine = draw(st.sampled_from(list(_ABSENT.items())))
+            value = draw(st.sampled_from(_HOSTILE + [fine]))
+            if f"[{section}]" not in lines:
+                lines += ["", f"[{section}]"]
+            i = lines.index(f"[{section}]") + 1
+            lines.insert(i, f"{key} = {value}")
+            keyed = [j + (j >= i) for j in keyed] + [i]
+            continue
         i = draw(st.sampled_from(keyed))
         key = lines[i].split(" = ")[0]
-        how = draw(st.sampled_from(["set"] * 8 + ["dup", "drop"]))
         if how == "set":
             lines[i] = f"{key} = {draw(st.sampled_from(_HOSTILE))}"
         elif how == "dup":

@@ -1,4 +1,5 @@
 """Godunov solver, exact Riemann fans, and the scalar theorem-checkers."""
+import copy
 import math
 import sys
 
@@ -20,6 +21,8 @@ from splitlaw.core import (
     project,
 )
 from splitlaw import _kernels
+from splitlaw.cli import _parse_direction_speed
+from splitlaw.kk import kk_flux
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup, UnsupportedFlux)
 from splitlaw.scalar import (
@@ -592,6 +595,79 @@ def test_speed_bound_is_evaluated_once_per_data_range(fixed_dt):
     # outflow Riemann data keeps its range [0.25, 1] under the max principle
     assert len(traj.meta["dt_schedule"]) > 1
     assert calls == [(0.25, 1.0)]
+
+
+def _chromatography_case(grid):
+    v0 = _riemann(grid, 1.0, 0.25)
+    return (chromatography_flux(), v0, lambda v: 1.0 / (1.0 + v),
+            [v0.with_values(0.5 * v0.values)])
+
+
+def _burgers_case(grid):
+    return burgers_flux(), _riemann(grid, -0.5, 1.0), None, None
+
+
+def _kk_case(grid):
+    """The CLI's affine direction speed: rho f(rho) = rho (1 + rho)."""
+    f, fprime = _parse_direction_speed("affine(1.0, 1.0)")
+    u1, u2 = _riemann(grid, 0.75, 0.25), _riemann(grid, 0.25, 0.75)
+    rho0 = u1.with_values(np.hypot(u1.values, u2.values))
+    return kk_flux(f, fprime, (0.25, 1.0)), rho0, f, [u1, u2]
+
+
+def _march_with(flux, v0, b_of_v, w0s, cfg):
+    if b_of_v is None:
+        return solve_scalar(flux, v0, cfg), []
+    return solve_split(flux, b_of_v, v0, w0s, cfg)
+
+
+def _refusing_array_g(flux):
+    """A copy of flux whose allocating g raises on an array: only its
+    buffer form may evaluate g on the cells."""
+    g = flux.g
+
+    def scalar_g(v):
+        if np.ndim(v):
+            raise AssertionError("the allocating g was called on an array")
+        return g(v)
+
+    guarded = copy.copy(flux)
+    guarded.g = scalar_g
+    return guarded
+
+
+@pytest.mark.parametrize("case", [_chromatography_case, _burgers_case,
+                                  _kk_case], ids=["v/(1+v)", "rho^2", "kk"])
+def test_built_in_fluxes_evaluate_g_into_the_step_buffer(case):
+    """The step loop of a built-in flux (v/(1+v), Burgers, and kk's
+    rho f(rho) for the CLI's affine f) never calls the allocating g on an
+    array: g_into writes g into one buffer on every step. A user flux
+    without g_into still runs, and every record is bitwise the same."""
+    flux, v0, b_of_v, w0s = case(Grid1D(-2.0, 2.0, 64))
+    cfg = ScalarConfig(t_end=0.5, record_times=[0.25, 0.5])
+    guarded = _refusing_array_g(flux)
+    calls = []
+
+    def counted_into(v, out):
+        calls.append(v.shape)
+        flux.g_into(v, out)
+
+    guarded.g_into = counted_into
+    v_traj, w_trajs = _march_with(guarded, v0, b_of_v, w0s, cfg)
+    assert len(calls) == len(v_traj.meta["dt_schedule"]) > 1
+
+    user = copy.copy(flux)
+    user.g_into = None
+    want_v, want_ws = _march_with(user, v0, b_of_v, w0s, cfg)
+    for got, want in zip([v_traj, *w_trajs], [want_v, *want_ws],
+                         strict=True):
+        assert got.times == want.times
+        assert [f.values.tobytes() for f in got.fields] == [
+            f.values.tobytes() for f in want.fields]
+    # negative control: without g_into the guard sees the array calls
+    user_guarded = _refusing_array_g(user)
+    with pytest.raises(AssertionError, match="allocating g"):
+        _march_with(user_guarded, v0, b_of_v, w0s, cfg)
 
 
 def _nested_where_godunov(a, b, ga, gb, g_omega, omega, convex):
