@@ -573,7 +573,7 @@ def criterion_11(level="full"):
             sups = []
             for t in samples:
                 scale, kk = strong.field_scale(t)
-                sups.append(0.0 if kk is None else scale * stage.sup_norm)
+                sups.append(0.0 if kk is None else scale * stage.sup_unit)
             sup_ok = sup_ok and max(sups[1:-1]) <= 2.0 / k
             end_ok = end_ok and sups[0] == 0.0 and sups[-1] == 0.0
         ok = ok and sup_ok and end_ok

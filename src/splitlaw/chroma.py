@@ -16,7 +16,7 @@ import numpy as np
 from .core import (CellField, SplitTrajectory, VectorState, _aligned_zeros,
                    _flat_rows, _ghost_cells, _window_slice, _worst_residual,
                    chromatography_flux, lp_distance, total_variation)
-from .errors import InvalidArgument, InvalidEntropy, NumericalBlowup
+from .errors import InvalidArgument, InvalidEntropy
 from .scalar import (ScalarConfig, _batch_grid, _check_test_fns, _in_row,
                      _march_rows, _spacetime_quadrature)
 # Re-exported, not called here (the split solve goes through
@@ -140,7 +140,10 @@ def _scalar_pair_defect(eta_s, q_s):
     return _worst_residual(np.abs(dq - de * gp).tolist())
 
 
-def lift_entropy(eta_s, q_s, C, check_tol=1e-6):
+_PAIR_TOL = 1e-6  # the largest defect of a scalar pair lift_entropy takes
+
+
+def lift_entropy(eta_s, q_s, C):
     """Lift the scalar pair (eta_s, q_s) to the 2x2 system with constant C.
 
     eta(U) = eta_s(u1+u2) + C(u1-u2), q(U) = q_s(u1+u2) + C(u1-u2)/(1+u1+u2).
@@ -148,7 +151,7 @@ def lift_entropy(eta_s, q_s, C, check_tol=1e-6):
     not bend).
     """
     defect = _scalar_pair_defect(eta_s, q_s)
-    if not defect <= check_tol:  # a NaN defect is no entropy pair either
+    if not defect <= _PAIR_TOL:  # a NaN defect is no entropy pair either
         raise InvalidEntropy(
             f"(eta, q) is not an entropy pair for v/(1+v): defect {defect:.3e}")
 
@@ -262,7 +265,8 @@ def solve_direct_many(U0s, config):
     component of each state a ghost-padded row. The states share k; each
     keeps its own time plan and speed bound and is bitwise its
     solve_direct. An error from one row of a batch names the row. Returns
-    one trajectory per state.
+    one trajectory per state; its meta holds the method, k, the dt
+    schedule, the record steps and the speed bound.
     """
     _require_nonnegative(U0s)
     grid, boundary = _batch_grid(U0s)
@@ -273,7 +277,7 @@ def solve_direct_many(U0s, config):
     periodic = boundary == "periodic"
     U = np.array([[c.values for c in U0.components] for U0 in U0s],
                  dtype=float)  # (B, k, n)
-    states = [[U0.copy()] for U0 in U0s]
+    dt_schedule = [[] for _ in U0s]
 
     def speed(r, ranges):
         return 1.0 / (1.0 + max(ranges[r][0], 0.0))  # bounds both families
@@ -315,17 +319,19 @@ def solve_direct_many(U0s, config):
             Ue -= G
             Ue += G_in
 
-        return U, advance
+        return (U,), advance
 
-    def record(i, r, step, t):
-        states[r].append(ChromState(
-            [CellField(grid, u.copy(), boundary) for u in U[i]]))
-
-    times = _march_rows(config, dx, U, [[] for _ in U0s], speed, build,
-                        record, "state")
-    meta = {"method": "lax-friedrichs", "k": k}
-    return [SplitTrajectory(times[r], states[r], None, [], dict(meta))
-            for r in range(len(U0s))]
+    trajs = []
+    for r, (times, record_steps, speed_bound, records) in enumerate(
+            _march_rows(config, dx, U, dt_schedule, speed, build,
+                        ("state",))):
+        states = [ChromState([CellField(grid, u, boundary) for u in U_rec])
+                  for (U_rec,) in records]
+        meta = {"method": "lax-friedrichs", "k": k,
+                "dt_schedule": dt_schedule[r], "record_steps": record_steps,
+                "speed_bound": speed_bound}
+        trajs.append(SplitTrajectory(times, states, None, [], meta))
+    return trajs
 
 
 def state_l1_distance(a, b, window=None):

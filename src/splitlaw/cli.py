@@ -126,7 +126,6 @@ class ExperimentConfig:
     record: list = field(default_factory=list)
     cfl: float = 0.45
     fixed_dt: float | None = None
-    epsilon: float | None = None
     variant: str = "original"
     k_max: int = 4
     m: int = 6
@@ -194,7 +193,6 @@ def _experiment_config(path):
     cfg.record = number("time", "record", _floats, cfg.record)
     cfg.cfl = number("time", "cfl", float, cfg.cfl)
     cfg.fixed_dt = number("time", "fixed_dt", float)
-    cfg.epsilon = number("transport", "epsilon", float)
     cfg.variant = parser.get("schedule", "variant", fallback=cfg.variant)
     cfg.k_max = number("schedule", "k_max", int, cfg.k_max)
     cfg.m = number("schedule", "m", int, cfg.m)

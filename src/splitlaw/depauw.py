@@ -90,11 +90,9 @@ class StageMap:
     """Cell permutation coarsening chessboard k to k-1, plus its field.
 
     The permutation rotates every other block (side 2^{-k+1}, staggered by
-    half a block) a quarter turn counterclockwise. The reported sup_norm
-    is the time-1 field's top speed, below 1 by construction; the reported
-    bv_norm is the variation of the field run at the schedule rate 2^k,
-    which is the normalization that scales like 2^k. Both normalizations
-    are kept as attributes.
+    half a block) a quarter turn counterclockwise. sup_unit is the time-1
+    field's top speed, below 1 by construction, and bv_unit its total
+    variation; a schedule runs the field scaled by its field_scale(t).
     """
 
     def __init__(self, k, grid):
@@ -106,7 +104,6 @@ class StageMap:
         self.grid = grid
         self.B = 2 ** (grid.m - k + 1)  # block side in cells
         self.off = self.B // 2
-        self.amplitude = 1.0  # time-1 normalization
         # permutation: out[i,j] = values[src_i[i,j], src_j[i,j]]
         p, q = np.indices((self.B, self.B))
         self.src_i, self.src_j = self._sources(q, self.B - 1 - p)
@@ -185,9 +182,6 @@ class StageMap:
             tv += np.sum(np.abs(np.diff(comp, axis=1)))
             tv += np.sum(np.abs(comp[:, 0] - comp[:, -1]))
         self.bv_unit = float(tv) * dx
-        rate = 2.0 ** self.k
-        self.sup_scheduled = rate * self.sup_unit
-        self.bv_scheduled = rate * self.bv_unit
 
         i = np.arange(N, dtype=float)
         vx_face, _ = self.unit_field(i[:, None], c[None, :])
@@ -195,14 +189,6 @@ class StageMap:
         div = (np.roll(vx_face, -1, axis=0) - vx_face
                + np.roll(vy_face, -1, axis=1) - vy_face) / dx
         self.div_max = float(np.max(np.abs(div)))
-
-    @property
-    def sup_norm(self):
-        return self.sup_unit
-
-    @property
-    def bv_norm(self):
-        return self.bv_scheduled
 
     def apply(self, values):
         return values[self.src_i, self.src_j]
@@ -368,14 +354,6 @@ class DyadicSchedule:
             return 2.0 ** k, k
         s = (t - t0) / (t1 - t0)
         return (2.0 ** k / k) * float(self._acts[k].value(s)), k
-
-    def activation(self, k, t):
-        for kk, t0, t1 in self.stages:
-            if kk == k:
-                if self.variant == "original":
-                    return 1.0 if t0 <= t <= t1 else 0.0
-                return float(self._acts[k].value((t - t0) / (t1 - t0)))
-        raise InvalidArgument(f"no stage at level {k}")
 
 
 def evolve(schedule, init, t_query):
@@ -548,7 +526,10 @@ def torus_test(t0, t1, ax, by, phase="cos"):
     )
 
 
-def continuity_residual_2d(schedule, init, test_fns, samples_per_stage=33):
+_SAMPLES_PER_STAGE = 33  # trapezoid nodes per time segment
+
+
+def continuity_residual_2d(schedule, init, test_fns):
     """Weak residual of u_t + div(c u) = 0 for the scheduled advection.
 
     Quadrature of u (phi_t + c . grad phi) over space-time, per test
@@ -574,7 +555,7 @@ def continuity_residual_2d(schedule, init, test_fns, samples_per_stage=33):
         if hi <= lo:
             continue
         tests.append((tf, [
-            np.linspace(max(seg0, lo), min(seg1, hi), samples_per_stage)
+            np.linspace(max(seg0, lo), min(seg1, hi), _SAMPLES_PER_STAGE)
             for seg0, seg1 in zip(breakpoints[:-1], breakpoints[1:])
             if min(seg1, hi) > max(seg0, lo)]))
     # one pass of evolve over every sample, so each finished stage is

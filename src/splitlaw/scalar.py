@@ -80,13 +80,11 @@ class _Selection:
     the min of g over [a, b] when a <= b and the max over [b, a] otherwise.
     For convex g the min sits at the critical point omega clamped to
     [a, b] and the max at an endpoint; for concave g it is the reverse.
-    g_omega is g(omega). Each interface may have its own omega and
-    g_omega, passed as arrays that broadcast against the states (a (B, 1)
-    column for the rows of a (B, n) batch, or one value per interface); a
-    float omega holds for every interface. A float omega of +-inf (g
-    monotone the same way on every row's range) skips the clamp: every
-    interface then takes the same endpoint. The result is bitwise the
-    nested np.where selection.
+    g_omega is g(omega). Each row of a (B, n) batch may have its own omega
+    and g_omega, passed as (B, 1) columns; a float omega holds for every
+    interface. A float omega of +-inf (g monotone the same way on every
+    row's range) skips the clamp: every interface then takes the same
+    endpoint. The result is bitwise the nested np.where selection.
     """
 
     def __init__(self, shape, convex):
@@ -314,26 +312,32 @@ def _batch_grid(fields):
     return grid, boundary
 
 
-def _march_rows(config, dx, cells, dt_schedule, speed, build, record,
-                what):
+def _march_rows(config, dx, cells, dt_schedule, speed, build, what):
     """The one step loop of the explicit schemes (the Godunov march below,
-    the Lax-Friedrichs oracle chroma.solve_direct_many): B runs on one
-    grid, stepped together as one array.
+    the Lax-Friedrichs oracle chroma.solve_direct_many), and the one keeper
+    of their records: B runs on one grid, stepped together as arrays.
 
     cells is the (B, ..., n) array of the runs' initial cells. Each run r
     keeps its own time plan (_time_steps) on the speed bound speed(r,
     ranges), where ranges[r] is the range (min, max) of its cells before
-    the step. build(keep) moves rows keep of the cells into new step
-    buffers and returns (cells, advance): the view the cells now live in,
-    and advance(plan), which steps every row once, where plan lists (r,
-    step, dt, t_next, lands) for the run r in each row. build runs before
-    the first step and whenever a run's plan has ended, so that run leaves
-    the arrays for good. After each step the range of every row is
+    the step. build(keep) moves rows keep of the stepped arrays into new
+    step buffers and returns (views, advance): the views the arrays now
+    live in, cells first and one per name in what, and advance(plan),
+    which steps every row once, where plan lists (r, step, dt, t_next,
+    lands) for the run r in each row. build runs once before the first
+    step and again whenever a run's plan has ended, so that run leaves the
+    arrays for good. After each step the range of every row of cells is
     reduced once: it is both the blow-up check (a non-finite cell raises
-    NumericalBlowup, naming what) and the input of the next speed bound.
-    Each dt is appended to dt_schedule[r], and after a step that lands on
-    a record time, record(i, r, step, t) keeps row i, run r. An error from
-    one run of a batch names the run. Returns each run's record times.
+    NumericalBlowup, naming what[0]) and the input of the next speed
+    bound. Each dt is appended to dt_schedule[r].
+
+    A record is one copy of a run's row of every view: record 0 from the
+    first build, then one after each step that lands on a record time,
+    where a non-finite value in any view after cells raises
+    NumericalBlowup. An error from one run of a batch names the run.
+    Returns (times, record_steps, speed_bound, records) per run: the
+    record times, the step count at each later record, the largest speed
+    bound used, and the records.
 
     The step buffers take the layout of core._flat_rows: each row (a v, a
     w row, an LxF component) carries its two ghost cells, and the rows sit
@@ -348,11 +352,20 @@ def _march_rows(config, dx, cells, dt_schedule, speed, build, record,
     axes = tuple(range(1, cells.ndim))
     ranges = list(zip(np.minimum.reduce(cells, axis=axes).tolist(),
                       np.maximum.reduce(cells, axis=axes).tolist()))
-    plans = [_time_steps(config, dx, functools.partial(speed, r, ranges))
+    speed_bound = [0.0] * batch
+
+    def bound(r):
+        L = speed(r, ranges)
+        speed_bound[r] = max(speed_bound[r], L)
+        return L
+
+    plans = [_time_steps(config, dx, functools.partial(bound, r))
              for r in range(batch)]
-    times = [[0.0] for _ in range(batch)]
     rows = list(range(batch))  # the run held in each row of the arrays
-    view = None
+    views, advance = build(rows)
+    records = [[tuple(a[i].copy() for a in views)] for i in rows]
+    times = [[0.0] for _ in rows]
+    record_steps = [[] for _ in rows]
     while True:
         plan = []
         for r in rows:
@@ -363,25 +376,30 @@ def _march_rows(config, dx, cells, dt_schedule, speed, build, record,
             if item is not None:
                 plan.append((r, *item))
         if not plan:
-            return times
-        if view is None or len(plan) < len(rows):
-            # the first step, or some plans have ended: (re)build the arrays
+            return list(zip(times, record_steps, speed_bound, records))
+        if len(plan) < len(rows):  # some plans have ended: rebuild
             keep = [rows.index(r) for r, *_ in plan]
             rows = [r for r, *_ in plan]
-            view, advance = build(keep)
+            views, advance = build(keep)
         advance(plan)
-        lo = np.minimum.reduce(view, axis=axes).tolist()
-        hi = np.maximum.reduce(view, axis=axes).tolist()
+        lo = np.minimum.reduce(views[0], axis=axes).tolist()
+        hi = np.maximum.reduce(views[0], axis=axes).tolist()
         for i, (r, step, dt, t, lands) in enumerate(plan):
             ranges[r] = (lo[i], hi[i])
             if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
                 raise _in_row(NumericalBlowup(
-                    step, f"non-finite {what} at step {step}, t={t!r}"),
+                    step, f"non-finite {what[0]} at step {step}, t={t!r}"),
                     r, batch)
             dt_schedule[r].append(dt)
             if lands:
                 times[r].append(t)
-                record(i, r, step, t)
+                records[r].append(tuple(a[i].copy() for a in views))
+                for name, a in zip(what[1:], records[r][-1][1:]):
+                    if not np.isfinite(a).all():
+                        raise _in_row(NumericalBlowup(
+                            step, f"non-finite {name} by step {step}, "
+                            f"t={t!r}"), r, batch)
+                record_steps[r].append(step + 1)
 
 
 def solve_scalar(flux, init, config):
@@ -421,7 +439,8 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     convex combination only while alpha >= 0 and G >= 0; a locked step
     that breaks either by more than roundoff raises InvalidArgument. A v
     that is not finite after a step, or a w that is not finite at a record
-    (w/v overflows where v is tiny against |w|), raises NumericalBlowup.
+    (w/v overflows where v is tiny against |w|, and a NaN persists to the
+    next record), raises NumericalBlowup.
 
     Each step writes g(v) into one buffer made per build, through
     flux.g_into, the flux's buffer form, when it has one; otherwise it
@@ -465,15 +484,11 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
             W[r] = _w_stack(init, b_of_v, w0s[r])
         except SplitlawError as exc:
             raise _in_row(exc, r, batch) from None
-    fields = [[init.copy()] for init in inits]
-    w_fields = [[[w0.copy()] for w0 in row] for row in w0s]
     dt_schedule = [[] for _ in inits]
-    record_steps = [[] for _ in inits]
     # each run's step constants and the range (min v, max v) they were
     # taken on: (range, speed bound L, critical point omega, g(omega),
     # roundoff allowance of a locked step)
     consts = [(None,)] * batch
-    speed_bound = [0.0] * batch  # the largest L of each run
     stale = True  # the step constants of some row changed
 
     def speed(r, ranges):
@@ -481,7 +496,6 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
         if ranges[r] != consts[r][0]:
             lo, hi = ranges[r]
             L = flux.L_of_range(lo, hi)
-            speed_bound[r] = max(speed_bound[r], L)
             omega = critical_point(flux, lo, hi)
             g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
             # max|v| from the range the speed bound is taken on
@@ -493,10 +507,10 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     def build(keep):
         nonlocal v, W, stale
         shape = (len(keep), n + 2)
-        vbuf, ve, _ = _flat_rows(shape)
+        vbuf, ve, v_right = _flat_rows(shape)
         # G[:, j] is the flux between columns j and j + 1 of v
-        select = _Selection((shape[0] * (n + 2),), convex)
-        G = select.G.reshape(shape)
+        select = _Selection(shape, convex)
+        G = select.G
         # mu*G is written into mu_out, so beta is mu*G_in
         _, beta, mu_out = _flat_rows(shape)
         _, We, _ = _flat_rows((len(keep), m, n + 2))
@@ -506,13 +520,12 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
         nonzero = _aligned_zeros((len(keep), 1, n + 2), dtype=bool)
         # g(v) over the flat rows, and one mu = dt/dx per row
         gbuf = _aligned_zeros(vbuf.shape)
-        ga, gb = gbuf[:-1], gbuf[1:]
+        ga, gb = gbuf[:-1].reshape(shape), gbuf[1:].reshape(shape)
         mu_col = np.empty((len(keep), 1))
         ve[:, 1:-1] = v[keep]
         We[..., 1:-1] = W[keep]
         v, W = ve[:, 1:-1], We[..., 1:-1]  # the cells between the ghosts
         vbuf[-1] = v[-1, -1]  # the spare cell is in g's domain
-        left, right = vbuf[:-1], vbuf[1:]
         v_ghosts, v_edges = _ghost_cells(ve, periodic)
         w_ghosts, w_edges = _ghost_cells(We, periodic)
         # the cells of alpha and the interfaces between them
@@ -526,10 +539,10 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
                 omegas = [consts[r][2] for r, *_ in plan]
                 if omegas.count(omegas[0]) == len(plan):
                     omega_col, g_omega_col = omegas[0], consts[plan[0][0]][3]
-                else:  # one value for each cell of the flat rows
-                    omega_col = np.repeat(omegas, n + 2)
-                    g_omega_col = np.repeat(
-                        [consts[r][3] for r, *_ in plan], n + 2)
+                else:  # one value for each row
+                    omega_col = np.array(omegas)[:, None]
+                    g_omega_col = np.array([consts[r][3]
+                                            for r, *_ in plan])[:, None]
                 # min v > 0 on every row (regime G): the ride's plain divide
                 positive = locked and min(
                     [consts[r][0][0] for r, *_ in plan]) > 0.0
@@ -541,7 +554,7 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
                 mu = np.divide(mu_col, dx, out=mu_col)
             v_ghosts[...] = v_edges
             g_into(vbuf, gbuf)
-            select(left, right, ga, gb, omega_col, g_omega_col)
+            select(ve, v_right, ga, gb, omega_col, g_omega_col)
             np.multiply(G, mu, out=mu_out)
             np.subtract(ve, mu_out, out=alpha)
             if locked:
@@ -557,37 +570,30 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
                 _ride(We, ve, alpha, beta, positive, nonzero, lam, lam_left)
             np.add(alpha, beta, out=ve)
 
-        return v, advance
+        return (v, W), advance
 
-    def record(i, r, step, t):
-        fields[r].append(CellField(grid, v[i].copy(), boundary))
-        if not np.isfinite(W[i]).all():
-            # w/v overflows where v is tiny against |w|; NaN persists
-            raise _in_row(NumericalBlowup(
-                step, f"non-finite w by step {step}, t={t!r}"), r, batch)
-        for w_rows, w in zip(w_fields[r], W[i]):
-            w_rows.append(CellField(grid, w.copy(), boundary))
-        record_steps[r].append(step + 1)
-
-    times = _march_rows(config, dx, v, dt_schedule, speed, build, record,
-                        "v")
     runs = []
-    for r in range(batch):
+    for r, (times, record_steps, speed_bound, records) in enumerate(
+            _march_rows(config, dx, v, dt_schedule, speed, build,
+                        ("v", "w"))):
         meta = {
             "dt_schedule": dt_schedule[r],
-            "record_steps": record_steps[r],
-            "speed_bound": speed_bound[r],
+            "record_steps": record_steps,
+            "speed_bound": speed_bound,
             "cfl": config.cfl,
             "flux_name": flux.name,
             "fixed_dt": config.fixed_dt,
             "includes_zero": want_zero,
         }
         runs.append((
-            Trajectory(times[r], fields[r], meta),
-            [Trajectory(list(times[r]), w_rows,
+            Trajectory(times, [CellField(grid, v_rec, boundary)
+                               for v_rec, _ in records], meta),
+            [Trajectory(list(times),
+                        [CellField(grid, W_rec[j], boundary)
+                         for _, W_rec in records],
                         {"locked_to": flux.name,
                          "dt_schedule": list(dt_schedule[r])})
-             for w_rows in w_fields[r]]))
+             for j in range(m)]))
     return runs
 
 

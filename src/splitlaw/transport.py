@@ -41,13 +41,10 @@ def joint_speed_flux(flux, b_of):
 @dataclass
 class MollifierSpec:
     epsilon: float
-    kind: str = "gaussian"
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
             raise InvalidArgument("mollifier width must be positive")
-        if self.kind != "gaussian":
-            raise InvalidArgument("only the gaussian mollifier is available")
 
 
 def _gaussian_kernel(dx, spec):
@@ -126,10 +123,6 @@ class TransportPair:
             rows[blend] = ((1.0 - theta) * np.array([vals[i - 1] for i in hi])
                            + theta * np.array([vals[i] for i in hi]))
         return rows
-
-    def velocity_at(self, t):
-        rho = self.rho_at(t)
-        return rho.with_values(np.asarray(self.b_of(rho.values), dtype=float))
 
     def continuity_residual(self, w_traj, test_fns):
         """Weak residual of w_t + (b w)_x against space-time tests."""

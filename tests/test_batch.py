@@ -348,8 +348,9 @@ def test_scalar_batch_rows_are_bitwise_their_solve_scalar(batch, data):
 def test_direct_batch_rows_are_bitwise_the_kernel_loop(batch, data):
     """Every state of a batched Lax-Friedrichs run (k = 3: v and two w
     rows' worth of components, each a row of one buffer) is bitwise a
-    per-component loop over _kernels.lxf_fluxes and scalar_step. One ulp
-    in one record is told apart."""
+    per-component loop over _kernels.lxf_fluxes and scalar_step, and its
+    dt schedule, record steps and speed bound are its solo solve_direct's.
+    One ulp in one record is told apart."""
     n, boundary, fixed, rows = batch
     grid = Grid1D(-1.0, 1.0, n)
     U0s = [ChromState([CellField(grid, 0.25 * (1.0 + lam) * v, boundary),
@@ -368,6 +369,11 @@ def test_direct_batch_rows_are_bitwise_the_kernel_loop(batch, data):
         times, states = _kernel_direct(U0, cfg)
         assert traj.times == times
         assert same(traj, states)
+        solo = solve_direct(U0, cfg).meta
+        for key in ("dt_schedule", "record_steps", "speed_bound"):
+            assert traj.meta[key] == solo[key]
+        assert len(traj.meta["record_steps"]) == len(times) - 1
+        assert traj.meta["record_steps"][-1] == len(traj.meta["dt_schedule"])
     r = data.draw(st.integers(0, len(rows) - 1))
     _, states = _kernel_direct(U0s[r], cfg)
     comp = data.draw(st.integers(0, 2))

@@ -519,7 +519,8 @@ def test_the_kk_fuzz_base_runs(tmp_path, monkeypatch, capsys):
 _HOSTILE = ["", "nan", "inf", "-1", "0", "1e-320", "x", "%(x)s", "nope"]
 
 # Keys that no fuzz base sets, each with its section, and a value it may
-# take: 1/512 divides every base's t_end and record times.
+# take: 1/512 divides every base's t_end and record times. No runner reads
+# epsilon, so it is ignored like any unknown key, whatever its value.
 _ABSENT = {("time", "fixed_dt"): "0.001953125",
            ("transport", "epsilon"): "0.125"}
 

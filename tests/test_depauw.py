@@ -81,7 +81,7 @@ def test_stage_map_contract():
         st = build_stage(k, grid)
         assert np.array_equal(st.apply(chessboard(k, grid).values),
                               chessboard(k - 1, grid).values)
-        assert 0.0 < st.sup_norm < 1.0
+        assert 0.0 < st.sup_unit < 1.0
         assert st.div_max <= 1e-12
     with pytest.raises(InvalidArgument):
         build_stage(1, grid)
@@ -135,9 +135,10 @@ def test_schedule_layout_strong_is_contiguous():
     for k, t0, t1 in sched.stages:
         assert sched.progress(k, t0) == 0.0
         assert sched.progress(k, t1) == pytest.approx(1.0)
-        assert sched.activation(k, t0) == 0.0
-        assert sched.activation(k, t1) == 0.0
-        assert sched.activation(k, 0.5 * (t0 + t1)) > 1.0
+        assert sched.field_scale(t0)[0] == 0.0
+        assert sched.field_scale(t1)[0] == 0.0
+        scale, kk = sched.field_scale(0.5 * (t0 + t1))
+        assert kk == k and scale > 2.0 ** k / k
 
 
 def test_schedule_validation():
