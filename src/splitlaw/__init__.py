@@ -22,10 +22,8 @@ from .errors import SolverError, SplitlawError, ValidationError
 from .scalar import (
     RiemannFan,
     ScalarConfig,
-    cfl_dt,
     comparison_defect,
     entropy_residual,
-    godunov_flux,
     kruzkov_pair,
     max_principle_defect,
     oleinik_excess,
@@ -48,12 +46,10 @@ __all__ = [
     "ValidationError",
     "burgers_flux",
     "bump_test",
-    "cfl_dt",
     "chromatography_c",
     "chromatography_flux",
     "comparison_defect",
     "entropy_residual",
-    "godunov_flux",
     "kruzkov_pair",
     "lp_distance",
     "mass",

@@ -201,8 +201,7 @@ def entropy_compat_defect(pair, states):
 
 def admissibility_residual(traj, pairs, test_fns):
     """Worst positive part of the weak entropy residual across pairs/tests."""
-    ref = traj.component_trajectory(0)
-    _check_test_fns(ref, test_fns)
+    _check_test_fns(traj, test_fns)
 
     def totals(pair):
         def arrays(j):
@@ -210,7 +209,7 @@ def admissibility_residual(traj, pairs, test_fns):
             return (np.asarray(pair.eta(comps), dtype=float),
                     np.asarray(pair.q(comps), dtype=float))
 
-        return _spacetime_quadrature(ref, arrays, test_fns)
+        return _spacetime_quadrature(traj, arrays, test_fns)
 
     return _worst_residual(-r for pair in pairs for r in totals(pair))
 
@@ -322,11 +321,11 @@ def solve_direct_many(U0s, config):
         return (U,), advance
 
     trajs = []
-    for r, (times, record_steps, speed_bound, records) in enumerate(
+    for r, (times, record_steps, speed_bound, (U_block,)) in enumerate(
             _march_rows(config, dx, U, dt_schedule, speed, build,
                         ("state",))):
         states = [ChromState([CellField(grid, u, boundary) for u in U_rec])
-                  for (U_rec,) in records]
+                  for U_rec in U_block]
         meta = {"method": "lax-friedrichs", "k": k,
                 "dt_schedule": dt_schedule[r], "record_steps": record_steps,
                 "speed_bound": speed_bound}
@@ -362,7 +361,8 @@ def semigroup_defect_many(U0s, splits, config,
 
     Every advance is a batch solve: solver(states, config) returns one
     trajectory per state. Leg 1 steps every state once, to the longest
-    t + s, and records every s and every t + s; with fixed dt a record's
+    t + s, and records every s and every t + s (times that round to one
+    step share its record); with fixed dt a record's
     bits do not depend on the stops after it, so each is the state a
     solve to that time alone ends on. Leg 2 restarts from the states at
     each s, one batch per distinct t, so no row steps past the time it
@@ -385,16 +385,16 @@ def semigroup_defect_many(U0s, splits, config,
                            record_times=stops, fixed_dt=dt)
         return solver(states, cfg)
 
-    # leg 1: the states at every s and every t + s
+    # leg 1: the states at every s and every t + s, one stop per step
     at = {}
-    stops = sorted({tau for t, s in splits for tau in (s, t + s)
-                    if round(tau / dt) > 0})
+    stops = {round(tau / dt): tau for t, s in splits for tau in (s, t + s)}
+    stops.pop(0, None)
     if stops:
-        trajs = solve(U0s, stops)
-        at = {tau: [traj.at(tau) for traj in trajs] for tau in stops}
+        trajs = solve(U0s, sorted(stops.values()))
+        at = {j: [traj.at(tau) for traj in trajs] for j, tau in stops.items()}
 
     def states_at(tau):
-        return at.get(tau, U0s)
+        return at.get(round(tau / dt), U0s)
 
     # leg 2: t more from each s, the rows of one t in one batch
     B = len(U0s)

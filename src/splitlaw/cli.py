@@ -151,6 +151,14 @@ def load_config(path):
             path, os.path.basename(path)).split())) from None
 
 
+# The keys the loader reads, by section; [initial] takes any name.
+_KEYS = {"experiment": ("kind",), "grid": ("x_min", "x_max", "n"),
+         "flux": ("id", "speed"), "initial": None,
+         "time": ("t_end", "record", "cfl", "fixed_dt"),
+         "schedule": ("variant", "k_max", "m", "init_k"),
+         "verify": ("level",), "output": ("basename",)}
+
+
 def _floats(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -161,6 +169,17 @@ def _experiment_config(path):
     if not read:
         raise InvalidArgument(f"config not found: {path}")
     name = os.path.basename(path)
+    # a section or key that _KEYS does not list is an error, so a misspelt
+    # key cannot run with its default
+    if parser.defaults():
+        raise InvalidArgument(f"{name}: [DEFAULT]: unknown section")
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise InvalidArgument(f"{name}: [{section}]: unknown section")
+        for key in parser.options(section) if _KEYS[section] else ():
+            if key not in _KEYS[section]:
+                raise InvalidArgument(
+                    f"{name}: [{section}] {key}: unknown key")
 
     def number(section, key, convert, fallback=None):
         """[section] key through convert, fallback when it is absent."""

@@ -274,8 +274,8 @@ class Trajectory:
 
     times[0] is always the initial time; fields[j] is the CellField (or
     the CellField2D of a mixing run) at times[j]. meta carries solver
-    bookkeeping (dt schedule, recorded fluxes, speed bound) consumed by the
-    transport stage and the diagnostics.
+    bookkeeping (dt schedule, record steps, speed bound) read by the
+    diagnostics.
     """
 
     def __init__(self, times, fields, meta=None):
@@ -318,10 +318,6 @@ class SplitTrajectory:
 
     def at(self, t):
         return self.states[_record_index(self.times, t)]
-
-    def component_trajectory(self, i):
-        fields = [s.components[i] for s in self.states]
-        return Trajectory(self.times, fields, {"component": i})
 
     def __len__(self):
         return len(self.times)

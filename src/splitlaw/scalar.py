@@ -61,18 +61,6 @@ def critical_point(flux, lo, hi):
     return _bisect(lambda z: float(flux.gprime(z)), lo, hi, tol=1e-14)
 
 
-def godunov_flux(flux, a, b):
-    """min of g over [a,b] when a <= b, else max over [b,a]."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    omega = critical_point(flux, lo, hi)
-    g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
-    select = _Selection((1, 1), flux.convexity == "convex")
-    G = select(np.array([[float(a)]]), np.array([[float(b)]]),
-               np.array([[float(flux.g(a))]]), np.array([[float(flux.g(b))]]),
-               omega, g_omega)
-    return float(G[0, 0])
-
-
 class _Selection:
     """The Godunov interface flux, written into buffers of one shape.
 
@@ -202,15 +190,6 @@ class ScalarConfig:
                 raise InvalidArgument("record times must lie in [0, t_end]")
 
 
-def cfl_dt(flux, fieldv, cfl):
-    vals = fieldv.values if isinstance(fieldv, CellField) else np.asarray(fieldv)
-    L = flux.L_of_range(float(np.min(vals)), float(np.max(vals)))
-    dx = fieldv.grid.dx if isinstance(fieldv, CellField) else None
-    if dx is None:
-        raise InvalidArgument("cfl_dt needs a CellField")
-    return _dt_from_speed(L, dx, cfl)
-
-
 def _dt_from_speed(L, dx, cfl):
     """The CFL step cfl*dx/L; a zero speed bound gives cfl*dx."""
     if L == 0.0:
@@ -227,9 +206,10 @@ def _record_plan(config):
 
 
 def _fixed_step_plan(config, stops):
-    """Step count and the set of steps that end on a stop, for fixed dt.
+    """Step count and the steps that end on a stop, for fixed dt.
 
-    Both t_end and every stop must be whole multiples of fixed_dt.
+    Both t_end and every stop must be whole multiples of fixed_dt, and no
+    two stops (nor a stop and t = 0) may round to the same step.
     """
     quotient = config.t_end / config.fixed_dt
     if not math.isfinite(quotient):
@@ -239,12 +219,16 @@ def _fixed_step_plan(config, stops):
     n_steps = round(quotient)
     if abs(n_steps * config.fixed_dt - config.t_end) > 1e-9 * config.t_end:
         raise InvalidArgument("t_end is not a multiple of fixed_dt")
-    stop_steps = set()
+    stop_steps = {0: 0.0}  # step -> the record time that ends on it
     for s in stops:
         js = round(s / config.fixed_dt)
         if abs(js * config.fixed_dt - s) > 1e-9 * max(s, config.fixed_dt):
             raise InvalidArgument("record time not aligned with fixed_dt")
-        stop_steps.add(js)
+        if js in stop_steps:
+            raise InvalidArgument(
+                f"record times {stop_steps[js]!r} and {s!r} both round to "
+                f"step {js} of fixed_dt = {config.fixed_dt!r}")
+        stop_steps[js] = s
     return n_steps, stop_steps
 
 
@@ -331,13 +315,15 @@ def _march_rows(config, dx, cells, dt_schedule, speed, build, what):
     NumericalBlowup, naming what[0]) and the input of the next speed
     bound. Each dt is appended to dt_schedule[r].
 
-    A record is one copy of a run's row of every view: record 0 from the
-    first build, then one after each step that lands on a record time,
-    where a non-finite value in any view after cells raises
-    NumericalBlowup. An error from one run of a batch names the run.
-    Returns (times, record_steps, speed_bound, records) per run: the
+    Each run's records live in one block per view, allocated before the
+    first step: (T,) + the shape of a row of that view, with T = 1 +
+    len(_record_plan(config)) the exact record count. Record 0 is the
+    run's row after the first build, and each step that lands on a record
+    time writes the next, where a non-finite value in any view after cells
+    raises NumericalBlowup. An error from one run of a batch names the
+    run. Returns (times, record_steps, speed_bound, blocks) per run: the
     record times, the step count at each later record, the largest speed
-    bound used, and the records.
+    bound used, and the tuple of blocks, one per view.
 
     The step buffers take the layout of core._flat_rows: each row (a v, a
     w row, an LxF component) carries its two ghost cells, and the rows sit
@@ -363,7 +349,12 @@ def _march_rows(config, dx, cells, dt_schedule, speed, build, what):
              for r in range(batch)]
     rows = list(range(batch))  # the run held in each row of the arrays
     views, advance = build(rows)
-    records = [[tuple(a[i].copy() for a in views)] for i in rows]
+    T = 1 + len(_record_plan(config))
+    blocks = [tuple(np.empty((T,) + a.shape[1:]) for a in views)
+              for _ in rows]
+    for i in rows:
+        for block, a in zip(blocks[i], views):
+            block[0] = a[i]
     times = [[0.0] for _ in rows]
     record_steps = [[] for _ in rows]
     while True:
@@ -376,7 +367,7 @@ def _march_rows(config, dx, cells, dt_schedule, speed, build, what):
             if item is not None:
                 plan.append((r, *item))
         if not plan:
-            return list(zip(times, record_steps, speed_bound, records))
+            return list(zip(times, record_steps, speed_bound, blocks))
         if len(plan) < len(rows):  # some plans have ended: rebuild
             keep = [rows.index(r) for r, *_ in plan]
             rows = [r for r, *_ in plan]
@@ -392,10 +383,12 @@ def _march_rows(config, dx, cells, dt_schedule, speed, build, what):
                     r, batch)
             dt_schedule[r].append(dt)
             if lands:
+                j = len(times[r])
                 times[r].append(t)
-                records[r].append(tuple(a[i].copy() for a in views))
-                for name, a in zip(what[1:], records[r][-1][1:]):
-                    if not np.isfinite(a).all():
+                for block, a in zip(blocks[r], views):
+                    block[j] = a[i]
+                for name, block in zip(what[1:], blocks[r][1:]):
+                    if not np.isfinite(block[j]).all():
                         raise _in_row(NumericalBlowup(
                             step, f"non-finite {name} by step {step}, "
                             f"t={t!r}"), r, batch)
@@ -476,7 +469,6 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
                               "of w fields")
     m = len(w0s[0])
 
-    want_zero = 0.0 in config.record_times or not config.record_times
     v = np.array([init.values for init in inits], dtype=float)
     W = np.empty((batch, m, n))
     for r, init in enumerate(inits if locked else ()):
@@ -573,9 +565,9 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
         return (v, W), advance
 
     runs = []
-    for r, (times, record_steps, speed_bound, records) in enumerate(
-            _march_rows(config, dx, v, dt_schedule, speed, build,
-                        ("v", "w"))):
+    for r, (times, record_steps, speed_bound, (v_block, W_block)) in (
+            enumerate(_march_rows(config, dx, v, dt_schedule, speed, build,
+                                  ("v", "w")))):
         meta = {
             "dt_schedule": dt_schedule[r],
             "record_steps": record_steps,
@@ -583,16 +575,12 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
             "cfl": config.cfl,
             "flux_name": flux.name,
             "fixed_dt": config.fixed_dt,
-            "includes_zero": want_zero,
         }
         runs.append((
-            Trajectory(times, [CellField(grid, v_rec, boundary)
-                               for v_rec, _ in records], meta),
-            [Trajectory(list(times),
-                        [CellField(grid, W_rec[j], boundary)
-                         for _, W_rec in records],
-                        {"locked_to": flux.name,
-                         "dt_schedule": list(dt_schedule[r])})
+            Trajectory(times, [CellField(grid, row, boundary)
+                               for row in v_block], meta),
+            [Trajectory(times, [CellField(grid, row, boundary)
+                                for row in W_block[:, j]])
              for j in range(m)]))
     return runs
 

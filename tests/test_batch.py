@@ -17,9 +17,10 @@ from splitlaw.core import (CellField, FluxFunction, Grid1D, Trajectory,
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup)
 from splitlaw.kk import KKState, solve_kk, solve_kk_many
-from splitlaw.scalar import (ScalarConfig, _time_steps, comparison_defect,
-                             critical_point, max_principle_defect,
-                             solve_scalar, solve_scalar_many, tvd_defect)
+from splitlaw.scalar import (ScalarConfig, _record_plan, _time_steps,
+                             comparison_defect, critical_point,
+                             max_principle_defect, solve_scalar,
+                             solve_scalar_many, tvd_defect)
 from splitlaw.transport import (joint_speed_flux, solve_split,
                                 solve_split_many)
 
@@ -208,6 +209,18 @@ def _same_records(arrays, fields):
         a.tobytes() == f.values.tobytes() for a, f in zip(arrays, fields))
 
 
+def _rows_of_one_block(fields):
+    """Every field's values is a view of one base array: the block that
+    holds every record of one stepped array of a run."""
+    base = fields[0].values.base
+    return base is not None and all(f.values.base is base for f in fields)
+
+
+def _record_count(cfg):
+    """Record 0 and one record per stop of the time plan."""
+    return 1 + len(_record_plan(cfg))
+
+
 def _check_split_rows_against_kernels(flux, batch, data):
     """Every row of solve_split_many on the batch is bitwise _kernel_split
     of that row alone, and one ulp in one record is told apart."""
@@ -222,7 +235,10 @@ def _check_split_rows_against_kernels(flux, batch, data):
     for v0, w0, (v_traj, w_trajs) in zip(v0s, w0s, runs):
         times, v_recs, w_recs = _kernel_split(flux, v0, w0, cfg)
         assert v_traj.times == times
+        assert len(times) == _record_count(cfg)
         assert _same_records(v_recs, v_traj.fields)
+        assert _rows_of_one_block(v_traj.fields)
+        assert _rows_of_one_block([f for w in w_trajs for f in w.fields])
         assert len(w_trajs) == 2
         for recs, w_traj in zip(w_recs, w_trajs):
             assert _same_records(recs, w_traj.fields)
@@ -336,6 +352,8 @@ def test_scalar_batch_rows_are_bitwise_their_solve_scalar(batch, data):
     assert len(got) == len(rows)
     for g, w in zip(got, want):
         assert _same_trajectory(g, w)
+        assert len(g.times) == _record_count(cfg)
+        assert _rows_of_one_block(g.fields)
     steps = [len(traj.meta["dt_schedule"]) for traj in got]
     assert fixed or steps[0] > steps[1]
     r = data.draw(st.integers(0, len(rows) - 1))
@@ -368,7 +386,10 @@ def test_direct_batch_rows_are_bitwise_the_kernel_loop(batch, data):
     for U0, traj in zip(U0s, trajs):
         times, states = _kernel_direct(U0, cfg)
         assert traj.times == times
+        assert len(times) == _record_count(cfg)
         assert same(traj, states)
+        assert _rows_of_one_block([c for U in traj.states
+                                   for c in U.components])
         solo = solve_direct(U0, cfg).meta
         for key in ("dt_schedule", "record_steps", "speed_bound"):
             assert traj.meta[key] == solo[key]

@@ -307,6 +307,13 @@ def test_direct_oracle_rejects_misaligned_record_times():
     with pytest.raises(InvalidArgument,
                        match="record time not aligned with fixed_dt"):
         solve_direct(state, cfg)
+    # nor may two record times round to one step
+    cfg = ScalarConfig(t_end=1.0, record_times=[0.25, 0.25 + 1e-12, 1.0],
+                       fixed_dt=0.25)
+    with pytest.raises(InvalidArgument, match="record times 0.25 and "
+                                              "0.250000000001 both round to "
+                                              "step 1 of fixed_dt = 0.25"):
+        solve_direct(state, cfg)
 
 
 def _reference_solve_direct(U0, config):
@@ -484,6 +491,11 @@ def test_semigroup_legs_step_each_row_only_as_far_as_it_needs():
     assert defects[0] == defects[4]
     for (t, s), row in zip(splits, defects):
         assert row == [semigroup_defect(U0, t, s, cfg) for U0 in U0s]
+    # 0.1 + 0.2 and 0.3 differ in the last bit and share one step's record
+    cfg = ScalarConfig(t_end=1.0, record_times=[], fixed_dt=0.05)
+    splits = [(0.1, 0.2), (0.0, 0.3)]
+    assert semigroup_defect_many(U0s, splits, cfg) == [
+        [semigroup_defect(U0, t, s, cfg) for U0 in U0s] for t, s in splits]
 
 
 def test_split_records_store_each_w_once():
@@ -516,7 +528,7 @@ def test_trajectory_accessors():
     traj = solve_chromatography(
         _riemann_state(grid, [(0.25, 0.5), (0.25, 0.75)]), cfg)
     assert len(traj) == 3
-    comp = traj.component_trajectory(1)
+    comp = traj.w_trajs[0]
     assert comp.times == traj.times
     assert np.array_equal(comp.fields[-1].values,
                           traj.states[-1].components[1].values)

@@ -384,6 +384,20 @@ def test_a_malformed_number_names_the_file_section_and_key(
     assert capsys.readouterr().err == f"invalid-argument: bad.ini: {says}\n"
 
 
+@pytest.mark.parametrize("text, says", [
+    (RIEMANN_CFG + "fixd_dt = 0.001953125\n", "[time] fixd_dt: unknown key"),
+    (RIEMANN_CFG + "\n[transport]\nepsilon = 0.125\n",
+     "[transport]: unknown section"),
+    ("[DEFAULT]\ncfl = 0.45\n\n" + RIEMANN_CFG, "[DEFAULT]: unknown section"),
+], ids=["misspelt-key", "unknown-section", "default-section"])
+def test_an_unknown_section_or_key_names_the_file_section_and_key(
+        tmp_path, capsys, text, says):
+    """A misspelt key must not run with its default: fixd_dt = 1/512
+    under [time] would give an adaptive-dt run that exits 0."""
+    assert main(["run", _write(tmp_path, "bad.ini", text)]) == 2
+    assert capsys.readouterr().err == f"invalid-argument: bad.ini: {says}\n"
+
+
 @pytest.mark.parametrize("base, line, says", [
     (RIEMANN_CFG, "n = 1099511627776", "[grid] n = 1099511627776: "),
     (DEPAUW_CFG, "m = 40",
@@ -519,8 +533,8 @@ def test_the_kk_fuzz_base_runs(tmp_path, monkeypatch, capsys):
 _HOSTILE = ["", "nan", "inf", "-1", "0", "1e-320", "x", "%(x)s", "nope"]
 
 # Keys that no fuzz base sets, each with its section, and a value it may
-# take: 1/512 divides every base's t_end and record times. No runner reads
-# epsilon, so it is ignored like any unknown key, whatever its value.
+# take: 1/512 divides every base's t_end and record times. The loader reads
+# no [transport] section, so epsilon exits 2 whatever its value.
 _ABSENT = {("time", "fixed_dt"): "0.001953125",
            ("transport", "epsilon"): "0.125"}
 

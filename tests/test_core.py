@@ -1,6 +1,8 @@
 """Grids, cell fields, flux descriptions, and the measurement toolbox."""
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,3 +277,40 @@ def test_step_buffers_start_on_a_cache_line():
         buf, rows, ahead = _flat_rows((2, size + 2))
         assert buf.ctypes.data % 64 == 0 and rows.ctypes.data % 64 == 0
         assert ahead.ctypes.data == buf.ctypes.data + 8
+
+
+def _unused_imports(text):
+    """The names a module's top-level imports bind that the module never
+    references, apart from names in __all__ and imports on a line marked
+    `# noqa: F401`."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                getattr(node, "module", None) == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa: F401" not in (
+                    lines[alias.lineno - 1] + lines[node.lineno - 1]):
+                unused.append(name)
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = Path(__file__).resolve().parents[1] / "src" / "splitlaw"
+    found = {path.name: _unused_imports(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+    # the check sees an unused import, and honours __all__ and noqa
+    assert _unused_imports("from .core import (CellField,\n"
+                           "    Trajectory)\nx = CellField\n") == [
+        "Trajectory"]
+    assert _unused_imports("import a.b as c\nfrom d import e  "
+                           "# noqa: F401\n__all__ = ['c']\n") == []

@@ -27,15 +27,14 @@ from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup, UnsupportedFlux)
 from splitlaw.scalar import (
     _Selection,
+    _dt_from_speed,
     _spacetime_quadrature,
     _time_steps,
     RiemannFan,
     ScalarConfig,
-    cfl_dt,
     comparison_defect,
     critical_point,
     entropy_residual,
-    godunov_flux,
     kruzkov_pair,
     max_principle_defect,
     oleinik_excess,
@@ -70,16 +69,27 @@ def test_critical_point_needs_curvature_class():
         critical_point(linear, 0.0, 1.0)
 
 
+def _interface_flux(flux, a, b):
+    """The Godunov flux between the states a and b: one interface of
+    _Selection, with the critical point of g between them."""
+    omega = critical_point(flux, min(a, b), max(a, b))
+    g_omega = float(flux.g(omega)) if math.isfinite(omega) else 0.0
+    select = _Selection((1, 1), flux.convexity == "convex")
+    G = select(*(np.array([[float(x)]]) for x in (a, b, flux.g(a), flux.g(b))),
+               omega, g_omega)
+    return float(G[0, 0])
+
+
 def test_godunov_flux_extremes():
     flux = burgers_flux()
-    assert godunov_flux(flux, 1.0, 0.0) == pytest.approx(1.0)
-    assert godunov_flux(flux, 0.0, 1.0) == pytest.approx(0.0)
-    assert godunov_flux(flux, -1.0, 1.0) == pytest.approx(0.0, abs=1e-24)
-    assert godunov_flux(flux, 1.0, -1.0) == pytest.approx(1.0)
+    assert _interface_flux(flux, 1.0, 0.0) == pytest.approx(1.0)
+    assert _interface_flux(flux, 0.0, 1.0) == pytest.approx(0.0)
+    assert _interface_flux(flux, -1.0, 1.0) == pytest.approx(0.0, abs=1e-24)
+    assert _interface_flux(flux, 1.0, -1.0) == pytest.approx(1.0)
     chrom = chromatography_flux()
     # increasing flux: always the upwind (left) value
-    assert godunov_flux(chrom, 0.5, 2.0) == pytest.approx(0.5 / 1.5)
-    assert godunov_flux(chrom, 2.0, 0.5) == pytest.approx(2.0 / 3.0)
+    assert _interface_flux(chrom, 0.5, 2.0) == pytest.approx(0.5 / 1.5)
+    assert _interface_flux(chrom, 2.0, 0.5) == pytest.approx(2.0 / 3.0)
 
 
 @given(
@@ -91,10 +101,10 @@ def test_godunov_flux_extremes():
 def test_godunov_flux_consistency_and_monotonicity(a, b, d):
     """H(a, a) = g(a); H grows in the left state and shrinks in the right."""
     flux = burgers_flux()
-    assert godunov_flux(flux, a, a) == float(flux.g(a))
-    base = godunov_flux(flux, a, b)
-    assert godunov_flux(flux, a + d, b) >= base - 1e-12
-    assert godunov_flux(flux, a, b + d) <= base + 1e-12
+    assert _interface_flux(flux, a, a) == float(flux.g(a))
+    base = _interface_flux(flux, a, b)
+    assert _interface_flux(flux, a + d, b) >= base - 1e-12
+    assert _interface_flux(flux, a, b + d) <= base + 1e-12
 
 
 def test_riemann_fan_shock_kinds():
@@ -181,14 +191,6 @@ def test_a_step_that_cannot_advance_t_is_refused():
                          lambda: 1.0))
 
 
-def test_cfl_dt_uses_the_range_speed_bound():
-    grid = Grid1D(-2.0, 2.0, 64)
-    f = project(lambda x: np.clip(x, 0.0, 1.0), grid)
-    # chromatography speed on [0, 1] is at most 1, attained at v = 0
-    assert cfl_dt(chromatography_flux(), f, 0.45) == pytest.approx(
-        0.45 * grid.dx)
-
-
 def test_solver_shock_tracks_the_exact_fan():
     grid = Grid1D(-2.0, 2.0, 512)
     v0 = _riemann(grid, 1.0, 0.0)
@@ -223,6 +225,15 @@ def test_fixed_dt_alignment_is_enforced():
         solve_scalar(chromatography_flux(), v0,
                      ScalarConfig(t_end=1.0, record_times=[0.3],
                                   fixed_dt=0.125))
+    # no two stops may round to one step, nor a stop to step 0
+    for times, text in (([0.5, 0.5 + 1e-12, 1.0],
+                         "0.5 and 0.500000000001 both round to step 32"),
+                        ([1e-12], "0.0 and 1e-12 both round to step 0")):
+        with pytest.raises(InvalidArgument, match=f"record times {text} "
+                                                  "of fixed_dt = 0.015625"):
+            solve_scalar(chromatography_flux(), v0,
+                         ScalarConfig(t_end=1.0, record_times=times,
+                                      fixed_dt=1 / 64))
 
 
 def test_fixed_dt_above_the_cfl_bound_is_rejected():
@@ -471,8 +482,8 @@ def test_comparison_defect_requires_matching_runs():
 def _reference_solve_scalar(flux, init, config):
     """solve_scalar as a plain loop that rebuilds every step constant.
 
-    Each step calls cfl_dt, CellField.extended(1) and critical_point on
-    the current data, with no reuse between steps.
+    Each step takes the speed bound, CellField.extended(1) and
+    critical_point of the current data, with no reuse between steps.
     """
     grid = init.grid
     dx = grid.dx
@@ -500,7 +511,9 @@ def _reference_solve_scalar(flux, init, config):
         else:
             if t >= config.t_end:
                 break
-            dt = cfl_dt(flux, CellField(grid, v, init.boundary), config.cfl)
+            dt = _dt_from_speed(flux.L_of_range(float(v.min()),
+                                                float(v.max())),
+                                dx, config.cfl)
             lands = t + dt >= next_stop - 1e-14 * max(1.0, next_stop)
             if lands:
                 dt = next_stop - t
@@ -792,7 +805,7 @@ def test_tied_signed_zeros_take_the_numpy_selection(flux, a, b, expected):
                                    omega, g_omega)
     assert _same_bits(G[0], ref)
     assert _same_bits(_kernels.godunov_fluxes(*args), ref)
-    got = godunov_flux(flux, a, b)
+    got = float(G[0, 0])
     assert got == expected == 0.0
     assert math.copysign(1.0, got) == math.copysign(1.0, expected)
 
