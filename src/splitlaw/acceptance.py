@@ -21,7 +21,6 @@ from .chroma import (
     lift_entropy,
     project_to_lifted,
     semigroup_defect_many,
-    solve_chromatography,
     solve_chromatography_many,
     solve_direct_many,
     state_l1_distance,
@@ -269,23 +268,25 @@ def criterion_05(level="full"):
     def body():
         grids = (256, 512) if level == "full" else (256,)
         results = {}
+        states = []
         for n in grids:
             g = Grid1D(-2.0, 2.0, n)
             v0 = project(lambda x: 1.0 + 0.5 * np.exp(-4.0 * x * x), g)
             w0 = project(lambda x: 0.5 * np.exp(-6.0 * (x - 0.25) ** 2), g)
             u1 = v0.with_values(0.5 * (v0.values + w0.values))
             u2 = v0.with_values(0.5 * (v0.values - w0.values))
-            rec = list(np.linspace(0.0, 0.5, 81)[1:])
-            traj = solve_chromatography(
-                ChromState([u1, u2]),
-                ScalarConfig(t_end=0.5, record_times=rec))
+            states.append(ChromState([u1, u2]))
+        rec = list(np.linspace(0.0, 0.5, 81)[1:])
+        trajs = solve_chromatography_many(
+            states, ScalarConfig(t_end=0.5, record_times=rec))
+        tests = [bump_test(0.05, 0.45, -1.2, 1.2),
+                 bump_test(0.1, 0.4, -0.5, 1.5)]
+        for n, traj in zip(grids, trajs):
             pair = TransportPair(traj.v_traj, lambda v: 1.0 / (1.0 + v))
-            tests = [bump_test(0.05, 0.45, -1.2, 1.2),
-                     bump_test(0.1, 0.4, -0.5, 1.5)]
             dtv = traj.v_traj.meta["dt_schedule"][0]
             for name, beta in (("u^2", lambda u: u * u), ("|u|", np.abs)):
                 r = renorm_residual(pair, traj.w_trajs[0], beta, tests)
-                results[(n, name)] = (r, g.dx + dtv)
+                results[(n, name)] = (r, traj.grid.dx + dtv)
         ok = all(r <= RENORM_C * scale for r, scale in results.values())
         parts = [f"n={n} {name}: {r:.2e}<={RENORM_C * scale:.2e}"
                  for (n, name), (r, scale) in results.items()]
@@ -304,15 +305,14 @@ def criterion_06(level="full"):
         names = list(SPLIT_FIXTURES) if level == "full" else ["S", "Q"]
         grids = (512, 1024, 2048) if level == "full" else (512,)
         gaps = {name: [] for name in names}
-        for n in grids:
-            g = Grid1D(-2.0, 2.0, n)
-            U0s = [_split_state(g, SPLIT_FIXTURES[name]) for name in names]
-            cfg = ScalarConfig(t_end=1.0, record_times=[1.0])
-            splits = solve_chromatography_many(U0s, cfg)
-            directs = solve_direct_many(U0s, cfg)
-            for name, split, direct in zip(names, splits, directs):
-                gaps[name].append(state_l1_distance(split.at(1.0),
-                                                    direct.at(1.0)))
+        U0s = [_split_state(Grid1D(-2.0, 2.0, n), SPLIT_FIXTURES[name])
+               for n in grids for name in names]
+        cfg = ScalarConfig(t_end=1.0, record_times=[1.0])
+        splits = solve_chromatography_many(U0s, cfg)
+        directs = solve_direct_many(U0s, cfg)
+        for i, (split, direct) in enumerate(zip(splits, directs)):
+            gaps[names[i % len(names)]].append(
+                state_l1_distance(split.at(1.0), direct.at(1.0)))
         ok = True
         parts = []
         for name in names:
@@ -397,10 +397,9 @@ def criterion_07(level="full"):
         rec = list(np.linspace(0.0, 1.0, 201)[1:])
         names = list(SPLIT_FIXTURES) if level == "full" else ["Q"]
         worst_fix = 0.0
-        for name in names:
-            traj = solve_chromatography(
-                _split_state(g, SPLIT_FIXTURES[name]),
-                ScalarConfig(t_end=1.0, record_times=rec))
+        for traj in solve_chromatography_many(
+                [_split_state(g, SPLIT_FIXTURES[name]) for name in names],
+                ScalarConfig(t_end=1.0, record_times=rec)):
             worst_fix = max(worst_fix,
                             admissibility_residual(traj, [pair], tests))
         ok = ok and worst_fix <= ADMISS_TOL
@@ -492,17 +491,16 @@ def criterion_10(level="full"):
         fixtures = {"flip": ((0.75, 0.25), (0.25, 0.75)),
                     "mild": ((0.5, 0.25), (0.25, 0.5))}
         gaps = {name: [] for name in fixtures}
-        for n in grids:
-            g = Grid1D(-2.0, 2.0, n)
-            U0s = [KKState([project(_riemann_ic(ul[0], ur[0]), g),
-                            project(_riemann_ic(ul[1], ur[1]), g)])
-                   for ul, ur in fixtures.values()]
-            trajs = solve_kk_many(U0s, f, fp,
-                                  ScalarConfig(t_end=1.0, record_times=[1.0]))
-            for name, traj in zip(fixtures, trajs):
-                exc, gap = renormalization_defect(traj, None)
-                ok = ok and exc <= KK_EXCESS_TOL
-                gaps[name].append(gap)
+        U0s = [KKState([project(_riemann_ic(ul[0], ur[0]), g),
+                        project(_riemann_ic(ul[1], ur[1]), g)])
+               for g in (Grid1D(-2.0, 2.0, n) for n in grids)
+               for ul, ur in fixtures.values()]
+        trajs = solve_kk_many(U0s, f, fp,
+                              ScalarConfig(t_end=1.0, record_times=[1.0]))
+        for i, traj in enumerate(trajs):
+            exc, gap = renormalization_defect(traj, None)
+            ok = ok and exc <= KK_EXCESS_TOL
+            gaps[list(fixtures)[i % len(fixtures)]].append(gap)
         for name, gaps_n in gaps.items():
             ok = ok and gaps_n[0] <= KK_GAP_MAX
             rates = [a / b for a, b in zip(gaps_n, gaps_n[1:])]
@@ -600,12 +598,12 @@ def criterion_12(level="full"):
         ok = True
         parts = []
         gaps = {4.0: [], 8.0: []}
-        for n in grids:
-            g = Grid1D(-2.0, 2.0, n)
-            U0 = _split_state(g, fixture)
-            rec = list(np.linspace(0.0, 1.0, 41)[1:])
-            traj = solve_chromatography(
-                U0, ScalarConfig(t_end=1.0, record_times=rec))
+        rec = list(np.linspace(0.0, 1.0, 41)[1:])
+        trajs = solve_chromatography_many(
+            [_split_state(Grid1D(-2.0, 2.0, n), fixture) for n in grids],
+            ScalarConfig(t_end=1.0, record_times=rec))
+        for n, traj in zip(grids, trajs):
+            g = traj.grid
             w_up = traj.w_trajs[0]
             pair = TransportPair(traj.v_traj, lambda v: 1.0 / (1.0 + v))
             for mult in (4.0, 8.0):

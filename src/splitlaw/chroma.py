@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CellField, SplitTrajectory, VectorState, _aligned_zeros,
-                   _flat_rows, _ghost_cells, _window_slice, _worst_residual,
-                   chromatography_flux, lp_distance, total_variation)
+from .core import (CellField, SplitTrajectory, VectorState, _same_time,
+                   _window_slice, _worst_residual, chromatography_flux,
+                   lp_distance, total_variation)
 from .errors import InvalidArgument, InvalidEntropy
-from .scalar import (ScalarConfig, _batch_grid, _check_test_fns, _in_row,
-                     _march_rows, _spacetime_quadrature)
+from .scalar import (ScalarConfig, _batch_boundary, _check_test_fns,
+                     _in_row, _march_rows, _spacetime_quadrature)
 # Re-exported, not called here (the split solve goes through
 # solve_split_many):
 # perfbench's tracer test reads chroma.solve_scalar.
@@ -92,12 +92,13 @@ def solve_chromatography(U0, config):
 
 
 def solve_chromatography_many(U0s, config):
-    """solve_chromatography for B states on one grid under one config,
-    stepped as one (B, n) split march (transport.solve_split_many). The
-    states share k; each keeps its own time plan and is bitwise its
-    solve_chromatography. Returns one trajectory per state. Each record's
-    state is (u_1, w_1, ..., w_{k-1}) with u_1 as from_vw computes it and
-    the w_i the very fields of w_trajs, so every w is stored once.
+    """solve_chromatography for B states under one config, stepped as one
+    split march (transport.solve_split_many); the states may lie on
+    different grids. The states share k; each keeps its own time plan and
+    is bitwise its solve_chromatography. Returns one trajectory per state.
+    Each record's state is (u_1, w_1, ..., w_{k-1}) with u_1 as from_vw
+    computes it and the w_i the very fields of w_trajs, so every w is
+    stored once.
     """
     _require_nonnegative(U0s)
     vws = [to_vw(U0) for U0 in U0s]
@@ -204,8 +205,10 @@ def admissibility_residual(traj, pairs, test_fns):
     _check_test_fns(traj, test_fns)
 
     def totals(pair):
-        def arrays(j):
-            comps = [c.values for c in traj.states[j].components]
+        def arrays(js):
+            comps = [np.stack([traj.states[j].components[c].values
+                               for j in js])
+                     for c in range(traj.states[0].k)]
             return (np.asarray(pair.eta(comps), dtype=float),
                     np.asarray(pair.q(comps), dtype=float))
 
@@ -259,51 +262,56 @@ def solve_direct(U0, config):
 
 
 def solve_direct_many(U0s, config):
-    """solve_direct for B states on one grid under one config, stepped as
-    one (B, k, n) array on the step loop of scalar._march_rows, each
-    component of each state a ghost-padded row. The states share k; each
-    keeps its own time plan and speed bound and is bitwise its
-    solve_direct. An error from one row of a batch names the row. Returns
-    one trajectory per state; its meta holds the method, k, the dt
-    schedule, the record steps and the speed bound.
+    """solve_direct for B states under one config, stepped as one array of
+    (k, size) rows on the step loop of scalar._march_rows: component c of
+    every state lies in copy c of the row layout. The states share k and
+    the boundary mode and may lie on different grids; each keeps its own
+    time plan and speed bound and is bitwise its solve_direct. An error
+    from one row of a batch names the row. Returns one trajectory per
+    state; its meta holds the method, k, the dt schedule, the record steps
+    and the speed bound.
     """
     _require_nonnegative(U0s)
-    grid, boundary = _batch_grid(U0s)
+    boundary = _batch_boundary(U0s)
     if len({U0.k for U0 in U0s}) > 1:
         raise InvalidArgument("batch states differ in component count")
     k = U0s[0].k
-    n, dx = grid.n, grid.dx
+    grids = [U0.grid for U0 in U0s]
+    dxs = [grid.dx for grid in grids]
     periodic = boundary == "periodic"
-    U = np.array([[c.values for c in U0.components] for U0 in U0s],
-                 dtype=float)  # (B, k, n)
+    runs = [(np.array([c.values for c in U0.components], dtype=float),)
+            for U0 in U0s]  # (k, n) each
     dt_schedule = [[] for _ in U0s]
 
     def speed(r, ranges):
         return 1.0 / (1.0 + max(ranges[r][0], 0.0))  # bounds both families
 
-    def build(keep):
-        nonlocal U
-        shape = (len(keep), k, n + 2)
-        _, Ue, U_r = _flat_rows(shape)  # U and the cell to the right
-        _, F, F_r = _flat_rows(shape)  # the fluxes there
+    def build(layout, buffers):
+        ((ubuf, Ue, U_r),) = buffers  # U and the cell to the right
+        _, F, F_r = layout.buffers((k,))  # the fluxes there
         # G[..., j] is the flux out of column j, so G_in is G one cell behind
-        _, G_in, G = _flat_rows(shape)
-        one_plus_v = _aligned_zeros((len(keep), 1, n + 2))
-        jump = _aligned_zeros(shape)
-        inv2mu, mu = np.empty((len(keep), 1, 1)), np.empty((len(keep), 1, 1))
-        Ue[..., 1:-1] = U[keep]
-        U = Ue[..., 1:-1]  # U lives between its ghost cells
-        ghosts, edges = _ghost_cells(Ue, periodic)
+        _, G_in, G = layout.buffers((k,))
+        one_plus_v = layout.zeros((layout.size,))
+        jump = layout.zeros(Ue.shape)
+        cols = [layout.column() for _ in range(2)]  # inv2mu and mu
+        ghosts, edges = layout.ghost_pairs(k, periodic)
+        steps = None  # the dt of each row the step constants were made for
+        inv2mu = mu = None
 
         def advance(plan):
-            nonlocal Ue, G, jump  # the in-place operators rebind them
-            inv2mu[:, 0, 0] = [dx / (2.0 * dt) for _, _, dt, _, _ in plan]
-            mu[:, 0, 0] = [dt / dx for _, _, dt, _, _ in plan]
-            ghosts[...] = edges
+            nonlocal Ue, G, jump, steps, inv2mu, mu  # in-place ops rebind
+            now = [dt for _, _, dt, _, _ in plan]
+            if now != steps:
+                steps = now
+                inv2mu = layout.per_row([dxs[r] / (2.0 * dt)
+                                         for r, _, dt, _, _ in plan], cols[0])
+                mu = layout.per_row([dt / dxs[r] for r, _, dt, _, _ in plan],
+                                    cols[1])
+            ubuf[ghosts] = ubuf[edges]
             # the components' total, added in order, then 1 + v
-            np.add(Ue[:, :1], Ue[:, 1:2], out=one_plus_v)
+            np.add(Ue[0], Ue[1], out=one_plus_v)
             for c in range(2, k):
-                np.add(one_plus_v, Ue[:, c:c + 1], out=one_plus_v)
+                np.add(one_plus_v, Ue[c], out=one_plus_v)
             np.add(one_plus_v, 1.0, out=one_plus_v)
             np.divide(Ue, one_plus_v, out=F)
             # every component at once, in the association of
@@ -318,13 +326,14 @@ def solve_direct_many(U0s, config):
             Ue -= G
             Ue += G_in
 
-        return (U,), advance
+        return advance
 
     trajs = []
     for r, (times, record_steps, speed_bound, (U_block,)) in enumerate(
-            _march_rows(config, dx, U, dt_schedule, speed, build,
+            _march_rows(config, dxs, runs, dt_schedule, speed, build,
                         ("state",))):
-        states = [ChromState([CellField(grid, u, boundary) for u in U_rec])
+        states = [ChromState([CellField(grids[r], u, boundary)
+                              for u in U_rec])
                   for U_rec in U_block]
         meta = {"method": "lax-friedrichs", "k": k,
                 "dt_schedule": dt_schedule[r], "record_steps": record_steps,
@@ -376,8 +385,7 @@ def semigroup_defect_many(U0s, splits, config,
         for tau in split:
             if tau < 0.0:
                 raise InvalidArgument("times must be nonnegative")
-            j = round(tau / dt)
-            if abs(j * dt - tau) > 1e-9 * max(tau, dt):
+            if not _same_time(round(tau / dt) * dt, tau):
                 raise InvalidArgument("time not aligned with fixed_dt")
 
     def solve(states, stops):

@@ -449,10 +449,8 @@ def _cmd_run(args):
     if cfg.kind == "verify":
         from .acceptance import run_all
         results = run_all(cfg.level)
-        diag = {"criteria": [
-            {"number": r.number, "name": r.name, "passed": r.passed,
-             "details": r.details} for r in results],
-            "all_passed": all(r.passed for r in results)}
+        diag = {"criteria": [_criterion_record(r) for r in results],
+                "all_passed": all(r.passed for r in results)}
         write_json(_output_base(cfg) + ".diagnostics.json", diag)
         for r in results:
             tag = "PASS" if r.passed else "FAIL"
@@ -467,11 +465,21 @@ def _cmd_run(args):
     return 0
 
 
+def _criterion_record(result):
+    return {"number": result.number, "name": result.name,
+            "passed": result.passed, "details": result.details}
+
+
 def _cmd_verify(args):
     from .acceptance import run_all
     results = run_all(args.level)
-    for res in results:
-        print(res.line())
+    if args.json:
+        print(json.dumps({"level": args.level, "criteria": [
+            dict(_criterion_record(r), seconds=r.seconds) for r in results],
+            "all_passed": all(r.passed for r in results)}))
+    else:
+        for res in results:
+            print(res.line())
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -502,6 +510,9 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--level", choices=LEVELS,
                           default="fast")
+    p_verify.add_argument("--json", action="store_true",
+                          help="print one JSON object: each criterion's "
+                          "number, name, passed, details and seconds")
     p_verify.set_defaults(fn=_cmd_verify)
     p_export = sub.add_parser("export", help="export a trajectory")
     p_export.add_argument("config")

@@ -80,24 +80,6 @@ class CellField:
         return CellField(self.grid, self.values.copy(), self.boundary)
 
 
-def _ghost_cells(ext, periodic):
-    """Views (ghosts, edges) of the (..., n + 2) buffer ext: its two ghost
-    cells, and the two cells of ext[..., 1:-1] they copy (the far edge
-    when periodic, the near edge otherwise), so ghosts[...] = edges fills
-    them in one assignment.
-
-    The batched steps keep ext in the layout of _flat_rows and write junk
-    into the ghost columns of every row as they update it, so they run
-    ghosts[...] = edges at the start of each step: a ghost then holds the
-    bits of the cell it copies, and anything computed cellwise from it
-    (g(v), w/v, u/(1+v)) is bitwise that cell's value.
-    """
-    n = ext.shape[-1] - 2
-    ghosts = ext[..., ::n + 1]
-    edges = ext[..., n:0:1 - n] if periodic else ext[..., 1:n + 1:n - 1]
-    return ghosts, edges
-
-
 def _aligned_zeros(shape, dtype=float):
     """A zeroed array whose data starts on a 64-byte cache line. malloc
     aligns to 16 bytes only, so a step buffer's offset into its line
@@ -109,25 +91,125 @@ def _aligned_zeros(shape, dtype=float):
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
-def _flat_rows(shape):
-    """The memory layout of every batched step: a new zeroed flat buffer
-    of prod(shape) + 1 cells and two views of it, (buf, rows, ahead).
+class _Arena:
+    """The memory of one march's step buffers, reused by each layout the
+    march makes. After reset(), the i-th zeros() call returns a zeroed
+    prefix of the i-th block, on a 64-byte line like _aligned_zeros. A
+    march asks for its buffers in the same order on every layout, and a
+    later layout holds fewer rows, so each prefix fits the block the first
+    layout allocated, and a march allocates its step buffers once."""
 
-    rows is the buffer without its last cell and ahead the buffer without
-    its first, both reshaped to shape = (..., n + 2). So every row of n
-    cells carries its two ghost cells, all rows sit back to back, and the
-    buffer ends in one spare cell. ahead[..., j] is rows[..., j + 1] for
-    j <= n, so a left and a right state, a flux into and out of a cell, or
-    a cell and its upwind neighbour are two contiguous views at a
-    one-element offset, never strided [..., :-1] / [..., 1:] slices.
-    ahead[..., n + 1] is the first cell of the next row (the spare after
-    the last row): that seam column is junk, and no cell reads it. A step
-    whose operands are all elementwise may take the same two views flat,
-    as buf[:-1] and buf[1:]. The spare cell and any cell never written
-    read 0.0.
+    def __init__(self):
+        self._blocks = []
+        self._next = 0
+
+    def reset(self):
+        self._next = 0
+
+    def zeros(self, shape, dtype=float):
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if self._next < len(self._blocks):
+            block = self._blocks[self._next][:nbytes]
+            block.fill(0)
+        else:
+            block = _aligned_zeros((nbytes,), np.uint8)
+            self._blocks.append(block)
+        self._next += 1
+        return block.view(dtype).reshape(shape)
+
+
+class _FlatRows:
+    """The memory layout of every batched step: rows of ns[0], ns[1], ...
+    cells, each with its two ghost cells, back to back in one flat buffer,
+    so runs on different grids step together.
+
+    Row i takes the size columns from offsets[i]: its left ghost, its cells
+    (the slice cells[i]), its right ghost. buffers(lead) returns a new
+    zeroed flat buffer of prod(lead) * size + 1 cells and two views of it,
+    (buf, rows, ahead): rows is the buffer without its last cell and ahead
+    the buffer without its first, both shaped lead + (size,). So
+    prod(lead) copies of the layout (the rows of a w stack, the components
+    of a Lax-Friedrichs state) sit back to back, and the buffer ends in one
+    spare cell. ahead[..., j] is rows[..., j + 1], so a left and a right
+    state, a flux into and out of a cell, or a cell and its upwind
+    neighbour are two contiguous views at a one-element offset. The last
+    column of ahead reads the next copy's first column (the spare after
+    the last copy): junk that no cell reads. The spare cell and any cell
+    never written read 0.0.
+
+    Whatever is per row is addressed through the offsets: cell_bounds and
+    face_bounds are np.ufunc.reduceat indices whose even segments are each
+    row's cells and the n + 1 interfaces between its columns, columns[i]
+    slices all of row i's columns, per_row makes a value that may differ
+    between rows a per-column buffer, and ghost_pairs gives the flat
+    indices of every ghost cell and of the cell it copies.
     """
-    buf = _aligned_zeros((math.prod(shape) + 1,))
-    return buf, buf[:-1].reshape(shape), buf[1:].reshape(shape)
+
+    def __init__(self, ns, zeros=_aligned_zeros):
+        self.zeros = zeros  # zeros(shape, dtype) makes every buffer
+        ns = np.asarray(ns, dtype=np.intp)
+        widths = ns + 2
+        self.offsets = np.cumsum(widths) - widths
+        self.size = int(widths.sum())
+        first, last = self.offsets + 1, self.offsets + ns  # cells' columns
+        ends = list(zip(first.tolist(), last.tolist()))
+        self.cells = [slice(a, b + 1) for a, b in ends]
+        self.columns = [slice(a - 1, b + 2) for a, b in ends]
+        self.cell_bounds = np.stack([first, last + 1], axis=1).ravel()
+        self.face_bounds = np.stack([self.offsets, last + 1], axis=1).ravel()
+        self._ghosts = np.concatenate([self.offsets, last + 1])
+        self._edges = {True: np.concatenate([last, first]),  # periodic
+                       False: np.concatenate([first, last])}
+
+    def buffers(self, lead=()):
+        buf = self.zeros((math.prod(lead) * self.size + 1,))
+        shape = tuple(lead) + (self.size,)
+        return buf, buf[:-1].reshape(shape), buf[1:].reshape(shape)
+
+    def ghost_pairs(self, copies, periodic):
+        """Flat indices (ghosts, edges) into a buffer of copies copies: every
+        ghost cell, and the cell it copies (the far edge of its row when
+        periodic, the near edge otherwise), so buf[ghosts] = buf[edges]
+        fills them all in one assignment.
+
+        The batched steps write junk into the ghost columns as they update
+        every column, so they run that assignment at the start of each
+        step: a ghost then holds the bits of the cell it copies, and
+        anything computed cellwise from it (g(v), w/v, u/(1+v)) is bitwise
+        that cell's value.
+        """
+        shift = (np.arange(copies) * self.size)[:, None]
+        return ((self._ghosts + shift).ravel(),
+                (self._edges[periodic] + shift).ravel())
+
+    def column(self):
+        """A (size,) buffer for per_row, and the row values it holds."""
+        return self.zeros((self.size,)), [None] * len(self.cells)
+
+    def per_row(self, values, column):
+        """values[0] when every row shares it; otherwise the buffer of
+        column (from self.column()) with values[i] in every column of row
+        i, where only the rows whose value changed, to the bit, are
+        rewritten."""
+        if values.count(values[0]) == len(values):
+            return values[0]
+        out, held = column
+        for i, (new, old) in enumerate(zip(values, held)):
+            if old is None or new != old or (
+                    math.copysign(1.0, new) != math.copysign(1.0, old)):
+                out[self.columns[i]] = new
+                held[i] = new
+        return out
+
+    def ranges(self, a):
+        """Each row's (min, max) over its cells in every copy of a, as two
+        lists."""
+        lo = np.minimum.reduceat(a, self.cell_bounds, axis=-1)[..., ::2]
+        hi = np.maximum.reduceat(a, self.cell_bounds, axis=-1)[..., ::2]
+        if a.ndim > 1:
+            lo = np.minimum.reduce(lo, axis=0)
+            hi = np.maximum.reduce(hi, axis=0)
+        return lo.tolist(), hi.tolist()
 
 
 class VectorState:
@@ -261,10 +343,20 @@ def chromatography_c(v_max):
     return 2.0 / (1.0 + v_max) ** 3
 
 
+# Two times within _TIME_MATCH * max(1, |t|) are one record time: a record
+# is looked up, and a fixed-dt record time or t_end is matched to a step,
+# within it.
+_TIME_MATCH = 1e-13
+
+
+def _same_time(a, t):
+    return a == t or abs(a - t) <= _TIME_MATCH * max(1.0, abs(t))
+
+
 def _record_index(times, t):
-    """Index of the record time that matches t up to 1e-13 relative."""
+    """Index of the record time that matches t (_same_time)."""
     for j, tj in enumerate(times):
-        if tj == t or abs(tj - t) <= 1e-13 * max(1.0, abs(t)):
+        if _same_time(tj, t):
             return j
     raise InvalidArgument(f"t={t} is not a record time")
 
@@ -386,7 +478,8 @@ def _worst_residual(residuals):
 class SpaceTimeTest:
     """C^1 tensor-product test function phi(t, x) = ft(t) * fx(x), given by
     its factors and their derivatives, so a quadrature can evaluate the
-    space factors once and the time factors once per record."""
+    space factors once and the time factors once, each on an array of all
+    the points it needs."""
 
     def __init__(self, ft, dft, fx, dfx, t_support, x_support):
         self.ft, self.dft = ft, dft

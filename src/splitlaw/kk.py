@@ -13,7 +13,7 @@ import numpy as np
 from .core import (CellField, FluxFunction, SplitTrajectory, VectorState,
                    _window_slice, _worst_residual)
 from .errors import HypothesisViolation, InvalidFlux, SplitlawError
-from .scalar import _batch_grid, _in_row
+from .scalar import _batch_boundary, _in_row
 from .transport import solve_split_many
 
 _CONVEXITY_FLOOR = 1e-8
@@ -103,13 +103,13 @@ def solve_kk(U0, f, fprime, config):
 
 
 def solve_kk_many(U0s, f, fprime, config):
-    """solve_kk for B states on one grid under one config, stepped as one
-    (B, n) split march (transport.solve_split_many). The rows share f and
-    f'; each row's flux rho f(rho) is certified on its own modulus range,
-    and its meta["c"] is the constant certified there. Each row is bitwise
-    its solve_kk. Returns one trajectory per state.
+    """solve_kk for B states under one config, stepped as one split march
+    (transport.solve_split_many); the states may lie on different grids.
+    The rows share f and f'; each row's flux rho f(rho) is certified on its
+    own modulus range, and its meta["c"] is the constant certified there.
+    Each row is bitwise its solve_kk. Returns one trajectory per state.
     """
-    _batch_grid(U0s)
+    _batch_boundary(U0s)
     rho0s = []
     fluxes = []
     for r, U0 in enumerate(U0s):

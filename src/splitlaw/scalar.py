@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CellField, Trajectory, _aligned_zeros, _flat_rows,
-                   _ghost_cells, _window_slice, _worst_residual,
+from .core import (CellField, Trajectory, _aligned_zeros, _Arena,
+                   _FlatRows, _same_time, _window_slice, _worst_residual,
                    total_variation)
 from .errors import (HypothesisViolation, InvalidArgument, NumericalBlowup,
                      SplitlawError, UnsupportedFlux)
@@ -68,19 +68,20 @@ class _Selection:
     the min of g over [a, b] when a <= b and the max over [b, a] otherwise.
     For convex g the min sits at the critical point omega clamped to
     [a, b] and the max at an endpoint; for concave g it is the reverse.
-    g_omega is g(omega). Each row of a (B, n) batch may have its own omega
-    and g_omega, passed as (B, 1) columns; a float omega holds for every
-    interface. A float omega of +-inf (g monotone the same way on every
-    row's range) skips the clamp: every interface then takes the same
-    endpoint. The result is bitwise the nested np.where selection.
+    g_omega is g(omega). Each row of a batch may have its own omega and
+    g_omega, passed as per-column buffers of the operands' shape; a float
+    omega holds for every interface. A float omega of +-inf (g monotone
+    the same way on every row's range) skips the clamp: every interface
+    then takes the same endpoint. The result is bitwise the nested
+    np.where selection.
     """
 
-    def __init__(self, shape, convex):
+    def __init__(self, shape, convex, zeros=_aligned_zeros):
         self.convex = convex
-        self.G = _aligned_zeros(shape)
-        self.other = _aligned_zeros(shape)
-        self.take = _aligned_zeros(shape, dtype=bool)
-        self.hit = _aligned_zeros(shape, dtype=bool)
+        self.G = zeros(shape)
+        self.other = zeros(shape)
+        self.take = zeros(shape, dtype=bool)
+        self.hit = zeros(shape, dtype=bool)
 
     def __call__(self, a, b, ga, gb, omega, g_omega):
         G, other, take, hit = self.G, self.other, self.take, self.hit
@@ -208,26 +209,28 @@ def _record_plan(config):
 def _fixed_step_plan(config, stops):
     """Step count and the steps that end on a stop, for fixed dt.
 
-    Both t_end and every stop must be whole multiples of fixed_dt, and no
-    two stops (nor a stop and t = 0) may round to the same step.
+    Both t_end and every stop must be whole multiples of fixed_dt, within
+    the tolerance core._record_index matches record times with, so every
+    accepted stop can be looked up; and no two stops (nor a stop and
+    t = 0) may round to the same step.
     """
-    quotient = config.t_end / config.fixed_dt
+    dt = config.fixed_dt
+    quotient = config.t_end / dt
     if not math.isfinite(quotient):
         raise InvalidArgument(
-            f"t_end / fixed_dt = {config.t_end!r} / {config.fixed_dt!r} "
-            "overflows")
+            f"t_end / fixed_dt = {config.t_end!r} / {dt!r} overflows")
     n_steps = round(quotient)
-    if abs(n_steps * config.fixed_dt - config.t_end) > 1e-9 * config.t_end:
+    if not _same_time(n_steps * dt, config.t_end):
         raise InvalidArgument("t_end is not a multiple of fixed_dt")
     stop_steps = {0: 0.0}  # step -> the record time that ends on it
     for s in stops:
-        js = round(s / config.fixed_dt)
-        if abs(js * config.fixed_dt - s) > 1e-9 * max(s, config.fixed_dt):
+        js = round(s / dt)
+        if not _same_time(js * dt, s):
             raise InvalidArgument("record time not aligned with fixed_dt")
         if js in stop_steps:
             raise InvalidArgument(
                 f"record times {stop_steps[js]!r} and {s!r} both round to "
-                f"step {js} of fixed_dt = {config.fixed_dt!r}")
+                f"step {js} of fixed_dt = {dt!r}")
         stop_steps[js] = s
     return n_steps, stop_steps
 
@@ -283,61 +286,60 @@ def _in_row(exc, r, batch):
     return exc
 
 
-def _batch_grid(fields):
-    """The grid and boundary mode that every field of a batch shares."""
+def _batch_boundary(fields):
+    """The boundary mode that every field of a batch shares; the fields may
+    lie on different grids."""
     if not fields:
         raise InvalidArgument("a batch needs at least one run")
-    grid, boundary = fields[0].grid, fields[0].boundary
+    boundary = fields[0].boundary
     for f in fields:
-        if f.grid != grid:
-            raise InvalidArgument("batch runs on different grids")
         if f.boundary != boundary:
             raise InvalidArgument("batch runs disagree on boundary mode")
-    return grid, boundary
+    return boundary
 
 
-def _march_rows(config, dx, cells, dt_schedule, speed, build, what):
+def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
     """The one step loop of the explicit schemes (the Godunov march below,
     the Lax-Friedrichs oracle chroma.solve_direct_many), and the one keeper
-    of their records: B runs on one grid, stepped together as arrays.
+    of their records: B runs, on grids of any size, stepped together as
+    arrays.
 
-    cells is the (B, ..., n) array of the runs' initial cells. Each run r
-    keeps its own time plan (_time_steps) on the speed bound speed(r,
-    ranges), where ranges[r] is the range (min, max) of its cells before
-    the step. build(keep) moves rows keep of the stepped arrays into new
-    step buffers and returns (views, advance): the views the arrays now
-    live in, cells first and one per name in what, and advance(plan),
-    which steps every row once, where plan lists (r, step, dt, t_next,
-    lands) for the run r in each row. build runs once before the first
-    step and again whenever a run's plan has ended, so that run leaves the
-    arrays for good. After each step the range of every row of cells is
-    reduced once: it is both the blow-up check (a non-finite cell raises
-    NumericalBlowup, naming what[0]) and the input of the next speed
-    bound. Each dt is appended to dt_schedule[r].
+    runs[r] holds run r's initial arrays, one per name in what, cells
+    first: each (n_r,) or (h, n_r), with h the same for every run, on a
+    grid of n_r cells of width dxs[r]. Each run keeps its own time plan
+    (_time_steps) on the speed bound speed(r, ranges), where ranges[r] is
+    the range (min, max) of its cells before the step.
 
-    Each run's records live in one block per view, allocated before the
-    first step: (T,) + the shape of a row of that view, with T = 1 +
+    The runs' rows lie in the layout of core._FlatRows, so every row (a v,
+    a w row, an LxF component) carries its two ghost cells and every
+    shifted operand is a contiguous view at a one-element offset. For the
+    runs in the rows the loop keeps, it lays out one step buffer per array,
+    copies each run's cells in, and calls build(layout, buffers), where
+    buffers holds the (buf, rows, ahead) triple of each array; build
+    returns advance(plan), which steps every row once, where plan lists
+    (r, step, dt, t_next, lands) for the run r in each row. A step updates
+    every column; the ghost columns after an update are junk that no cell
+    reads, and each step refills the ghosts first. The layout is built
+    before the first step and again whenever a run's plan has ended, so
+    that run leaves the arrays for good. build takes every scratch buffer
+    from the layout (layout.buffers, layout.column, layout.zeros), so each
+    layout reuses the memory of the one before (core._Arena). After each
+    step the range of every row of the first array is reduced once: it is
+    both the blow-up check (a non-finite cell raises NumericalBlowup,
+    naming what[0]) and the input of the next speed bound. Each dt is
+    appended to dt_schedule[r].
+
+    Each run's records live in one block per array, allocated before the
+    first step: (T,) + the shape of that initial array, with T = 1 +
     len(_record_plan(config)) the exact record count. Record 0 is the
-    run's row after the first build, and each step that lands on a record
-    time writes the next, where a non-finite value in any view after cells
-    raises NumericalBlowup. An error from one run of a batch names the
-    run. Returns (times, record_steps, speed_bound, blocks) per run: the
-    record times, the step count at each later record, the largest speed
-    bound used, and the tuple of blocks, one per view.
-
-    The step buffers take the layout of core._flat_rows: each row (a v, a
-    w row, an LxF component) carries its two ghost cells, and the rows sit
-    back to back, so every shifted operand (left and right states, the
-    fluxes into and out of a cell, a cell and its upwind neighbour) is a
-    contiguous view at a one-element offset. A step updates whole padded
-    rows; the seam column between two rows and the ghost columns after an
-    update are junk that no cell reads, and each step refills the ghosts
-    first.
+    initial data, and each step that lands on a record time writes the
+    next, where a non-finite value in any array after the first raises
+    NumericalBlowup. An error from one run of a batch names the run.
+    Returns (times, record_steps, speed_bound, blocks) per run: the record
+    times, the step count at each later record, the largest speed bound
+    used, and the tuple of blocks, one per array.
     """
-    batch = len(cells)
-    axes = tuple(range(1, cells.ndim))
-    ranges = list(zip(np.minimum.reduce(cells, axis=axes).tolist(),
-                      np.maximum.reduce(cells, axis=axes).tolist()))
+    batch = len(runs)
     speed_bound = [0.0] * batch
 
     def bound(r):
@@ -345,16 +347,33 @@ def _march_rows(config, dx, cells, dt_schedule, speed, build, what):
         speed_bound[r] = max(speed_bound[r], L)
         return L
 
-    plans = [_time_steps(config, dx, functools.partial(bound, r))
+    plans = [_time_steps(config, dxs[r], functools.partial(bound, r))
              for r in range(batch)]
-    rows = list(range(batch))  # the run held in each row of the arrays
-    views, advance = build(rows)
     T = 1 + len(_record_plan(config))
-    blocks = [tuple(np.empty((T,) + a.shape[1:]) for a in views)
-              for _ in rows]
-    for i in rows:
-        for block, a in zip(blocks[i], views):
-            block[0] = a[i]
+    blocks = [tuple(np.empty((T,) + a.shape) for a in run) for run in runs]
+    for block, run in zip(blocks, runs):
+        for b, a in zip(block, run):
+            b[0] = a
+    cells = list(runs)  # each run's arrays, where they live now
+    arena = _Arena()
+
+    def lay_out(rows):
+        """Step buffers for the runs rows, each holding its cells; every
+        layout reuses the memory of the one before."""
+        arena.reset()
+        layout = _FlatRows([runs[r][0].shape[-1] for r in rows], arena.zeros)
+        buffers = [layout.buffers(a.shape[:-1]) for a in runs[0]]
+        for i, r in enumerate(rows):
+            now = tuple(a[..., layout.cells[i]] for _, a, _ in buffers)
+            for new, old in zip(now, cells[r]):
+                new[...] = old
+            cells[r] = now
+        return layout, buffers, build(layout, buffers)
+
+    rows = list(range(batch))  # the run held in each row of the arrays
+    layout, buffers, advance = lay_out(rows)
+    lo, hi = layout.ranges(buffers[0][1])
+    ranges = list(zip(lo, hi))
     times = [[0.0] for _ in rows]
     record_steps = [[] for _ in rows]
     while True:
@@ -368,13 +387,13 @@ def _march_rows(config, dx, cells, dt_schedule, speed, build, what):
                 plan.append((r, *item))
         if not plan:
             return list(zip(times, record_steps, speed_bound, blocks))
-        if len(plan) < len(rows):  # some plans have ended: rebuild
-            keep = [rows.index(r) for r, *_ in plan]
+        if len(plan) < len(rows):  # some plans have ended: lay out again
             rows = [r for r, *_ in plan]
-            views, advance = build(keep)
+            for r in rows:  # out of the memory the new layout reuses
+                cells[r] = tuple(a.copy() for a in cells[r])
+            layout, buffers, advance = lay_out(rows)
         advance(plan)
-        lo = np.minimum.reduce(views[0], axis=axes).tolist()
-        hi = np.maximum.reduce(views[0], axis=axes).tolist()
+        lo, hi = layout.ranges(buffers[0][1])
         for i, (r, step, dt, t, lands) in enumerate(plan):
             ranges[r] = (lo[i], hi[i])
             if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
@@ -385,8 +404,8 @@ def _march_rows(config, dx, cells, dt_schedule, speed, build, what):
             if lands:
                 j = len(times[r])
                 times[r].append(t)
-                for block, a in zip(blocks[r], views):
-                    block[j] = a[i]
+                for block, a in zip(blocks[r], cells[r]):
+                    block[j] = a
                 for name, block in zip(what[1:], blocks[r][1:]):
                     if not np.isfinite(block[j]).all():
                         raise _in_row(NumericalBlowup(
@@ -412,15 +431,16 @@ def solve_scalar(flux, init, config):
 
 
 def solve_scalar_many(flux, inits, config):
-    """solve_scalar for B runs on one grid under one config, stepped as one
-    (B, n) march. Each run keeps its own time plan and step constants and
-    is bitwise its solve_scalar. Returns one trajectory per run."""
+    """solve_scalar for B runs under one config, stepped as one march. The
+    runs may lie on different grids and share the boundary mode. Each run
+    keeps its own time plan and step constants and is bitwise its
+    solve_scalar. Returns one trajectory per run."""
     return [v_traj for v_traj, _ in _march(flux, inits, config)]
 
 
 def _march(flux, inits, config, b_of_v=None, w0s=None):
-    """The Godunov scheme on the step loop of _march_rows: B runs of v on
-    one grid, each alone or with a locked w stack.
+    """The Godunov scheme on the step loop of _march_rows: B runs of v, each
+    alone or with a locked w stack.
 
     With b_of_v, each run r carries the w fields w0s[r] (the same number m
     for every run), and each rides w_t + (b(v) w)_x = 0 on the steps of
@@ -435,12 +455,15 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     (w/v overflows where v is tiny against |w|, and a NaN persists to the
     next record), raises NumericalBlowup.
 
-    Each step writes g(v) into one buffer made per build, through
+    Each step writes g(v) into one buffer made per layout, through
     flux.g_into, the flux's buffer form, when it has one; otherwise it
     calls flux.g and copies the result in.
 
-    The runs share the grid, the boundary mode, the flux and the config.
-    Each row keeps its own mu = dt/dx and step constants, so each row is
+    The runs share the boundary mode, the flux and the config, and may lie
+    on different grids. Each row keeps its own mu = dt/dx and step
+    constants (the critical point omega and g there): a constant the rows
+    share is a float, and one that differs between rows is a per-column
+    buffer, refilled only when some row's value changes. So each row is
     bitwise its own unbatched run. Returns one (v_traj, w_trajs) pair per
     run, with w_trajs empty without b_of_v.
     """
@@ -454,8 +477,9 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
                 raise InvalidArgument("initial data must be finite")
         except SplitlawError as exc:
             raise _in_row(exc, r, batch) from None
-    grid, boundary = _batch_grid(inits)
-    n, dx = grid.n, grid.dx
+    boundary = _batch_boundary(inits)
+    grids = [init.grid for init in inits]
+    dxs = [grid.dx for grid in grids]
     periodic = boundary == "periodic"
     convex = flux.convexity == "convex"
     g_into = flux.g_into
@@ -469,13 +493,14 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
                               "of w fields")
     m = len(w0s[0])
 
-    v = np.array([init.values for init in inits], dtype=float)
-    W = np.empty((batch, m, n))
-    for r, init in enumerate(inits if locked else ()):
+    runs = []
+    for r, init in enumerate(inits):
         try:
-            W[r] = _w_stack(init, b_of_v, w0s[r])
+            W = (_w_stack(init, b_of_v, w0s[r]) if locked
+                 else np.empty((0, init.grid.n)))
         except SplitlawError as exc:
             raise _in_row(exc, r, batch) from None
+        runs.append((init.values, W))
     dt_schedule = [[] for _ in inits]
     # each run's step constants and the range (min v, max v) they were
     # taken on: (range, speed bound L, critical point omega, g(omega),
@@ -496,78 +521,75 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
             stale = True
         return consts[r][1]
 
-    def build(keep):
-        nonlocal v, W, stale
-        shape = (len(keep), n + 2)
-        vbuf, ve, v_right = _flat_rows(shape)
-        # G[:, j] is the flux between columns j and j + 1 of v
-        select = _Selection(shape, convex)
+    def build(layout, buffers):
+        nonlocal stale
+        (vbuf, ve, v_right), (wbuf, We, _) = buffers
+        shape = ve.shape
+        # G[j] is the flux between columns j and j + 1 of v
+        select = _Selection(shape, convex, layout.zeros)
         G = select.G
         # mu*G is written into mu_out, so beta is mu*G_in
-        _, beta, mu_out = _flat_rows(shape)
-        _, We, _ = _flat_rows((len(keep), m, n + 2))
+        _, beta, mu_out = layout.buffers()
         # w/v is written into lam, so lam_left is the upwind ratio
-        _, lam_left, lam = _flat_rows((len(keep), m, n + 2))
-        alpha = _aligned_zeros(shape)
-        nonzero = _aligned_zeros((len(keep), 1, n + 2), dtype=bool)
-        # g(v) over the flat rows, and one mu = dt/dx per row
-        gbuf = _aligned_zeros(vbuf.shape)
-        ga, gb = gbuf[:-1].reshape(shape), gbuf[1:].reshape(shape)
-        mu_col = np.empty((len(keep), 1))
-        ve[:, 1:-1] = v[keep]
-        We[..., 1:-1] = W[keep]
-        v, W = ve[:, 1:-1], We[..., 1:-1]  # the cells between the ghosts
-        vbuf[-1] = v[-1, -1]  # the spare cell is in g's domain
-        v_ghosts, v_edges = _ghost_cells(ve, periodic)
-        w_ghosts, w_edges = _ghost_cells(We, periodic)
-        # the cells of alpha and the interfaces between them
-        alpha_cells, G_inner = alpha[:, 1:-1], G[:, :-1]
+        _, lam_left, lam = layout.buffers((m,))
+        alpha = layout.zeros(shape)
+        nonzero = layout.zeros(shape, dtype=bool)
+        # g(v) over the flat rows
+        gbuf = layout.zeros(vbuf.shape)
+        ga, gb = gbuf[:-1], gbuf[1:]
+        # per-column omega, g(omega) and mu, when the rows differ
+        cols = [layout.column() for _ in range(3)]
+        vbuf[-1] = ve[layout.cells[-1]][-1]  # the spare cell is in g's domain
+        v_ghosts, v_edges = layout.ghost_pairs(1, periodic)
+        w_ghosts, w_edges = layout.ghost_pairs(m, periodic)
         stale = True
-        omega_col = g_omega_col = positive = None
+        omega = g_omega = positive = mu = mus = None
 
         def advance(plan):
-            nonlocal stale, omega_col, g_omega_col, positive
+            nonlocal stale, omega, g_omega, positive, mu, mus
             if stale:
-                omegas = [consts[r][2] for r, *_ in plan]
-                if omegas.count(omegas[0]) == len(plan):
-                    omega_col, g_omega_col = omegas[0], consts[plan[0][0]][3]
-                else:  # one value for each row
-                    omega_col = np.array(omegas)[:, None]
-                    g_omega_col = np.array([consts[r][3]
-                                            for r, *_ in plan])[:, None]
+                omega = layout.per_row([consts[r][2] for r, *_ in plan],
+                                       cols[0])
+                g_omega = layout.per_row([consts[r][3] for r, *_ in plan],
+                                         cols[1])
                 # min v > 0 on every row (regime G): the ride's plain divide
                 positive = locked and min(
                     [consts[r][0][0] for r, *_ in plan]) > 0.0
                 stale = False
             if len(plan) == 1:
-                mu = plan[0][2] / dx
+                mu = plan[0][2] / dxs[plan[0][0]]
             else:
-                mu_col[:, 0] = [item[2] for item in plan]
-                mu = np.divide(mu_col, dx, out=mu_col)
-            v_ghosts[...] = v_edges
+                now = [dt / dxs[r] for r, _, dt, _, _ in plan]
+                if now != mus:
+                    mus, mu = now, layout.per_row(now, cols[2])
+            vbuf[v_ghosts] = vbuf[v_edges]
             g_into(vbuf, gbuf)
-            select(ve, v_right, ga, gb, omega_col, g_omega_col)
+            select(ve, v_right, ga, gb, omega, g_omega)
             np.multiply(G, mu, out=mu_out)
             np.subtract(ve, mu_out, out=alpha)
             if locked:
-                alpha_min = np.minimum.reduce(alpha_cells, axis=1).tolist()
-                G_min = np.minimum.reduce(G_inner, axis=1).tolist()
+                alpha_min = np.minimum.reduceat(
+                    alpha, layout.cell_bounds)[::2].tolist()
+                G_min = np.minimum.reduceat(
+                    G, layout.face_bounds)[::2].tolist()
                 for i, (r, step, *_) in enumerate(plan):
                     tol = consts[r][4]
                     if alpha_min[i] < -tol or G_min[i] < -tol:
+                        start = layout.offsets[i]
                         raise _in_row(_oversized_step(
-                            step, dt_schedule[r], alpha_cells[i], G_inner[i],
-                            tol), r, batch)
-                w_ghosts[...] = w_edges
+                            step, dt_schedule[r], alpha[layout.cells[i]],
+                            G[start:layout.cells[i].stop], tol), r, batch)
+                wbuf[w_ghosts] = wbuf[w_edges]
                 _ride(We, ve, alpha, beta, positive, nonzero, lam, lam_left)
             np.add(alpha, beta, out=ve)
 
-        return (v, W), advance
+        return advance
 
-    runs = []
+    trajs = []
     for r, (times, record_steps, speed_bound, (v_block, W_block)) in (
-            enumerate(_march_rows(config, dx, v, dt_schedule, speed, build,
-                                  ("v", "w")))):
+            enumerate(_march_rows(config, dxs, runs, dt_schedule, speed,
+                                  build, ("v", "w")))):
+        grid = grids[r]
         meta = {
             "dt_schedule": dt_schedule[r],
             "record_steps": record_steps,
@@ -576,13 +598,13 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
             "flux_name": flux.name,
             "fixed_dt": config.fixed_dt,
         }
-        runs.append((
+        trajs.append((
             Trajectory(times, [CellField(grid, row, boundary)
                                for row in v_block], meta),
             [Trajectory(times, [CellField(grid, row, boundary)
                                 for row in W_block[:, j]])
              for j in range(m)]))
-    return runs
+    return trajs
 
 
 def _w_stack(v0, b_of_v, w0s):
@@ -601,28 +623,27 @@ def _w_stack(v0, b_of_v, w0s):
 
 
 def _ride(W, v, alpha, beta, positive, nonzero, lam, lam_left):
-    """Each row w of the (b, m, n + 2) stack W -> lam_left*beta + lam*alpha,
-    in place, with lam = w/v (0/0 := 0) and lam_left the upwind (left)
+    """Each row w of the (m, size) stack W -> lam_left*beta + lam*alpha, in
+    place, with lam = w/v (0/0 := 0) and lam_left the upwind (left)
     neighbour's ratio.
 
-    v, alpha and beta are (b, n + 2) and every row of v and W has its
-    ghost cells filled, so the ratio at a ghost is bitwise the ratio of
-    the cell it copies, and lam_left is lam's buffer one cell behind
-    (core._flat_rows). The sum is lam*alpha + lam_left*beta of
-    _kernels.upwind_step with its terms swapped, which IEEE addition
-    leaves bitwise the same. With positive (min v > 0 on every row:
-    regime G) the ratio is a plain divide; otherwise the caller's
-    (b, 1, n + 2) buffer nonzero masks v = 0.
+    v, alpha and beta are (size,), in the layout of every row of W, and
+    every row of v and W has its ghost cells filled, so the ratio at a
+    ghost is bitwise the ratio of the cell it copies, and lam_left is
+    lam's buffer one cell behind (core._FlatRows). The sum is
+    lam*alpha + lam_left*beta of _kernels.upwind_step with its terms
+    swapped, which IEEE addition leaves bitwise the same. With positive
+    (min v > 0 on every row: regime G) the ratio is a plain divide;
+    otherwise the caller's (size,) buffer nonzero masks v = 0.
     """
-    v = v[:, None, :]
     if positive:
         np.divide(W, v, out=lam)
     else:
         np.not_equal(v, 0.0, out=nonzero)
         lam.fill(0.0)
         np.divide(W, v, out=lam, where=nonzero)
-    np.multiply(lam_left, beta[:, None, :], out=W)
-    lam *= alpha[:, None, :]
+    np.multiply(lam_left, beta, out=W)
+    lam *= alpha
     W += lam
 
 
@@ -684,27 +705,43 @@ def _check_test_fns(traj, test_fns):
             raise InvalidArgument("test function must vanish before t_end")
 
 
+_QUAD_BLOCK = 32  # records per block of a quadrature, so peak RSS stays flat
+
+
 def _spacetime_quadrature(traj, cell_arrays_at, test_fns):
     """Trapezoid in t, midpoint in x of  A*phi_t + B*phi_x  over the records,
     one total per test function.
 
-    cell_arrays_at(j) returns the pair (A_j, B_j) on the grid at record j;
-    it is called once per record, and each test's space factors are
-    evaluated once.
+    cell_arrays_at(js) returns the pair (A, B) of (len(js), n) stacks on
+    the grid at the records js; it is called with blocks of at most
+    _QUAD_BLOCK consecutive records, in order. Each test's space factors
+    are evaluated once, and its time factors once, at all record times.
+    The integrand of a block is one broadcast expression, and each row of
+    it one fsum.
     """
     if not test_fns:
         return []
     grid = traj.grid
+
+    def factors(name, at):
+        """(tests, len(at)): each test's factor name at the points at."""
+        return np.stack([np.broadcast_to(np.asarray(
+            getattr(tf, name)(at), dtype=float), at.shape)
+            for tf in test_fns])
+
     x = grid.centers()
-    fx = np.stack([np.asarray(tf.fx(x), dtype=float) for tf in test_fns])
-    dfx = np.stack([np.asarray(tf.dfx(x), dtype=float) for tf in test_fns])
+    times = np.asarray(traj.times, dtype=float)
+    fx, dfx = factors("fx", x), factors("dfx", x)
+    ft, dft = factors("ft", times).T, factors("dft", times).T
     slabs = []
-    for j, tj in enumerate(traj.times):
-        A, B = cell_arrays_at(j)
-        ft = np.array([[tf.ft(tj)] for tf in test_fns], dtype=float)
-        dft = np.array([[tf.dft(tj)] for tf in test_fns], dtype=float)
-        integrand = A * (dft * fx) + B * (ft * dfx)
-        slabs.append([grid.dx * math.fsum(row) for row in integrand.tolist()])
+    for start in range(0, len(times), _QUAD_BLOCK):
+        js = range(start, min(start + _QUAD_BLOCK, len(times)))
+        A, B = cell_arrays_at(js)
+        # (records, tests, cells), in the association A*(dft*fx) + B*(ft*dfx)
+        integrand = (A[:, None] * (dft[start:js.stop, :, None] * fx)
+                     + B[:, None] * (ft[start:js.stop, :, None] * dfx))
+        slabs += [[grid.dx * math.fsum(row) for row in record]
+                  for record in integrand.tolist()]
     totals = []
     for k in range(len(test_fns)):
         total = 0.0
@@ -713,6 +750,11 @@ def _spacetime_quadrature(traj, cell_arrays_at, test_fns):
             total += 0.5 * dt * (slabs[j][k] + slabs[j + 1][k])
         totals.append(total)
     return totals
+
+
+def _stack(fields, js):
+    """The values of the fields js as one (len(js), n) stack."""
+    return np.stack([fields[j].values for j in js])
 
 
 def entropy_residual(traj, entropy_pair, test_fns):
@@ -724,8 +766,8 @@ def entropy_residual(traj, entropy_pair, test_fns):
     eta, q = entropy_pair
     _check_test_fns(traj, test_fns)
 
-    def arrays(j):
-        vals = traj.fields[j].values
+    def arrays(js):
+        vals = _stack(traj.fields, js)
         return (np.asarray(eta(vals), dtype=float),
                 np.asarray(q(vals), dtype=float))
 

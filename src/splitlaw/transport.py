@@ -15,7 +15,8 @@ import numpy as np
 
 from .core import CellField, FluxFunction, Trajectory, _worst_residual
 from .errors import DegenerateDensity, InvalidArgument, OutOfDomain
-from .scalar import _check_test_fns, _march, _spacetime_quadrature
+from .scalar import (_check_test_fns, _march, _spacetime_quadrature,
+                     _stack)
 
 
 def joint_speed_flux(flux, b_of):
@@ -128,9 +129,9 @@ class TransportPair:
         """Weak residual of w_t + (b w)_x against space-time tests."""
         _check_test_fns(w_traj, test_fns)
 
-        def arrays(j):
-            w = w_traj.fields[j].values
-            v = self.rho.fields[j].values
+        def arrays(js):
+            w = _stack(w_traj.fields, js)
+            v = _stack(self.rho.fields, js)
             b = np.asarray(self.b_of(v), dtype=float)
             return w, b * w
 
@@ -152,8 +153,8 @@ def solve_split(flux, b_of_v, v0, w0s, config):
 
 
 def solve_split_many(flux, b_of_v, v0s, w0s, config):
-    """solve_split for B runs on one grid under one config, stepped as one
-    (B, n) march: run r starts from v0s[r] with the w fields w0s[r], and
+    """solve_split for B runs under one config, stepped as one march: run r
+    starts from v0s[r] with the w fields w0s[r], on its own grid, and
     every run carries the same number of them. Each run keeps its own time
     plan and is bitwise its solve_split. Returns one (v_traj, w_trajs) pair
     per run.
@@ -320,9 +321,9 @@ def renorm_residual(pair, w_traj, beta, test_fns):
     """
     _check_test_fns(w_traj, test_fns)
 
-    def arrays(j):
-        v = pair.rho.fields[j].values
-        w = w_traj.fields[j].values
+    def arrays(js):
+        v = _stack(pair.rho.fields, js)
+        w = _stack(w_traj.fields, js)
         u = np.where(v != 0.0, w / np.where(v != 0.0, v, 1.0), 0.0)
         bu = np.asarray(beta(u), dtype=float)
         b = np.asarray(pair.b_of(v), dtype=float)

@@ -403,6 +403,133 @@ def test_direct_batch_rows_are_bitwise_the_kernel_loop(batch, data):
     assert not same(trajs[r], states)
 
 
+@st.composite
+def _ragged_batches(draw):
+    """B = 1..4 rows, each on its own grid (n = 8..32 cells over [-1, 1] or
+    [-1, 2]), with one boundary mode, fixed or adaptive dt, and one of the
+    five batch solvers. v lies in [1/4, 1] (in [-3/2, 3/2] for Burgers,
+    so a row's critical point may be finite or not)."""
+    kind = draw(st.sampled_from(["scalar", "split", "chroma", "direct",
+                                 "kk"]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from([8, 12, 16, 24, 32]))
+        grid = Grid1D(-1.0, draw(st.sampled_from([1.0, 2.0])), n)
+        v, lam = draw(_rows(n, st.floats(-1.5, 1.5) if kind == "scalar"
+                            else st.floats(0.25, 1.0)))
+        rows.append((grid, v, lam))
+    return (kind, draw(st.sampled_from(["constant-extension", "periodic"])),
+            draw(st.booleans()), rows)
+
+
+def _ragged_solvers(kind, boundary, rows):
+    """(solve_many, solve, inits, same) for one kind of ragged batch."""
+    fields = [CellField(grid, v, boundary) for grid, v, _ in rows]
+    halves = [(f.with_values(0.5 * (1.0 + lam) * f.values),
+               f.with_values(0.5 * (1.0 - lam) * f.values))
+              for f, (_, _, lam) in zip(fields, rows)]
+    if kind == "scalar":
+        return (lambda inits, cfg: solve_scalar_many(burgers_flux(), inits,
+                                                     cfg),
+                lambda init, cfg: solve_scalar(burgers_flux(), init, cfg),
+                fields, _same_trajectory)
+    if kind == "split":
+        inits = [(f, [f.with_values(lam * f.values), f.with_values(
+            0.5 * f.values)]) for f, (_, _, lam) in zip(fields, rows)]
+        return (lambda inits, cfg: solve_split_many(
+                    chromatography_flux(), _b, *zip(*inits), cfg),
+                lambda init, cfg: solve_split(chromatography_flux(), _b,
+                                              *init, cfg),
+                inits, _same_split)
+    if kind == "kk":
+        def f(r):
+            return 1.0 + np.asarray(r, dtype=float)
+
+        def fp(r):
+            return np.ones_like(np.asarray(r, dtype=float))
+
+        return (lambda inits, cfg: solve_kk_many(inits, f, fp, cfg),
+                lambda init, cfg: solve_kk(init, f, fp, cfg),
+                [KKState([v0, u2]) for v0, (_, u2) in zip(fields, halves)],
+                _same_system)
+    many, one = ((solve_chromatography_many, solve_chromatography)
+                 if kind == "chroma" else (solve_direct_many, solve_direct))
+    return (many, one, [ChromState(list(h)) for h in halves],
+            _same_system if kind == "chroma" else _same_states)
+
+
+def _same_system(a, b):
+    """A split system's states, meta, v run and w runs, all bitwise."""
+    return _same_states(a, b) and _same_split((a.v_traj, a.w_trajs),
+                                              (b.v_traj, b.w_trajs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ragged_batches(), st.data())
+def test_ragged_batch_rows_are_bitwise_their_solo_runs(batch, data):
+    """Rows on different grids step as one march, each bitwise its solo
+    run: records, w stacks, LxF states, dt_schedule, record_steps and
+    speed_bound. With fixed dt every row shares dt but not dt/dx; with
+    adaptive dt the rows end on different steps. One ulp in one record is
+    told apart."""
+    kind, boundary, fixed, rows = batch
+    many, one, inits, same = _ragged_solvers(kind, boundary, rows)
+    # dt = 1/128 keeps dt*L/dx <= 0.49 for every row and kind here
+    cfg = (ScalarConfig(t_end=0.25, record_times=[0.125, 0.25],
+                        fixed_dt=1.0 / 128) if fixed
+           else ScalarConfig(t_end=0.25, record_times=[0.1, 0.25]))
+    got = many(inits, cfg)
+    want = [one(init, cfg) for init in inits]
+    assert len(got) == len(rows)
+    for g, w in zip(got, want):
+        assert same(g, w)
+    r = data.draw(st.integers(0, len(rows) - 1))
+    field = (got[r].fields if kind == "scalar" else got[r][0].fields
+             if kind == "split" else got[r].states[-1].components)[-1]
+    _one_ulp_up(field, data.draw(st.integers(0, field.grid.n - 1)))
+    assert not same(got[r], want[r])
+
+
+def test_a_ragged_burgers_batch_keeps_each_rows_critical_point():
+    """Burgers rows on three grids, each straddling v = 0 with its own
+    range: every row has its own finite critical point and step count, so
+    the march takes per-column omega and mu and drops the short rows, and
+    each row is still bitwise its solve_scalar."""
+    flux = burgers_flux()
+    inits = [project(lambda x, a=a: np.where(np.asarray(x) < 0.0,
+                                             -0.5 - 0.25 * a, 1.0 + a), g)
+             for a, g in enumerate([Grid1D(-2.0, 2.0, 64),
+                                    Grid1D(-2.0, 2.0, 24),
+                                    Grid1D(-1.0, 3.0, 40)])]
+    omegas = [critical_point(flux, float(f.values.min()),
+                             float(f.values.max())) for f in inits]
+    assert all(map(math.isfinite, omegas)) and len(set(omegas)) == 3
+    cfg = ScalarConfig(t_end=0.25, record_times=[0.125, 0.25])
+    got = solve_scalar_many(flux, inits, cfg)
+    assert len({len(t.meta["dt_schedule"]) for t in got}) == 3
+    for g, init in zip(got, inits):
+        assert _same_trajectory(g, solve_scalar(flux, init, cfg))
+
+
+def test_a_blowup_in_one_ragged_row_names_the_row_and_its_step():
+    """A row that blows up next to a row on another grid: the batch error
+    is the solo error, with the row named."""
+    calm = CellField(Grid1D(-1.0, 1.0, 16), np.full(16, 0.25))
+    grid = Grid1D(-1.0, 1.0, 32)
+    into_hole = project(lambda x: np.where(np.asarray(x) < 0.0, 1.0, 0.0),
+                        grid)
+    cfg = ScalarConfig(t_end=100 * grid.dx, fixed_dt=0.5 * grid.dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalBlowup) as single:
+            solve_scalar(_holed_flux(), into_hole, cfg)
+        with pytest.raises(NumericalBlowup) as batched:
+            solve_scalar_many(_holed_flux(), [calm, into_hole], cfg)
+    assert str(single.value) == ("numerical-blowup: non-finite v at step 3, "
+                                 "t=0.125")
+    assert batched.value.step == single.value.step
+    assert str(batched.value) == _prefixed(single.value, 1)
+
+
 def _anti_diffused(field, eps=0.25):
     """One step of backward diffusion, v + eps*(2 v_i - v_{i-1} - v_{i+1}):
     it raises every local maximum and lowers every local minimum."""
@@ -599,15 +726,11 @@ def test_chromatography_and_kk_batches_match_their_single_runs():
         assert _same_split((g.v_traj, g.w_trajs), (w.v_traj, w.w_trajs))
 
 
-def test_batches_need_one_grid_one_boundary_and_one_stack_height():
+def test_batches_need_one_boundary_and_one_stack_height():
     grid = Grid1D(-1.0, 1.0, 16)
     cfg = ScalarConfig(t_end=0.125)
     v0 = CellField(grid, np.full(16, 0.5))
     flux = chromatography_flux()
-    with pytest.raises(InvalidArgument, match="grids"):
-        solve_split_many(flux, _b, [v0, CellField(Grid1D(-1.0, 1.0, 8),
-                                                  np.full(8, 0.5))],
-                         [[], []], cfg)
     with pytest.raises(InvalidArgument, match="boundary"):
         solve_split_many(flux, _b, [v0, CellField(grid, v0.values,
                                                   "periodic")],

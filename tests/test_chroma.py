@@ -308,10 +308,10 @@ def test_direct_oracle_rejects_misaligned_record_times():
                        match="record time not aligned with fixed_dt"):
         solve_direct(state, cfg)
     # nor may two record times round to one step
-    cfg = ScalarConfig(t_end=1.0, record_times=[0.25, 0.25 + 1e-12, 1.0],
+    cfg = ScalarConfig(t_end=1.0, record_times=[0.25, 0.25 + 1e-14, 1.0],
                        fixed_dt=0.25)
     with pytest.raises(InvalidArgument, match="record times 0.25 and "
-                                              "0.250000000001 both round to "
+                                              "0.25000000000001 both round to "
                                               "step 1 of fixed_dt = 0.25"):
         solve_direct(state, cfg)
 

@@ -643,6 +643,34 @@ def test_verify_subcommand_prints_one_line_per_criterion(capsys):
         assert line.startswith(f"criterion {number:02d} [PASS]")
 
 
+def test_verify_json_reports_each_criterion_with_its_seconds(monkeypatch,
+                                                            capsys):
+    results = [acceptance.CriterionResult(1, "first", True, "ok", 0.25),
+               acceptance.CriterionResult(2, "second", False, "broken", 1.5)]
+    levels = []
+
+    def run_all(level):
+        levels.append(level)
+        return results
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    assert main(["verify", "--level", "full", "--json"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1  # one object, on one line
+    assert json.loads(out) == {"level": "full", "all_passed": False,
+                               "criteria": [
+        {"number": 1, "name": "first", "passed": True, "details": "ok",
+         "seconds": 0.25},
+        {"number": 2, "name": "second", "passed": False,
+         "details": "broken", "seconds": 1.5}]}
+    results.pop()
+    assert main(["verify", "--json"]) == 0 and levels == ["full", "fast"]
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
+    # without --json, the lines the gate has always printed
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == "criterion 01 [PASS] first: ok\n"
+
+
 @pytest.mark.parametrize("level", ["nope", "ful", "FAST"])
 def test_a_mistyped_verify_level_is_a_config_error(tmp_path, monkeypatch,
                                                    capsys, level):

@@ -25,8 +25,8 @@ from splitlaw.core import (
     total_variation,
     weak_pairing,
 )
-from splitlaw.core import (_aligned_zeros, _flat_rows, _window_slice,
-                           _worst_residual)
+from splitlaw.core import (_aligned_zeros, _Arena, _FlatRows,
+                           _window_slice, _worst_residual)
 from splitlaw.errors import InvalidArgument
 from splitlaw.scalar import _positive_part_integral
 
@@ -274,9 +274,76 @@ def test_step_buffers_start_on_a_cache_line():
             assert a.ctypes.data % 64 == 0
             assert a.flags.c_contiguous and a.flags.writeable
             assert not a.any()
-        buf, rows, ahead = _flat_rows((2, size + 2))
-        assert buf.ctypes.data % 64 == 0 and rows.ctypes.data % 64 == 0
-        assert ahead.ctypes.data == buf.ctypes.data + 8
+        for lead in ((), (3,)):
+            buf, rows, ahead = _FlatRows([size, 2]).buffers(lead)
+            assert buf.ctypes.data % 64 == 0 and rows.ctypes.data % 64 == 0
+            assert ahead.ctypes.data == buf.ctypes.data + 8
+            assert rows.shape == ahead.shape == lead + (size + 6,)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_flat_rows_address_ragged_rows_by_offset(periodic):
+    """Rows of 3, 2 and 4 cells lie back to back, each between its two
+    ghosts; every per-row operation reads the row's own columns only."""
+    layout = _FlatRows([3, 2, 4])
+    assert layout.size == 15 and layout.offsets.tolist() == [0, 5, 9]
+    assert layout.cells == [slice(1, 4), slice(6, 8), slice(10, 14)]
+    assert layout.columns == [slice(0, 5), slice(5, 9), slice(9, 15)]
+    buf, rows, ahead = layout.buffers((2,))
+    assert buf.size == 31 and not buf.any()
+    cells = [[1.0, -2.0, 3.0], [-0.5, 0.25], [4.0, 5.0, -6.0, 7.0]]
+    for copy in range(2):
+        for s, c in zip(layout.cells, cells):
+            rows[copy, s] = np.asarray(c) * (copy + 1)
+    assert np.array_equal(ahead[:, :-1], rows[:, 1:])
+    ghosts, edges = layout.ghost_pairs(2, periodic)
+    buf[ghosts] = buf[edges]
+    for copy in range(2):
+        for s, c in zip(layout.cells, cells):
+            ext = CellField(Grid1D(0.0, 1.0, len(c)),
+                            np.asarray(c) * (copy + 1),
+                            "periodic" if periodic else "constant-extension")
+            assert rows[copy, s.start - 1:s.stop + 1].tolist() == \
+                ext.extended(1).tolist()
+    rows[:, layout.columns[1]] = np.nan  # a NaN ghost or cell is per row
+    rows[:, layout.cells[1]] = 0.0
+    assert layout.ranges(rows) == ([-4.0, 0.0, -12.0], [6.0, 0.0, 14.0])
+    assert layout.ranges(rows[0]) == ([-2.0, 0.0, -6.0], [3.0, 0.0, 7.0])
+    rows[1, 2] = np.nan
+    lo, hi = layout.ranges(rows)
+    assert math.isnan(lo[0]) and math.isnan(hi[0]) and lo[1:] == [0.0, -12.0]
+    faces = np.minimum.reduceat(np.arange(15.0), layout.face_bounds)[::2]
+    assert faces.tolist() == [0.0, 5.0, 9.0]  # each row's first column
+    column = layout.column()
+    out, held = column
+    assert layout.per_row([0.5, 0.5, 0.5], column) == 0.5
+    assert layout.per_row([1.5, -1.0, 2.0], column) is out
+    assert out.tolist() == [1.5] * 5 + [-1.0] * 4 + [2.0] * 6
+    assert held == [1.5, -1.0, 2.0]
+    out[:] = 9.0  # only the rows whose value changes, to the bit, are written
+    layout.per_row([1.5, -0.0, 2.0], column)
+    layout.per_row([1.5, 0.0, 2.0], column)
+    assert out.tolist() == [9.0] * 5 + [0.0] * 4 + [9.0] * 6
+    assert math.copysign(1.0, out[6]) == 1.0 and held == [1.5, 0.0, 2.0]
+
+
+def test_an_arena_hands_out_its_blocks_again_zeroed():
+    """After reset, the i-th buffer is a zeroed prefix of the i-th block,
+    on a cache line, whatever its dtype."""
+    arena = _Arena()
+    first = [arena.zeros((3, 10)), arena.zeros((7,), dtype=bool)]
+    for a in first:
+        a[...] = 1
+    arena.reset()
+    again = [arena.zeros((2, 9)), arena.zeros((5,), dtype=bool),
+             arena.zeros((4,))]
+    for a, b in zip(again, first):
+        assert a.ctypes.data == b.ctypes.data and a.ctypes.data % 64 == 0
+    assert [(a.shape, a.dtype) for a in again] == [
+        ((2, 9), np.dtype(float)), ((5,), np.dtype(bool)),
+        ((4,), np.dtype(float))]
+    assert not any(a.any() for a in again)
+    assert first[0].ravel()[18:].tolist() == [1.0] * 12  # past the prefix
 
 
 def _unused_imports(text):

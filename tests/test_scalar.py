@@ -226,14 +226,33 @@ def test_fixed_dt_alignment_is_enforced():
                      ScalarConfig(t_end=1.0, record_times=[0.3],
                                   fixed_dt=0.125))
     # no two stops may round to one step, nor a stop to step 0
-    for times, text in (([0.5, 0.5 + 1e-12, 1.0],
-                         "0.5 and 0.500000000001 both round to step 32"),
-                        ([1e-12], "0.0 and 1e-12 both round to step 0")):
+    for times, text in (([0.5, 0.5 + 1e-14, 1.0],
+                         "0.5 and 0.50000000000001 both round to step 32"),
+                        ([1e-14], "0.0 and 1e-14 both round to step 0")):
         with pytest.raises(InvalidArgument, match=f"record times {text} "
                                                   "of fixed_dt = 0.015625"):
             solve_scalar(chromatography_flux(), v0,
                          ScalarConfig(t_end=1.0, record_times=times,
                                       fixed_dt=1 / 64))
+
+
+def test_every_accepted_fixed_dt_record_time_can_be_looked_up():
+    """A fixed-dt record time is matched to its step within the tolerance
+    Trajectory.at matches record times with: 1e-11 off a step is refused,
+    and a time accepted 1e-14 off its step is looked up."""
+    v0 = _riemann(Grid1D(-2.0, 2.0, 32), 1.0, 0.0)
+    for t_end, times in ((1.0, [0.5 + 1e-11, 1.0]), (1.0 + 1e-11, [])):
+        with pytest.raises(InvalidArgument, match="not .* fixed_dt"):
+            solve_scalar(chromatography_flux(), v0,
+                         ScalarConfig(t_end=t_end, record_times=times,
+                                      fixed_dt=1 / 64))
+    traj = solve_scalar(chromatography_flux(), v0,
+                        ScalarConfig(t_end=1.0 + 1e-14,
+                                     record_times=[0.5 + 1e-14],
+                                     fixed_dt=1 / 64))
+    assert traj.times == [0.0, 0.5, 1.0]
+    assert traj.at(0.5 + 1e-14) is traj.fields[1]
+    assert traj.at(1.0 + 1e-14) is traj.fields[2]
 
 
 def test_fixed_dt_above_the_cfl_bound_is_rejected():
@@ -371,12 +390,13 @@ def _per_test_quadrature(traj, cell_arrays_at, test_fn):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 40), nt=st.integers(2, 9), k=st.integers(1, 4),
+@given(n=st.integers(2, 40), nt=st.integers(2, 70), k=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1), poison=st.booleans())
 def test_multi_test_quadrature_is_bitwise_the_per_test_loop(n, nt, k, seed,
                                                             poison):
-    """One sweep of the records for every test gives, test by test, the
-    bits of the per-test loop; a NaN cell still reaches every total."""
+    """Blocks of records, every test at once, give test by test the bits
+    of the per-test loop over single records; a NaN cell still reaches
+    every total."""
     rng = np.random.default_rng(seed)
     grid = Grid1D(-1.0, 1.0, n)
     times = np.cumsum(rng.uniform(0.01, 0.2, nt)) - 0.01
@@ -392,13 +412,17 @@ def test_multi_test_quadrature_is_bitwise_the_per_test_loop(n, nt, k, seed,
         tests.append(bump_test(t0, t1, x0, x1))
     calls = []
 
-    def arrays(j):
-        calls.append(j)
-        return A[j], B[j]
+    def arrays(js):
+        calls.append(list(js))
+        return A[js.start:js.stop], B[js.start:js.stop]
 
     got = _spacetime_quadrature(traj, arrays, tests)
-    assert calls == list(range(nt))
-    want = [_per_test_quadrature(traj, arrays, tf) for tf in tests]
+    # consecutive blocks of at most 32 records, in order
+    assert [j for js in calls for j in js] == list(range(nt))
+    assert all(0 < len(js) <= 32 for js in calls)
+    assert len(calls) == -(-nt // 32)
+    want = [_per_test_quadrature(traj, lambda j: (A[j], B[j]), tf)
+            for tf in tests]
     assert [r.hex() for r in got] == [r.hex() for r in want]
     assert all(math.isnan(r) for r in got) == poison
 

@@ -18,7 +18,6 @@ from splitlaw.core import (
     FluxFunction,
     Grid1D,
     Trajectory,
-    _ghost_cells,
     bump_test,
     burgers_flux,
     chromatography_flux,
@@ -231,12 +230,9 @@ def _record_and_replay(flux, b_of_v, v0, w0s, config):
                          if math.isfinite(omega) else 0.0)
         return const["L"]
 
-    ve = np.empty(grid.n + 2)
-    ghosts, edges = _ghost_cells(ve, periodic)
     fluxes, dts, lands_at, v_records = [], [], [], [v.copy()]
     for _, dt, _, lands in _time_steps(config, dx, speed):
-        ve[1:-1] = v
-        ghosts[...] = edges
+        ve = CellField(grid, v, v0.boundary).extended(1)
         gve = np.asarray(joint.g(ve), dtype=float)
         G = np.asarray(_kernels.godunov_fluxes(
             ve[:-1], ve[1:], gve[:-1], gve[1:], const["g_omega"],
