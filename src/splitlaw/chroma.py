@@ -290,7 +290,7 @@ def solve_direct_many(U0s, config):
         ((ubuf, Ue, U_r),) = buffers  # U and the cell to the right
         _, F, F_r = layout.buffers((k,))  # the fluxes there
         # G[..., j] is the flux out of column j, so G_in is G one cell behind
-        _, G_in, G = layout.buffers((k,))
+        G_in, G = layout.shifted((k,))
         one_plus_v = layout.zeros((layout.size,))
         jump = layout.zeros(Ue.shape)
         cols = [layout.column() for _ in range(2)]  # inv2mu and mu

@@ -100,13 +100,17 @@ class _Selection:
                 np.copyto(other, gb, where=hit)
                 np.greater_equal(omega, a, out=hit)
             np.copyto(other, ga, where=hit)
+        # the mask marks the shocks (convex) or fans (concave), a > b, which
+        # a constant run of cells never is: a masked write skips its long
+        # false runs. The max/min stays, as g need not be monotone to the
+        # last bit between adjacent floats
+        np.greater(a, b, out=take)  # the states are finite
         if self.convex:
-            np.maximum(ga, gb, out=G)
-            np.less_equal(a, b, out=take)
+            np.copyto(G, other)
+            np.maximum(ga, gb, out=G, where=take)
         else:
             np.minimum(ga, gb, out=G)
-            np.greater(a, b, out=take)  # the states are finite
-        np.copyto(G, other, where=take)
+            np.copyto(G, other, where=take)
         return G
 
 
@@ -322,12 +326,12 @@ def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
     reads, and each step refills the ghosts first. The layout is built
     before the first step and again whenever a run's plan has ended, so
     that run leaves the arrays for good. build takes every scratch buffer
-    from the layout (layout.buffers, layout.column, layout.zeros), so each
-    layout reuses the memory of the one before (core._Arena). After each
-    step the range of every row of the first array is reduced once: it is
-    both the blow-up check (a non-finite cell raises NumericalBlowup,
-    naming what[0]) and the input of the next speed bound. Each dt is
-    appended to dt_schedule[r].
+    from the layout (layout.buffers, layout.shifted, layout.column,
+    layout.zeros), so each layout reuses the memory of the one before
+    (core._Arena). After each step the range of every row of the first
+    array is reduced once: it is both the blow-up check (a non-finite cell
+    raises NumericalBlowup, naming what[0]) and the input of the next
+    speed bound. Each dt is appended to dt_schedule[r].
 
     Each run's records live in one block per array, allocated before the
     first step: (T,) + the shape of that initial array, with T = 1 +
@@ -423,9 +427,10 @@ def solve_scalar(flux, init, config):
 
     The step constants (speed bound L, the critical point of g and g
     there) depend on the data only through its range (min v, max v), so
-    they are recomputed only when that range changes. With fixed_dt, a
-    step that breaks the CFL hypothesis dt*L/dx <= 1 raises
-    HypothesisViolation.
+    they are recomputed only when that range changes to a new value; a
+    range that returns to the value before takes that value's constants
+    back. With fixed_dt, a step that breaks the CFL hypothesis
+    dt*L/dx <= 1 raises HypothesisViolation.
     """
     return _march(flux, [init], config)[0][0]
 
@@ -504,13 +509,23 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     dt_schedule = [[] for _ in inits]
     # each run's step constants and the range (min v, max v) they were
     # taken on: (range, speed bound L, critical point omega, g(omega),
-    # roundoff allowance of a locked step)
+    # roundoff allowance of a locked step), and those of the range before:
+    # the update moves a constant state by an ulp and back, so a range
+    # often alternates between two values
     consts = [(None,)] * batch
+    before = [(None,)] * batch
     stale = True  # the step constants of some row changed
 
     def speed(r, ranges):
         nonlocal stale
         if ranges[r] != consts[r][0]:
+            stale = True
+            if ranges[r] == before[r][0] and all(  # to the bit
+                    math.copysign(1.0, x) == math.copysign(1.0, y)
+                    for x, y in zip(ranges[r], before[r][0])):
+                consts[r], before[r] = before[r], consts[r]
+                return consts[r][1]
+            before[r] = consts[r]
             lo, hi = ranges[r]
             L = flux.L_of_range(lo, hi)
             omega = critical_point(flux, lo, hi)
@@ -518,7 +533,6 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
             # max|v| from the range the speed bound is taken on
             tol = 1e-12 * max(1.0, abs(lo), abs(hi))
             consts[r] = (ranges[r], L, omega, g_omega, tol)
-            stale = True
         return consts[r][1]
 
     def build(layout, buffers):
@@ -529,9 +543,9 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
         select = _Selection(shape, convex, layout.zeros)
         G = select.G
         # mu*G is written into mu_out, so beta is mu*G_in
-        _, beta, mu_out = layout.buffers()
+        beta, mu_out = layout.shifted()
         # w/v is written into lam, so lam_left is the upwind ratio
-        _, lam_left, lam = layout.buffers((m,))
+        lam_left, lam = layout.shifted((m,))
         alpha = layout.zeros(shape)
         nonzero = layout.zeros(shape, dtype=bool)
         # g(v) over the flat rows

@@ -263,7 +263,10 @@ def test_worst_residual_keeps_nan(residuals, expected):
 
 def test_step_buffers_start_on_a_cache_line():
     """malloc aligns to 16 bytes only; the step buffers are placed on a
-    64-byte line whatever was allocated before them."""
+    64-byte line whatever was allocated before them. shifted(lead) is
+    buffers(lead) one cell earlier in memory, so its written view here,
+    not behind, starts on the line, also as a prefix of an arena's
+    block."""
     keep = []
     for size in range(1, 40):
         keep.append(np.zeros(size))  # move the heap between allocations
@@ -279,6 +282,96 @@ def test_step_buffers_start_on_a_cache_line():
             assert buf.ctypes.data % 64 == 0 and rows.ctypes.data % 64 == 0
             assert ahead.ctypes.data == buf.ctypes.data + 8
             assert rows.shape == ahead.shape == lead + (size + 6,)
+            arena = _Arena()  # its block holds a layout of more cells
+            _FlatRows([size + 5, 2], arena.zeros).shifted(lead)
+            arena.reset()
+            for zeros in (_aligned_zeros, arena.zeros):
+                behind, here = _FlatRows([size, 2], zeros).shifted(lead)
+                assert here.ctypes.data % 64 == 0
+                assert behind.ctypes.data == here.ctypes.data - 8
+                assert behind.shape == here.shape == rows.shape
+                assert here.flags.c_contiguous and behind.flags.c_contiguous
+                assert not behind.any() and not here.any()
+                here[...] = np.arange(1.0, here.size + 1).reshape(here.shape)
+                assert behind.ravel()[0] == 0.0  # the cell before is spare
+                assert np.array_equal(behind.ravel()[1:], here.ravel()[:-1])
+
+
+class _SpiedUfunc:
+    """A NumPy ufunc that notes every array it writes through out=."""
+
+    def __init__(self, ufunc, written):
+        self._ufunc, self._written = ufunc, written
+
+    def __call__(self, *args, out=None, **kwargs):
+        if out is not None:
+            self._written.append(out)
+        return self._ufunc(*args, out=out, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._ufunc, name)
+
+
+class _SpiedNumpy:
+    """numpy, with every ufunc and np.copyto noting the array it writes."""
+
+    def __init__(self):
+        self.written = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, np.ufunc):
+            return _SpiedUfunc(attr, self.written)
+        if name == "copyto":
+            def copyto(dst, src, **kwargs):
+                self.written.append(dst)
+                np.copyto(dst, src, **kwargs)
+            return copyto
+        return attr
+
+
+def test_every_view_a_step_writes_starts_on_a_cache_line(monkeypatch):
+    """A ufunc whose out starts 8 bytes into a cache line runs about twice
+    as slow, so every array the Godunov, split and Lax-Friedrichs steps
+    write through out= (or np.copyto) starts on a 64-byte line: with and
+    without a lead axis (an m = 2 w stack, k = 3 components), on ragged
+    batches whose rows leave at different steps (a new layout in the
+    arena's memory), a zero v (the ride's masked divide), finite and
+    infinite critical points, and after heap-moving allocations."""
+    from splitlaw import chroma, scalar
+    from splitlaw.chroma import ChromState, solve_direct_many
+    from splitlaw.scalar import ScalarConfig, solve_scalar_many
+    from splitlaw.transport import solve_split_many
+
+    spy = _SpiedNumpy()
+    monkeypatch.setattr(scalar, "np", spy)
+    monkeypatch.setattr(chroma, "np", spy)
+    cfg = ScalarConfig(t_end=0.25, record_times=[0.125])
+    grids = [Grid1D(-1.0, 1.0, 33), Grid1D(-1.0, 1.0, 20)]
+
+    def riemann(grid, left, right):
+        return project(lambda x: np.where(np.asarray(x) < 0.0, left, right),
+                       grid)
+
+    keep = []
+    for size in (1, 3, 7):
+        keep.append(np.zeros(size))  # move the heap between marches
+        solve_scalar_many(burgers_flux(), [riemann(g, -1.0, 1.5)
+                                           for g in grids], cfg)
+        solve_scalar_many(chromatography_flux(),
+                          [riemann(g, 1.0, 0.25) for g in grids], cfg)
+        solve_split_many(chromatography_flux(), lambda v: 1.0 / (1.0 + v),
+                         [riemann(g, 1.0, 0.0) for g in grids],
+                         [[riemann(g, 0.5, 0.0), riemann(g, 0.25, 0.0)]
+                          for g in grids], cfg)
+        solve_direct_many([ChromState([riemann(g, 0.5, 0.25),
+                                       riemann(g, 0.25, 0.5),
+                                       riemann(g, 0.125, 0.25)])
+                           for g in grids], cfg)
+    kinds = {(a.ndim, a.dtype) for a in spy.written}
+    assert {(1, np.dtype(bool)), (1, np.dtype(float)),
+            (2, np.dtype(float))} <= kinds  # masks, rows, lead axes
+    assert [a.ctypes.data % 64 for a in spy.written] == [0] * len(spy.written)
 
 
 @pytest.mark.parametrize("periodic", [False, True])

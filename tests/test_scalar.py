@@ -20,7 +20,7 @@ from splitlaw.core import (
     mass,
     project,
 )
-from splitlaw import _kernels
+from splitlaw import _kernels, scalar
 from splitlaw.cli import _parse_direction_speed
 from splitlaw.kk import kk_flux
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
@@ -634,6 +634,51 @@ def test_speed_bound_is_evaluated_once_per_data_range(fixed_dt):
     assert calls == [(0.25, 1.0)]
 
 
+def test_a_range_that_alternates_reuses_its_step_constants(monkeypatch):
+    """The update moves a constant state by an ulp and back: on Burgers
+    Riemann data -1.0 | 1.5 the minimum alternates between -1.0 and
+    -0.9999999999999999 on every step, so a one-range memory would find a
+    new critical point (a bisection) on each of the 854 steps. The march
+    keeps the constants of the range before and takes them back, with
+    every bit of the per-step reference, which rebuilds them each step.
+    The two ranges have critical points 2^-50 and 1.0875 * 2^-50, and
+    each step selects with the one of its own range."""
+    flux = burgers_flux()
+    v0 = _riemann(Grid1D(-2.0, 2.0, 1024), -1.0, 1.5)
+    cfg = ScalarConfig(t_end=0.5)
+    ranges, used = [], []
+    real = scalar.critical_point
+    select = _Selection.__call__
+
+    def counted(flux, lo, hi):
+        ranges.append((lo, hi))
+        return real(flux, lo, hi)
+
+    def spied(self, a, b, ga, gb, omega, g_omega):
+        used.append((float(a.min()), float(a.max()), omega, g_omega))
+        return select(self, a, b, ga, gb, omega, g_omega)
+
+    monkeypatch.setattr(scalar, "critical_point", counted)
+    monkeypatch.setattr(_Selection, "__call__", spied)
+    traj = solve_scalar(flux, v0, cfg)
+    steps = len(traj.meta["dt_schedule"])
+    assert steps == len(used) == 854
+    assert ranges == [(-1.0, 1.5), (-0.9999999999999999, 1.5)]
+    omegas = {r: real(flux, *r) for r in ranges}
+    assert omegas[ranges[0]] != omegas[ranges[1]]
+    for lo, hi, omega, g_omega in used:  # the ghosts copy the edge cells
+        assert omega == omegas[lo, hi]
+        assert g_omega == float(flux.g(omega))
+    monkeypatch.undo()
+    times, fields, dts, rec, speed = _reference_solve_scalar(flux, v0, cfg)
+    assert traj.times == times
+    assert [f.values.tobytes() for f in traj.fields] == [
+        f.values.tobytes() for f in fields]
+    assert traj.meta["dt_schedule"] == dts
+    assert traj.meta["record_steps"] == rec
+    assert traj.meta["speed_bound"] == speed
+
+
 def _chromatography_case(grid):
     v0 = _riemann(grid, 1.0, 0.25)
     return (chromatography_flux(), v0, lambda v: 1.0 / (1.0 + v),
@@ -842,6 +887,48 @@ def test_godunov_reference_rejects_a_swapped_endpoint(convex, omega):
     ref = _nested_where_godunov(*args)
     assert _same_bits(_kernels.godunov_fluxes(*args), ref)
     assert not _same_bits(_swapped_endpoint_godunov(*args), ref)
+
+
+def _rounding_inversion(g, start):
+    """The first adjacent floats lo < hi from start up with g(lo) > g(hi):
+    g = v/(1+v) is increasing, but not to the last bit where 1 + v rounds
+    up by more than v moves."""
+    lo = start
+    for _ in range(1000):
+        hi = np.nextafter(lo, np.inf)
+        if g(lo) > g(hi):
+            return lo, hi
+        lo = hi
+    raise AssertionError(f"g is monotone on 1000 floats from {start!r}")
+
+
+@pytest.mark.parametrize("convex", [0, 1])
+@pytest.mark.parametrize("omega", [-math.inf, math.inf])
+def test_selection_keeps_its_guard_where_g_rounds_out_of_order(convex,
+                                                                omega):
+    """On a monotone range a float omega makes the masked write take one
+    endpoint, but between two adjacent floats g need not be monotone. Long
+    constant runs of the two states lo < hi with g(lo) > g(hi) put both
+    orders at an interface: where g is taken as increasing (convex with
+    omega = -inf, concave with +inf) the max/min over the pair is then the
+    other endpoint, so the selection keeps that guard and agrees bitwise
+    with the nested selection and the per-step kernel."""
+    g = np.vectorize(chromatography_flux().g)
+    lo, hi = _rounding_inversion(g, np.float64(1.5))
+    assert lo < hi and g(lo) > g(hi)
+    runs = [lo, hi, hi, lo, lo, hi]
+    v = np.repeat(np.array(runs), 40)
+    a, b = v[:-1], v[1:]
+    args = (a, b, g(a), g(b), 0.0, omega, convex)
+    ref = _nested_where_godunov(*args)
+    G = _Selection((1, a.size), bool(convex))(
+        *(x[None] for x in args[:4]), omega, 0.0)
+    assert _same_bits(G[0], ref)
+    assert _same_bits(_kernels.godunov_fluxes(*args), ref)
+    increasing = (omega < 0.0) == bool(convex)
+    end = args[2] if increasing else args[3]
+    # the guard changes the flux exactly where g is taken as increasing
+    assert _same_bits(ref, end) != increasing
 
 
 def test_scalar_step_keeps_the_documented_association():
