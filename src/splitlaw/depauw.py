@@ -14,22 +14,35 @@ starts.
 """
 import itertools
 import math
+import operator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Trajectory, _worst_residual
 from .errors import ConstructionBug, InvalidArgument, UnresolvedScale
 
-_BOX_SCALES = 4  # coarse-grained L1 reported at 2^0 .. 2^-3
+_BOX_SCALES = 4  # coarse-grained L1 reported at 2^0 .. 2^-3, grid allowing
+
+
+def _level(value, name):
+    """A dyadic level as a Python int; Python and NumPy integers pass, and
+    anything else (2.5, or even 3.0) is refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgument(
+            f"{name} must be an integer, got {value!r}") from None
 
 
 class Grid2D:
     """2^m x 2^m cell grid on the unit torus."""
 
     def __init__(self, m):
+        m = _level(m, "m")
         if not 1 <= m <= 1022:  # past 1022, dx = 2^-m is subnormal
             raise InvalidArgument(f"need 1 <= m <= 1022, got m = {m}")
-        self.m = int(m)
+        self.m = m
         self.n = 2 ** self.m
         self.dx = 1.0 / self.n
 
@@ -76,14 +89,16 @@ def l1_distance_2d(a, b):
 
 def chessboard(k, grid):
     """+-1 pattern with square tiles of side 2^-k."""
+    k = _level(k, "chessboard level")
     if k > grid.m:
         raise UnresolvedScale(f"chessboard level {k} finer than the grid")
     if k < 0:
         raise InvalidArgument("need k >= 0")
+    # the tile at (a, b) is +1 when a + b is even: the product of the
+    # +-1 tile parities of its row and column, exactly +-1.0
     tile = 2 ** (grid.m - k)
-    idx = np.arange(grid.n) // tile
-    sign = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
-    return CellField2D(grid, sign)
+    s = np.where(np.arange(grid.n) // tile % 2 == 0, 1.0, -1.0)
+    return CellField2D(grid, np.multiply.outer(s, s))
 
 
 class StageMap:
@@ -96,11 +111,12 @@ class StageMap:
     """
 
     def __init__(self, k, grid):
+        k = _level(k, "stage level")
         if k > grid.m:
             raise UnresolvedScale(f"stage level {k} finer than the grid")
         if k < 2:
             raise InvalidArgument("stages exist for k >= 2")
-        self.k = int(k)
+        self.k = k
         self.grid = grid
         self.B = 2 ** (grid.m - k + 1)  # block side in cells
         self.off = self.B // 2
@@ -115,28 +131,62 @@ class StageMap:
         """Global (src_i, src_j) of the map that moves each cell (p, q) of
         every rotating block from block cell (lp[p, q], lq[p, q]) and fixes
         every other cell."""
-        N, B, off = self.grid.n, self.B, self.off
-        i = np.arange(N)
-        r = (i - off) % N  # rolled coordinate, used on both axes
-        a, p = r[:, None] // B, r[:, None] % B
-        b, q = r[None, :] // B, r[None, :] % B
-        rot = (a + b) % 2 == 1
-        src_i = np.where(rot, (a * B + lp[p, q] + off) % N, i[:, None])
-        src_j = np.where(rot, (b * B + lq[p, q] + off) % N, i[None, :])
-        return src_i, src_j
+        N, P = self.grid.n, 2 * self.B
+        reps = N // P
+        # the cell i = a*B + p + off (mod N) of a rotating block reads
+        # a*B + lp[p, q] + off = i + lp[p, q] - p: a shift with period P,
+        # added to the cell index straight into the result
+        p = np.arange(self.B)
+        src = []
+        for shift, cells in ((lp - p[:, None], (reps, P, 1, 1)),
+                             (lq - p[None, :], (1, 1, reps, P))):
+            moved = np.empty((N, N), dtype=shift.dtype)
+            np.add(self._period(shift).reshape(1, P, 1, P),
+                   np.arange(N).reshape(cells),
+                   out=moved.reshape(reps, P, reps, P))
+            moved &= N - 1  # N is a power of two: % N, negatives included
+            src.append(moved)
+        return tuple(src)
+
+    def _period(self, block):
+        """The P x P corner (P = 2B) of the grid pattern that holds block on
+        every rotating block and zero elsewhere. The pattern repeats every
+        P cells on both axes, and P divides N as k >= 2."""
+        B, h = self.B, self.off
+        # the rotating blocks of the corner: rows h .. h+B-1 against the
+        # columns from h+B round to h-1, and the same with rows and columns
+        # swapped; a block's row (column) p sits at cell h + p, wrapped
+        period = np.zeros((2 * B, 2 * B), dtype=block.dtype)
+        mid = slice(h, h + B)
+        period[mid, h + B:], period[mid, :h] = block[:, :h], block[:, h:]
+        period[h + B:, mid], period[:h, mid] = block[:h], block[h:]
+        return period
 
     def _build_rings(self):
         # concentric square rings of a block, cells listed counterclockwise:
         # right side going up, top going left, left going down, bottom
-        # going right; ring r has side 2r+1 around the block centre
+        # going right; ring r has side 2r+1 around the block centre, and
+        # all rings are listed back to back, ring r from index 4 r^2 on
         h = self.B // 2
-        rings = []
-        for r in range(h):
-            u = np.arange(2 * r + 1)
-            lo, hi = np.full_like(u, h - 1 - r), np.full_like(u, h + r)
-            rings.append((np.concatenate([hi, hi - u, lo, lo + u]),
-                          np.concatenate([lo + u, hi, hi - u, lo])))
-        self.rings = rings
+        side = 2 * np.arange(h) + 1
+        start = 4 * np.arange(h) ** 2
+        ring = np.repeat(np.arange(h), 4 * side)
+        place = np.arange(4 * h * h) - start[ring]  # place within the ring
+        leg, u = np.divmod(place, side[ring])  # the side, the step along it
+        lo, hi = h - 1 - ring, h + ring
+        # (p, q) on leg 0: (hi, lo + u), 1: (hi - u, hi), 2: (lo, hi - u),
+        # 3: (lo + u, lo)
+        p = np.where(leg < 2, hi, lo) + np.array([0, -1, 0, 1])[leg] * u
+        q = np.where((leg == 1) | (leg == 2), hi, lo) \
+            + np.array([1, 0, -1, 0])[leg] * u
+        self._ring_cells = p, q, ring, place
+
+    @property
+    def rings(self):
+        """Each ring's (rows, columns) of its listed cells, innermost first."""
+        p, q, _, _ = self._ring_cells
+        cut = 4 * np.arange(1, self.B // 2) ** 2
+        return list(zip(np.split(p, cut), np.split(q, cut)))
 
     def _relative_coords(self, xc, yc):
         """Block-relative physical offsets and the rotating mask at the
@@ -148,8 +198,9 @@ class StageMap:
         b = np.floor(py / B).astype(int)
         X = (px - a * B - B / 2.0) * self.grid.dx
         Y = (py - b * B - B / 2.0) * self.grid.dx
-        rot = (a + b) % 2 == 1
-        return X, Y, rot
+        # (a + b) odd, as the xor of the parities: on broadcast axes the
+        # parities are 1-D and only the xor spans the grid
+        return X, Y, (a % 2 == 1) ^ (b % 2 == 1)
 
     def unit_field(self, xc, yc):
         """Time-1 velocity at cell-unit coordinates (vectorized).
@@ -158,34 +209,50 @@ class StageMap:
         from the block center, counterclockwise, zero off the rotating
         blocks. On the diagonals the outgoing side wins.
         """
+        return self._components(xc, yc, "xy")
+
+    def _components(self, xc, yc, axes):
+        """The components of unit_field along axes ("x", "y" or "xy")."""
         X, Y, rot = self._relative_coords(xc, yc)
         aX, aY = np.abs(X), np.abs(Y)
-        horiz = (aY > aX) | ((aY == aX) & (X * Y > 0))
-        vert = (aX > aY) | ((aX == aY) & (X * Y < 0))
-        vx = np.where(rot & horiz, -2.0 * Y, 0.0)
-        vy = np.where(rot & vert, 2.0 * X, 0.0)
-        return vx, vy
+        tie, XY = aX == aY, X * Y
+        out = []
+        if "x" in axes:
+            horiz = (aY > aX) | (tie & (XY > 0))
+            out.append(np.where(rot & horiz, -2.0 * Y, 0.0))
+        if "y" in axes:
+            vert = (aX > aY) | (tie & (XY < 0))
+            out.append(np.where(rot & vert, 2.0 * X, 0.0))
+        return tuple(out)
 
     def _measure_field(self):
-        N = self.grid.n
-        dx = self.grid.dx
-        # broadcast axes: the same elementwise arithmetic as full meshgrids
-        c = np.arange(N) + 0.5
-        vx, vy = self.unit_field(c[:, None], c[None, :])
-        self._center_vx = vx
-        self._center_vy = vy
+        N, B, dx = self.grid.n, self.B, self.grid.dx
+        # Every rotating block holds the same field, since a cell's offset
+        # within its block is computed exactly: the field is evaluated once,
+        # on the cells of the rotating block (0, 1) in rolled coordinates,
+        # and placed on the others. Broadcast axes stand in for meshgrids.
+        r = np.arange(B)
+        i, j = (r + self.off) % N, (r + B + self.off) % N
+        vx, vy = self._components(i[:, None] + 0.5, j[None, :] + 0.5, "xy")
         self.sup_unit = float(max(np.max(np.abs(vx)), np.max(np.abs(vy))))
+        reps = (N // (2 * B),) * 2
+        vx = self._center_vx = np.tile(self._period(vx), reps)
+        vy = self._center_vy = np.tile(self._period(vy), reps)
         tv = 0.0
         for comp in (vx, vy):
-            tv += np.sum(np.abs(np.diff(comp, axis=0)))
-            tv += np.sum(np.abs(comp[0] - comp[-1]))
-            tv += np.sum(np.abs(np.diff(comp, axis=1)))
-            tv += np.sum(np.abs(comp[:, 0] - comp[:, -1]))
+            for axis in (0, 1):
+                jumps = np.diff(comp, axis=axis)
+                tv += np.sum(np.abs(jumps, out=jumps))
+                wrap = comp.take(0, axis) - comp.take(-1, axis)
+                tv += np.sum(np.abs(wrap))
         self.bv_unit = float(tv) * dx
 
-        i = np.arange(N, dtype=float)
-        vx_face, _ = self.unit_field(i[:, None], c[None, :])
-        _, vy_face = self.unit_field(c[:, None], i[None, :])
+        # the face divergence repeats with the field, so one period of it
+        # meets every value; past its last face a period wraps to its first
+        i, j = i.astype(float), j.astype(float)
+        vx_face, = self._components(i[:, None], j[None, :] + 0.5, "x")
+        vy_face, = self._components(i[:, None] + 0.5, j[None, :], "y")
+        vx_face, vy_face = self._period(vx_face), self._period(vy_face)
         div = (np.roll(vx_face, -1, axis=0) - vx_face
                + np.roll(vy_face, -1, axis=1) - vy_face) / dx
         self.div_max = float(np.max(np.abs(div)))
@@ -199,29 +266,46 @@ class StageMap:
         value multiset is preserved; the positions are approximate between
         stage boundaries.
         """
+        if math.isnan(fraction):
+            raise InvalidArgument("the fraction of a turn is NaN")
         if fraction <= 0.0:
             return values.copy()
         if fraction >= 1.0:
             return self.apply(values)
+        # ring r turns by round(fraction * (2r + 1)) cells, half up; as
+        # np.roll(ring, steps) does, each place takes the cell listed
+        # steps places before it
+        p, q, ring, place = self._ring_cells
+        side = 2 * ring + 1
+        steps = np.floor(fraction * side + 0.5).astype(int)
+        src = 4 * ring ** 2 + (place - steps) % (4 * side)
         lp, lq = np.indices((self.B, self.B))
-        for p, q in self.rings:
-            steps = int(math.floor(fraction * (len(p) / 4.0) + 0.5))
-            lp[p, q] = np.roll(p, steps)
-            lq[p, q] = np.roll(q, steps)
+        lp[p, q], lq[p, q] = p[src], q[src]
         return values[self._sources(lp, lq)]
 
     def _self_check(self):
         N = self.grid.n
-        flat = self.src_i.astype(np.int64) * N + self.src_j
-        if not np.array_equal(np.sort(flat, axis=None), np.arange(N * N)):
+        # read from the stored sources: the map is a permutation when its
+        # N^2 flat sources are none negative, none past the last cell and
+        # none repeated, i.e. when they sort to 0 .. N^2 - 1
+        flat = self.src_i.astype(np.int64)
+        flat *= N
+        flat += self.src_j
+        flat = flat.ravel()
+        if not (flat.size == N * N and flat.min() >= 0):
             raise ConstructionBug("stage map is not a permutation")
-        fine = chessboard(self.k, self.grid)
-        coarse = chessboard(self.k - 1, self.grid)
-        if not np.array_equal(self.apply(fine.values), coarse.values):
+        counts = np.bincount(flat, minlength=N * N)
+        if counts.size != N * N or counts.max() != 1:
+            raise ConstructionBug("stage map is not a permutation")
+        # the same map as apply, gathered through the flat sources
+        fine = chessboard(self.k, self.grid).values.ravel()
+        coarse = chessboard(self.k - 1, self.grid).values.ravel()
+        if not np.array_equal(fine[flat], coarse):
             raise ConstructionBug(
                 f"stage {self.k} does not coarsen the chessboard")
-        ring_cells = sum(len(p) for p, _ in self.rings)
-        if ring_cells != self.B * self.B:
+        p, q, _, _ = self._ring_cells
+        listed = np.bincount(p * self.B + q)
+        if listed.size != self.B * self.B or listed.min() != 1:
             raise ConstructionBug("ring decomposition misses cells")
 
 
@@ -286,6 +370,7 @@ class DyadicSchedule:
     def __init__(self, variant, k_max, m, maps_from=None):
         if variant not in ("original", "strong"):
             raise InvalidArgument("variant must be 'original' or 'strong'")
+        k_max, m = _level(k_max, "k_max"), _level(m, "m")
         if k_max < 2:
             raise InvalidArgument("need k_max >= 2")
         if k_max > m:
@@ -293,8 +378,8 @@ class DyadicSchedule:
         if maps_from is not None and maps_from.m != m:
             raise InvalidArgument("maps_from is resolved at another scale")
         self.variant = variant
-        self.k_max = int(k_max)
-        self.m = int(m)
+        self.k_max = k_max
+        self.m = m
         self.stages = []
         for k in range(k_max, 1, -1):
             if variant == "original":
@@ -400,18 +485,47 @@ def _states(schedule, init, t_query):
 
 def _fourier_modes(grid):
     """The nine lowest torus modes as sampled complex exponentials, made
-    one at a time."""
-    c = (np.arange(grid.n) + 0.5) * grid.dx
-    X, Y = c[:, None], c[None, :]
+    one at a time, each a read-only N x N view of one 1-D exp.
+
+    The argument ax*X + by*Y at cell (i, j) is an exact dyadic sum, so it
+    depends on the cell only through i (by = 0), j (ax = 0), i + j
+    (ax = by) or i - j (ax = -by). The exp is taken once per distinct
+    argument, at a cell of the full grid that has it and with the same
+    expression, so every value is bitwise the full-grid one.
+    """
+    n = grid.n
+    c = (np.arange(n) + 0.5) * grid.dx
+    every, zero = np.arange(n), np.zeros(n, dtype=int)
+    t = np.arange(2 * n - 1)  # i + j, or i - j + n - 1
+    lo, hi = np.maximum(t - (n - 1), 0), np.minimum(t, n - 1)
     for ax in (-1, 0, 1):
         for by in (-1, 0, 1):
-            yield np.exp(-2j * np.pi * (ax * X + by * Y))
+            if by == 0:  # a function of i: down one column
+                e = _mode_at(c, ax, by, every, zero)
+                yield np.broadcast_to(e[:, None], (n, n))
+            elif ax == 0:  # a function of j: along one row
+                e = _mode_at(c, ax, by, zero, every)
+                yield np.broadcast_to(e[None, :], (n, n))
+            elif ax == by:  # of i + j: [i, j] = e[i + j]
+                yield sliding_window_view(_mode_at(c, ax, by, lo, hi), n)
+            else:  # of i - j: [i, j] = e[i - j + n - 1]
+                e = _mode_at(c, ax, by, lo, (n - 1) - hi)
+                yield sliding_window_view(e, n)[:, ::-1]
+
+
+def _mode_at(c, ax, by, i, j):
+    """The mode (ax, by) at the cells (i, j), with the full grid's
+    arithmetic."""
+    return np.exp(-2j * np.pi * (ax * c[i] + by * c[j]))
 
 
 def box_averaged_l1(field, j):
     """L1 norm after averaging over boxes of side 2^-j."""
+    j = _level(j, "box scale")
     if j > field.grid.m:
         raise UnresolvedScale("box scale finer than the grid")
+    if j < 0:
+        raise InvalidArgument(f"need box scale j >= 0, got j = {j}")
     tile = 2 ** (field.grid.m - j)
     nb = field.grid.n // tile
     v = field.values.reshape(nb, tile, nb, tile).mean(axis=(1, 3))
@@ -420,6 +534,10 @@ def box_averaged_l1(field, j):
 
 def mixing_report(traj, test_fns=None):
     """Per-time table: L1 norm, worst low-mode pairing, coarse L1 norms.
+
+    coarse_l1 lists the box-averaged L1 norms at scales 2^-j for
+    j = 0 .. min(3, m): a grid coarser than 2^-3 reports the scales it
+    resolves.
 
     With no test_fns the pairing is the modulus of the integral against
     the nine lowest Fourier modes; custom callables phi(X, Y) are paired
@@ -443,7 +561,8 @@ def mixing_report(traj, test_fns=None):
         worst = moduli if worst is None else list(map(max, worst, moduli))
     rows = []
     for t, f, w in zip(traj.times, traj.fields, worst):
-        coarse = [box_averaged_l1(f, j) for j in range(_BOX_SCALES)]
+        coarse = [box_averaged_l1(f, j)
+                  for j in range(min(_BOX_SCALES, grid.m + 1))]
         rows.append({"t": t, "l1": f.l1(), "weak_max": float(w),
                      "coarse_l1": coarse})
     return rows

@@ -64,7 +64,12 @@ def _smooth_rows(rows, kernel, periodic):
     CellField.extended(K), convolved with the kernel. The extended rows sit
     back to back and one np.convolve runs over them all: row r's n valid
     outputs start at r (n + 2K), each the dot product it is when the row is
-    convolved alone, so every bit is."""
+    convolved alone, so every bit is.
+
+    np.convolve takes each output as one BLAS dot product (cblas_ddot), so
+    the bits are those of the BLAS dot kernel the CPU selects: OpenBLAS's
+    Haswell kernel, the one an AVX2 CPU gets, moves the last bits of
+    criterion 12's lp_distance from those of its AVX-512 kernel."""
     K, reversed_weights = kernel
     R, n = rows.shape
     if periodic and K > n:

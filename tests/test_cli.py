@@ -24,7 +24,13 @@ from splitlaw.cli import (
     trajectory_payload,
     write_csv,
 )
-from splitlaw.depauw import DyadicSchedule, Grid2D, chessboard, evolve
+from splitlaw.depauw import (
+    DyadicSchedule,
+    Grid2D,
+    box_averaged_l1,
+    chessboard,
+    evolve,
+)
 from splitlaw.errors import InvalidArgument
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -267,6 +273,24 @@ m = 3
 [time]
 record = 0.25, 0.5
 """
+
+
+def test_a_depauw_run_coarser_than_the_box_scales_reports_what_it_resolves(
+        tmp_path, monkeypatch):
+    """At m = 2 the grid resolves boxes down to 2^-2, not the usual 2^-3:
+    the run writes both outputs and its coarse L1 norms stop at j = 2."""
+    monkeypatch.setenv("SPLITLAW_OUTPUT_ROOT", str(tmp_path / "out"))
+    cfg = _write(tmp_path, "tiny.ini", DEPAUW_CFG.replace(
+        "k_max = 3\nm = 3", "k_max = 2\nm = 2"))
+    assert main(["run", cfg]) == 0
+    diag = json.loads((tmp_path / "out" / "tiny.diagnostics.json").read_text())
+    grid = Grid2D(2)
+    traj = evolve(DyadicSchedule("original", 2, 2), chessboard(2, grid),
+                  [0.25, 0.5])
+    assert [r["coarse_l1"] for r in diag["mixing_report"]] == [
+        [box_averaged_l1(f, j) for j in range(3)] for f in traj.fields]
+    lines = (tmp_path / "out" / "tiny.trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 16
 
 
 def test_export_depauw_in_both_formats(tmp_path, monkeypatch):

@@ -75,6 +75,87 @@ def test_chessboard_levels():
         chessboard(-1, grid)
 
 
+def _where_chessboard(k, grid):
+    """chessboard's values as first written: an N x N sum, mod and where."""
+    idx = np.arange(grid.n) // 2 ** (grid.m - k)
+    return np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
+
+
+def test_chessboard_is_the_where_form_bitwise():
+    for m in (1, 3, 8):
+        grid = Grid2D(m)
+        for k in range(m + 1):
+            got, want = chessboard(k, grid).values, _where_chessboard(k, grid)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (m, k)
+
+
+def test_fourier_modes_are_the_full_grid_exponentials_bitwise():
+    for m in (1, 3, 8):
+        grid = Grid2D(m)
+        c = (np.arange(grid.n) + 0.5) * grid.dx
+        X, Y = np.meshgrid(c, c, indexing="ij")
+        modes = list(depauw._fourier_modes(grid))
+        assert len(modes) == 9
+        pairs = [(ax, by) for ax in (-1, 0, 1) for by in (-1, 0, 1)]
+        for (ax, by), phi in zip(pairs, modes):
+            want = np.exp(-2j * np.pi * (ax * X + by * Y))
+            assert phi.shape == want.shape
+            assert np.ascontiguousarray(phi).tobytes() == want.tobytes(), (
+                m, ax, by)
+
+
+def test_a_fractional_grid_level_is_refused():
+    with pytest.raises(InvalidArgument, match="m must be an integer"):
+        Grid2D(2.5)
+    with pytest.raises(InvalidArgument, match="m must be an integer"):
+        Grid2D(3.0)
+    assert Grid2D(np.int64(3)) == Grid2D(3)
+
+
+def test_a_fractional_chessboard_level_is_refused():
+    with pytest.raises(InvalidArgument, match="level must be an integer"):
+        chessboard(1.5, Grid2D(3))
+    assert np.array_equal(chessboard(np.int32(2), Grid2D(3)).values,
+                          chessboard(2, Grid2D(3)).values)
+
+
+def test_a_fractional_stage_level_is_refused():
+    grid = Grid2D(4)
+    with pytest.raises(InvalidArgument, match="level must be an integer"):
+        depauw.StageMap(2.5, grid)
+    assert depauw.StageMap(np.int64(3), grid).k == 3
+
+
+def test_a_fractional_schedule_level_is_refused():
+    with pytest.raises(InvalidArgument, match="k_max must be an integer"):
+        DyadicSchedule("original", 2.5, 4)
+    with pytest.raises(InvalidArgument, match="m must be an integer"):
+        DyadicSchedule("original", 3, 4.0)
+    sched = DyadicSchedule("original", np.int64(3), np.uint8(4))
+    assert (sched.k_max, sched.m) == (3, 4)
+    assert sched.stages == DyadicSchedule("original", 3, 4).stages
+
+
+def test_a_negative_box_scale_is_refused():
+    f = chessboard(2, Grid2D(3))
+    with pytest.raises(InvalidArgument, match="j >= 0"):
+        box_averaged_l1(f, -1)
+    with pytest.raises(InvalidArgument, match="box scale must be an integer"):
+        box_averaged_l1(f, 0.5)
+    assert box_averaged_l1(f, np.int64(2)) == box_averaged_l1(f, 2)
+
+
+def test_mixing_report_lists_the_box_scales_the_grid_resolves():
+    for m, scales in ((2, 3), (3, 4), (5, 4)):
+        grid = Grid2D(m)
+        traj = evolve(DyadicSchedule("original", 2, m), chessboard(2, grid),
+                      [0.25, 0.5])
+        for row, f in zip(mixing_report(traj), traj.fields):
+            assert row["coarse_l1"] == [box_averaged_l1(f, j)
+                                        for j in range(scales)]
+
+
 def test_stage_map_contract():
     grid = Grid2D(5)
     for k in (2, 3, 4):
@@ -110,6 +191,12 @@ def test_apply_partial_preserves_the_value_multiset():
         assert np.array_equal(np.sort(part.ravel()), np.sort(vals.ravel()))
     assert np.array_equal(st.apply_partial(vals, 0.0), vals)
     assert np.array_equal(st.apply_partial(vals, 1.0), st.apply(vals))
+
+
+def test_apply_partial_refuses_a_nan_fraction():
+    st = build_stage(3, Grid2D(4))
+    with pytest.raises(InvalidArgument, match="NaN"):
+        st.apply_partial(np.zeros((16, 16)), float("nan"))
 
 
 def test_schedule_layout_original():
@@ -286,6 +373,23 @@ def test_strong_modulus_reports_later_snapshots():
         l1_distance_2d(traj.at(0.25), traj.at(0.0)))
 
 
+def _meshgrid_unit_field(st, xc, yc):
+    """StageMap.unit_field as first written, on full coordinate arrays."""
+    N, B, off = st.grid.n, st.B, st.off
+    px = np.mod(xc - off, N)
+    py = np.mod(yc - off, N)
+    a = np.floor(px / B).astype(int)
+    b = np.floor(py / B).astype(int)
+    X = (px - a * B - B / 2.0) * st.grid.dx
+    Y = (py - b * B - B / 2.0) * st.grid.dx
+    rot = (a + b) % 2 == 1
+    aX, aY = np.abs(X), np.abs(Y)
+    horiz = (aY > aX) | ((aY == aX) & (X * Y > 0))
+    vert = (aX > aY) | ((aX == aY) & (X * Y < 0))
+    return (np.where(rot & horiz, -2.0 * Y, 0.0),
+            np.where(rot & vert, 2.0 * X, 0.0))
+
+
 def _meshgrid_stage_reference(st):
     """Stage arrays computed the earlier way, over full N x N meshgrids."""
     N, B, off, dx = st.grid.n, st.B, st.off, st.grid.dx
@@ -299,7 +403,7 @@ def _meshgrid_stage_reference(st):
                      np.arange(N)[None, :])
     c = np.arange(N) + 0.5
     XX, YY = np.meshgrid(c, c, indexing="ij")
-    vx, vy = st.unit_field(XX, YY)
+    vx, vy = _meshgrid_unit_field(st, XX, YY)
     tv = 0.0
     for comp in (vx, vy):
         tv += np.sum(np.abs(np.diff(comp, axis=0)))
@@ -307,9 +411,9 @@ def _meshgrid_stage_reference(st):
         tv += np.sum(np.abs(np.diff(comp, axis=1)))
         tv += np.sum(np.abs(comp[:, 0] - comp[:, -1]))
     XF, YF = np.meshgrid(i.astype(float), c, indexing="ij")
-    vx_face, _ = st.unit_field(XF, YF)
+    vx_face, _ = _meshgrid_unit_field(st, XF, YF)
     XG, YG = np.meshgrid(c, i.astype(float), indexing="ij")
-    _, vy_face = st.unit_field(XG, YG)
+    _, vy_face = _meshgrid_unit_field(st, XG, YG)
     div = (np.roll(vx_face, -1, axis=0) - vx_face
            + np.roll(vy_face, -1, axis=1) - vy_face) / dx
     return {
@@ -321,16 +425,23 @@ def _meshgrid_stage_reference(st):
 
 
 def test_stage_arrays_match_the_meshgrid_computation_bitwise():
-    grid = Grid2D(8)
-    for k in range(2, 7):
-        st = build_stage(k, grid)
-        ref = _meshgrid_stage_reference(st)
-        for name in ("src_i", "src_j", "_center_vx", "_center_vy"):
-            got, want = getattr(st, name), ref[name]
-            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-            assert got.tobytes() == want.tobytes(), (k, name)
-        for name in ("sup_unit", "bv_unit", "div_max"):
-            assert getattr(st, name).hex() == ref[name].hex(), (k, name)
+    # m = 8 is the verification scale; B = 2 at k = m, and at m = 2 one
+    # period of the field is the whole grid
+    for m, ks in ((8, range(2, 9)), (3, (2, 3)), (2, (2,))):
+        grid = Grid2D(m)
+        for k in ks:
+            st = build_stage(k, grid)
+            ref = _meshgrid_stage_reference(st)
+            for name in ("src_i", "src_j", "_center_vx", "_center_vy"):
+                got, want = getattr(st, name), ref[name]
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), (m, k, name)
+            for name in ("sup_unit", "bv_unit", "div_max"):
+                assert getattr(st, name).hex() == ref[name].hex(), (m, k, name)
+            c = np.arange(grid.n) + 0.5
+            got = st.unit_field(c[:, None], c[None, :])
+            want = _meshgrid_unit_field(st, c[:, None], c[None, :])
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def test_self_check_rejects_a_map_with_a_shared_source():
@@ -343,6 +454,28 @@ def test_self_check_rejects_a_map_with_a_shared_source():
     st.src_i = st.src_i.copy()
     st.src_i[r, c] = st.src_i[0, 0]
     with pytest.raises(ConstructionBug, match="not a permutation"):
+        st._self_check()
+
+
+def test_self_check_rejects_a_map_that_misses_a_cell():
+    """A source past the last cell or before the first leaves some cell
+    unread, though no two cells share a source."""
+    st = build_stage(3, Grid2D(4))
+    good = st.src_i
+    for bad in (st.grid.n, -1):
+        st.src_i = good.copy()
+        st.src_i[-1, -1] = bad
+        with pytest.raises(ConstructionBug, match="not a permutation"):
+            st._self_check()
+
+
+def test_self_check_rejects_rings_that_list_a_cell_twice():
+    st = build_stage(3, Grid2D(4))
+    st._self_check()
+    p, q, ring, place = (a.copy() for a in st._ring_cells)
+    p[0], q[0] = p[1], q[1]
+    st._ring_cells = p, q, ring, place
+    with pytest.raises(ConstructionBug, match="ring decomposition"):
         st._self_check()
 
 
