@@ -44,8 +44,7 @@ from .depauw import (
     field_diagnostics,
     mixing_report,
 )
-from .kk import (KKState, affine_speed, renormalization_defect, solve_kk,
-                 solve_kk_many)
+from .kk import KKState, affine_speed, renormalization_defect, solve_kk_many
 from .scalar import (
     RiemannFan,
     ScalarConfig,
@@ -495,10 +494,17 @@ def criterion_10(level="full"):
                         project(_riemann_ic(ul[1], ur[1]), g)])
                for g in (Grid1D(-2.0, 2.0, n) for n in grids)
                for ul, ur in fixtures.values()]
-        trajs = solve_kk_many(U0s, f, fp,
-                              ScalarConfig(t_end=1.0, record_times=[1.0]))
-        for i, traj in enumerate(trajs):
-            exc, gap = renormalization_defect(traj, None)
+        # the constant-direction run, on its own config, is the last row
+        n = 512 if level == "full" else 256
+        rho0 = project(_riemann_ic(1.0, 0.5), Grid1D(-2.0, 2.0, n))
+        th = (0.6, 0.8)
+        *trajs, traj = solve_kk_many(
+            U0s + [KKState([rho0.with_values(th[0] * rho0.values),
+                            rho0.with_values(th[1] * rho0.values)])], f, fp,
+            [ScalarConfig(t_end=1.0, record_times=[1.0])] * len(U0s)
+            + [ScalarConfig(t_end=0.5, record_times=[0.25, 0.5])])
+        for i, run in enumerate(trajs):
+            exc, gap = renormalization_defect(run, None)
             ok = ok and exc <= KK_EXCESS_TOL
             gaps[list(fixtures)[i % len(fixtures)]].append(gap)
         for name, gaps_n in gaps.items():
@@ -509,14 +515,6 @@ def criterion_10(level="full"):
                          + "/".join(f"{x:.4f}" for x in gaps_n)
                          + " rates " + "/".join(f"{r:.2f}" for r in rates))
 
-        n = 512 if level == "full" else 256
-        g = Grid1D(-2.0, 2.0, n)
-        rho0 = project(_riemann_ic(1.0, 0.5), g)
-        th = (0.6, 0.8)
-        U0 = KKState([rho0.with_values(th[0] * rho0.values),
-                      rho0.with_values(th[1] * rho0.values)])
-        traj = solve_kk(U0, f, fp,
-                        ScalarConfig(t_end=0.5, record_times=[0.25, 0.5]))
         dev = 0.0
         for st, rho in zip(traj.states, traj.v_traj.fields):
             for i in range(2):

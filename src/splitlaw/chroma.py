@@ -92,13 +92,12 @@ def solve_chromatography(U0, config):
 
 
 def solve_chromatography_many(U0s, config):
-    """solve_chromatography for B states under one config, stepped as one
-    split march (transport.solve_split_many); the states may lie on
-    different grids. The states share k; each keeps its own time plan and
-    is bitwise its solve_chromatography. Returns one trajectory per state.
-    Each record's state is (u_1, w_1, ..., w_{k-1}) with u_1 as from_vw
-    computes it and the w_i the very fields of w_trajs, so every w is
-    stored once.
+    """solve_chromatography for B states under one config or one per state,
+    stepped as one split march (transport.solve_split_many) on any grids.
+    The states share k; each keeps its own time plan and is bitwise its
+    solve_chromatography. Returns one trajectory per state. Each record's
+    state is (u_1, w_1, ..., w_{k-1}) with u_1 as from_vw computes it and
+    the w_i the very fields of w_trajs, so every w is stored once.
     """
     _require_nonnegative(U0s)
     vws = [to_vw(U0) for U0 in U0s]
@@ -262,14 +261,14 @@ def solve_direct(U0, config):
 
 
 def solve_direct_many(U0s, config):
-    """solve_direct for B states under one config, stepped as one array of
-    (k, size) rows on the step loop of scalar._march_rows: component c of
-    every state lies in copy c of the row layout. The states share k and
-    the boundary mode and may lie on different grids; each keeps its own
-    time plan and speed bound and is bitwise its solve_direct. An error
-    from one row of a batch names the row. Returns one trajectory per
-    state; its meta holds the method, k, the dt schedule, the record steps
-    and the speed bound.
+    """solve_direct for B states under one config or one per state, stepped
+    as one array of (k, size) rows on the step loop of scalar._march_rows:
+    component c of every state lies in copy c of the row layout. The states
+    share k and the boundary mode and may lie on different grids; each
+    keeps its own time plan and speed bound and is bitwise its
+    solve_direct. An error from one row of a batch names the row. Returns
+    one trajectory per state; its meta holds the method, k, the dt
+    schedule, the record steps and the speed bound.
     """
     _require_nonnegative(U0s)
     boundary = _batch_boundary(U0s)
@@ -360,7 +359,7 @@ def semigroup_defect(U0, t, s, config, solver=solve_chromatography):
     """
     return semigroup_defect_many(
         [U0], [(t, s)], config,
-        lambda states, cfg: [solver(st, cfg) for st in states])[0][0]
+        lambda states, cfgs: list(map(solver, states, cfgs)))[0][0]
 
 
 def semigroup_defect_many(U0s, splits, config,
@@ -368,14 +367,14 @@ def semigroup_defect_many(U0s, splits, config,
     """semigroup_defect for B states and each (t, s) of splits: one list
     per split, of one defect per state.
 
-    Every advance is a batch solve: solver(states, config) returns one
-    trajectory per state. Leg 1 steps every state once, to the longest
-    t + s, and records every s and every t + s (times that round to one
-    step share its record); with fixed dt a record's
-    bits do not depend on the stops after it, so each is the state a
-    solve to that time alone ends on. Leg 2 restarts from the states at
-    each s, one batch per distinct t, so no row steps past the time it
-    needs. A time of zero steps is the state itself, unsolved.
+    Every advance is a batch solve: solver(states, configs) returns one
+    trajectory per state, each under its config. Leg 1 steps every state
+    once, to the longest t + s, and records every s and every t + s (times
+    that round to one step share its record); with fixed dt a record's bits
+    do not depend on the stops after it, so each is the state a solve to
+    that time alone ends on. Leg 2 is one batch from the states at each s,
+    each row to its own t, so no row steps past the time it needs. A time
+    of zero steps is the state itself, unsolved.
     """
     if config.fixed_dt is None:
         raise InvalidArgument("semigroup defect needs fixed-step mode")
@@ -388,35 +387,31 @@ def semigroup_defect_many(U0s, splits, config,
             if not _same_time(round(tau / dt) * dt, tau):
                 raise InvalidArgument("time not aligned with fixed_dt")
 
-    def solve(states, stops):
-        cfg = ScalarConfig(t_end=stops[-1], cfl=config.cfl,
-                           record_times=stops, fixed_dt=dt)
-        return solver(states, cfg)
+    def until(stops):
+        return ScalarConfig(t_end=stops[-1], cfl=config.cfl,
+                            record_times=stops, fixed_dt=dt)
 
     # leg 1: the states at every s and every t + s, one stop per step
     at = {}
     stops = {round(tau / dt): tau for t, s in splits for tau in (s, t + s)}
     stops.pop(0, None)
     if stops:
-        trajs = solve(U0s, sorted(stops.values()))
+        trajs = solver(U0s, [until(sorted(stops.values()))] * len(U0s))
         at = {j: [traj.at(tau) for traj in trajs] for j, tau in stops.items()}
 
     def states_at(tau):
         return at.get(round(tau / dt), U0s)
 
-    # leg 2: t more from each s, the rows of one t in one batch
-    B = len(U0s)
+    # leg 2: t more from each s, every split of a nonzero t in one batch
+    legs = sorted({(t, s) for t, s in splits if round(t / dt)})
     staged = {}
-    for t in sorted({t for t, _ in splits}):
-        starts = sorted({s for tt, s in splits if tt == t})
-        if round(t / dt) == 0:
-            staged.update({(t, s): states_at(s) for s in starts})
-            continue
-        trajs = solve([U for s in starts for U in states_at(s)], [t])
-        for i, s in enumerate(starts):
-            staged[t, s] = [traj.at(t) for traj in trajs[i * B:(i + 1) * B]]
+    if legs:
+        trajs = iter(solver([U for _, s in legs for U in states_at(s)],
+                            [until([t]) for t, _ in legs for _ in U0s]))
+        staged = {(t, s): [next(trajs).at(t) for _ in U0s] for t, s in legs}
     return [[state_l1_distance(a, b)
-             for a, b in zip(states_at(t + s), staged[t, s])]
+             for a, b in zip(states_at(t + s),
+                             staged.get((t, s), states_at(s)))]
             for t, s in splits]
 
 

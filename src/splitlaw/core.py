@@ -6,6 +6,7 @@ feed tolerance checks go through math.fsum so that the documented 1e-12
 bounds hold independent of summation order.
 """
 import math
+import operator
 import sys
 
 import numpy as np
@@ -13,6 +14,16 @@ import numpy as np
 from .errors import InvalidArgument
 
 BOUNDARY_MODES = ("periodic", "constant-extension")
+
+
+def _integer(value, name):
+    """value as a Python int; Python and NumPy integers pass, and anything
+    else (2.5, or even 3.0 or NaN) is refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgument(
+            f"{name} must be an integer, got {value!r}") from None
 
 
 class Grid1D:
@@ -23,11 +34,11 @@ class Grid1D:
             raise InvalidArgument("grid bounds and length must be finite")
         if not (x_max > x_min):
             raise InvalidArgument("need x_max > x_min")
-        if n < 2:
+        self.n = _integer(n, "n")
+        if self.n < 2:
             raise InvalidArgument("need at least 2 cells")
         self.x_min = float(x_min)
         self.x_max = float(x_max)
-        self.n = int(n)
         self.dx = (self.x_max - self.x_min) / self.n
         if self.dx < sys.float_info.min:
             # a subnormal cell width makes dt subnormal too: the time plan

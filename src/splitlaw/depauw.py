@@ -14,32 +14,21 @@ starts.
 """
 import itertools
 import math
-import operator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Trajectory, _worst_residual
+from .core import Trajectory, _integer, _worst_residual
 from .errors import ConstructionBug, InvalidArgument, UnresolvedScale
 
 _BOX_SCALES = 4  # coarse-grained L1 reported at 2^0 .. 2^-3, grid allowing
-
-
-def _level(value, name):
-    """A dyadic level as a Python int; Python and NumPy integers pass, and
-    anything else (2.5, or even 3.0) is refused rather than truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgument(
-            f"{name} must be an integer, got {value!r}") from None
 
 
 class Grid2D:
     """2^m x 2^m cell grid on the unit torus."""
 
     def __init__(self, m):
-        m = _level(m, "m")
+        m = _integer(m, "m")
         if not 1 <= m <= 1022:  # past 1022, dx = 2^-m is subnormal
             raise InvalidArgument(f"need 1 <= m <= 1022, got m = {m}")
         self.m = m
@@ -89,7 +78,7 @@ def l1_distance_2d(a, b):
 
 def chessboard(k, grid):
     """+-1 pattern with square tiles of side 2^-k."""
-    k = _level(k, "chessboard level")
+    k = _integer(k, "chessboard level")
     if k > grid.m:
         raise UnresolvedScale(f"chessboard level {k} finer than the grid")
     if k < 0:
@@ -111,7 +100,7 @@ class StageMap:
     """
 
     def __init__(self, k, grid):
-        k = _level(k, "stage level")
+        k = _integer(k, "stage level")
         if k > grid.m:
             raise UnresolvedScale(f"stage level {k} finer than the grid")
         if k < 2:
@@ -370,7 +359,7 @@ class DyadicSchedule:
     def __init__(self, variant, k_max, m, maps_from=None):
         if variant not in ("original", "strong"):
             raise InvalidArgument("variant must be 'original' or 'strong'")
-        k_max, m = _level(k_max, "k_max"), _level(m, "m")
+        k_max, m = _integer(k_max, "k_max"), _integer(m, "m")
         if k_max < 2:
             raise InvalidArgument("need k_max >= 2")
         if k_max > m:
@@ -521,7 +510,7 @@ def _mode_at(c, ax, by, i, j):
 
 def box_averaged_l1(field, j):
     """L1 norm after averaging over boxes of side 2^-j."""
-    j = _level(j, "box scale")
+    j = _integer(j, "box scale")
     if j > field.grid.m:
         raise UnresolvedScale("box scale finer than the grid")
     if j < 0:

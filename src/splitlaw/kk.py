@@ -12,7 +12,8 @@ import numpy as np
 
 from .core import (CellField, FluxFunction, SplitTrajectory, VectorState,
                    _window_slice, _worst_residual)
-from .errors import HypothesisViolation, InvalidFlux, SplitlawError
+from .errors import (HypothesisViolation, InvalidArgument, InvalidFlux,
+                     SplitlawError)
 from .scalar import _batch_boundary, _in_row
 from .transport import solve_split_many
 
@@ -34,8 +35,10 @@ def affine_speed(a, b):
     """The direction speed f(rho) = a + b rho and its derivative, as the
     pair (f, fprime) that solve_kk takes. f carries the buffer form
     f.into(rho, out), which writes f(rho) into out with f's operations,
-    so kk_flux gives rho f(rho) a buffer form too."""
+    so kk_flux gives rho f(rho) a buffer form too. a and b must be finite."""
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidArgument(f"affine speed ({a!r}, {b!r}) must be finite")
 
     def f(r):
         return a + b * np.asarray(r, dtype=float)
@@ -79,7 +82,7 @@ def kk_flux(f, fprime, rho_range):
     gz = np.asarray(g(z), dtype=float)
     second = (gz[2:] - 2.0 * gz[1:-1] + gz[:-2]) / (h * h)
     c_meas = float(np.min(second))
-    if c_meas <= _CONVEXITY_FLOOR:
+    if not c_meas > _CONVEXITY_FLOOR:  # a NaN bound certifies nothing
         raise InvalidFlux(
             f"rho f(rho) is not uniformly convex on [{lo}, {hi}]: "
             f"measured lower bound {c_meas:.3e}")
@@ -103,11 +106,11 @@ def solve_kk(U0, f, fprime, config):
 
 
 def solve_kk_many(U0s, f, fprime, config):
-    """solve_kk for B states under one config, stepped as one split march
-    (transport.solve_split_many); the states may lie on different grids.
-    The rows share f and f'; each row's flux rho f(rho) is certified on its
-    own modulus range, and its meta["c"] is the constant certified there.
-    Each row is bitwise its solve_kk. Returns one trajectory per state.
+    """solve_kk for B states under one config or one per state, stepped as
+    one split march (transport.solve_split_many) on any grids. The rows
+    share f and f'; each row's flux rho f(rho) is certified on its own
+    modulus range, and its meta["c"] is the constant certified there. Each
+    row is bitwise its solve_kk. Returns one trajectory per state.
     """
     _batch_boundary(U0s)
     rho0s = []

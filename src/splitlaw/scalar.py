@@ -246,8 +246,8 @@ def _time_steps(config, dx, speed):
     before each step. With fixed_dt the plan is fixed_dt up to t_end, and
     a step with dt*L/dx > 1 breaks the CFL hypothesis and raises
     HypothesisViolation. Otherwise dt is the CFL step for L, shortened to
-    land exactly on each record stop. lands marks the steps that end on a
-    stop.
+    land exactly on each record stop, and a NaN L raises
+    HypothesisViolation. lands marks the steps that end on a stop.
     """
     stops = _record_plan(config)
     if config.fixed_dt is not None:
@@ -255,7 +255,7 @@ def _time_steps(config, dx, speed):
         n_steps, stop_steps = _fixed_step_plan(config, stops)
         for step in range(n_steps):
             ratio = dt * speed() / dx
-            if ratio > 1.0:
+            if not ratio <= 1.0:  # a NaN speed bound breaks it too
                 raise HypothesisViolation(
                     f"fixed_dt breaks the CFL condition at step {step}, "
                     f"t={step * dt!r}: dt*L/dx = {ratio!r} > 1")
@@ -272,7 +272,10 @@ def _time_steps(config, dx, speed):
             if lands:
                 dt = next_stop - t
                 t = next_stop
-            elif t + dt == t:
+            elif not t + dt > t:  # dt too small to count, or NaN
+                if math.isnan(dt):  # L is NaN
+                    raise HypothesisViolation(
+                        f"no CFL step at step {step}, t={t!r}: L = nan")
                 raise InvalidArgument(
                     f"the CFL step dt={dt!r} no longer advances t={t!r} "
                     f"at step {step}")
@@ -310,9 +313,11 @@ def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
 
     runs[r] holds run r's initial arrays, one per name in what, cells
     first: each (n_r,) or (h, n_r), with h the same for every run, on a
-    grid of n_r cells of width dxs[r]. Each run keeps its own time plan
-    (_time_steps) on the speed bound speed(r, ranges), where ranges[r] is
-    the range (min, max) of its cells before the step.
+    grid of n_r cells of width dxs[r]. config is one ScalarConfig for every
+    run or a sequence of one per run (another length raises
+    InvalidArgument), and each run keeps its own time plan (_time_steps)
+    under its config on the speed bound speed(r, ranges), where ranges[r]
+    is the range (min, max) of its cells before the step.
 
     The runs' rows lie in the layout of core._FlatRows, so every row (a v,
     a w row, an LxF component) carries its two ghost cells and every
@@ -335,8 +340,8 @@ def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
 
     Each run's records live in one block per array, allocated before the
     first step: (T,) + the shape of that initial array, with T = 1 +
-    len(_record_plan(config)) the exact record count. Record 0 is the
-    initial data, and each step that lands on a record time writes the
+    len(_record_plan(config)) the run's exact record count. Record 0 is
+    the initial data, and each step that lands on a record time writes the
     next, where a non-finite value in any array after the first raises
     NumericalBlowup. An error from one run of a batch names the run.
     Returns (times, record_steps, speed_bound, blocks) per run: the record
@@ -344,6 +349,10 @@ def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
     used, and the tuple of blocks, one per array.
     """
     batch = len(runs)
+    configs = [config] * batch if isinstance(config, ScalarConfig) else config
+    if len(configs) != batch:
+        raise InvalidArgument(
+            f"{len(configs)} configs for a batch of {batch} runs")
     speed_bound = [0.0] * batch
 
     def bound(r):
@@ -351,10 +360,10 @@ def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
         speed_bound[r] = max(speed_bound[r], L)
         return L
 
-    plans = [_time_steps(config, dxs[r], functools.partial(bound, r))
+    plans = [_time_steps(configs[r], dxs[r], functools.partial(bound, r))
              for r in range(batch)]
-    T = 1 + len(_record_plan(config))
-    blocks = [tuple(np.empty((T,) + a.shape) for a in run) for run in runs]
+    blocks = [tuple(np.empty((1 + len(_record_plan(cfg)),) + a.shape)
+                    for a in run) for cfg, run in zip(configs, runs)]
     for block, run in zip(blocks, runs):
         for b, a in zip(block, run):
             b[0] = a
@@ -436,10 +445,10 @@ def solve_scalar(flux, init, config):
 
 
 def solve_scalar_many(flux, inits, config):
-    """solve_scalar for B runs under one config, stepped as one march. The
-    runs may lie on different grids and share the boundary mode. Each run
-    keeps its own time plan and step constants and is bitwise its
-    solve_scalar. Returns one trajectory per run."""
+    """solve_scalar for B runs under one config or one per run, stepped as
+    one march. The runs may lie on different grids and share the boundary
+    mode. Each run keeps its own time plan and step constants and is
+    bitwise its solve_scalar. Returns one trajectory per run."""
     return [v_traj for v_traj, _ in _march(flux, inits, config)]
 
 
@@ -464,12 +473,12 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     flux.g_into, the flux's buffer form, when it has one; otherwise it
     calls flux.g and copies the result in.
 
-    The runs share the boundary mode, the flux and the config, and may lie
-    on different grids. Each row keeps its own mu = dt/dx and step
-    constants (the critical point omega and g there): a constant the rows
-    share is a float, and one that differs between rows is a per-column
-    buffer, refilled only when some row's value changes. So each row is
-    bitwise its own unbatched run. Returns one (v_traj, w_trajs) pair per
+    The runs share the boundary mode and the flux, and may lie on different
+    grids. Each row keeps its own mu = dt/dx and step constants (the
+    critical point omega and g there): a constant the rows share is a
+    float, and one that differs between rows is a per-column buffer,
+    refilled only when some row's value changes. So each row is bitwise
+    its own unbatched run. Returns one (v_traj, w_trajs) pair per
     run, with w_trajs empty without b_of_v.
     """
     batch = len(inits)
@@ -604,14 +613,8 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
             enumerate(_march_rows(config, dxs, runs, dt_schedule, speed,
                                   build, ("v", "w")))):
         grid = grids[r]
-        meta = {
-            "dt_schedule": dt_schedule[r],
-            "record_steps": record_steps,
-            "speed_bound": speed_bound,
-            "cfl": config.cfl,
-            "flux_name": flux.name,
-            "fixed_dt": config.fixed_dt,
-        }
+        meta = {"dt_schedule": dt_schedule[r], "record_steps": record_steps,
+                "speed_bound": speed_bound}
         trajs.append((
             Trajectory(times, [CellField(grid, row, boundary)
                                for row in v_block], meta),

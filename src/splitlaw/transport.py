@@ -44,8 +44,8 @@ class MollifierSpec:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise InvalidArgument("mollifier width must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise InvalidArgument("mollifier width must be > 0 and finite")
 
 
 def _gaussian_kernel(dx, spec):
@@ -158,11 +158,11 @@ def solve_split(flux, b_of_v, v0, w0s, config):
 
 
 def solve_split_many(flux, b_of_v, v0s, w0s, config):
-    """solve_split for B runs under one config, stepped as one march: run r
-    starts from v0s[r] with the w fields w0s[r], on its own grid, and
-    every run carries the same number of them. Each run keeps its own time
-    plan and is bitwise its solve_split. Returns one (v_traj, w_trajs) pair
-    per run.
+    """solve_split for B runs under one config or one per run, stepped as
+    one march: run r starts from v0s[r] with the w fields w0s[r], on its
+    own grid, and every run carries the same number of them. Each run keeps
+    its own time plan and is bitwise its solve_split. Returns one (v_traj,
+    w_trajs) pair per run.
     """
     return _march(joint_speed_flux(flux, b_of_v), v0s, config, b_of_v, w0s)
 

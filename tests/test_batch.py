@@ -490,6 +490,51 @@ def test_ragged_batch_rows_are_bitwise_their_solo_runs(batch, data):
     assert not same(got[r], want[r])
 
 
+# fixed and adaptive time plans with 2 to 5 records; dt*L/dx <= 0.49 on
+# every row of _ragged_batches
+_PLANS = [ScalarConfig(t_end=0.25, record_times=[0.125, 0.25],
+                       fixed_dt=1.0 / 128),
+          ScalarConfig(t_end=0.25, record_times=[0.1, 0.25]),
+          ScalarConfig(t_end=0.125, fixed_dt=1.0 / 256),
+          ScalarConfig(t_end=0.375, record_times=[0.0625, 0.125, 0.25])]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ragged_batches(), st.data())
+def test_ragged_rows_on_their_own_configs_are_bitwise_their_solo_runs(
+        batch, data):
+    """A batch given one config per row, fixed and adaptive dt mixed, with
+    different record counts: each row is bitwise its solo run under its
+    own config, fields, times, dt_schedule, record_steps and speed_bound."""
+    kind, boundary, _, rows = batch
+    many, one, inits, same = _ragged_solvers(kind, boundary, rows)
+    cfgs = data.draw(st.lists(st.sampled_from(_PLANS), min_size=len(rows),
+                              max_size=len(rows)))
+    got = many(inits, cfgs)
+    assert len(got) == len(rows)
+    for g, init, cfg in zip(got, inits, cfgs):
+        assert same(g, one(init, cfg))
+
+
+@pytest.mark.parametrize("kind", ["scalar", "split", "chroma", "direct",
+                                  "kk"])
+def test_every_solver_mixes_plans_and_refuses_a_short_config_list(kind):
+    """Each batch solver runs every plan of _PLANS in one batch, each row
+    bitwise its solo run; a config list that is not one per run is
+    refused."""
+    rows = [(Grid1D(-1.0, 1.0, n), np.linspace(0.25, 1.0, n),
+             np.linspace(-0.5, 0.5, n)) for n in (8, 16, 24, 32)]
+    many, one, inits, same = _ragged_solvers(kind, "constant-extension",
+                                             rows)
+    for g, init, cfg in zip(many(inits, _PLANS), inits, _PLANS):
+        assert same(g, one(init, cfg))
+    for cfgs in (_PLANS[:3], _PLANS + _PLANS[:1]):
+        with pytest.raises(InvalidArgument, match=(
+                f"^invalid-argument: {len(cfgs)} configs for a batch of 4 "
+                f"runs$")):
+            many(inits, cfgs)
+
+
 def test_a_ragged_burgers_batch_keeps_each_rows_critical_point():
     """Burgers rows on three grids, each straddling v = 0 with its own
     range: every row has its own finite critical point and step count, so

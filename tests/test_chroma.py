@@ -464,9 +464,9 @@ def test_criterion_9_defects_are_pinned_to_the_last_bit():
 
 def test_semigroup_legs_step_each_row_only_as_far_as_it_needs():
     """Leg 1 is one solve to the longest t + s that records every s and
-    t + s; leg 2 is one solve per distinct t, whose rows (each start s
-    once, each state) take exactly round(t / dt) steps. A split of zero
-    steps solves nothing."""
+    t + s; leg 2 is one solve whose rows (each split (t, s) of a nonzero t
+    once, each state) run on their own config and take exactly
+    round(t / dt) steps. A split of zero steps solves nothing."""
     grid = _grid(32)
     U0s = [_riemann_state(grid, [(0.25, 0.5), (0.25, 0.75)]),
            _riemann_state(grid, [(0.5, 0.25), (0.25, 0.5)])]
@@ -474,19 +474,18 @@ def test_semigroup_legs_step_each_row_only_as_far_as_it_needs():
     cfg = ScalarConfig(t_end=1.0, record_times=[], fixed_dt=dt)
     calls = []
 
-    def solver(states, config):
-        trajs = solve_chromatography_many(states, config)
-        calls.append((config.record_times, len(states),
-                      {len(traj.v_traj.meta["dt_schedule"])
-                       for traj in trajs}))
+    def solver(states, configs):
+        trajs = solve_chromatography_many(states, configs)
+        calls.append([(config.record_times,
+                       len(traj.v_traj.meta["dt_schedule"]))
+                      for config, traj in zip(configs, trajs)])
         return trajs
 
     splits = [(0.25, 0.25), (0.125, 0.375), (0.25, 0.125), (0.0, 0.0),
               (0.25, 0.25)]
     defects = semigroup_defect_many(U0s, splits, cfg, solver)
-    assert calls == [([0.125, 0.25, 0.375, 0.5], 2, {32}),
-                     ([0.125], 2, {8}),
-                     ([0.25], 4, {16})]
+    assert calls == [[([0.125, 0.25, 0.375, 0.5], 32)] * 2,
+                     [([0.125], 8)] * 2 + [([0.25], 16)] * 4]
     assert defects[3] == [0.0, 0.0]
     assert defects[0] == defects[4]
     for (t, s), row in zip(splits, defects):

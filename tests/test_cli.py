@@ -552,6 +552,16 @@ def test_the_kk_fuzz_base_runs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("a", ["nan", "inf"])
+def test_a_non_finite_direction_speed_exits_2(tmp_path, monkeypatch, capsys,
+                                              a):
+    monkeypatch.setenv("SPLITLAW_OUTPUT_ROOT", str(tmp_path / "out"))
+    cfg = KK_CFG.replace("affine(1.0, 1.0)", f"affine({a}, 1.0)")
+    assert main(["run", _write(tmp_path, "kk.ini", cfg)]) == 2
+    assert (f"invalid-argument: affine speed ({a}, 1.0) must be finite"
+            in capsys.readouterr().err)
+
+
 # Values a config line may hold by mistake: empty, non-finite, negative,
 # zero, subnormal, not a number, an interpolation, an unknown name.
 _HOSTILE = ["", "nan", "inf", "-1", "0", "1e-320", "x", "%(x)s", "nope"]

@@ -57,6 +57,14 @@ def test_grid_rejects_degenerate_inputs():
         Grid1D(0.0, 1.0, 1)
 
 
+def test_grid_refuses_a_cell_count_that_is_not_an_integer():
+    for n in (64.7, 64.0, float("nan"), "64"):
+        with pytest.raises(InvalidArgument, match="n must be an integer"):
+            Grid1D(-2.0, 2.0, n)
+    assert Grid1D(-2.0, 2.0, np.int64(64)).n == 64
+    assert type(Grid1D(-2.0, 2.0, np.int64(64)).n) is int
+
+
 def test_grid_rejects_a_subnormal_cell_width():
     with pytest.raises(InvalidArgument, match="smallest normal float"):
         Grid1D(0.0, 1e-320, 32)

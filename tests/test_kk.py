@@ -8,7 +8,8 @@ import pytest
 from splitlaw.core import (CellField, Grid1D, SplitTrajectory, Trajectory,
                            project)
 from splitlaw.errors import HypothesisViolation, InvalidArgument, InvalidFlux
-from splitlaw.kk import KKState, kk_flux, renormalization_defect, solve_kk
+from splitlaw.kk import (KKState, affine_speed, kk_flux,
+                         renormalization_defect, solve_kk)
 from splitlaw.scalar import ScalarConfig
 
 
@@ -44,6 +45,16 @@ def test_kk_flux_rejects_linear_and_concave_speeds():
         kk_flux(lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float)),
                 lambda r: -1.0 / (1.0 + np.asarray(r, dtype=float)) ** 2,
                 (0.25, 1.5))
+
+
+def test_non_finite_direction_speeds_are_refused():
+    for a, b in ((math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(InvalidArgument, match="must be finite"):
+            affine_speed(a, b)
+    # a speed whose second differences are NaN certifies no convexity
+    with pytest.raises(InvalidFlux, match="measured lower bound nan"):
+        kk_flux(lambda r: np.full_like(np.asarray(r, dtype=float), math.nan),
+                _fprime, (0.25, 1.5))
 
 
 def test_kk_state_norm_and_validation():

@@ -269,6 +269,30 @@ def test_fixed_dt_above_the_cfl_bound_is_rejected():
     assert max_principle_defect(traj) == 0.0
 
 
+def _nan_speed_flux():
+    """Burgers, with a speed bound that is not a number."""
+    burgers = burgers_flux()
+    return FluxFunction(g=burgers.g, gprime=burgers.gprime,
+                        convexity="convex", c=1.0,
+                        L_of_range=lambda lo, hi: math.nan)
+
+
+def test_a_nan_speed_bound_breaks_the_cfl_check_with_fixed_dt():
+    v0 = _riemann(Grid1D(-2.0, 2.0, 64), 1.0, 0.0)
+    with pytest.raises(HypothesisViolation,
+                       match=r"step 0, t=0\.0: dt\*L/dx = nan > 1$"):
+        solve_scalar(_nan_speed_flux(), v0,
+                     ScalarConfig(t_end=0.25, fixed_dt=1.0 / 256))
+
+
+def test_a_nan_speed_bound_is_refused_in_adaptive_mode():
+    v0 = _riemann(Grid1D(-2.0, 2.0, 64), 1.0, 0.0)
+    with pytest.raises(HypothesisViolation, match=(
+            r"^hypothesis-violation: no CFL step at step 0, t=0\.0: "
+            r"L = nan$")):
+        solve_scalar(_nan_speed_flux(), v0, ScalarConfig(t_end=0.25))
+
+
 def test_solver_input_validation():
     grid = Grid1D(-2.0, 2.0, 32)
     v0 = _riemann(grid, 1.0, 0.0)

@@ -94,8 +94,9 @@ def test_mollify_preserves_constants_and_periodic_mass():
 def test_mollifier_width_validation():
     grid = Grid1D(-2.0, 2.0, 64)
     f = CellField(grid, np.ones(grid.n))
-    with pytest.raises(InvalidArgument):
-        MollifierSpec(0.0)
+    for epsilon in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgument, match="must be > 0 and finite"):
+            MollifierSpec(epsilon)
     with pytest.raises(InvalidArgument):
         mollify(f, MollifierSpec(0.5 * grid.dx))
     # 6 eps / dx = 120 ghost cells a side cannot wrap a 64-cell torus
