@@ -17,8 +17,8 @@ from .core import (CellField, SplitTrajectory, VectorState, _same_time,
                    _window_slice, _worst_residual, chromatography_flux,
                    lp_distance, total_variation)
 from .errors import InvalidArgument, InvalidEntropy
-from .scalar import (ScalarConfig, _batch_boundary, _check_test_fns,
-                     _in_row, _march_rows, _spacetime_quadrature)
+from .scalar import (ScalarConfig, _check_test_fns, _each_row, _march_rows,
+                     _spacetime_quadrature)
 # Re-exported, not called here (the split solve goes through
 # solve_split_many):
 # perfbench's tracer test reads chroma.solve_scalar.
@@ -70,10 +70,11 @@ def _first_component(v, w):
 
 def _require_nonnegative(states):
     """Every component of every state of a batch is >= 0."""
-    for r, state in enumerate(states):
+    def check(state):
         if any(np.min(comp.values) < 0.0 for comp in state.components):
-            raise _in_row(InvalidArgument("components must be nonnegative"),
-                          r, len(states))
+            raise InvalidArgument("components must be nonnegative")
+
+    _each_row(states, check)
 
 
 def _velocity(v):
@@ -271,29 +272,24 @@ def solve_direct_many(U0s, config):
     schedule, the record steps and the speed bound.
     """
     _require_nonnegative(U0s)
-    boundary = _batch_boundary(U0s)
     if len({U0.k for U0 in U0s}) > 1:
         raise InvalidArgument("batch states differ in component count")
     k = U0s[0].k
-    grids = [U0.grid for U0 in U0s]
-    dxs = [grid.dx for grid in grids]
-    periodic = boundary == "periodic"
+    dxs = [U0.grid.dx for U0 in U0s]
     runs = [(np.array([c.values for c in U0.components], dtype=float),)
             for U0 in U0s]  # (k, n) each
-    dt_schedule = [[] for _ in U0s]
 
     def speed(r, ranges):
         return 1.0 / (1.0 + max(ranges[r][0], 0.0))  # bounds both families
 
-    def build(layout, buffers):
-        ((ubuf, Ue, U_r),) = buffers  # U and the cell to the right
+    def build(layout, buffers, _):
+        ((_, Ue, U_r),) = buffers  # U and the cell to the right
         _, F, F_r = layout.buffers((k,))  # the fluxes there
         # G[..., j] is the flux out of column j, so G_in is G one cell behind
         G_in, G = layout.shifted((k,))
         one_plus_v = layout.zeros((layout.size,))
         jump = layout.zeros(Ue.shape)
         cols = [layout.column() for _ in range(2)]  # inv2mu and mu
-        ghosts, edges = layout.ghost_pairs(k, periodic)
         steps = None  # the dt of each row the step constants were made for
         inv2mu = mu = None
 
@@ -306,7 +302,6 @@ def solve_direct_many(U0s, config):
                                          for r, _, dt, _, _ in plan], cols[0])
                 mu = layout.per_row([dt / dxs[r] for r, _, dt, _, _ in plan],
                                     cols[1])
-            ubuf[ghosts] = ubuf[edges]
             # the components' total, added in order, then 1 + v
             np.add(Ue[0], Ue[1], out=one_plus_v)
             for c in range(2, k):
@@ -328,16 +323,14 @@ def solve_direct_many(U0s, config):
         return advance
 
     trajs = []
-    for r, (times, record_steps, speed_bound, (U_block,)) in enumerate(
-            _march_rows(config, dxs, runs, dt_schedule, speed, build,
-                        ("state",))):
-        states = [ChromState([CellField(grids[r], u, boundary)
+    for U0, (times, meta, (U_block,)) in zip(U0s, _march_rows(
+            config, U0s, runs, speed, build, ("state",))):
+        states = [ChromState([CellField(U0.grid, u, U0.boundary)
                               for u in U_rec])
                   for U_rec in U_block]
-        meta = {"method": "lax-friedrichs", "k": k,
-                "dt_schedule": dt_schedule[r], "record_steps": record_steps,
-                "speed_bound": speed_bound}
-        trajs.append(SplitTrajectory(times, states, None, [], meta))
+        trajs.append(SplitTrajectory(
+            times, states, None, [],
+            {"method": "lax-friedrichs", "k": k, **meta}))
     return trajs
 
 

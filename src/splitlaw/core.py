@@ -200,10 +200,10 @@ class _FlatRows:
         fills them all in one assignment.
 
         The batched steps write junk into the ghost columns as they update
-        every column, so they run that assignment at the start of each
-        step: a ghost then holds the bits of the cell it copies, and
-        anything computed cellwise from it (g(v), w/v, u/(1+v)) is bitwise
-        that cell's value.
+        every column, so the march (scalar._march_rows) runs that
+        assignment before each step: a ghost then holds the bits of the
+        cell it copies, and anything computed cellwise from it (g(v), w/v,
+        u/(1+v)) is bitwise that cell's value.
         """
         shift = (np.arange(copies) * self.size)[:, None]
         return ((self._ghosts + shift).ravel(),
@@ -391,10 +391,10 @@ def _record_index(times, t):
 class Trajectory:
     """Recorded states of a time-dependent cell field.
 
-    times[0] is always the initial time; fields[j] is the CellField (or
-    the CellField2D of a mixing run) at times[j]. meta carries solver
-    bookkeeping (dt schedule, record steps, speed bound) read by the
-    diagnostics.
+    times[0] is always the initial time; fields[j] is the CellField (the
+    CellField2D of a mixing run, the VectorState of a SplitTrajectory) at
+    times[j]. meta carries solver bookkeeping (dt schedule, record steps,
+    speed bound) read by the diagnostics.
     """
 
     def __init__(self, times, fields, meta=None):
@@ -415,31 +415,23 @@ class Trajectory:
         return len(self.times)
 
 
-class SplitTrajectory:
-    """Recorded states of a split system plus the runs they came from.
+class SplitTrajectory(Trajectory):
+    """Recorded states of a split system plus the runs they came from: a
+    Trajectory whose fields are its states, the VectorState at each time.
 
     v_traj is the scalar run; w_trajs[i] is the continuity run locked to
-    it. states[j] is the VectorState at times[j]. The scalar field is kept
-    as solved, not recomputed from the states, so the gap between the two
-    stays measurable.
+    it. The scalar field is kept as solved, not recomputed from the
+    states, so the gap between the two stays measurable.
     """
 
     def __init__(self, times, states, v_traj, w_trajs, meta):
-        self.times = list(map(float, times))
-        self.states = list(states)
+        super().__init__(times, states, meta)
         self.v_traj = v_traj
         self.w_trajs = list(w_trajs)
-        self.meta = dict(meta)
 
     @property
-    def grid(self):
-        return self.states[0].grid
-
-    def at(self, t):
-        return self.states[_record_index(self.times, t)]
-
-    def __len__(self):
-        return len(self.times)
+    def states(self):
+        return self.fields
 
 
 def _window_slice(grid, window):

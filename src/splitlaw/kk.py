@@ -12,9 +12,8 @@ import numpy as np
 
 from .core import (CellField, FluxFunction, SplitTrajectory, VectorState,
                    _window_slice, _worst_residual)
-from .errors import (HypothesisViolation, InvalidArgument, InvalidFlux,
-                     SplitlawError)
-from .scalar import _batch_boundary, _in_row
+from .errors import HypothesisViolation, InvalidArgument, InvalidFlux
+from .scalar import _each_row
 from .transport import solve_split_many
 
 _CONVEXITY_FLOOR = 1e-8
@@ -112,20 +111,15 @@ def solve_kk_many(U0s, f, fprime, config):
     modulus range, and its meta["c"] is the constant certified there. Each
     row is bitwise its solve_kk. Returns one trajectory per state.
     """
-    _batch_boundary(U0s)
-    rho0s = []
-    fluxes = []
-    for r, U0 in enumerate(U0s):
-        try:
-            rho0 = U0.norm()
-            if float(np.min(rho0.values)) <= 0.0:
-                raise HypothesisViolation(
-                    "initial modulus must stay away from zero")
-            fluxes.append(kk_flux(f, fprime, (float(np.min(rho0.values)),
-                                              float(np.max(rho0.values)))))
-        except SplitlawError as exc:
-            raise _in_row(exc, r, len(U0s)) from None
-        rho0s.append(rho0)
+    def modulus(U0):  # rho0 and the flux certified on its range
+        rho0 = U0.norm()
+        lo, hi = float(np.min(rho0.values)), float(np.max(rho0.values))
+        if lo <= 0.0:
+            raise HypothesisViolation(
+                "initial modulus must stay away from zero")
+        return rho0, kk_flux(f, fprime, (lo, hi))
+
+    rho0s, fluxes = zip(*_each_row(U0s, modulus))
     # the fluxes differ only in the certified c, which the march never reads
     runs = solve_split_many(fluxes[0], f, rho0s,
                             [U0.components for U0 in U0s], config)

@@ -7,6 +7,7 @@ entropy residuals against space-time test functions, and the localized
 comparison defect.
 """
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -293,50 +294,55 @@ def _in_row(exc, r, batch):
     return exc
 
 
-def _batch_boundary(fields):
-    """The boundary mode that every field of a batch shares; the fields may
-    lie on different grids."""
-    if not fields:
+def _each_row(items, check):
+    """[check(item) for item in items], the items being the runs (or the
+    per-run values) of a batch: an error from items[r] names row r when
+    there are B > 1 items, and an empty batch raises InvalidArgument."""
+    if not items:
         raise InvalidArgument("a batch needs at least one run")
-    boundary = fields[0].boundary
-    for f in fields:
-        if f.boundary != boundary:
-            raise InvalidArgument("batch runs disagree on boundary mode")
-    return boundary
+    out = []
+    try:
+        for item in items:
+            out.append(check(item))
+    except SplitlawError as exc:  # from the item after those done
+        raise _in_row(exc, len(out), len(items)) from None
+    return out
 
 
-def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
+def _march_rows(config, starts, runs, speed, build, what):
     """The one step loop of the explicit schemes (the Godunov march below,
     the Lax-Friedrichs oracle chroma.solve_direct_many), and the one keeper
     of their records: B runs, on grids of any size, stepped together as
     arrays.
 
-    runs[r] holds run r's initial arrays, one per name in what, cells
-    first: each (n_r,) or (h, n_r), with h the same for every run, on a
-    grid of n_r cells of width dxs[r]. config is one ScalarConfig for every
-    run or a sequence of one per run (another length raises
-    InvalidArgument), and each run keeps its own time plan (_time_steps)
-    under its config on the speed bound speed(r, ranges), where ranges[r]
-    is the range (min, max) of its cells before the step.
+    Run r starts from the field or state starts[r], on its grid, and the
+    runs share its boundary mode (InvalidArgument otherwise). runs[r]
+    holds its initial arrays, one per name in what, cells first: each
+    (n_r,) or (h, n_r), with h the same for every run. config is one
+    ScalarConfig for every run or a sequence of one per run (another
+    length raises InvalidArgument), and each run keeps its own time plan
+    (_time_steps) under its config on the speed bound speed(r, ranges),
+    where ranges[r] is the range (min, max) of its cells before the step.
 
     The runs' rows lie in the layout of core._FlatRows, so every row (a v,
     a w row, an LxF component) carries its two ghost cells and every
     shifted operand is a contiguous view at a one-element offset. For the
     runs in the rows the loop keeps, it lays out one step buffer per array,
-    copies each run's cells in, and calls build(layout, buffers), where
-    buffers holds the (buf, rows, ahead) triple of each array; build
-    returns advance(plan), which steps every row once, where plan lists
-    (r, step, dt, t_next, lands) for the run r in each row. A step updates
-    every column; the ghost columns after an update are junk that no cell
-    reads, and each step refills the ghosts first. The layout is built
-    before the first step and again whenever a run's plan has ended, so
-    that run leaves the arrays for good. build takes every scratch buffer
-    from the layout (layout.buffers, layout.shifted, layout.column,
+    copies each run's cells in, and calls build(layout, buffers,
+    dt_schedules), where buffers holds the (buf, rows, ahead) triple of
+    each array and dt_schedules[r] the dt of each step run r has taken;
+    build returns advance(plan), which steps every row once, where plan
+    lists (r, step, dt, t_next, lands) for the run r in each row. A step
+    updates every column, so before each one the loop refills the ghost
+    cells of every array (core._FlatRows.ghost_pairs). The layout is
+    built before the first step and again whenever a run's plan has ended,
+    so that run leaves the arrays for good. build takes every scratch
+    buffer from the layout (layout.buffers, layout.shifted, layout.column,
     layout.zeros), so each layout reuses the memory of the one before
     (core._Arena). After each step the range of every row of the first
     array is reduced once: it is both the blow-up check (a non-finite cell
     raises NumericalBlowup, naming what[0]) and the input of the next
-    speed bound. Each dt is appended to dt_schedule[r].
+    speed bound.
 
     Each run's records live in one block per array, allocated before the
     first step: (T,) + the shape of that initial array, with T = 1 +
@@ -344,24 +350,34 @@ def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
     the initial data, and each step that lands on a record time writes the
     next, where a non-finite value in any array after the first raises
     NumericalBlowup. An error from one run of a batch names the run.
-    Returns (times, record_steps, speed_bound, blocks) per run: the record
-    times, the step count at each later record, the largest speed bound
-    used, and the tuple of blocks, one per array.
+    Returns (times, meta, blocks) per run: the record times, the meta
+    (dt_schedule, the dt of every step; record_steps, the step count at
+    each later record; speed_bound, the largest one used), and the tuple
+    of blocks, one per array.
     """
     batch = len(runs)
     configs = [config] * batch if isinstance(config, ScalarConfig) else config
     if len(configs) != batch:
         raise InvalidArgument(
             f"{len(configs)} configs for a batch of {batch} runs")
+    boundary = starts[0].boundary
+    if any(start.boundary != boundary for start in starts):
+        raise InvalidArgument("batch runs disagree on boundary mode")
+    periodic = boundary == "periodic"
     speed_bound = [0.0] * batch
+    dt_schedules = [[] for _ in runs]
 
     def bound(r):
         L = speed(r, ranges)
         speed_bound[r] = max(speed_bound[r], L)
         return L
 
-    plans = [_time_steps(configs[r], dxs[r], functools.partial(bound, r))
-             for r in range(batch)]
+    # run r's plan yields (r, step, dt, t_next, lands), then None for good
+    plans = [itertools.chain(
+        map((r,).__add__, _time_steps(cfg, start.grid.dx,
+                                      functools.partial(bound, r))),
+        itertools.repeat(None))
+        for r, (cfg, start) in enumerate(zip(configs, starts))]
     blocks = [tuple(np.empty((1 + len(_record_plan(cfg)),) + a.shape)
                     for a in run) for cfg, run in zip(configs, runs)]
     for block, run in zip(blocks, runs):
@@ -371,8 +387,8 @@ def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
     arena = _Arena()
 
     def lay_out(rows):
-        """Step buffers for the runs rows, each holding its cells; every
-        layout reuses the memory of the one before."""
+        """Step buffers for the runs rows, each holding its cells, and their
+        ghost fills; every layout reuses the memory of the one before."""
         arena.reset()
         layout = _FlatRows([runs[r][0].shape[-1] for r in rows], arena.zeros)
         buffers = [layout.buffers(a.shape[:-1]) for a in runs[0]]
@@ -381,30 +397,33 @@ def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
             for new, old in zip(now, cells[r]):
                 new[...] = old
             cells[r] = now
-        return layout, buffers, build(layout, buffers)
+        fills = [(buf, *layout.ghost_pairs(math.prod(a.shape[:-1]),
+                                           periodic))
+                 for (buf, _, _), a in zip(buffers, runs[0]) if a.size]
+        return layout, buffers, fills, build(layout, buffers, dt_schedules)
 
     rows = list(range(batch))  # the run held in each row of the arrays
-    layout, buffers, advance = lay_out(rows)
+    layout, buffers, fills, advance = lay_out(rows)
     lo, hi = layout.ranges(buffers[0][1])
     ranges = list(zip(lo, hi))
     times = [[0.0] for _ in rows]
     record_steps = [[] for _ in rows]
     while True:
-        plan = []
-        for r in rows:
-            try:
-                item = next(plans[r], None)
-            except SplitlawError as exc:
-                raise _in_row(exc, r, batch) from None
-            if item is not None:
-                plan.append((r, *item))
-        if not plan:
-            return list(zip(times, record_steps, speed_bound, blocks))
-        if len(plan) < len(rows):  # some plans have ended: lay out again
-            rows = [r for r, *_ in plan]
-            for r in rows:  # out of the memory the new layout reuses
-                cells[r] = tuple(a.copy() for a in cells[r])
-            layout, buffers, advance = lay_out(rows)
+        plan = _each_row(plans, next)
+        if None in plan:  # some plans have ended
+            plan = [item for item in plan if item is not None]
+            if not plan:
+                return [(times[r], {"dt_schedule": dt_schedules[r],
+                                    "record_steps": record_steps[r],
+                                    "speed_bound": speed_bound[r]},
+                         blocks[r]) for r in range(batch)]
+            if len(plan) < len(rows):  # lay out again without them
+                rows = [r for r, *_ in plan]
+                for r in rows:  # out of the memory the new layout reuses
+                    cells[r] = tuple(a.copy() for a in cells[r])
+                layout, buffers, fills, advance = lay_out(rows)
+        for buf, ghosts, edges in fills:
+            buf[ghosts] = buf[edges]
         advance(plan)
         lo, hi = layout.ranges(buffers[0][1])
         for i, (r, step, dt, t, lands) in enumerate(plan):
@@ -413,7 +432,7 @@ def _march_rows(config, dxs, runs, dt_schedule, speed, build, what):
                 raise _in_row(NumericalBlowup(
                     step, f"non-finite {what[0]} at step {step}, t={t!r}"),
                     r, batch)
-            dt_schedule[r].append(dt)
+            dt_schedules[r].append(dt)
             if lands:
                 j = len(times[r])
                 times[r].append(t)
@@ -484,17 +503,14 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
     batch = len(inits)
     locked = b_of_v is not None
     w0s = list(w0s) if locked else [()] * batch
-    for r, init in enumerate(inits):
-        try:
-            flux.check_admissible(init.values)
-            if not np.all(np.isfinite(init.values)):
-                raise InvalidArgument("initial data must be finite")
-        except SplitlawError as exc:
-            raise _in_row(exc, r, batch) from None
-    boundary = _batch_boundary(inits)
-    grids = [init.grid for init in inits]
-    dxs = [grid.dx for grid in grids]
-    periodic = boundary == "periodic"
+
+    def admissible(init):
+        flux.check_admissible(init.values)
+        if not np.all(np.isfinite(init.values)):
+            raise InvalidArgument("initial data must be finite")
+
+    _each_row(inits, admissible)
+    dxs = [init.grid.dx for init in inits]
     convex = flux.convexity == "convex"
     g_into = flux.g_into
     if g_into is None:  # a user g allocates its result; copy it in
@@ -507,15 +523,13 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
                               "of w fields")
     m = len(w0s[0])
 
-    runs = []
-    for r, init in enumerate(inits):
-        try:
-            W = (_w_stack(init, b_of_v, w0s[r]) if locked
-                 else np.empty((0, init.grid.n)))
-        except SplitlawError as exc:
-            raise _in_row(exc, r, batch) from None
-        runs.append((init.values, W))
-    dt_schedule = [[] for _ in inits]
+    def arrays(r):
+        """Run r's initial v and (m, n) w stack."""
+        init = inits[r]
+        return init.values, (_w_stack(init, b_of_v, w0s[r]) if locked
+                             else np.empty((0, init.grid.n)))
+
+    runs = _each_row(range(batch), arrays)
     # each run's step constants and the range (min v, max v) they were
     # taken on: (range, speed bound L, critical point omega, g(omega),
     # roundoff allowance of a locked step), and those of the range before:
@@ -544,9 +558,9 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
             consts[r] = (ranges[r], L, omega, g_omega, tol)
         return consts[r][1]
 
-    def build(layout, buffers):
+    def build(layout, buffers, dt_schedules):
         nonlocal stale
-        (vbuf, ve, v_right), (wbuf, We, _) = buffers
+        (vbuf, ve, v_right), (_, We, _) = buffers
         shape = ve.shape
         # G[j] is the flux between columns j and j + 1 of v
         select = _Selection(shape, convex, layout.zeros)
@@ -563,8 +577,6 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
         # per-column omega, g(omega) and mu, when the rows differ
         cols = [layout.column() for _ in range(3)]
         vbuf[-1] = ve[layout.cells[-1]][-1]  # the spare cell is in g's domain
-        v_ghosts, v_edges = layout.ghost_pairs(1, periodic)
-        w_ghosts, w_edges = layout.ghost_pairs(m, periodic)
         stale = True
         omega = g_omega = positive = mu = mus = None
 
@@ -585,7 +597,6 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
                 now = [dt / dxs[r] for r, _, dt, _, _ in plan]
                 if now != mus:
                     mus, mu = now, layout.per_row(now, cols[2])
-            vbuf[v_ghosts] = vbuf[v_edges]
             g_into(vbuf, gbuf)
             select(ve, v_right, ga, gb, omega, g_omega)
             np.multiply(G, mu, out=mu_out)
@@ -600,21 +611,17 @@ def _march(flux, inits, config, b_of_v=None, w0s=None):
                     if alpha_min[i] < -tol or G_min[i] < -tol:
                         start = layout.offsets[i]
                         raise _in_row(_oversized_step(
-                            step, dt_schedule[r], alpha[layout.cells[i]],
+                            step, dt_schedules[r], alpha[layout.cells[i]],
                             G[start:layout.cells[i].stop], tol), r, batch)
-                wbuf[w_ghosts] = wbuf[w_edges]
                 _ride(We, ve, alpha, beta, positive, nonzero, lam, lam_left)
             np.add(alpha, beta, out=ve)
 
         return advance
 
     trajs = []
-    for r, (times, record_steps, speed_bound, (v_block, W_block)) in (
-            enumerate(_march_rows(config, dxs, runs, dt_schedule, speed,
-                                  build, ("v", "w")))):
-        grid = grids[r]
-        meta = {"dt_schedule": dt_schedule[r], "record_steps": record_steps,
-                "speed_bound": speed_bound}
+    for init, (times, meta, (v_block, W_block)) in zip(inits, _march_rows(
+            config, inits, runs, speed, build, ("v", "w"))):
+        grid, boundary = init.grid, init.boundary
         trajs.append((
             Trajectory(times, [CellField(grid, row, boundary)
                                for row in v_block], meta),
@@ -681,7 +688,8 @@ def _oversized_step(step, dt_schedule, alpha, G, tol):
 
 
 def oleinik_excess(fieldv, t, c, orientation="convex"):
-    """Positive part of the worst one-sided slope violation at time t.
+    """Positive part of the worst one-sided slope violation at time t, or
+    NaN when a slope is NaN (core._worst_residual).
 
     Convex flux bounds forward slopes by 1/(c t); the concave case is the
     x-reflection of that.
@@ -696,8 +704,7 @@ def oleinik_excess(fieldv, t, c, orientation="convex"):
     bound = 1.0 / (c * t)
     if orientation == "concave":
         slopes = -slopes
-    worst = float(np.max(slopes - bound)) if len(slopes) else 0.0
-    return max(0.0, worst)
+    return _worst_residual([float(np.max(slopes - bound))])
 
 
 def kruzkov_pair(flux, kappa):

@@ -168,9 +168,12 @@ def solve_split_many(flux, b_of_v, v0s, w0s, config):
 
 
 def weighted_sup_norm(w_field, v_field):
-    """sup |w|/v with 0/0 counted as 0 and w/0 for w != 0 as inf."""
+    """sup |w|/v with 0/0 counted as 0 and w/0 for w != 0 as inf; NaN when
+    a cell of w or v is NaN, which a max would drop."""
     w = w_field.values
     v = v_field.values
+    if np.isnan(w).any() or np.isnan(v).any():
+        return math.nan
     zero = v == 0.0
     if np.any(w[zero] != 0.0):
         return math.inf
@@ -191,11 +194,6 @@ def _velocity_rows(pair, kernel, ts):
     if np.any(den <= 0.0):
         raise DegenerateDensity("mollified density vanishes")
     return num / den
-
-
-def _regularized_velocity(pair, kernel, t):
-    """Smoothed velocity mollify(b rho)/mollify(rho) at time t."""
-    return pair.rho.fields[0].with_values(_velocity_rows(pair, kernel, [t])[0])
 
 
 class VelocityField:
@@ -224,10 +222,6 @@ class VelocityField:
         self._index = {t: i for i, t in enumerate(self._times)}
         self._rows = {}
 
-    def at(self, t):
-        """The regularized velocity at time t, as a field."""
-        return _regularized_velocity(self.pair, self.kernel, t)
-
     def _row(self, t):
         if t not in self._rows:
             i = self._index.get(t)
@@ -248,21 +242,28 @@ class VelocityField:
 
 
 def _rk4_steps(velocity, t0, t1):
-    """flow_map's RK4 step h from t0 to t1 and, per step, its sample times
-    (t, t + h/2, t + h), with t advanced by repeated addition of h."""
+    """flow_map's RK4 step h from t0 to t1, negative going backward, and,
+    per step, its sample times t0 +- (s, s + |h|/2, s + |h|), with s
+    advanced from 0 by repeated addition of |h|."""
     h_target = min(velocity.pair.grid.dx, velocity.spec.epsilon / 4.0)
     n = max(1, int(math.ceil(abs(t1 - t0) / h_target)))
     h = (t1 - t0) / n
-    starts = itertools.accumulate([h] * (n - 1), initial=t0)
-    return h, [(t, t + 0.5 * h, t + h) for t in starts]
+    size, sign = abs(h), math.copysign(1.0, h)
+    starts = itertools.accumulate([size] * (n - 1), initial=0.0)
+    return h, [(t0 + sign * s, t0 + sign * (s + 0.5 * size),
+                t0 + sign * (s + size)) for s in starts]
 
 
 def flow_map(velocity, t0, t1, x0):
-    """RK4 integration of dx/dt = velocity.sample(t, x) from t0 to t1."""
+    """RK4 integration of dx/dt = velocity.sample(t, x) from t0 to t1,
+    backward in time when t1 < t0, on sample times first named to
+    velocity.plan. A backward run is bitwise the forward run from 0 of the
+    reflected field -velocity(t0 - s, x), as negation is exact."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if t1 - t0 == 0.0:
         return x if np.ndim(x0) else float(x[0])
     h, steps = _rk4_steps(velocity, t0, t1)
+    velocity.plan([t for step in steps for t in step])
     for t, t_mid, t_end in steps:
         k1 = velocity.sample(t, x)
         k2 = velocity.sample(t_mid, x + 0.5 * h * k1)
@@ -278,8 +279,7 @@ def solve_by_characteristics(pair, w0, spec, record_times):
     For each record time t, cells are traced backward to time 0 through the
     mollified velocity; the ratio there multiplies the mollified density at
     time t. Smooth route: approximate by construction, used as the
-    independent cross-check against the upwind scheme. Each trace plans its
-    RK4 sample times, so its velocity rows come in stacks.
+    independent cross-check against the upwind scheme.
     """
     velocity = VelocityField(pair, spec)
     kernel, centers = velocity.kernel, velocity.centers
@@ -293,28 +293,12 @@ def solve_by_characteristics(pair, w0, spec, record_times):
         if t == 0.0:
             w_vals = lam0 * rho0_smooth
         else:
-            _, steps = _rk4_steps(velocity, 0.0, t)  # those of the trace
-            velocity.plan([t - s for step in steps for s in step])
-            back = flow_map(_Reversed(velocity, t), 0.0, t, centers)
+            back = flow_map(velocity, t, 0.0, centers)
             lam = np.interp(back, centers, lam0)
             w_vals = lam * _convolve(pair.rho_at(t), kernel).values
         fields.append(CellField(pair.grid, w_vals, w0.boundary))
     return Trajectory([float(t) for t in record_times], fields,
                       {"mollifier": spec.epsilon})
-
-
-class _Reversed:
-    """Time-reflected, negated velocity: integrating it forward over [0, t]
-    realizes the backward flow of the original field from t to 0."""
-
-    def __init__(self, velocity, t_top):
-        self.velocity = velocity
-        self.t_top = t_top
-        self.pair = velocity.pair
-        self.spec = velocity.spec
-
-    def sample(self, s, x):
-        return -self.velocity.sample(self.t_top - s, x)
 
 
 def renorm_residual(pair, w_traj, beta, test_fns):

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitlaw import _kernels
-from splitlaw.chroma import (ChromState, solve_chromatography,
-                             solve_chromatography_many, solve_direct,
-                             solve_direct_many)
+from splitlaw.chroma import (ChromState, semigroup_defect_many,
+                             solve_chromatography, solve_chromatography_many,
+                             solve_direct, solve_direct_many)
 from splitlaw.core import (CellField, FluxFunction, Grid1D, Trajectory,
                            burgers_flux, chromatography_flux, mass, project)
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup)
-from splitlaw.kk import KKState, solve_kk, solve_kk_many
+from splitlaw.kk import KKState, affine_speed, solve_kk, solve_kk_many
 from splitlaw.scalar import (ScalarConfig, _record_plan, _time_steps,
                              comparison_defect, critical_point,
                              max_principle_defect, solve_scalar,
@@ -790,6 +790,21 @@ def test_batches_need_one_boundary_and_one_stack_height():
         with pytest.raises(InvalidArgument,
                            match="^invalid-argument: row 1: components"):
             solve([good, bad], cfg)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda cfg: solve_scalar_many(chromatography_flux(), [], cfg),
+    lambda cfg: solve_split_many(chromatography_flux(), _b, [], [], cfg),
+    lambda cfg: solve_chromatography_many([], cfg),
+    lambda cfg: solve_direct_many([], cfg),
+    lambda cfg: solve_kk_many([], *affine_speed(1.0, 1.0), cfg),
+    lambda cfg: semigroup_defect_many([], [(0.25, 0.25)], cfg),
+], ids=["scalar", "split", "chroma", "direct", "kk", "semigroup"])
+def test_every_batch_solver_refuses_an_empty_batch(solve):
+    with pytest.raises(InvalidArgument) as err:
+        solve(ScalarConfig(t_end=0.5, fixed_dt=0.125))
+    assert str(err.value) == (
+        "invalid-argument: a batch needs at least one run")
 
 
 def _prefixed(err, row):

@@ -14,7 +14,9 @@ from splitlaw.core import (
     CellField,
     FluxFunction,
     Grid1D,
+    SplitTrajectory,
     Trajectory,
+    VectorState,
     bump_test,
     burgers_flux,
     chromatography_c,
@@ -203,6 +205,22 @@ def test_trajectory_record_lookup():
         traj.at(0.3)
     with pytest.raises(InvalidArgument):
         Trajectory([0.0, 0.25], fields)
+
+
+def test_a_split_trajectory_is_a_trajectory_of_its_states():
+    """Record lookup, length and grid are Trajectory's, so mismatched times
+    and states are refused as there; they used to build, report the
+    length of the times and fail in at() with a bare IndexError."""
+    g = Grid1D(0.0, 1.0, 4)
+    states = [VectorState([CellField(g, np.full(4, float(j)))])
+              for j in range(2)]
+    with pytest.raises(InvalidArgument, match="length mismatch"):
+        SplitTrajectory([0.0, 1.0], states[:1], None, [], {})
+    traj = SplitTrajectory([0, 0.5], states, None, [], {"k": 1})
+    assert isinstance(traj, Trajectory)
+    assert traj.states is traj.fields and traj.states == states
+    assert traj.times == [0.0, 0.5] and len(traj) == 2 and traj.grid == g
+    assert traj.at(0.5) is states[1] and traj.meta == {"k": 1}
 
 
 def test_bump_test_support_and_peak():
@@ -482,3 +500,46 @@ def test_no_module_imports_a_name_it_never_uses():
         "Trajectory"]
     assert _unused_imports("import a.b as c\nfrom d import e  "
                            "# noqa: F401\n__all__ = ['c']\n") == []
+
+
+def _unnamed_privates(texts):
+    """The private module-level functions, classes and constants of the
+    modules texts (module name -> source) that no other line of any of
+    them names: a name read in an expression, or an attribute, counts;
+    its definition and an import alone do not."""
+    trees = {module: ast.parse(text) for module, text in texts.items()}
+    named = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    unnamed = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unnamed += [f"{module}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")
+                        and name not in named]
+    return unnamed
+
+
+def test_no_private_module_name_goes_unused_in_src():
+    """A private helper that only tests call belongs in the tests."""
+    src = Path(__file__).resolve().parents[1] / "src" / "splitlaw"
+    assert _unnamed_privates({path.stem: path.read_text()
+                              for path in sorted(src.glob("*.py"))}) == []
+    # the check sees unused privates, and a use in another module, as an
+    # attribute or in its own body
+    assert _unnamed_privates({
+        "a": "def _f():\n    return _f\ndef _g():\n    pass\n"
+             "_K = 1\n_L: int = 2\nclass _C:\n    pass\n__all__ = []\n",
+        "b": "from a import _C, _L\nimport a\nx = a._g(_L)\n",
+    }) == ["a._K", "a._C"]

@@ -337,6 +337,18 @@ def test_oleinik_excess_measures_one_sided_slopes():
         oleinik_excess(fan, 1.0, 2.0, orientation="sideways")
 
 
+@pytest.mark.parametrize("orientation", ["convex", "concave"])
+def test_oleinik_excess_is_nan_when_a_slope_is_nan(orientation):
+    """max(0.0, nan) is 0.0, so a NaN slope used to read as no excess."""
+    grid = Grid1D(-2.0, 2.0, 8)
+    for values in ([0.0, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0],
+                   [math.inf, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            excess = oleinik_excess(CellField(grid, values), 1.0, 2.0,
+                                    orientation)
+        assert math.isnan(excess)
+
+
 def test_kruzkov_pair_values():
     eta, q = kruzkov_pair(burgers_flux(), 0.5)
     assert float(eta(1.5)) == 1.0

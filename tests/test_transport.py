@@ -33,7 +33,6 @@ from splitlaw.transport import (
     TransportPair,
     VelocityField,
     _gaussian_kernel,
-    _regularized_velocity,
     _velocity_rows,
     flow_map,
     joint_speed_flux,
@@ -334,6 +333,21 @@ def test_weighted_sup_norm_conventions():
     assert weighted_sup_norm(w_bad, v) == math.inf
 
 
+def test_weighted_sup_norm_is_nan_when_a_cell_is_nan():
+    """max(0.0, nan) is 0.0 and nan != 0.0 read as w/0, so a NaN in w or v
+    used to read as 0.0 or inf."""
+    grid = Grid1D(0.0, 1.0, 4)
+    v = CellField(grid, [1.0, 2.0, 0.0, 4.0])
+    w = CellField(grid, [0.5, -1.0, 0.0, 1.0])
+    for j in range(4):  # j = 2 is a cell where v = 0
+        w_nan = w.values.copy()
+        w_nan[j] = math.nan
+        assert math.isnan(weighted_sup_norm(w.with_values(w_nan), v))
+        v_nan = v.values.copy()
+        v_nan[j] = math.nan
+        assert math.isnan(weighted_sup_norm(w, v.with_values(v_nan)))
+
+
 def test_weighted_sup_norm_matches_the_per_cell_definition():
     def per_cell(w, v):
         out = 0.0
@@ -363,16 +377,16 @@ def test_regularized_velocity_is_a_weighted_average_of_b():
     grid, vt = _smooth_run(n=128, t_end=0.25, records=6)
     pair = TransportPair(vt, _b)
     spec = MollifierSpec(4.0 * grid.dx)
-    reg = _regularized_velocity(pair, _gaussian_kernel(grid.dx, spec), 0.1)
+    (reg,) = _velocity_rows(pair, _gaussian_kernel(grid.dx, spec), [0.1])
     b_vals = _b(pair.rho_at(0.1).values)
-    assert np.min(reg.values) >= np.min(b_vals) - 1e-12
-    assert np.max(reg.values) <= np.max(b_vals) + 1e-12
+    assert np.min(reg) >= np.min(b_vals) - 1e-12
+    assert np.max(reg) <= np.max(b_vals) + 1e-12
     # constant b passes through the quotient untouched
     grid_c, pair_c = _constant_pair(0.4)
     spec_c = MollifierSpec(4.0 * grid_c.dx)
-    reg_c = _regularized_velocity(pair_c, _gaussian_kernel(grid_c.dx, spec_c),
-                                  0.5)
-    assert np.max(np.abs(reg_c.values - 0.4)) <= 1e-12
+    (reg_c,) = _velocity_rows(pair_c, _gaussian_kernel(grid_c.dx, spec_c),
+                              [0.5])
+    assert np.max(np.abs(reg_c - 0.4)) <= 1e-12
 
 
 def test_regularized_velocity_needs_positive_density():
@@ -381,8 +395,9 @@ def test_regularized_velocity_needs_positive_density():
     vt = Trajectory([0.0, 1.0], [zero, zero.copy()])
     pair = TransportPair(vt, _b)
     with pytest.raises(DegenerateDensity):
-        _regularized_velocity(
-            pair, _gaussian_kernel(grid.dx, MollifierSpec(4.0 * grid.dx)), 0.5)
+        _velocity_rows(
+            pair, _gaussian_kernel(grid.dx, MollifierSpec(4.0 * grid.dx)),
+            [0.5])
 
 
 def test_velocity_field_sampling_and_padding():
@@ -390,11 +405,11 @@ def test_velocity_field_sampling_and_padding():
     pair = TransportPair(vt, _b)
     velocity = VelocityField(pair, MollifierSpec(4.0 * grid.dx))
     centers = grid.centers()
-    assert np.allclose(velocity.sample(0.1, centers),
-                       velocity.at(0.1).values, atol=1e-14)
+    (row,) = _velocity_rows(pair, velocity.kernel, [0.1])
+    assert np.allclose(velocity.sample(0.1, centers), row, atol=1e-14)
     # just outside the box: edge-value extension, no error
     edge = velocity.sample(0.1, grid.x_max + 0.1)
-    assert edge == pytest.approx(float(velocity.at(0.1).values[-1]))
+    assert edge == pytest.approx(float(row[-1]))
     with pytest.raises(OutOfDomain):
         velocity.sample(0.1, grid.x_max + 100.0)
     # either side, and one escaped point among many
@@ -413,13 +428,12 @@ def test_flow_map_constant_velocity_is_a_translation():
 
 
 def test_flow_map_roundtrip_and_jacobian_bounds():
-    from splitlaw.transport import _Reversed
     grid, vt = _smooth_run(n=256, t_end=0.5, records=21)
     pair = TransportPair(vt, _b)
     velocity = VelocityField(pair, MollifierSpec(8.0 * grid.dx))
     x0 = np.array([-0.5, 0.0, 0.4])
     fwd = flow_map(velocity, 0.0, 0.5, x0)
-    back = flow_map(_Reversed(velocity, 0.5), 0.0, 0.5, fwd)
+    back = flow_map(velocity, 0.5, 0.0, fwd)
     assert np.max(np.abs(back - x0)) <= 1e-8
     # volume distortion is controlled by the density ratio
     matrix = np.stack([f.values for f in vt.fields])
@@ -502,8 +516,25 @@ class _VelocityPerCall:
         return np.interp(x, grid.centers(), f.values)
 
 
+class _Reversed:
+    """The backward flow as written before flow_map ran backward itself:
+    the time-reflected, negated velocity, integrated forward over [0, t].
+    It plans nothing, so every row is built at its own time."""
+
+    def __init__(self, velocity, t_top):
+        self.velocity = velocity
+        self.t_top = t_top
+        self.pair = velocity.pair
+        self.spec = velocity.spec
+
+    def plan(self, times):
+        pass
+
+    def sample(self, s, x):
+        return -self.velocity.sample(self.t_top - s, x)
+
+
 def _characteristics_per_call(pair, w0, spec, record_times):
-    from splitlaw.transport import _Reversed
     rho0 = pair.rho_at(0.0)
     lam0 = (_mollify_once_per_call(w0, spec).values
             / _mollify_once_per_call(rho0, spec).values)
@@ -525,8 +556,10 @@ def _characteristics_per_call(pair, w0, spec, record_times):
     (128, 5.5, "constant-extension")])
 def test_characteristics_are_bitwise_the_per_call_mollifier(n, width,
                                                             boundary):
-    """Sharing the weights and the cell centres moves no bit of the
-    characteristics route, at record times on and off the solver's."""
+    """Sharing the weights and the cell centres, planning the sample times
+    and running flow_map backward moves no bit of the characteristics
+    route (the reference integrates the reflected field forward), at
+    record times on and off the solver's."""
     grid = Grid1D(-2.0, 2.0, n)
     v0 = CellField(grid, _bump(grid).values, boundary)
     cfg = ScalarConfig(t_end=0.25,
@@ -561,7 +594,7 @@ def test_velocity_rows_built_as_one_stack_are_the_per_time_rows(boundary):
     rows = _velocity_rows(pair, kernel, ts)
     assert rows.shape == (len(ts), grid.n)
     for t, row in zip(ts, rows, strict=True):
-        alone = _regularized_velocity(pair, kernel, t).values
+        (alone,) = _velocity_rows(pair, kernel, [t])
         per_call = _VelocityPerCall(pair, spec).at(t).values
         assert row.tobytes() == alone.tobytes() == per_call.tobytes()
 
