@@ -546,6 +546,7 @@ def criterion_11(level="full"):
                                                    - target.values))))
         ok = ok and worst == 0.0
         parts.append(f"(a) stage defect {worst:.0e}")
+        del traj, f, target  # gone before the longer evolve below
 
         mids = [0.5 * (t0 + t1) for (_, t0, t1) in sched.stages]
         ts = sorted(set([sched.t_start] + mids + ends))

@@ -85,9 +85,14 @@ def chessboard(k, grid):
         raise InvalidArgument("need k >= 0")
     # the tile at (a, b) is +1 when a + b is even: the product of the
     # +-1 tile parities of its row and column, exactly +-1.0
-    tile = 2 ** (grid.m - k)
-    s = np.where(np.arange(grid.n) // tile % 2 == 0, 1.0, -1.0)
+    s = _parities(k, grid, float)
     return CellField2D(grid, np.multiply.outer(s, s))
+
+
+def _parities(k, grid, dtype):
+    """The +-1 tile parity of chessboard level k along one axis."""
+    tile = 2 ** (grid.m - k)
+    return np.where(np.arange(grid.n) // tile % 2 == 0, 1, -1).astype(dtype)
 
 
 class StageMap:
@@ -97,6 +102,10 @@ class StageMap:
     half a block) a quarter turn counterclockwise. sup_unit is the time-1
     field's top speed, below 1 by construction, and bv_unit its total
     variation; a schedule runs the field scaled by its field_scale(t).
+
+    The map is kept as one flat source per cell, src (int32 while the grid
+    has at most 2^31 - 1 cells), and the field as its P x P period
+    (P = 2B), which repeats over the grid.
     """
 
     def __init__(self, k, grid):
@@ -109,33 +118,40 @@ class StageMap:
         self.grid = grid
         self.B = 2 ** (grid.m - k + 1)  # block side in cells
         self.off = self.B // 2
-        # permutation: out[i,j] = values[src_i[i,j], src_j[i,j]]
-        p, q = np.indices((self.B, self.B))
-        self.src_i, self.src_j = self._sources(q, self.B - 1 - p)
+        # int32 indices while every cell of the grid has one, intp past
+        self._index = np.int32 if grid.n ** 2 <= np.iinfo(np.int32).max \
+            else np.intp
+        # permutation: out.flat[c] = values.flat[src.flat[c]]
+        p, q = np.indices((self.B, self.B), dtype=self._index)
+        self.src = self._sources(q, self.B - 1 - p)
         self._build_rings()
         self._measure_field()
         self._self_check()
 
     def _sources(self, lp, lq):
-        """Global (src_i, src_j) of the map that moves each cell (p, q) of
+        """Flat sources (N x N) of the map that moves each cell (p, q) of
         every rotating block from block cell (lp[p, q], lq[p, q]) and fixes
         every other cell."""
         N, P = self.grid.n, 2 * self.B
         reps = N // P
         # the cell i = a*B + p + off (mod N) of a rotating block reads
-        # a*B + lp[p, q] + off = i + lp[p, q] - p: a shift with period P,
-        # added to the cell index straight into the result
-        p = np.arange(self.B)
-        src = []
-        for shift, cells in ((lp - p[:, None], (reps, P, 1, 1)),
-                             (lq - p[None, :], (1, 1, reps, P))):
-            moved = np.empty((N, N), dtype=shift.dtype)
-            np.add(self._period(shift).reshape(1, P, 1, P),
-                   np.arange(N).reshape(cells),
-                   out=moved.reshape(reps, P, reps, P))
-            moved &= N - 1  # N is a power of two: % N, negatives included
-            src.append(moved)
-        return tuple(src)
+        # a*B + lp[p, q] + off = i + lp[p, q] - p: a shift with period P
+        # on both axes. The source row, times N, is written straight into
+        # the result; the source column depends on (i mod P, j) only, so
+        # it is made once for P rows and added to every P-row band
+        p = np.arange(self.B, dtype=lp.dtype)
+        cells = np.arange(N, dtype=lp.dtype)
+        src = np.empty((N, N), dtype=lp.dtype)
+        bands = src.reshape(reps, P, reps, P)
+        np.add(self._period(lp - p[:, None]).reshape(1, P, 1, P),
+               cells.reshape(reps, P, 1, 1), out=bands)
+        src &= N - 1  # N is a power of two: % N, negatives included
+        src *= N
+        col = self._period(lq - p[None, :]).reshape(P, 1, P) \
+            + cells.reshape(1, reps, P)
+        col &= N - 1
+        bands += col
+        return src
 
     def _period(self, block):
         """The P x P corner (P = 2B) of the grid pattern that holds block on
@@ -157,17 +173,20 @@ class StageMap:
         # going right; ring r has side 2r+1 around the block centre, and
         # all rings are listed back to back, ring r from index 4 r^2 on
         h = self.B // 2
-        side = 2 * np.arange(h) + 1
-        start = 4 * np.arange(h) ** 2
-        ring = np.repeat(np.arange(h), 4 * side)
-        place = np.arange(4 * h * h) - start[ring]  # place within the ring
+        r = np.arange(h, dtype=self._index)
+        side = 2 * r + 1
+        start = 4 * r ** 2
+        ring = np.repeat(r, 4 * side)
+        place = np.arange(4 * h * h, dtype=self._index)
+        place -= start[ring]  # place within the ring
         leg, u = np.divmod(place, side[ring])  # the side, the step along it
         lo, hi = h - 1 - ring, h + ring
         # (p, q) on leg 0: (hi, lo + u), 1: (hi - u, hi), 2: (lo, hi - u),
         # 3: (lo + u, lo)
-        p = np.where(leg < 2, hi, lo) + np.array([0, -1, 0, 1])[leg] * u
-        q = np.where((leg == 1) | (leg == 2), hi, lo) \
-            + np.array([1, 0, -1, 0])[leg] * u
+        p = np.where(leg < 2, hi, lo)
+        p += np.array([0, -1, 0, 1], dtype=self._index)[leg] * u
+        q = np.where((leg == 1) | (leg == 2), hi, lo)
+        q += np.array([1, 0, -1, 0], dtype=self._index)[leg] * u
         self._ring_cells = p, q, ring, place
 
     @property
@@ -175,7 +194,8 @@ class StageMap:
         """Each ring's (rows, columns) of its listed cells, innermost first."""
         p, q, _, _ = self._ring_cells
         cut = 4 * np.arange(1, self.B // 2) ** 2
-        return list(zip(np.split(p, cut), np.split(q, cut)))
+        return list(zip(np.split(p.astype(int), cut),
+                        np.split(q.astype(int), cut)))
 
     def _relative_coords(self, xc, yc):
         """Block-relative physical offsets and the rotating mask at the
@@ -215,7 +235,7 @@ class StageMap:
         return tuple(out)
 
     def _measure_field(self):
-        N, B, dx = self.grid.n, self.B, self.grid.dx
+        N, B = self.grid.n, self.B
         # Every rotating block holds the same field, since a cell's offset
         # within its block is computed exactly: the field is evaluated once,
         # on the cells of the rotating block (0, 1) in rolled coordinates,
@@ -224,30 +244,52 @@ class StageMap:
         i, j = (r + self.off) % N, (r + B + self.off) % N
         vx, vy = self._components(i[:, None] + 0.5, j[None, :] + 0.5, "xy")
         self.sup_unit = float(max(np.max(np.abs(vx)), np.max(np.abs(vy))))
-        reps = (N // (2 * B),) * 2
-        vx = self._center_vx = np.tile(self._period(vx), reps)
-        vy = self._center_vy = np.tile(self._period(vy), reps)
+        self._vx_period, self._vy_period = self._period(vx), self._period(vy)
+        del vx, vy
+        self.bv_unit = self._variation()
+        self.div_max = self._divergence_max(i.astype(float), j.astype(float))
+
+    def _variation(self):
+        """The field's total variation on the torus, summed over whole
+        tiles, which fixes its bits; one tile is alive at a time."""
         tv = 0.0
-        for comp in (vx, vy):
+        for comp in self.center_field():
             for axis in (0, 1):
                 jumps = np.diff(comp, axis=axis)
                 tv += np.sum(np.abs(jumps, out=jumps))
+                del jumps  # gone before the next tile is made
                 wrap = comp.take(0, axis) - comp.take(-1, axis)
                 tv += np.sum(np.abs(wrap))
-        self.bv_unit = float(tv) * dx
+        return float(tv) * self.grid.dx
 
-        # the face divergence repeats with the field, so one period of it
-        # meets every value; past its last face a period wraps to its first
-        i, j = i.astype(float), j.astype(float)
-        vx_face, = self._components(i[:, None], j[None, :] + 0.5, "x")
-        vy_face, = self._components(i[:, None] + 0.5, j[None, :], "y")
-        vx_face, vy_face = self._period(vx_face), self._period(vy_face)
-        div = (np.roll(vx_face, -1, axis=0) - vx_face
-               + np.roll(vy_face, -1, axis=1) - vy_face) / dx
-        self.div_max = float(np.max(np.abs(div)))
+    def _divergence_max(self, i, j):
+        """The largest face divergence, on the rows i and columns j of the
+        rotating block (0, 1). The divergence repeats with the field, so
+        one period of it meets every value; past its last face a period
+        wraps to its first. It is summed in place, in the order of
+        (roll(vx_face, -1, 0) - vx_face + roll(vy_face, -1, 1) - vy_face)."""
+        face = self._period(
+            self._components(i[:, None], j[None, :] + 0.5, "x")[0])
+        div = np.roll(face, -1, axis=0)
+        div -= face
+        del face
+        face = self._period(
+            self._components(i[:, None] + 0.5, j[None, :], "y")[0])
+        div[:, :-1] += face[:, 1:]
+        div[:, -1] += face[:, 0]
+        div -= face
+        div /= self.grid.dx
+        return float(np.max(np.abs(div, out=div)))
+
+    def center_field(self):
+        """The time-1 field's components at the cell centres of the grid,
+        made one at a time by tiling their periods."""
+        reps = (self.grid.n // (2 * self.B),) * 2
+        return (np.tile(period, reps)
+                for period in (self._vx_period, self._vy_period))
 
     def apply(self, values):
-        return values[self.src_i, self.src_j]
+        return values.ravel()[self.src]
 
     def apply_partial(self, values, fraction):
         """Rotate each ring by the nearest whole number of cells for the
@@ -266,30 +308,29 @@ class StageMap:
         # steps places before it
         p, q, ring, place = self._ring_cells
         side = 2 * ring + 1
-        steps = np.floor(fraction * side + 0.5).astype(int)
+        steps = np.floor(fraction * side + 0.5).astype(self._index)
         src = 4 * ring ** 2 + (place - steps) % (4 * side)
-        lp, lq = np.indices((self.B, self.B))
+        lp, lq = np.indices((self.B, self.B), dtype=self._index)
         lp[p, q], lq[p, q] = p[src], q[src]
-        return values[self._sources(lp, lq)]
+        return values.ravel()[self._sources(lp, lq)]
 
     def _self_check(self):
         N = self.grid.n
         # read from the stored sources: the map is a permutation when its
         # N^2 flat sources are none negative, none past the last cell and
-        # none repeated, i.e. when they sort to 0 .. N^2 - 1
-        flat = self.src_i.astype(np.int64)
-        flat *= N
-        flat += self.src_j
-        flat = flat.ravel()
-        if not (flat.size == N * N and flat.min() >= 0):
+        # together read every cell
+        src = self.src.ravel()
+        if src.size != N * N or src.min() < 0 or src.max() >= N * N:
             raise ConstructionBug("stage map is not a permutation")
-        counts = np.bincount(flat, minlength=N * N)
-        if counts.size != N * N or counts.max() != 1:
+        read = np.zeros(N * N, dtype=bool)
+        read[src] = True
+        if not read.all():
             raise ConstructionBug("stage map is not a permutation")
-        # the same map as apply, gathered through the flat sources
-        fine = chessboard(self.k, self.grid).values.ravel()
-        coarse = chessboard(self.k - 1, self.grid).values.ravel()
-        if not np.array_equal(fine[flat], coarse):
+        # the same gather as apply, on the +-1 chessboards held as int8
+        fine, coarse = (_parities(level, self.grid, np.int8)
+                        for level in (self.k, self.k - 1))
+        if not np.array_equal(np.multiply.outer(fine, fine).ravel()[src],
+                              np.multiply.outer(coarse, coarse).ravel()):
             raise ConstructionBug(
                 f"stage {self.k} does not coarsen the chessboard")
         p, q, _, _ = self._ring_cells
@@ -574,8 +615,7 @@ def field_diagnostics(schedule, t_list, grid):
             bv = 0.0
         else:
             st = schedule.stage(k)
-            vx = scale * st._center_vx
-            vy = scale * st._center_vy
+            vx, vy = (scale * comp for comp in st.center_field())
             sup = scale * st.sup_unit
             bv = scale * st.bv_unit
         if prev is None:
@@ -680,10 +720,10 @@ def continuity_residual_2d(schedule, init, test_fns):
                 scale, k = schedule.field_scale(t)
                 integ = np.asarray(tf.dt(t, X, Y), dtype=float)
                 if k is not None and scale != 0.0:
-                    st = schedule.stage(k)
+                    vx, vy = schedule.stage(k).center_field()
                     integ = integ + scale * (
-                        st._center_vx * np.asarray(tf.dx(t, X, Y), dtype=float)
-                        + st._center_vy * np.asarray(tf.dy(t, X, Y), dtype=float))
+                        vx * np.asarray(tf.dx(t, X, Y), dtype=float)
+                        + vy * np.asarray(tf.dy(t, X, Y), dtype=float))
                 slab.append(dA * float(np.sum(values * integ)))
             slab = np.asarray(slab)
             dt = ts[1] - ts[0]

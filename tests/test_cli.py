@@ -718,6 +718,36 @@ def test_a_mistyped_verify_level_is_a_config_error(tmp_path, monkeypatch,
     assert err.startswith("invalid-argument:") and repr(level) in err
 
 
+@pytest.mark.parametrize("text, says", [
+    ("[verify]\nlevel = nope\n", "unknown verify level: 'nope'"),
+    ("[verify]\nlevel =\n", "unknown verify level: ''"),
+    ("[verify]\nlevel = Full\n", "unknown verify level: 'Full'"),
+    ("[verify]\nlevel = full, fast\n",
+     "unknown verify level: 'full, fast'"),
+    ("[verify]\nlevel = fast\nlevels = full\n",
+     "gate.ini: [verify] levels: unknown key"),
+    ("[verify]\nlevel = full\n\n[output]\nbasename = gate\nlevel = full\n",
+     "gate.ini: [output] level: unknown key"),
+    ("[verfy]\nlevel = full\n", "gate.ini: [verfy]: unknown section"),
+    ("[verify]\nlevel = full\n\n[gate]\nlevel = full\n",
+     "gate.ini: [gate]: unknown section"),
+], ids=["unknown-level", "empty-level", "capitalised-level", "two-levels",
+        "stray-key", "key-in-another-section", "misspelt-section",
+        "stray-section"])
+def test_a_verify_config_that_cannot_be_read_exits_2_before_any_criterion(
+        tmp_path, monkeypatch, capsys, text, says):
+    """A verify config with a bad [verify] level, a key or a section the
+    loader does not read is a config error, refused before the gate."""
+    def run_all(level):
+        raise AssertionError(f"run_all({level!r}) ran for a refused config")
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    cfg = _write(tmp_path, "gate.ini", "[experiment]\nkind = verify\n\n"
+                 + text)
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == f"invalid-argument: {says}\n"
+
+
 def test_run_verify_config_writes_diagnostics_and_exits_one_on_a_failure(
         tmp_path, monkeypatch, capsys):
     results = [acceptance.CriterionResult(1, "first", True, "ok"),

@@ -1,6 +1,7 @@
 """Chessboard coarsening schedule on the torus: stage maps, timetables,
 mixing diagnostics, and the weak continuity residual."""
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -432,8 +433,18 @@ def test_stage_arrays_match_the_meshgrid_computation_bitwise():
         for k in ks:
             st = build_stage(k, grid)
             ref = _meshgrid_stage_reference(st)
-            for name in ("src_i", "src_j", "_center_vx", "_center_vy"):
-                got, want = getattr(st, name), ref[name]
+            N = grid.n
+            # one flat source per cell, int32 at these sizes
+            want = ref["src_i"] * N + ref["src_j"]
+            assert (st.src.dtype, st.src.shape) == (np.int32, (N, N))
+            assert st.src.astype(want.dtype).tobytes() == want.tobytes(), (
+                m, k)
+            # the fields are kept as one period each, which tiles the grid
+            P = 2 * st.B
+            assert st._vx_period.shape == st._vy_period.shape == (P, P)
+            for got, name in zip(st.center_field(),
+                                 ("_center_vx", "_center_vy")):
+                want = ref[name]
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), name
                 assert got.tobytes() == want.tobytes(), (m, k, name)
             for name in ("sup_unit", "bv_unit", "div_max"):
@@ -447,12 +458,9 @@ def test_stage_arrays_match_the_meshgrid_computation_bitwise():
 def test_self_check_rejects_a_map_with_a_shared_source():
     st = build_stage(3, Grid2D(4))
     st._self_check()
-    # another cell reading from the same column as cell (0, 0) is sent to
-    # that cell's source row too, so two cells share one source
-    hits = np.argwhere(st.src_j == st.src_j[0, 0])
-    r, c = hits[1]
-    st.src_i = st.src_i.copy()
-    st.src_i[r, c] = st.src_i[0, 0]
+    # the last cell reads the first cell's source too
+    st.src = st.src.copy()
+    st.src[-1, -1] = st.src[0, 0]
     with pytest.raises(ConstructionBug, match="not a permutation"):
         st._self_check()
 
@@ -461,10 +469,10 @@ def test_self_check_rejects_a_map_that_misses_a_cell():
     """A source past the last cell or before the first leaves some cell
     unread, though no two cells share a source."""
     st = build_stage(3, Grid2D(4))
-    good = st.src_i
-    for bad in (st.grid.n, -1):
-        st.src_i = good.copy()
-        st.src_i[-1, -1] = bad
+    good = st.src
+    for bad in (st.grid.n ** 2, -1):
+        st.src = good.copy()
+        st.src[-1, -1] = bad
         with pytest.raises(ConstructionBug, match="not a permutation"):
             st._self_check()
 
@@ -477,6 +485,44 @@ def test_self_check_rejects_rings_that_list_a_cell_twice():
     st._ring_cells = p, q, ring, place
     with pytest.raises(ConstructionBug, match="ring decomposition"):
         st._self_check()
+
+
+def test_a_stage_map_keeps_its_source_in_four_bytes_a_cell():
+    """At the verification scale a map keeps one int32 source per cell and
+    no full-grid int64 array: the ring cells are int32 too."""
+    grid = Grid2D(8)
+    cells = grid.n ** 2
+    for k in (2, 3, 8):
+        st = build_stage(k, grid)
+        kept = [a for v in vars(st).values()
+                for a in (v if isinstance(v, tuple) else (v,))
+                if isinstance(a, np.ndarray)]
+        assert st.src.nbytes <= 4 * cells
+        assert not [a.shape for a in kept
+                    if a.dtype == np.int64 and a.size >= cells], k
+
+
+def _traced_peak(fn):
+    """fn()'s peak of traced memory above what was traced before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_fixture_11_runs_in_under_12_mb_of_traced_memory():
+    """Five stage maps, the state after each stage and the mixing report
+    fit in 12 MB at m = 8; with two int64 sources and two tiled fields
+    per map the run took 17 MB."""
+    cfg = cli.load_config(str(FIXTURES / "criterion_11.ini"))
+    assert _traced_peak(lambda: cli.run_experiment(cfg)) < 12e6
 
 
 def test_schedule_owns_its_stage_maps():
@@ -715,11 +761,10 @@ def _residual_one_evolve_per_segment(schedule, init, test_fns,
                 scale, k = schedule.field_scale(t)
                 integ = np.asarray(tf.dt(t, X, Y), dtype=float)
                 if k is not None and scale != 0.0:
-                    st = schedule.stage(k)
+                    vx, vy = schedule.stage(k).center_field()
                     integ = integ + scale * (
-                        st._center_vx * np.asarray(tf.dx(t, X, Y), dtype=float)
-                        + st._center_vy * np.asarray(tf.dy(t, X, Y),
-                                                     dtype=float))
+                        vx * np.asarray(tf.dx(t, X, Y), dtype=float)
+                        + vy * np.asarray(tf.dy(t, X, Y), dtype=float))
                 slab.append(dA * float(np.sum(f.values * integ)))
             slab = np.asarray(slab)
             dt = ts[1] - ts[0]
