@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CellField, SplitTrajectory, VectorState, _same_time,
-                   _window_slice, _worst_residual, chromatography_flux,
-                   lp_distance, total_variation)
+from .core import (CellField, SplitTrajectory, VectorState, _exact_sum,
+                   _same_time, _window_slice, _worst_residual,
+                   chromatography_flux, lp_distance, total_variation)
 from .errors import InvalidArgument, InvalidEntropy
 from .scalar import (ScalarConfig, _check_test_fns, _each_row, _march_rows,
                      _spacetime_quadrature)
@@ -27,12 +27,13 @@ from .transport import solve_split_many
 
 
 def _fsum_columns(cols):
-    """math.fsum down each column of the (k, n) array cols, k >= 2."""
+    """The exact sum (_exact_sum) down each column of the (k, n) array
+    cols, k >= 2."""
     if len(cols) == 2:
         # one IEEE add is already correctly rounded; + 0.0 turns the -0.0
         # of (-0.0) + (-0.0) into fsum's 0.0
         return (cols[0] + cols[1]) + 0.0
-    return np.array([math.fsum(r) for r in cols.T.tolist()])
+    return np.array([_exact_sum(r) for r in cols.T.tolist()])
 
 
 class ChromState(VectorState):
@@ -338,8 +339,8 @@ def state_l1_distance(a, b, window=None):
     """Sum over components of the windowed L1 distance."""
     if a.k != b.k:
         raise InvalidArgument("component count mismatch")
-    return math.fsum(lp_distance(ca, cb, 1, window)
-                     for ca, cb in zip(a.components, b.components))
+    return _exact_sum([lp_distance(ca, cb, 1, window)
+                       for ca, cb in zip(a.components, b.components)])
 
 
 def semigroup_defect(U0, t, s, config, solver=solve_chromatography):

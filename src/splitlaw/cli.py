@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import re
@@ -191,12 +192,12 @@ def _experiment_config(path):
             raise InvalidArgument(
                 f"{name}: [{section}] {key}: {exc}") from None
 
-    try:
-        kind = parser.get("experiment", "kind").strip()
-    except (configparser.NoSectionError, configparser.NoOptionError) as exc:
-        raise InvalidArgument(f"missing [experiment] kind: {exc}")
+    if not parser.has_option("experiment", "kind"):
+        raise InvalidArgument(f"{name}: [experiment] kind: missing")
+    kind = parser.get("experiment", "kind").strip()
     if kind not in KINDS:
-        raise InvalidArgument(f"unknown experiment kind: {kind!r}")
+        raise InvalidArgument(
+            f"{name}: [experiment] kind: unknown experiment kind {kind!r}")
     cfg = ExperimentConfig(kind=kind, path=path)
     stem = os.path.splitext(name)[0]
 
@@ -218,7 +219,8 @@ def _experiment_config(path):
     cfg.init_k = number("schedule", "init_k", int)
     cfg.level = parser.get("verify", "level", fallback=cfg.level)
     if cfg.level not in LEVELS:
-        raise InvalidArgument(f"unknown verify level: {cfg.level!r}")
+        raise InvalidArgument(
+            f"{name}: [verify] level: unknown verify level {cfg.level!r}")
     cfg.basename = parser.get("output", "basename", fallback=stem)
     if not cfg.record and kind in ("riemann", "chroma", "kk"):
         cfg.record = [cfg.t_end]
@@ -229,7 +231,7 @@ def output_root():
     return os.environ.get("SPLITLAW_OUTPUT_ROOT", os.path.join(".", "out"))
 
 
-_CSV_BLOCK = 4096  # rows per block in write_csv
+_CSV_BLOCK = 8192  # rows per block in write_csv
 
 
 def _fmt(x):
@@ -239,24 +241,26 @@ def _fmt(x):
 def write_csv(path, header, rows):
     """One %.17g line per row; rows is a sequence of rows or a 2D array.
 
-    Rows are written in blocks, without holding a copy of every row. Each
-    distinct bit pattern of a block (so -0.0 and 0.0 stay apart) is
-    formatted once, and the block's cells are looked up from those strings.
+    Rows are written in blocks, without holding a copy of every row. In
+    each column of a block, each distinct bit pattern (so -0.0 and 0.0
+    stay apart) is formatted once, with the comma or newline after it,
+    and the column's cells are looked up from those strings.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK):
             block = np.ascontiguousarray(rows[start:start + _CSV_BLOCK],
                                          dtype=float)
-            bits, which = np.unique(block.view(np.int64), return_inverse=True)
-            which = which.reshape(block.shape)
-            text = [_fmt(x) for x in bits.view(np.float64).tolist()]
-            cells = np.empty(block.shape, dtype=object)
-            cells[:, :-1] = np.array([s + "," for s in text],
-                                     dtype=object)[which[:, :-1]]
-            cells[:, -1] = np.array([s + "\n" for s in text],
-                                    dtype=object)[which[:, -1]]
-            fh.write("".join(cells.ravel().tolist()))
+            ncol = block.shape[1]
+            cells = [None] * block.size  # row-major
+            for c, column in enumerate(block.view(np.int64).T):
+                end = "," if c < ncol - 1 else "\n"
+                bits, which = np.unique(column, return_inverse=True)
+                text = np.array([_fmt(x) + end
+                                 for x in bits.view(np.float64).tolist()],
+                                dtype=object)
+                cells[c::ncol] = text[which].tolist()
+            fh.write("".join(cells))
 
 
 def write_json(path, payload):
@@ -523,8 +527,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser's parser, built once per process on first use."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValidationError as exc:

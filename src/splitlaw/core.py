@@ -2,8 +2,9 @@
 shared by every solver: total variation, mass, Lp distances, weak pairings.
 
 All quantities live on uniform 1D cell-centered grids. Accumulations that
-feed tolerance checks go through math.fsum so that the documented 1e-12
-bounds hold independent of summation order.
+feed tolerance checks go through math.fsum (_exact_sum) so that the
+documented 1e-12 bounds hold independent of summation order; a sum that
+fsum cannot form is NaN.
 """
 import math
 import operator
@@ -445,6 +446,18 @@ def _window_slice(grid, window):
     return np.nonzero((x >= lo) & (x <= hi))[0]
 
 
+def _exact_sum(values):
+    """math.fsum of the list values (an array is read flat), or NaN where
+    fsum raises: on an intermediate sum past the float range, or on
+    inf + -inf. A diagnostic past the float range is reported, not raised."""
+    if isinstance(values, np.ndarray):
+        values = values.ravel().tolist()
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def total_variation(field, window=None):
     """Sum of |v_{i+1} - v_i| over the window; over the whole grid a
     periodic field also counts the seam |v_0 - v_{n-1}|."""
@@ -455,12 +468,12 @@ def total_variation(field, window=None):
         v = field.extended(1)[1:]
     else:
         v = field.values[idx[0]:idx[-1] + 1]
-    return math.fsum(np.abs(np.diff(v)).tolist())
+    return _exact_sum(np.abs(np.diff(v)))
 
 
 def mass(field, window=None):
     idx = _window_slice(field.grid, window)
-    return field.grid.dx * math.fsum(field.values[idx].tolist())
+    return field.grid.dx * _exact_sum(field.values[idx])
 
 
 def lp_distance(a, b, p=1, window=None):
@@ -469,7 +482,7 @@ def lp_distance(a, b, p=1, window=None):
     idx = _window_slice(a.grid, window)
     diff = np.abs(a.values[idx] - b.values[idx])
     if p == 1:
-        return a.grid.dx * math.fsum(diff.tolist())
+        return a.grid.dx * _exact_sum(diff)
     if p in (np.inf, "inf", math.inf):
         return float(diff.max()) if len(diff) else 0.0
     raise InvalidArgument("p must be 1 or inf")
@@ -480,7 +493,7 @@ def weak_pairing(field, test_fn, window=None):
     idx = _window_slice(field.grid, window)
     x = field.grid.centers()[idx]
     phi = np.asarray(test_fn(x), dtype=float)
-    return field.grid.dx * math.fsum((field.values[idx] * phi).tolist())
+    return field.grid.dx * _exact_sum(field.values[idx] * phi)
 
 
 def _worst_residual(residuals):

@@ -12,13 +12,12 @@ boundary. Both transport zero data to zero and chessboard data to a
 coarse chessboard: two bounded solutions from weakly indistinguishable
 starts.
 """
-import itertools
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Trajectory, _integer, _worst_residual
+from .core import Trajectory, _exact_sum, _integer, _worst_residual
 from .errors import ConstructionBug, InvalidArgument, UnresolvedScale
 
 _BOX_SCALES = 4  # coarse-grained L1 reported at 2^0 .. 2^-3, grid allowing
@@ -59,11 +58,10 @@ class CellField2D:
         return CellField2D(self.grid, self.values.copy())
 
     def l1(self):
-        return self.grid.dx ** 2 * math.fsum(
-            np.abs(self.values).ravel().tolist())
+        return self.grid.dx ** 2 * _exact_sum(np.abs(self.values))
 
     def mass(self):
-        return self.grid.dx ** 2 * math.fsum(self.values.ravel().tolist())
+        return self.grid.dx ** 2 * _exact_sum(self.values)
 
     def linf(self):
         return float(np.max(np.abs(self.values)))
@@ -72,8 +70,7 @@ class CellField2D:
 def l1_distance_2d(a, b):
     if a.grid != b.grid:
         raise InvalidArgument("fields on different grids")
-    return a.grid.dx ** 2 * math.fsum(
-        np.abs(a.values - b.values).ravel().tolist())
+    return a.grid.dx ** 2 * _exact_sum(np.abs(a.values - b.values))
 
 
 def chessboard(k, grid):
@@ -250,17 +247,19 @@ class StageMap:
         self.div_max = self._divergence_max(i.astype(float), j.astype(float))
 
     def _variation(self):
-        """The field's total variation on the torus, summed over whole
-        tiles, which fixes its bits; one tile is alive at a time."""
+        """The field's total variation on the torus: that of one period,
+        whose jumps (its wrap included) the grid repeats (N/P)^2 times.
+        Every jump is a multiple of dx of size at most 2, so while m <= 16
+        every partial sum is exact, and the period's sum times the power
+        of two (N/P)^2 has the bits of the sum over the whole grid."""
         tv = 0.0
-        for comp in self.center_field():
+        for period in (self._vx_period, self._vy_period):
             for axis in (0, 1):
-                jumps = np.diff(comp, axis=axis)
+                jumps = np.diff(period, axis=axis)
                 tv += np.sum(np.abs(jumps, out=jumps))
-                del jumps  # gone before the next tile is made
-                wrap = comp.take(0, axis) - comp.take(-1, axis)
+                wrap = period.take(0, axis) - period.take(-1, axis)
                 tv += np.sum(np.abs(wrap))
-        return float(tv) * self.grid.dx
+        return float(tv) * (self.grid.n // (2 * self.B)) ** 2 * self.grid.dx
 
     def _divergence_max(self, i, j):
         """The largest face divergence, on the rows i and columns j of the
@@ -478,39 +477,41 @@ def evolve(schedule, init, t_query):
     stage the rings have turned by whole cells for the elapsed fraction,
     still a permutation but positionally approximate (flagged in meta).
     Before the first stage the state is frozen at init. Each completed
-    stage is applied once per call: query times in any order reuse the
-    state after the stages they have passed.
+    stage is applied once per call: the query times, in any order, are
+    visited in increasing order.
     """
-    times, fields, partial_flags = [], [], []
-    for t, vals, partial in _states(schedule, init, t_query):
-        times.append(t)
-        fields.append(CellField2D(init.grid, vals))
-        partial_flags.append(partial)
+    times = [float(t) for t in t_query]
+    fields, partial_flags = [None] * len(times), [None] * len(times)
+    for i, vals, partial in _states(schedule, init, times):
+        fields[i] = CellField2D(init.grid, vals)
+        partial_flags[i] = partial
     meta = {"variant": schedule.variant, "k_max": schedule.k_max,
             "partial": partial_flags}
     return Trajectory(times, fields, meta)
 
 
-def _states(schedule, init, t_query):
-    """The (t, values, partial) of evolve, one query time at a time."""
+def _states(schedule, init, times):
+    """(i, values, partial) for each query time times[i], in increasing
+    time, so only the state after the latest completed stage is kept."""
     if schedule.m != init.grid.m:
         raise InvalidArgument("schedule and data resolved at different scales")
-    done = [init.values]  # done[j]: the state after the first j stages
-    for t in t_query:
-        t = float(t)
+    for t in times:
         if not 0.0 <= t <= schedule.T:
             raise InvalidArgument(f"t={t} outside the schedule support")
+    state, done = init.values, 0  # the state after the first done stages
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        t = times[i]
         j = sum(t >= t1 for _, _, t1 in schedule.stages)  # t1 increases
-        while len(done) <= j:
-            k = schedule.stages[len(done) - 1][0]
-            done.append(schedule.stage(k).apply(done[-1]))
+        for k, _, _ in schedule.stages[done:j]:
+            state = schedule.stage(k).apply(state)
+        done = j
         if j < len(schedule.stages) and t > schedule.stages[j][1]:
             k = schedule.stages[j][0]
             frac = schedule.progress(k, t)
-            yield t, schedule.stage(k).apply_partial(done[j], frac), \
+            yield i, schedule.stage(k).apply_partial(state, frac), \
                 0.0 < frac < 1.0
         else:
-            yield t, done[j].copy(), False
+            yield i, state.copy(), False
 
 
 def _fourier_modes(grid):
@@ -706,26 +707,29 @@ def continuity_residual_2d(schedule, init, test_fns):
             np.linspace(max(seg0, lo), min(seg1, hi), _SAMPLES_PER_STAGE)
             for seg0, seg1 in zip(breakpoints[:-1], breakpoints[1:])
             if min(seg1, hi) > max(seg0, lo)]))
-    # one pass of evolve over every sample, so each finished stage is
+    # every sample, test by test and segment by segment, and its test
+    times = [float(t) for _, segments in tests for ts in segments for t in ts]
+    owners = [tf for tf, segments in tests for ts in segments for _ in ts]
+    # one pass of evolve over the samples, so each finished stage is
     # applied once, and one sample is held at a time
-    samples = _states(schedule, init, (
-        t for _, segments in tests for ts in segments for t in ts))
+    slabs = [None] * len(times)
+    for i, values, _ in _states(schedule, init, times):
+        t, tf = times[i], owners[i]
+        scale, k = schedule.field_scale(t)
+        integ = np.asarray(tf.dt(t, X, Y), dtype=float)
+        if k is not None and scale != 0.0:
+            vx, vy = schedule.stage(k).center_field()
+            integ = integ + scale * (
+                vx * np.asarray(tf.dx(t, X, Y), dtype=float)
+                + vy * np.asarray(tf.dy(t, X, Y), dtype=float))
+        slabs[i] = dA * float(np.sum(values * integ))
 
-    totals = []
+    totals, at = [], 0
     for tf, segments in tests:
         total = 0.0
         for ts in segments:
-            slab = []
-            for t, values, _ in itertools.islice(samples, len(ts)):
-                scale, k = schedule.field_scale(t)
-                integ = np.asarray(tf.dt(t, X, Y), dtype=float)
-                if k is not None and scale != 0.0:
-                    vx, vy = schedule.stage(k).center_field()
-                    integ = integ + scale * (
-                        vx * np.asarray(tf.dx(t, X, Y), dtype=float)
-                        + vy * np.asarray(tf.dy(t, X, Y), dtype=float))
-                slab.append(dA * float(np.sum(values * integ)))
-            slab = np.asarray(slab)
+            slab = np.asarray(slabs[at:at + len(ts)])
+            at += len(ts)
             dt = ts[1] - ts[0]
             total += float(dt * (np.sum(slab) - 0.5 * (slab[0] + slab[-1])))
         totals.append(abs(total))

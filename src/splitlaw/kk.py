@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .core import (CellField, FluxFunction, SplitTrajectory, VectorState,
-                   _window_slice, _worst_residual)
+                   _exact_sum, _window_slice, _worst_residual)
 from .errors import HypothesisViolation, InvalidArgument, InvalidFlux
 from .scalar import _each_row
 from .transport import solve_split_many
@@ -146,5 +146,5 @@ def renormalization_defect(traj, window=None):
     for state, rho in zip(traj.states, traj.v_traj.fields):
         diff = state.norm().values - rho.values
         excesses.append(float(np.max(diff)))
-        gaps.append(traj.grid.dx * math.fsum(np.abs(diff[idx]).tolist()))
+        gaps.append(traj.grid.dx * _exact_sum(np.abs(diff[idx])))
     return _worst_residual(excesses), _worst_residual(gaps)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (CellField, Trajectory, _aligned_zeros, _Arena,
-                   _FlatRows, _same_time, _window_slice, _worst_residual,
-                   total_variation)
+                   _exact_sum, _FlatRows, _same_time, _window_slice,
+                   _worst_residual, total_variation)
 from .errors import (HypothesisViolation, InvalidArgument, NumericalBlowup,
                      SplitlawError, UnsupportedFlux)
 
@@ -674,7 +674,7 @@ def _ride(W, v, alpha, beta, positive, nonzero, lam, lam_left):
 def _oversized_step(step, dt_schedule, alpha, G, tol):
     """The error for a locked step that is not a convex combination: the
     step, its start time, and the worst cell or interface against -tol."""
-    t = math.fsum(dt_schedule[:step])
+    t = _exact_sum(dt_schedule[:step])
     i = int(np.argmin(alpha))
     if alpha[i] < -tol:
         what = f"v - mu*G = {alpha[i]:.6g} at cell {i}"
@@ -740,8 +740,15 @@ def _spacetime_quadrature(traj, cell_arrays_at, test_fns):
     the grid at the records js; it is called with blocks of at most
     _QUAD_BLOCK consecutive records, in order. Each test's space factors
     are evaluated once, and its time factors once, at all record times.
-    The integrand of a block is one broadcast expression, and each row of
-    it one fsum.
+
+    Each test is summed over its window only: the cells from the first to
+    the last where fx or dfx is nonzero, at the records from the first to
+    the last where ft or dft is nonzero, one exact sum per record, in the
+    association A*(dft*fx) + B*(ft*dfx). Off the window the integrand is
+    an exact +-0 on finite A and B, which the exact sum ignores, and a
+    zero slab cannot reach a total that starts from +0.0. A record with a
+    non-finite A or B, and a test with a non-finite factor, are summed
+    whole: inf * 0 off the window is NaN.
     """
     if not test_fns:
         return []
@@ -753,19 +760,38 @@ def _spacetime_quadrature(traj, cell_arrays_at, test_fns):
             getattr(tf, name)(at), dtype=float), at.shape)
             for tf in test_fns])
 
+    def window(f, df):
+        """From the first to the last point where f or df is nonzero."""
+        live = np.flatnonzero((f != 0.0) | (df != 0.0))
+        return slice(live[0], live[-1] + 1) if len(live) else slice(0, 0)
+
     x = grid.centers()
     times = np.asarray(traj.times, dtype=float)
     fx, dfx = factors("fx", x), factors("dfx", x)
     ft, dft = factors("ft", times).T, factors("dft", times).T
+    whole = (slice(0, len(x)), slice(0, len(times)))
+    windows = [(window(fx[k], dfx[k]), window(ft[:, k], dft[:, k]))
+               if all(np.isfinite(f).all()
+                      for f in (fx[k], dfx[k], ft[:, k], dft[:, k]))
+               else whole for k in range(len(test_fns))]
     slabs = []
     for start in range(0, len(times), _QUAD_BLOCK):
         js = range(start, min(start + _QUAD_BLOCK, len(times)))
         A, B = cell_arrays_at(js)
-        # (records, tests, cells), in the association A*(dft*fx) + B*(ft*dfx)
-        integrand = (A[:, None] * (dft[start:js.stop, :, None] * fx)
-                     + B[:, None] * (ft[start:js.stop, :, None] * dfx))
-        slabs += [[grid.dx * math.fsum(row) for row in record]
-                  for record in integrand.tolist()]
+        slab = np.zeros((len(js), len(test_fns)))
+        for k, (cols, recs) in enumerate(windows):
+            lo, hi = max(recs.start, start), min(recs.stop, js.stop)
+            if lo < hi:
+                rows = slice(lo - start, hi - start)
+                part = (A[rows, cols] * (dft[lo:hi, k, None] * fx[k, cols])
+                        + B[rows, cols] * (ft[lo:hi, k, None] * dfx[k, cols]))
+                slab[rows, k] = [_exact_sum(r) for r in part.tolist()]
+        for i in np.flatnonzero(~(np.isfinite(A).all(axis=1)
+                                  & np.isfinite(B).all(axis=1))):
+            part = (A[i] * (dft[start + i, :, None] * fx)
+                    + B[i] * (ft[start + i, :, None] * dfx))
+            slab[i] = [_exact_sum(r) for r in part.tolist()]
+        slabs += (grid.dx * slab).tolist()
     totals = []
     for k in range(len(test_fns)):
         total = 0.0
@@ -821,7 +847,7 @@ def _positive_part_integral(fieldv, window):
     idx = _window_slice(fieldv.grid, window)
     vals = fieldv.values[idx]
     # ~(vals <= 0) keeps a NaN, which vals > 0 would drop
-    return fieldv.grid.dx * math.fsum(vals[~(vals <= 0.0)].tolist())
+    return fieldv.grid.dx * _exact_sum(vals[~(vals <= 0.0)])
 
 
 def comparison_defect(traj_u, traj_v, R):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellField, FluxFunction, Trajectory, _worst_residual
+from .core import (CellField, FluxFunction, Trajectory, _exact_sum,
+                   _worst_residual)
 from .errors import DegenerateDensity, InvalidArgument, OutOfDomain
 from .scalar import (_check_test_fns, _march, _spacetime_quadrature,
                      _stack)
@@ -55,7 +56,7 @@ def _gaussian_kernel(dx, spec):
     K = int(math.ceil(6.0 * spec.epsilon / dx))
     offsets = np.arange(-K, K + 1) * dx
     weights = np.exp(-offsets * offsets / (2.0 * spec.epsilon * spec.epsilon))
-    weights /= math.fsum(weights.tolist())
+    weights /= _exact_sum(weights)
     return K, weights[::-1]
 
 

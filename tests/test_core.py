@@ -27,8 +27,9 @@ from splitlaw.core import (
     total_variation,
     weak_pairing,
 )
-from splitlaw.core import (_aligned_zeros, _Arena, _FlatRows,
+from splitlaw.core import (_aligned_zeros, _Arena, _exact_sum, _FlatRows,
                            _window_slice, _worst_residual)
+from splitlaw.depauw import CellField2D, Grid2D
 from splitlaw.errors import InvalidArgument
 from splitlaw.scalar import _positive_part_integral
 
@@ -274,6 +275,31 @@ def test_fsum_reductions_match_the_per_cell_sums(u, w, window):
         float(v * p) for v, p in zip(a.values[idx], phi))).hex()
     assert _positive_part_integral(a, window).hex() == (
         g.dx * math.fsum(float(v) for v in a.values[idx] if v > 0.0)).hex()
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda a, zero: mass(a),
+    lambda a, zero: total_variation(a),
+    lambda a, zero: lp_distance(a, zero, 1),
+    lambda a, zero: weak_pairing(a, np.ones_like),
+    lambda a, zero: _positive_part_integral(a, None),
+], ids=["mass", "total_variation", "lp_distance", "weak_pairing",
+        "positive_part"])
+def test_a_sum_past_the_float_range_is_nan(reduce):
+    """Four cells of 1e308 (and jumps of 1e308) sum past the float range,
+    where math.fsum raises OverflowError; a reduction reports NaN."""
+    g = Grid1D(-1.0, 1.0, 8)
+    a = CellField(g, [1e308, 0.0] * 4)
+    assert math.isnan(reduce(a, CellField(g, np.zeros(8))))
+
+
+def test_exact_sum_is_nan_where_fsum_raises():
+    assert _exact_sum(np.array([0.5, 0.25, -0.0])) == 0.75
+    assert math.isnan(_exact_sum([1e308, 1e308]))  # intermediate overflow
+    assert math.isnan(_exact_sum([math.inf, -math.inf]))  # inf + -inf
+    assert _exact_sum([math.inf, 1.0]) == math.inf
+    field = CellField2D(Grid2D(1), np.full((2, 2), 1e308))
+    assert math.isnan(field.l1()) and math.isnan(field.mass())
 
 
 @pytest.mark.parametrize("residuals, expected", [

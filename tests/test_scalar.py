@@ -463,6 +463,55 @@ def test_multi_test_quadrature_is_bitwise_the_per_test_loop(n, nt, k, seed,
     assert all(math.isnan(r) for r in got) == poison
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), nt=st.integers(2, 100),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_support_only_quadrature_is_bitwise_the_full_row_sum(n, nt, seed):
+    """Each test summed over its window of cells and records only gives the
+    bits of the full-row fsum, on finite records with exact zeros of both
+    signs, for supports inside, across or outside the grid and the record
+    times, and for supports between two cell centres or two records."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-1.0, 1.0, n)
+    times = np.cumsum(rng.uniform(0.01, 0.2, nt)) - 0.01
+    traj = Trajectory(times, [CellField(grid, np.zeros(n)) for _ in times])
+    # magnitudes far apart, so a sum in another order shows in the bits
+    A, B = (rng.standard_normal((nt, n)) * 10.0 ** rng.integers(-150, 150,
+                                                                (nt, n))
+            for _ in range(2))
+    A[rng.random((nt, n)) < 0.2] = 0.0
+    B[rng.random((nt, n)) < 0.2] = -0.0
+    tests = []
+    for _ in range(3):
+        t0, t1 = np.sort(rng.uniform(times[0] - 0.5, times[-1] + 0.5, 2))
+        x0, x1 = np.sort(rng.uniform(-1.5, 1.5, 2))
+        tests.append(bump_test(t0, t1, x0, x1))
+    x, gap = grid.centers()[0], 0.25 * (times[1] - times[0])
+    tests.append(bump_test(times[0], times[-1], x, x + 0.5 * grid.dx))
+    tests.append(bump_test(times[0] + gap, times[1] - gap, -1.0, 1.0))
+
+    def arrays(js):
+        return A[js.start:js.stop], B[js.start:js.stop]
+
+    got = _spacetime_quadrature(traj, arrays, tests)
+    want = [_per_test_quadrature(traj, lambda j: (A[j], B[j]), tf)
+            for tf in tests]
+    assert [r.hex() for r in got] == [r.hex() for r in want]
+    assert got[-2:] == [0.0, 0.0]
+
+
+def test_an_entropy_residual_past_the_float_range_is_nan():
+    """eta = 4v on +-1e308 data is +-inf, and fsum raises on inf + -inf;
+    the residual reports NaN instead of raising."""
+    grid = Grid1D(-1.0, 1.0, 8)
+    field = CellField(grid, [1e308, -1e308] * 4)
+    traj = Trajectory([0.0, 0.5, 1.0], [field] * 3)
+    pair = (lambda v: 4.0 * v, lambda v: 4.0 * v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = entropy_residual(traj, pair, [bump_test(0.2, 0.8, -0.5, 0.5)])
+    assert math.isnan(got)
+
+
 def test_periodic_tvd_defect_counts_the_seam():
     """On periodic data the interval variation can grow while the total
     variation around the circle falls; tvd_defect measures the latter.
