@@ -10,7 +10,6 @@ from .core import (
     Trajectory,
     burgers_flux,
     bump_test,
-    chromatography_c,
     chromatography_flux,
     lp_distance,
     mass,
@@ -24,7 +23,6 @@ from .scalar import (
     ScalarConfig,
     comparison_defect,
     entropy_residual,
-    kruzkov_pair,
     max_principle_defect,
     oleinik_excess,
     solve_scalar,
@@ -46,11 +44,9 @@ __all__ = [
     "ValidationError",
     "burgers_flux",
     "bump_test",
-    "chromatography_c",
     "chromatography_flux",
     "comparison_defect",
     "entropy_residual",
-    "kruzkov_pair",
     "lp_distance",
     "mass",
     "max_principle_defect",

@@ -27,6 +27,15 @@ def _integer(value, name):
             f"{name} must be an integer, got {value!r}") from None
 
 
+def _interval(lo, hi, name):
+    """(lo, hi) as floats, refused unless both are finite and lo < hi."""
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidArgument(
+            f"{name} support must be finite and increasing, got ({lo}, {hi})")
+    return lo, hi
+
+
 class Grid1D:
     """Uniform cell grid on [x_min, x_max] with n cells."""
 
@@ -347,7 +356,7 @@ def chromatography_flux():
         g_into=_chromatography_g_into,
         gprime=lambda v: _inverse_square(1.0 + v),
         convexity="concave",
-        c=0.0,  # range-dependent; use chromatography_c(v_max)
+        c=0.0,  # range-dependent: |g''| = 2/(1+v)^3
         L_of_range=lambda lo, hi: _inverse_square(1.0 + max(lo, 0.0)),
         name="v/(1+v)",
         admissible_min=0.0,
@@ -364,11 +373,6 @@ def burgers_flux():
         c=2.0,
         name="rho^2",
     )
-
-
-# chromatography concavity constant depends on the value range; |g''| = 2/(1+v)^3
-def chromatography_c(v_max):
-    return 2.0 / (1.0 + v_max) ** 3
 
 
 # Two times within _TIME_MATCH * max(1, |t|) are one record time: a record
@@ -519,15 +523,6 @@ class SpaceTimeTest:
         self.t_support = (float(t_support[0]), float(t_support[1]))
         self.x_support = (float(x_support[0]), float(x_support[1]))
 
-    def fn(self, t, x):
-        return self.ft(t) * self.fx(x)
-
-    def dt(self, t, x):
-        return self.dft(t) * self.fx(x)
-
-    def dx(self, t, x):
-        return self.ft(t) * self.dfx(x)
-
 
 def _cos_bump(a, b):
     """Nonnegative C^1 bump on (a, b): 0.5*(1 - cos(2 pi s)), s=(x-a)/(b-a)."""
@@ -551,6 +546,7 @@ def _cos_bump(a, b):
 
 def bump_test(t0, t1, x0, x1):
     """Tensor-product bump supported in (t0,t1) x (x0,x1), nonnegative."""
+    (t0, t1), (x0, x1) = _interval(t0, t1, "time"), _interval(x0, x1, "space")
     ft, dft = _cos_bump(t0, t1)
     fx, dfx = _cos_bump(x0, x1)
     return SpaceTimeTest(ft, dft, fx, dfx, t_support=(t0, t1),

@@ -17,7 +17,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Trajectory, _exact_sum, _integer, _worst_residual
+from .core import (Trajectory, _cos_bump, _exact_sum, _integer, _interval,
+                   _worst_residual)
 from .errors import ConstructionBug, InvalidArgument, UnresolvedScale
 
 _BOX_SCALES = 4  # coarse-grained L1 reported at 2^0 .. 2^-3, grid allowing
@@ -62,9 +63,6 @@ class CellField2D:
 
     def mass(self):
         return self.grid.dx ** 2 * _exact_sum(self.values)
-
-    def linf(self):
-        return float(np.max(np.abs(self.values)))
 
 
 def l1_distance_2d(a, b):
@@ -186,65 +184,38 @@ class StageMap:
         q += np.array([1, 0, -1, 0], dtype=self._index)[leg] * u
         self._ring_cells = p, q, ring, place
 
-    @property
-    def rings(self):
-        """Each ring's (rows, columns) of its listed cells, innermost first."""
-        p, q, _, _ = self._ring_cells
-        cut = 4 * np.arange(1, self.B // 2) ** 2
-        return list(zip(np.split(p.astype(int), cut),
-                        np.split(q.astype(int), cut)))
-
-    def _relative_coords(self, xc, yc):
-        """Block-relative physical offsets and the rotating mask at the
-        cell-unit coordinates (xc, yc)."""
-        N, B, off = self.grid.n, self.B, self.off
-        px = np.mod(xc - off, N)
-        py = np.mod(yc - off, N)
-        a = np.floor(px / B).astype(int)
-        b = np.floor(py / B).astype(int)
-        X = (px - a * B - B / 2.0) * self.grid.dx
-        Y = (py - b * B - B / 2.0) * self.grid.dx
-        # (a + b) odd, as the xor of the parities: on broadcast axes the
-        # parities are 1-D and only the xor spans the grid
-        return X, Y, (a % 2 == 1) ^ (b % 2 == 1)
-
-    def unit_field(self, xc, yc):
-        """Time-1 velocity at cell-unit coordinates (vectorized).
+    def _components(self, X, Y, axes):
+        """The time-1 field's components along axes ("x", "y" or "xy") at
+        the offsets X, Y from a rotating block's centre.
 
         Square-vortex profile: speed 2 rho on the ring at sup-distance rho
-        from the block center, counterclockwise, zero off the rotating
-        blocks. On the diagonals the outgoing side wins.
+        from the block centre, counterclockwise. On the diagonals the
+        outgoing side wins.
         """
-        return self._components(xc, yc, "xy")
-
-    def _components(self, xc, yc, axes):
-        """The components of unit_field along axes ("x", "y" or "xy")."""
-        X, Y, rot = self._relative_coords(xc, yc)
         aX, aY = np.abs(X), np.abs(Y)
         tie, XY = aX == aY, X * Y
         out = []
         if "x" in axes:
             horiz = (aY > aX) | (tie & (XY > 0))
-            out.append(np.where(rot & horiz, -2.0 * Y, 0.0))
+            out.append(np.where(horiz, -2.0 * Y, 0.0))
         if "y" in axes:
             vert = (aX > aY) | (tie & (XY < 0))
-            out.append(np.where(rot & vert, 2.0 * X, 0.0))
+            out.append(np.where(vert, 2.0 * X, 0.0))
         return tuple(out)
 
     def _measure_field(self):
-        N, B = self.grid.n, self.B
-        # Every rotating block holds the same field, since a cell's offset
-        # within its block is computed exactly: the field is evaluated once,
-        # on the cells of the rotating block (0, 1) in rolled coordinates,
-        # and placed on the others. Broadcast axes stand in for meshgrids.
-        r = np.arange(B)
-        i, j = (r + self.off) % N, (r + B + self.off) % N
-        vx, vy = self._components(i[:, None] + 0.5, j[None, :] + 0.5, "xy")
+        # Every rotating block holds the same field, so it is evaluated once,
+        # on one block's offsets from its centre (exact multiples of dx/2),
+        # and _period places it on the rotating blocks; zero elsewhere.
+        # Broadcast axes stand in for meshgrids.
+        r = np.arange(self.B) - self.B / 2.0
+        centres, faces = (r + 0.5) * self.grid.dx, r * self.grid.dx
+        vx, vy = self._components(centres[:, None], centres[None, :], "xy")
         self.sup_unit = float(max(np.max(np.abs(vx)), np.max(np.abs(vy))))
         self._vx_period, self._vy_period = self._period(vx), self._period(vy)
         del vx, vy
         self.bv_unit = self._variation()
-        self.div_max = self._divergence_max(i.astype(float), j.astype(float))
+        self.div_max = self._divergence_max(centres, faces)
 
     def _variation(self):
         """The field's total variation on the torus: that of one period,
@@ -261,19 +232,19 @@ class StageMap:
                 tv += np.sum(np.abs(wrap))
         return float(tv) * (self.grid.n // (2 * self.B)) ** 2 * self.grid.dx
 
-    def _divergence_max(self, i, j):
-        """The largest face divergence, on the rows i and columns j of the
-        rotating block (0, 1). The divergence repeats with the field, so
+    def _divergence_max(self, centres, faces):
+        """The largest face divergence, from a rotating block's offsets of
+        its cell centres and faces. The divergence repeats with the field, so
         one period of it meets every value; past its last face a period
         wraps to its first. It is summed in place, in the order of
         (roll(vx_face, -1, 0) - vx_face + roll(vy_face, -1, 1) - vy_face)."""
         face = self._period(
-            self._components(i[:, None], j[None, :] + 0.5, "x")[0])
+            self._components(faces[:, None], centres[None, :], "x")[0])
         div = np.roll(face, -1, axis=0)
         div -= face
         del face
         face = self._period(
-            self._components(i[:, None] + 0.5, j[None, :], "y")[0])
+            self._components(centres[:, None], faces[None, :], "y")[0])
         div[:, :-1] += face[:, 1:]
         div[:, -1] += face[:, 0]
         div -= face
@@ -642,35 +613,25 @@ class SpaceTimeTest2D:
 
 
 def torus_test(t0, t1, ax, by, phase="cos"):
-    """Bump in time times a single smooth torus mode in space."""
-    from .core import _cos_bump
+    """Bump in time times a single smooth torus mode in space: the cos or
+    the sin of 2 pi (ax x + by y)."""
+    if phase not in ("cos", "sin"):
+        raise InvalidArgument(f"phase must be 'cos' or 'sin', got {phase!r}")
+    t0, t1 = _interval(t0, t1, "time")
     ft, dft = _cos_bump(t0, t1)
     w = 2.0 * np.pi
+    # the mode and its derivative in its argument
+    sp, dsp = ((np.cos, lambda a: -np.sin(a)) if phase == "cos"
+               else (np.sin, np.cos))
 
-    if phase == "cos":
-        def sp(X, Y):
-            return np.cos(w * (ax * X + by * Y))
-
-        def spx(X, Y):
-            return -w * ax * np.sin(w * (ax * X + by * Y))
-
-        def spy(X, Y):
-            return -w * by * np.sin(w * (ax * X + by * Y))
-    else:
-        def sp(X, Y):
-            return np.sin(w * (ax * X + by * Y))
-
-        def spx(X, Y):
-            return w * ax * np.cos(w * (ax * X + by * Y))
-
-        def spy(X, Y):
-            return w * by * np.cos(w * (ax * X + by * Y))
+    def arg(X, Y):
+        return w * (ax * X + by * Y)
 
     return SpaceTimeTest2D(
-        fn=lambda t, X, Y: ft(t) * sp(X, Y),
-        dt_fn=lambda t, X, Y: dft(t) * sp(X, Y),
-        dx_fn=lambda t, X, Y: ft(t) * spx(X, Y),
-        dy_fn=lambda t, X, Y: ft(t) * spy(X, Y),
+        fn=lambda t, X, Y: ft(t) * sp(arg(X, Y)),
+        dt_fn=lambda t, X, Y: dft(t) * sp(arg(X, Y)),
+        dx_fn=lambda t, X, Y: ft(t) * (w * ax * dsp(arg(X, Y))),
+        dy_fn=lambda t, X, Y: ft(t) * (w * by * dsp(arg(X, Y))),
         t_support=(t0, t1),
     )
 

@@ -116,15 +116,21 @@ class _Selection:
 
 
 class RiemannFan:
-    """Exact self-similar entropy solution of a two-state problem."""
+    """Exact self-similar entropy solution of a two-state problem between
+    finite, admissible states."""
 
     def __init__(self, flux, v_l, v_r):
         if flux.convexity not in ("convex", "concave"):
             raise UnsupportedFlux(
                 "Riemann fan needs strictly monotone g' between the states")
+        v_l, v_r = float(v_l), float(v_r)
+        if not (math.isfinite(v_l) and math.isfinite(v_r)):
+            raise InvalidArgument(
+                f"Riemann states must be finite, got ({v_l}, {v_r})")
+        flux.check_admissible(np.array([v_l, v_r]))
         self.flux = flux
-        self.v_l = float(v_l)
-        self.v_r = float(v_r)
+        self.v_l = v_l
+        self.v_r = v_r
         if v_l == v_r:
             self.kind = "constant"
             self.speed = float(flux.gprime(v_l))
@@ -707,25 +713,14 @@ def oleinik_excess(fieldv, t, c, orientation="convex"):
     return _worst_residual([float(np.max(slopes - bound))])
 
 
-def kruzkov_pair(flux, kappa):
-    """Kruzkov entropy |v - kappa| with its flux."""
-    gk = float(flux.g(kappa))
-
-    def eta(v):
-        return np.abs(v - kappa)
-
-    def q(v):
-        return np.sign(v - kappa) * (np.asarray(flux.g(v), dtype=float) - gk)
-
-    return eta, q
-
-
 def _check_test_fns(traj, test_fns):
+    """Every test vanishes near t = 0 and before the last record; a NaN
+    end of a support is refused too."""
     t_end = traj.times[-1]
     for tf in test_fns:
-        if tf.t_support[0] <= 0.0:
+        if not tf.t_support[0] > 0.0:
             raise InvalidArgument("test function must vanish near t=0")
-        if tf.t_support[1] >= t_end + 1e-12:
+        if not tf.t_support[1] < t_end + 1e-12:
             raise InvalidArgument("test function must vanish before t_end")
 
 
@@ -748,8 +743,10 @@ def _spacetime_quadrature(traj, cell_arrays_at, test_fns):
     an exact +-0 on finite A and B, which the exact sum ignores, and a
     zero slab cannot reach a total that starts from +0.0. A record with a
     non-finite A or B, and a test with a non-finite factor, are summed
-    whole: inf * 0 off the window is NaN.
+    whole: inf * 0 off the window is NaN. The tests must vanish near
+    t = 0 and before the last record (_check_test_fns).
     """
+    _check_test_fns(traj, test_fns)
     if not test_fns:
         return []
     grid = traj.grid
@@ -814,7 +811,6 @@ def entropy_residual(traj, entropy_pair, test_fns):
     expansion shock drives it to a fixed positive level.
     """
     eta, q = entropy_pair
-    _check_test_fns(traj, test_fns)
 
     def arrays(js):
         vals = _stack(traj.fields, js)

@@ -16,8 +16,7 @@ import numpy as np
 from .core import (CellField, FluxFunction, Trajectory, _exact_sum,
                    _worst_residual)
 from .errors import DegenerateDensity, InvalidArgument, OutOfDomain
-from .scalar import (_check_test_fns, _march, _spacetime_quadrature,
-                     _stack)
+from .scalar import _march, _spacetime_quadrature, _stack
 
 
 def joint_speed_flux(flux, b_of):
@@ -133,7 +132,6 @@ class TransportPair:
 
     def continuity_residual(self, w_traj, test_fns):
         """Weak residual of w_t + (b w)_x against space-time tests."""
-        _check_test_fns(w_traj, test_fns)
 
         def arrays(js):
             w = _stack(w_traj.fields, js)
@@ -309,7 +307,6 @@ def renorm_residual(pair, w_traj, beta, test_fns):
     function; for solutions of the continuity equation with the recorded
     density this vanishes up to discretization error.
     """
-    _check_test_fns(w_traj, test_fns)
 
     def arrays(js):
         v = _stack(pair.rho.fields, js)

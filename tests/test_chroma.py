@@ -98,6 +98,18 @@ def test_total_and_from_vw_are_bitwise_the_per_cell_fsum(k):
     assert _bits(zeros.values + zeros.values) != _bits(np.zeros(n))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_total_past_the_float_range_is_nan_without_a_warning(k):
+    """fsum cannot form 1e308 + 1e308 and the exact sum reads NaN; with
+    two components the IEEE add gave inf and an overflow warning. A finite
+    cell keeps its bits."""
+    grid = _grid(4)
+    vals = np.array([1e308, 1.0, -1e308, 0.5])
+    total = ChromState([CellField(grid, vals)] * k).total().values
+    assert np.isnan(total[[0, 2]]).all()
+    assert total[[1, 3]].tolist() == [float(k), 0.5 * k]
+
+
 def test_from_vw_rejects_mismatched_grids():
     v = CellField(_grid(32), np.ones(32))
     w = [CellField(_grid(16), np.ones(16))]

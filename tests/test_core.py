@@ -1,6 +1,7 @@
 """Grids, cell fields, flux descriptions, and the measurement toolbox."""
 import ast
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from splitlaw.core import (
     VectorState,
     bump_test,
     burgers_flux,
-    chromatography_c,
     chromatography_flux,
     lp_distance,
     mass,
@@ -137,12 +137,6 @@ def test_burgers_flux_description():
     flux.check_admissible(np.array([-5.0, 5.0]))  # unrestricted domain
 
 
-def test_chromatography_concavity_constant():
-    assert chromatography_c(1.0) == pytest.approx(0.25)
-    assert chromatography_c(0.0) == pytest.approx(2.0)
-    assert chromatography_c(2.0) < chromatography_c(1.0)
-
-
 def test_flux_function_rejects_unknown_convexity():
     with pytest.raises(InvalidArgument):
         FluxFunction(g=lambda v: v, gprime=lambda v: 1.0, convexity="flat")
@@ -224,26 +218,34 @@ def test_a_split_trajectory_is_a_trajectory_of_its_states():
     assert traj.at(0.5) is states[1] and traj.meta == {"k": 1}
 
 
+def _bump_parts(tf):
+    """phi(t, x) = ft(t) fx(x) and its partials, built from the factors."""
+    return (lambda t, x: float(tf.ft(t) * tf.fx(x)),
+            lambda t, x: float(tf.dft(t) * tf.fx(x)),
+            lambda t, x: float(tf.ft(t) * tf.dfx(x)))
+
+
 def test_bump_test_support_and_peak():
     tf = bump_test(0.2, 0.8, -1.0, 1.0)
+    fn, _, _ = _bump_parts(tf)
     assert tf.t_support == (0.2, 0.8)
     assert tf.x_support == (-1.0, 1.0)
-    assert float(tf.fn(0.1, 0.0)) == 0.0
-    assert float(tf.fn(0.5, 1.5)) == 0.0
-    assert float(tf.fn(0.5, 0.0)) == pytest.approx(1.0)
+    assert fn(0.1, 0.0) == 0.0
+    assert fn(0.5, 1.5) == 0.0
+    assert fn(0.5, 0.0) == pytest.approx(1.0)
     ts = np.linspace(0.0, 1.0, 41)
     xs = np.linspace(-1.5, 1.5, 41)
-    assert all(float(tf.fn(t, x)) >= 0.0 for t in ts for x in xs)
+    assert all(fn(t, x) >= 0.0 for t in ts for x in xs)
 
 
 def test_bump_test_partials_match_finite_differences():
-    tf = bump_test(0.2, 0.8, -1.0, 1.0)
+    fn, dt, dx = _bump_parts(bump_test(0.2, 0.8, -1.0, 1.0))
     h = 1e-6
     for t, x in [(0.37, 0.13), (0.5, -0.4), (0.71, 0.86)]:
-        fd_t = (float(tf.fn(t + h, x)) - float(tf.fn(t - h, x))) / (2.0 * h)
-        fd_x = (float(tf.fn(t, x + h)) - float(tf.fn(t, x - h))) / (2.0 * h)
-        assert fd_t == pytest.approx(float(tf.dt(t, x)), abs=1e-5)
-        assert fd_x == pytest.approx(float(tf.dx(t, x)), abs=1e-5)
+        fd_t = (fn(t + h, x) - fn(t - h, x)) / (2.0 * h)
+        fd_x = (fn(t, x + h) - fn(t, x - h)) / (2.0 * h)
+        assert fd_t == pytest.approx(dt(t, x), abs=1e-5)
+        assert fd_x == pytest.approx(dx(t, x), abs=1e-5)
 
 
 _CELL_VALUES = st.one_of(
@@ -569,3 +571,45 @@ def test_no_private_module_name_goes_unused_in_src():
              "_K = 1\n_L: int = 2\nclass _C:\n    pass\n__all__ = []\n",
         "b": "from a import _C, _L\nimport a\nx = a._g(_L)\n",
     }) == ["a._K", "a._C"]
+
+
+def _unreached_publics(texts, docs):
+    """The public top-level functions and classes of the modules texts
+    (module name -> source) whose name no text names as a word outside
+    their own definition: no other module, no other line of their own
+    module and no text of docs."""
+    unreached = []
+    for module, text in texts.items():
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            others = [rest] + docs + [t for m, t in texts.items()
+                                      if m != module]
+            if not any(re.search(rf"\b{node.name}\b", t) for t in others):
+                unreached.append(f"{module}.{node.name}")
+    return unreached
+
+
+def test_no_public_name_is_reached_only_from_init_and_tests():
+    """A public function or class that only __init__ and the tests name is
+    surface no caller reaches: delete it or move it into the tests. The
+    benchmark and README count as callers."""
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src" / "splitlaw"
+    docs = [path.read_text() for path in sorted(root.glob("perfbench/**/*"))
+            if path.suffix in (".py", ".md")]
+    docs.append((root / "README.md").read_text())
+    assert _unreached_publics({path.stem: path.read_text()
+                               for path in sorted(src.glob("*.py"))
+                               if path.stem != "__init__"}, docs) == []
+    # another module, another line of its own module or a doc reaches a
+    # name; its own definition and a longer word do not
+    assert _unreached_publics({
+        "a": "def f():\n    return f\nclass C:\n    pass\n"
+             "def g():\n    pass\ndef h():\n    pass\n"
+             "def k():\n    pass\nX = [k]\n",
+        "b": "import a\ny = a.g()\n",
+    }, ["see `C`, f_2 and hh"]) == ["a.f", "a.h"]

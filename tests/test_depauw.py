@@ -50,7 +50,7 @@ def test_grid_and_field_validation():
     f = CellField2D(grid, np.ones((8, 8)))
     assert f.l1() == pytest.approx(1.0)
     assert f.mass() == pytest.approx(1.0)
-    assert f.linf() == 1.0
+    assert np.max(np.abs(f.values)) == 1.0
 
 
 
@@ -277,6 +277,16 @@ def test_torus_test_partials_match_finite_differences():
         assert fd_y == pytest.approx(float(tf.dy(t, x, y)), abs=1e-4)
 
 
+def test_torus_test_refuses_a_bad_support_or_phase():
+    """A reversed or NaN support used to build, and an unknown phase gave
+    the sin mode."""
+    for support in ((0.4, 0.1), (math.nan, 0.4), (0.1, math.inf)):
+        with pytest.raises(InvalidArgument, match="finite and increasing"):
+            torus_test(*support, 1, 1)
+    with pytest.raises(InvalidArgument, match="phase"):
+        torus_test(0.1, 0.4, 1, 1, "tan")
+
+
 def test_box_averaged_l1_cancels_below_the_tile_scale():
     grid = Grid2D(6)
     f = chessboard(3, grid)
@@ -375,7 +385,9 @@ def test_strong_modulus_reports_later_snapshots():
 
 
 def _meshgrid_unit_field(st, xc, yc):
-    """StageMap.unit_field as first written, on full coordinate arrays."""
+    """The time-1 field at cell-unit coordinates as first written, on full
+    coordinate arrays: offsets from each block's centre, zero off the
+    rotating blocks."""
     N, B, off = st.grid.n, st.B, st.off
     px = np.mod(xc - off, N)
     py = np.mod(yc - off, N)
@@ -450,7 +462,7 @@ def test_stage_arrays_match_the_meshgrid_computation_bitwise():
             for name in ("sup_unit", "bv_unit", "div_max"):
                 assert getattr(st, name).hex() == ref[name].hex(), (m, k, name)
             c = np.arange(grid.n) + 0.5
-            got = st.unit_field(c[:, None], c[None, :])
+            got = st.center_field()
             want = _meshgrid_unit_field(st, c[:, None], c[None, :])
             assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
@@ -639,8 +651,13 @@ def test_apply_partial_is_the_ring_by_ring_roll_bitwise():
         for k in range(2, m + 1):
             st = build_stage(k, grid)
             want_rings = _ring_by_ring_rings(st.B)
-            assert len(st.rings) == len(want_rings)
-            for (p, q), (wp, wq) in zip(st.rings, want_rings):
+            # ring r is listed from index 4 r^2 on
+            p, q, _, _ = st._ring_cells
+            cut = 4 * np.arange(1, st.B // 2) ** 2
+            rings = list(zip(np.split(p.astype(int), cut),
+                             np.split(q.astype(int), cut)))
+            assert len(rings) == len(want_rings)
+            for (p, q), (wp, wq) in zip(rings, want_rings):
                 assert (p.dtype, p.tobytes(), q.tobytes()) == (
                     wp.dtype, wp.tobytes(), wq.tobytes())
             # the reference is slow on many small blocks: fewer fractions

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitlaw.chroma import ChromState, admissibility_residual, lift_entropy
 from splitlaw.core import (
     CellField,
     FluxFunction,
     Grid1D,
+    SplitTrajectory,
     Trajectory,
     bump_test,
     burgers_flux,
@@ -24,7 +26,7 @@ from splitlaw import _kernels, scalar
 from splitlaw.cli import _parse_direction_speed
 from splitlaw.kk import kk_flux
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
-                             NumericalBlowup, UnsupportedFlux)
+                             NumericalBlowup, SplitlawError, UnsupportedFlux)
 from splitlaw.scalar import (
     _Selection,
     _dt_from_speed,
@@ -35,13 +37,12 @@ from splitlaw.scalar import (
     comparison_defect,
     critical_point,
     entropy_residual,
-    kruzkov_pair,
     max_principle_defect,
     oleinik_excess,
     solve_scalar,
     tvd_defect,
 )
-from splitlaw.transport import solve_split
+from splitlaw.transport import TransportPair, renorm_residual, solve_split
 
 
 def _riemann(grid, left, right):
@@ -140,6 +141,50 @@ def test_riemann_fan_constant_and_flux_requirements():
     linear = FluxFunction(g=lambda v: v, gprime=lambda v: 1.0, convexity="none")
     with pytest.raises(UnsupportedFlux):
         RiemannFan(linear, 0.0, 1.0)
+
+
+def test_riemann_fan_and_bump_test_refuse_garbage():
+    """Each used to give garbage or a bare Python error: a NaN state read
+    zeros everywhere, an inf state inf, a negative state of v/(1+v) a
+    ZeroDivisionError or a value outside the admissible range, and a
+    reversed or NaN support a bump that is 1 or 0 everywhere."""
+    chrom = chromatography_flux()
+    for v_l, v_r in ((math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf),
+                     (-1.0, 0.0), (-2.0, 0.5)):
+        with pytest.raises(InvalidArgument):
+            RiemannFan(chrom, v_l, v_r)
+    for support in ((0.5, 0.1, -1.0, 1.0), (0.1, 0.5, 1.0, -1.0),
+                    (0.1, 0.1, -1.0, 1.0), (math.nan, 0.5, -1.0, 1.0),
+                    (0.1, 0.5, -math.inf, 1.0)):
+        with pytest.raises(InvalidArgument, match="finite and increasing"):
+            bump_test(*support)
+
+
+_HOSTILE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -2.0, 0.0]),
+    st.floats(min_value=-10.0, max_value=10.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_HOSTILE, b=_HOSTILE, c=_HOSTILE, d=_HOSTILE,
+       convex=st.booleans())
+def test_hostile_scalars_give_a_typed_error_or_a_finite_result(a, b, c, d,
+                                                                convex):
+    xs = np.linspace(-2.0, 2.0, 9)
+    try:
+        fan = RiemannFan(burgers_flux() if convex else chromatography_flux(),
+                         a, b)
+    except SplitlawError:
+        pass
+    else:
+        assert np.isfinite(fan.eval(xs)).all()
+    try:
+        tf = bump_test(a, b, c, d)
+    except SplitlawError:
+        pass
+    else:
+        for f, at in ((tf.ft, xs), (tf.dft, xs), (tf.fx, xs), (tf.dfx, xs)):
+            assert np.isfinite(f(at)).all()
 
 
 def test_scalar_config_validation():
@@ -349,6 +394,19 @@ def test_oleinik_excess_is_nan_when_a_slope_is_nan(orientation):
         assert math.isnan(excess)
 
 
+def kruzkov_pair(flux, kappa):
+    """Kruzkov entropy |v - kappa| with its flux."""
+    gk = float(flux.g(kappa))
+
+    def eta(v):
+        return np.abs(v - kappa)
+
+    def q(v):
+        return np.sign(v - kappa) * (np.asarray(flux.g(v), dtype=float) - gk)
+
+    return eta, q
+
+
 def test_kruzkov_pair_values():
     eta, q = kruzkov_pair(burgers_flux(), 0.5)
     assert float(eta(1.5)) == 1.0
@@ -407,6 +465,37 @@ def test_entropy_residual_requires_interior_test_support():
         entropy_residual(traj, pair, [bump_test(0.1, 0.6, -0.5, 0.5)])
 
 
+def test_every_residual_checks_its_tests_through_the_quadrature():
+    """The quadrature checks its tests itself, so each residual refuses a
+    test that does not vanish near t = 0 and before the last record. A NaN
+    end of a time support used to pass the check, since nan <= 0.0 is
+    False."""
+    grid = Grid1D(-1.0, 1.0, 16)
+    f = CellField(grid, np.ones(16))
+    traj = Trajectory([0.0, 0.5], [f, f.copy()])
+    pair = TransportPair(traj, lambda v: 1.0 / (1.0 + v))
+    split = SplitTrajectory(traj.times, [ChromState([f, f])] * 2, None, [],
+                            {})
+    lifted = lift_entropy(
+        lambda v: v * v,
+        lambda v: 2.0 * (np.log1p(v) + 1.0 / (1.0 + v) - 1.0), 0.0)
+    residuals = (
+        lambda tests: _spacetime_quadrature(
+            traj, lambda js: (np.ones((2, 16)),) * 2, tests),
+        lambda tests: entropy_residual(
+            traj, kruzkov_pair(burgers_flux(), 0.0), tests),
+        lambda tests: pair.continuity_residual(traj, tests),
+        lambda tests: renorm_residual(pair, traj, np.abs, tests),
+        lambda tests: admissibility_residual(split, [lifted], tests))
+    for t_support in ((math.nan, 0.4), (0.1, math.nan), (0.0, 0.4),
+                      (0.1, 0.6)):
+        tf = bump_test(0.1, 0.4, -0.5, 0.5)
+        tf.t_support = t_support
+        for residual in residuals:
+            with pytest.raises(InvalidArgument, match="test function"):
+                residual([tf])
+
+
 def _per_test_quadrature(traj, cell_arrays_at, test_fn):
     """The quadrature as it was written for one test function at a time:
     phi_t and phi_x evaluated whole at every record."""
@@ -415,8 +504,8 @@ def _per_test_quadrature(traj, cell_arrays_at, test_fn):
     slabs = []
     for j, tj in enumerate(traj.times):
         A, B = cell_arrays_at(j)
-        phit = np.asarray(test_fn.dt(tj, x), dtype=float)
-        phix = np.asarray(test_fn.dx(tj, x), dtype=float)
+        phit = np.asarray(test_fn.dft(tj) * test_fn.fx(x), dtype=float)
+        phix = np.asarray(test_fn.ft(tj) * test_fn.dfx(x), dtype=float)
         slabs.append(grid.dx * math.fsum((A * phit + B * phix).tolist()))
     total = 0.0
     for j in range(len(slabs) - 1):
@@ -469,11 +558,13 @@ def test_multi_test_quadrature_is_bitwise_the_per_test_loop(n, nt, k, seed,
 def test_support_only_quadrature_is_bitwise_the_full_row_sum(n, nt, seed):
     """Each test summed over its window of cells and records only gives the
     bits of the full-row fsum, on finite records with exact zeros of both
-    signs, for supports inside, across or outside the grid and the record
-    times, and for supports between two cell centres or two records."""
+    signs, for supports inside, across or outside the grid, inside the
+    record times, across the first or before it, and for supports between
+    two cell centres or two records. A test must vanish before the last
+    record, so no window reaches it."""
     rng = np.random.default_rng(seed)
     grid = Grid1D(-1.0, 1.0, n)
-    times = np.cumsum(rng.uniform(0.01, 0.2, nt)) - 0.01
+    times = np.cumsum(rng.uniform(0.01, 0.2, nt)) + 0.49
     traj = Trajectory(times, [CellField(grid, np.zeros(n)) for _ in times])
     # magnitudes far apart, so a sum in another order shows in the bits
     A, B = (rng.standard_normal((nt, n)) * 10.0 ** rng.integers(-150, 150,
@@ -483,7 +574,7 @@ def test_support_only_quadrature_is_bitwise_the_full_row_sum(n, nt, seed):
     B[rng.random((nt, n)) < 0.2] = -0.0
     tests = []
     for _ in range(3):
-        t0, t1 = np.sort(rng.uniform(times[0] - 0.5, times[-1] + 0.5, 2))
+        t0, t1 = np.sort(rng.uniform(times[0] - 0.49, times[-1], 2))
         x0, x1 = np.sort(rng.uniform(-1.5, 1.5, 2))
         tests.append(bump_test(t0, t1, x0, x1))
     x, gap = grid.centers()[0], 0.25 * (times[1] - times[0])
