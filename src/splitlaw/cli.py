@@ -239,7 +239,8 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
-    """One %.17g line per row; rows is a sequence of rows or a 2D array.
+    """One %.17g line per row; rows is a sequence of rows, a 2D array or
+    a run's _Rows: only len(rows) and slices of it are read.
 
     Rows are written in blocks, without holding a copy of every row. In
     each column of a block, each distinct bit pattern (so -0.0 and 0.0
@@ -269,13 +270,42 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def _component_rows(times, xs, per_time_columns):
-    """One (t, x, c_1, c_2, ...) row per cell and record time, x fastest;
-    per_time_columns holds one list of column arrays per time."""
-    n, nt = len(xs), len(times)
-    cols = np.asarray(per_time_columns, dtype=float)  # (nt, columns, n)
-    return np.column_stack([np.repeat(times, n), np.tile(xs, nt),
-                            cols.transpose(0, 2, 1).reshape(nt * n, -1)])
+class _Rows:
+    """A trajectory's CSV rows, built a slice at a time: (t, coordinates,
+    values) for each record time and cell, cell fastest within a time.
+
+    Cell i sits at np.unravel_index(i, shape) on axes, whose entries give
+    its coordinate columns; per_time holds, for each record time, one
+    flat array per value column. write_csv and trajectory_payload read
+    only len() and slices of step 1, so no table of every row is held.
+    """
+
+    def __init__(self, times, axes, per_time):
+        self.times = np.asarray(times, dtype=float)
+        self.axes = axes
+        self.shape = tuple(len(a) for a in axes)
+        self.per_time = per_time
+        self.cells = len(per_time[0][0])
+        self.width = 1 + len(axes) + len(per_time[0])
+
+    def __len__(self):
+        return len(self.times) * self.cells
+
+    def __getitem__(self, rows):
+        start, stop, _ = rows.indices(len(self))  # the step is 1
+        record, cell = np.divmod(np.arange(start, stop), self.cells)
+        out = np.empty((stop - start, self.width))
+        out[:, 0] = self.times[record]
+        for c, (axis, at) in enumerate(
+                zip(self.axes, np.unravel_index(cell, self.shape)), 1):
+            out[:, c] = axis[at]
+        for j in range(start // self.cells, -(-stop // self.cells)):
+            lo = max(start, j * self.cells)
+            hi = min(stop, (j + 1) * self.cells)
+            for c, column in enumerate(self.per_time[j], 1 + len(self.axes)):
+                out[lo - start:hi - start, c] = \
+                    column[lo - j * self.cells:hi - j * self.cells]
+        return out
 
 
 def _run_riemann(cfg):
@@ -285,9 +315,8 @@ def _run_riemann(cfg):
     v0 = project(parse_initial(cfg.initials["v"]), grid)
     flux = _parse_flux(cfg.flux)
     traj = solve_scalar(flux, v0, cfg.scalar_config())
-    xs = grid.centers()
-    rows = _component_rows(traj.times, xs,
-                           [[f.values] for f in traj.fields])
+    rows = _Rows(traj.times, [grid.centers()],
+                 [[f.values] for f in traj.fields])
     diag = {
         "mass_defect": abs(mass(traj.fields[-1]) - mass(traj.fields[0])),
         "tv": total_variation(traj.fields[-1]),
@@ -334,12 +363,8 @@ def _run_chroma(cfg):
         raise InvalidArgument("chroma experiments need u1, u2, ...")
     comps = [project(parse_initial(cfg.initials[k]), grid) for k in keys]
     traj = solve_chromatography(ChromState(comps), cfg.scalar_config())
-    xs = grid.centers()
-    per_time = []
-    for j in range(len(traj.times)):
-        st = traj.states[j]
-        per_time.append([c.values for c in st.components])
-    rows = _component_rows(traj.times, xs, per_time)
+    rows = _Rows(traj.times, [grid.centers()],
+                 [[c.values for c in st.components] for st in traj.states])
     return (["t", "x"] + keys, rows, _chroma_diagnostics(traj, cfg), traj)
 
 
@@ -351,10 +376,9 @@ def _run_kk(cfg):
     comps = [project(parse_initial(cfg.initials[k]), grid) for k in keys]
     f, fprime = _parse_direction_speed(cfg.speed)
     traj = solve_kk(KKState(comps), f, fprime, cfg.scalar_config())
-    xs = grid.centers()
-    per_time = [[c.values for c in st.components] + [rho.values]
-                for st, rho in zip(traj.states, traj.v_traj.fields)]
-    rows = _component_rows(traj.times, xs, per_time)
+    rows = _Rows(traj.times, [grid.centers()],
+                 [[c.values for c in st.components] + [rho.values]
+                  for st, rho in zip(traj.states, traj.v_traj.fields)])
     excess, gap = renormalization_defect(traj, None)
     rho0, rho1 = traj.v_traj.fields[0], traj.v_traj.fields[-1]
     diag = {"pointwise_excess": excess, "l1_gap": gap,
@@ -370,13 +394,9 @@ def _run_depauw(cfg):
     record = cfg.record or [sched.T]
     traj = evolve(sched, init, record)
     # one (t, x, y, u) row per cell and record time, x major within a time
-    n, nt = grid.n, len(traj.times)
-    c = (np.arange(n) + 0.5) * grid.dx
-    rows = np.column_stack([
-        np.repeat(traj.times, n * n),
-        np.tile(np.repeat(c, n), nt),
-        np.tile(c, n * nt),
-        np.concatenate([f.values.ravel() for f in traj.fields])])
+    c = (np.arange(grid.n) + 0.5) * grid.dx
+    rows = _Rows(traj.times, [c, c], [[f.values.reshape(-1)]
+                                      for f in traj.fields])
     report = mixing_report(traj)
     diags = field_diagnostics(sched, list(traj.times), grid)
     div = max(sched.stage(k).div_max for k in range(2, cfg.k_max + 1))
@@ -427,11 +447,15 @@ def run_experiment(cfg):
 
 
 def trajectory_payload(header, rows, cfg):
-    """JSON form of a trajectory: schema {times, grid, fields, meta}."""
-    times = sorted({row[0] for row in rows})
-    by_time = {t: [] for t in times}
-    for row in rows:
-        by_time[row[0]].append([float(v) for v in row[1:]])
+    """JSON form of a trajectory: schema {times, grid, fields, meta}.
+
+    rows is read like write_csv reads it, one block of rows at a time."""
+    by_time = {}
+    for start in range(0, len(rows), _CSV_BLOCK):
+        block = np.asarray(rows[start:start + _CSV_BLOCK], dtype=float)
+        for t, *values in block.tolist():
+            by_time.setdefault(t, []).append(values)
+    times = sorted(by_time)
     return {
         "times": [float(t) for t in times],
         "grid": {"x_min": cfg.x_min, "x_max": cfg.x_max, "n": cfg.n}

@@ -28,11 +28,15 @@ def _integer(value, name):
 
 
 def _interval(lo, hi, name):
-    """(lo, hi) as floats, refused unless both are finite and lo < hi."""
+    """(lo, hi) as floats, refused unless both are finite and hi - lo is
+    at least the smallest normal float: pi / (hi - lo), a bump's slope
+    scale, would overflow on a subnormal width."""
     lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    if not (math.isfinite(lo) and math.isfinite(hi)
+            and hi - lo >= sys.float_info.min):
         raise InvalidArgument(
-            f"{name} support must be finite and increasing, got ({lo}, {hi})")
+            f"{name} support must be finite and increasing, at least "
+            f"{sys.float_info.min!r} wide, got ({lo}, {hi})")
     return lo, hi
 
 
@@ -312,6 +316,9 @@ class FluxFunction:
         self.gprime = gprime
         self.convexity = convexity
         self.c = float(c)
+        if not (math.isfinite(self.c) and self.c >= 0.0):
+            raise InvalidArgument(
+                f"convexity constant c must be finite and >= 0, got {c!r}")
         self.name = name
         self.admissible_min = admissible_min
         self._L = L_of_range
@@ -462,6 +469,31 @@ def _exact_sum(values):
         return math.nan
 
 
+_CERTIFIED_BLOCK = 1 << 14  # values per whole-number check
+
+
+def _certified_sum(values):
+    """_exact_sum of the nonempty float array values, bit for bit, summed
+    by np.sum where that is provably exact.
+
+    When every value is a whole number and max|x| * size < 2^53, every
+    partial sum, in any order, is a whole number below 2^53 in magnitude,
+    so it is exact and np.sum returns the exact sum, as fsum does. Any
+    other array goes to _exact_sum, and so does a zero total, whose sign
+    fsum sets. The whole-number check copies one block at a time.
+    """
+    flat = values.reshape(-1)
+    top = max(-float(flat.min()), float(flat.max()))  # NaN if any is NaN
+    if top * flat.size < 2.0 ** 53 and all(
+            (np.floor(block) == block).all()
+            for block in (flat[i:i + _CERTIFIED_BLOCK]
+                          for i in range(0, flat.size, _CERTIFIED_BLOCK))):
+        total = float(np.sum(flat))
+        if total != 0.0:
+            return total
+    return _exact_sum(flat)
+
+
 def total_variation(field, window=None):
     """Sum of |v_{i+1} - v_i| over the window; over the whole grid a
     periodic field also counts the seam |v_0 - v_{n-1}|."""
@@ -528,18 +560,23 @@ def _cos_bump(a, b):
     """Nonnegative C^1 bump on (a, b): 0.5*(1 - cos(2 pi s)), s=(x-a)/(b-a)."""
     width = b - a
 
-    def f(x):
-        s = (np.asarray(x, dtype=float) - a) / width
+    def s_inside(x):
+        """s, set to 0 outside (0, 1), and the mask of 0 < s < 1. Far from
+        a narrow support s passes the float range; it lies outside like
+        any s >= 1, and 2 pi s is only taken of s in [0, 1)."""
+        with np.errstate(over="ignore"):
+            s = (np.asarray(x, dtype=float) - a) / width
         inside = (s > 0) & (s < 1)
-        out = np.where(inside, 0.5 * (1.0 - np.cos(2.0 * np.pi * s)), 0.0)
-        return out
+        return np.where(inside, s, 0.0), inside
+
+    def f(x):
+        s, inside = s_inside(x)
+        return np.where(inside, 0.5 * (1.0 - np.cos(2.0 * np.pi * s)), 0.0)
 
     def df(x):
-        s = (np.asarray(x, dtype=float) - a) / width
-        inside = (s > 0) & (s < 1)
-        out = np.where(inside,
-                       (np.pi / width) * np.sin(2.0 * np.pi * s), 0.0)
-        return out
+        s, inside = s_inside(x)
+        return np.where(inside, (np.pi / width) * np.sin(2.0 * np.pi * s),
+                        0.0)
 
     return f, df
 

@@ -17,8 +17,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (Trajectory, _cos_bump, _exact_sum, _integer, _interval,
-                   _worst_residual)
+from .core import (Trajectory, _certified_sum, _cos_bump, _integer,
+                   _interval, _worst_residual)
 from .errors import ConstructionBug, InvalidArgument, UnresolvedScale
 
 _BOX_SCALES = 4  # coarse-grained L1 reported at 2^0 .. 2^-3, grid allowing
@@ -58,17 +58,21 @@ class CellField2D:
     def copy(self):
         return CellField2D(self.grid, self.values.copy())
 
+    # the sums below are fsum's bits (core._certified_sum); on the +-1
+    # and 0 fields of a mixing run they are plain np.sum
+
     def l1(self):
-        return self.grid.dx ** 2 * _exact_sum(np.abs(self.values))
+        return self.grid.dx ** 2 * _certified_sum(np.abs(self.values))
 
     def mass(self):
-        return self.grid.dx ** 2 * _exact_sum(self.values)
+        return self.grid.dx ** 2 * _certified_sum(self.values)
 
 
 def l1_distance_2d(a, b):
     if a.grid != b.grid:
         raise InvalidArgument("fields on different grids")
-    return a.grid.dx ** 2 * _exact_sum(np.abs(a.values - b.values))
+    diff = a.values - b.values
+    return a.grid.dx ** 2 * _certified_sum(np.abs(diff, out=diff))
 
 
 def chessboard(k, grid):

@@ -130,18 +130,6 @@ class TransportPair:
                            + theta * np.array([vals[i] for i in hi]))
         return rows
 
-    def continuity_residual(self, w_traj, test_fns):
-        """Weak residual of w_t + (b w)_x against space-time tests."""
-
-        def arrays(js):
-            w = _stack(w_traj.fields, js)
-            v = _stack(self.rho.fields, js)
-            b = np.asarray(self.b_of(v), dtype=float)
-            return w, b * w
-
-        return _worst_residual(
-            abs(r) for r in _spacetime_quadrature(w_traj, arrays, test_fns))
-
 
 def solve_split(flux, b_of_v, v0, w0s, config):
     """Split solve: the scalar law for v and each w locked to it, in one march.

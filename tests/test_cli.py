@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from splitlaw import acceptance, cli
 from splitlaw.cli import (
     _CSV_BLOCK,
+    _Rows,
     _fmt,
     load_config,
     main,
@@ -287,6 +288,32 @@ def test_write_csv_is_bitwise_the_plain_format_per_cell(
     want = ",".join(header) + "\n" + "".join(
         ",".join("%.17g" % x for x in row) + "\n" for row in table.tolist())
     assert path.read_bytes() == want.encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(axes=st.sampled_from([(5,), (3, 4)]), ncol=st.integers(1, 3),
+       times=st.integers(1, 3), start=st.integers(0, 40),
+       length=st.integers(0, 40))
+def test_rows_slices_are_the_stacked_table(axes, ncol, times, start, length):
+    """Any step-1 slice of _Rows, inside one record or across records and
+    past the end, is that slice of the table stacked in full: t, then
+    each axis coordinate with the last axis fastest, then the values."""
+    rng = np.random.default_rng(len(axes) + 3 * ncol + 9 * times)
+    coords = [rng.standard_normal(n) for n in axes]
+    cells = math.prod(axes)
+    ts = np.cumsum(rng.random(times))
+    per_time = [[rng.standard_normal(cells) for _ in range(ncol)]
+                for _ in range(times)]
+    grids = np.meshgrid(*coords, indexing="ij")
+    table = np.column_stack(
+        [np.repeat(ts, cells)]
+        + [np.tile(g.reshape(-1), times) for g in grids]
+        + [np.concatenate([cols[c] for cols in per_time])
+           for c in range(ncol)])
+    rows = _Rows(ts, coords, per_time)
+    assert len(rows) == len(table)
+    got = rows[start:start + length]
+    assert got.tobytes() == table[start:start + length].tobytes()
 
 
 DEPAUW_CFG = """\

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from splitlaw.core import (
     total_variation,
     weak_pairing,
 )
-from splitlaw.core import (_aligned_zeros, _Arena, _exact_sum, _FlatRows,
-                           _window_slice, _worst_residual)
+from splitlaw import core
+from splitlaw.core import (_aligned_zeros, _Arena, _certified_sum, _exact_sum,
+                           _FlatRows, _window_slice, _worst_residual)
 from splitlaw.depauw import CellField2D, Grid2D
 from splitlaw.errors import InvalidArgument
 from splitlaw.scalar import _positive_part_integral
@@ -302,6 +304,66 @@ def test_exact_sum_is_nan_where_fsum_raises():
     assert _exact_sum([math.inf, 1.0]) == math.inf
     field = CellField2D(Grid2D(1), np.full((2, 2), 1e308))
     assert math.isnan(field.l1()) and math.isnan(field.mass())
+
+
+@st.composite
+def _sum_cases(draw):
+    """Float arrays of 1 to 64 values: +-1 fields, fields of 0.0 and -0.0,
+    whole numbers whose max|x| * size is just below, at or just past 2^53,
+    and +-1 fields with one non-integer, infinite or NaN cell."""
+    size = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["unit", "zero", "edge", "fraction",
+                                 "special"]))
+    if kind == "zero":
+        return np.array(draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                      min_size=size, max_size=size)))
+    if kind == "edge":
+        top = 2 ** 53 // size + draw(st.integers(-1, 1))
+        rest = draw(st.lists(st.integers(-top, top), min_size=size - 1,
+                             max_size=size - 1))
+        return np.array([float(top)] + [float(x) for x in rest])
+    values = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                    min_size=size, max_size=size)))
+    if kind != "unit":
+        cell = draw(st.integers(0, size - 1))
+        values[cell] = draw(
+            st.floats(-4.0, 4.0).filter(lambda x: x != math.floor(x))
+            if kind == "fraction"
+            else st.sampled_from([math.inf, -math.inf, math.nan]))
+    return values
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_sum_cases())
+def test_certified_sum_is_bitwise_the_exact_sum(values):
+    """The np.sum the certificate allows, and every fallback, give fsum's
+    bits: the sign of a zero total, the exact total of whole numbers past
+    the certificate, and NaN for a NaN or inf + -inf."""
+    for data in (values, np.abs(values), values.reshape(1, -1)):
+        assert _bits(_certified_sum(data)) == _bits(_exact_sum(data))
+    if np.isnan(values).any() or {math.inf, -math.inf} <= set(values):
+        assert math.isnan(_certified_sum(values))
+
+
+def test_certified_sum_calls_fsum_only_without_a_certificate():
+    """A +-1 field with a nonzero total is summed by np.sum alone; a zero
+    total, whose sign is fsum's to set whatever np.sum's is, and whole
+    numbers past 2^53, where np.sum rounds 2^53 + 1 + 1 to 2^53, go to
+    fsum."""
+    units = np.where(np.arange(4096) % 3 == 0, -1.0, 1.0)
+    with mock.patch.object(core, "_exact_sum", side_effect=AssertionError):
+        assert _certified_sum(units) == float(np.sum(units))
+        assert _certified_sum(np.abs(units)) == 4096.0
+    with mock.patch.object(core, "_exact_sum", return_value=-0.0):
+        assert _bits(_certified_sum(np.array([1.0, -1.0, -0.0]))) \
+            == _bits(-0.0)
+    big = np.array([2.0 ** 53, 1.0, 1.0])
+    assert float(np.sum(big)) == 2.0 ** 53
+    assert _certified_sum(big) == 2.0 ** 53 + 2.0
 
 
 @pytest.mark.parametrize("residuals, expected", [

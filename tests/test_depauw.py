@@ -537,6 +537,29 @@ def test_fixture_11_runs_in_under_12_mb_of_traced_memory():
     assert _traced_peak(lambda: cli.run_experiment(cfg)) < 12e6
 
 
+def test_fixture_11_runs_and_writes_in_under_7_mb_of_traced_memory(
+        tmp_path):
+    """The run and its CSV together peak below 7 MB at m = 8: l1 sums
+    without a list of every cell, and write_csv builds its rows a block
+    at a time. A full (t, x, y, u) row table and fsum's list of 65,536
+    floats took the peak to 8.9 MB."""
+    cfg = cli.load_config(str(FIXTURES / "criterion_11.ini"))
+
+    def run_and_write():
+        header, rows, _, _ = cli.run_experiment(cfg)
+        cli.write_csv(str(tmp_path / "mix.csv"), header, rows)
+
+    assert _traced_peak(run_and_write) < 7e6
+
+
+def test_l1_of_a_256_square_field_copies_at_most_its_absolute_values():
+    """l1 of a +-1 field at m = 8 peaks under 1 MB (|values| is 0.5 MB);
+    fsum's list of 65,536 Python floats took 2.1 MB."""
+    f = chessboard(5, Grid2D(8))
+    assert _traced_peak(f.l1) < 1e6
+    assert f.l1() == 1.0
+
+
 def test_schedule_owns_its_stage_maps():
     sched = DyadicSchedule("original", 3, 4)
     st = sched.stage(3)
