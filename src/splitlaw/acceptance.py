@@ -564,7 +564,7 @@ def criterion_11(level="full"):
     bv_ok = True
     for variant, s in (("original", sched), ("strong", strong)):
         t_samples = [0.5 * (t0 + t1) for (_, t0, t1) in s.stages]
-        for row in field_diagnostics(s, t_samples, grid):
+        for row in field_diagnostics(s, t_samples):
             bv_ok = bv_ok and row["bv"] >= DEPAUW_BV_FACTOR / row["t"]
     ok = ok and bv_ok
     parts.append(f"(d) bv>=0.1/t {bv_ok}")

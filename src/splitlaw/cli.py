@@ -152,77 +152,82 @@ def load_config(path):
             path, os.path.basename(path)).split())) from None
 
 
-# The keys the loader reads, by section; [initial] takes any name.
-_KEYS = {"experiment": ("kind",), "grid": ("x_min", "x_max", "n"),
-         "flux": ("id", "speed"), "initial": None,
-         "time": ("t_end", "record", "cfl", "fixed_dt"),
-         "schedule": ("variant", "k_max", "m", "init_k"),
-         "verify": ("level",), "output": ("basename",)}
-
-
 def _floats(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _level(text):
+    if text not in LEVELS:
+        raise ValueError(f"unknown verify level {text!r}")
+    return text
+
+
+_SOLVES = ("riemann", "chroma", "kk")  # the kinds that solve on a Grid1D
+
+# Every key a config may set: its section, its name (a pattern for the
+# [initial] names, which set that name in initials), the ExperimentConfig
+# field it sets, its parser, and the kinds whose runs read it.
+_TABLE = (
+    ("experiment", "kind", "kind", str.strip, KINDS),
+    ("grid", "x_min", "x_min", float, _SOLVES),
+    ("grid", "x_max", "x_max", float, _SOLVES),
+    ("grid", "n", "n", int, _SOLVES),
+    ("flux", "id", "flux", str, ("riemann",)),
+    ("flux", "speed", "speed", str, ("kk",)),
+    ("initial", "v", "initials", str, ("riemann",)),
+    ("initial", r"u\d+", "initials", str, ("chroma", "kk")),
+    ("time", "t_end", "t_end", float, _SOLVES),
+    ("time", "record", "record", _floats, _SOLVES + ("depauw",)),
+    ("time", "cfl", "cfl", float, _SOLVES),
+    ("time", "fixed_dt", "fixed_dt", float, _SOLVES),
+    ("schedule", "variant", "variant", str, ("depauw",)),
+    ("schedule", "k_max", "k_max", int, ("depauw",)),
+    ("schedule", "m", "m", int, ("depauw",)),
+    ("schedule", "init_k", "init_k", int, ("depauw",)),
+    ("verify", "level", "level", _level, ("verify",)),
+    ("output", "basename", "basename", str, KINDS),
+)
+
+
 def _experiment_config(path):
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise InvalidArgument(f"config not found: {path}")
     name = os.path.basename(path)
-    # a section or key that _KEYS does not list is an error, so a misspelt
-    # key cannot run with its default
     if parser.defaults():
         raise InvalidArgument(f"{name}: [DEFAULT]: unknown section")
-    for section in parser.sections():
-        if section not in _KEYS:
-            raise InvalidArgument(f"{name}: [{section}]: unknown section")
-        for key in parser.options(section) if _KEYS[section] else ():
-            if key not in _KEYS[section]:
-                raise InvalidArgument(
-                    f"{name}: [{section}] {key}: unknown key")
-
-    def number(section, key, convert, fallback=None):
-        """[section] key through convert, fallback when it is absent."""
-        if not parser.has_option(section, key):
-            return fallback
-        try:
-            return convert(parser.get(section, key))
-        except ValueError as exc:
-            raise InvalidArgument(
-                f"{name}: [{section}] {key}: {exc}") from None
-
     if not parser.has_option("experiment", "kind"):
         raise InvalidArgument(f"{name}: [experiment] kind: missing")
     kind = parser.get("experiment", "kind").strip()
     if kind not in KINDS:
         raise InvalidArgument(
             f"{name}: [experiment] kind: unknown experiment kind {kind!r}")
-    cfg = ExperimentConfig(kind=kind, path=path)
-    stem = os.path.splitext(name)[0]
-
-    cfg.x_min = number("grid", "x_min", float, cfg.x_min)
-    cfg.x_max = number("grid", "x_max", float, cfg.x_max)
-    cfg.n = number("grid", "n", int, cfg.n)
-    cfg.flux = parser.get("flux", "id", fallback=cfg.flux)
-    cfg.speed = parser.get("flux", "speed", fallback=cfg.speed)
-    if parser.has_section("initial"):
-        for key, value in parser.items("initial"):
-            cfg.initials[key] = value
-    cfg.t_end = number("time", "t_end", float, cfg.t_end)
-    cfg.record = number("time", "record", _floats, cfg.record)
-    cfg.cfl = number("time", "cfl", float, cfg.cfl)
-    cfg.fixed_dt = number("time", "fixed_dt", float)
-    cfg.variant = parser.get("schedule", "variant", fallback=cfg.variant)
-    cfg.k_max = number("schedule", "k_max", int, cfg.k_max)
-    cfg.m = number("schedule", "m", int, cfg.m)
-    cfg.init_k = number("schedule", "init_k", int)
-    cfg.level = parser.get("verify", "level", fallback=cfg.level)
-    if cfg.level not in LEVELS:
-        raise InvalidArgument(
-            f"{name}: [verify] level: unknown verify level {cfg.level!r}")
-    cfg.basename = parser.get("output", "basename", fallback=stem)
-    if not cfg.record and kind in ("riemann", "chroma", "kk"):
+    cfg = ExperimentConfig(kind=kind, path=path,
+                           basename=os.path.splitext(name)[0])
+    # a key the table does not list, or that this kind's run does not
+    # read, is an error, so no key is silently ignored
+    for section in parser.sections():
+        rows = [row for row in _TABLE if row[0] == section]
+        if not rows:
+            raise InvalidArgument(f"{name}: [{section}]: unknown section")
+        for key in parser.options(section):
+            where = f"{name}: [{section}] {key}"
+            row = next((row for row in rows if re.fullmatch(row[1], key)),
+                       None)
+            if row is None:
+                raise InvalidArgument(f"{where}: unknown key")
+            _, _, attr, parse, kinds = row
+            if kind not in kinds:
+                raise InvalidArgument(f"{where}: not read by a {kind} run")
+            try:
+                value = parse(parser.get(section, key))
+            except ValueError as exc:
+                raise InvalidArgument(f"{where}: {exc}") from None
+            if attr == "initials":
+                cfg.initials[key] = value
+            else:
+                setattr(cfg, attr, value)
+    if not cfg.record and kind in _SOLVES:
         cfg.record = [cfg.t_end]
     return cfg
 
@@ -358,7 +363,7 @@ def _chroma_diagnostics(traj, cfg):
 
 def _run_chroma(cfg):
     grid = Grid1D(cfg.x_min, cfg.x_max, cfg.n)
-    keys = sorted(k for k in cfg.initials if re.fullmatch(r"u\d+", k))
+    keys = sorted(cfg.initials)
     if len(keys) < 2:
         raise InvalidArgument("chroma experiments need u1, u2, ...")
     comps = [project(parse_initial(cfg.initials[k]), grid) for k in keys]
@@ -370,7 +375,7 @@ def _run_chroma(cfg):
 
 def _run_kk(cfg):
     grid = Grid1D(cfg.x_min, cfg.x_max, cfg.n)
-    keys = sorted(k for k in cfg.initials if re.fullmatch(r"u\d+", k))
+    keys = sorted(cfg.initials)
     if not keys:
         raise InvalidArgument("kk experiments need u1, u2, ...")
     comps = [project(parse_initial(cfg.initials[k]), grid) for k in keys]
@@ -397,18 +402,10 @@ def _run_depauw(cfg):
     c = (np.arange(grid.n) + 0.5) * grid.dx
     rows = _Rows(traj.times, [c, c], [[f.values.reshape(-1)]
                                       for f in traj.fields])
-    report = mixing_report(traj)
-    diags = field_diagnostics(sched, list(traj.times), grid)
     div = max(sched.stage(k).div_max for k in range(2, cfg.k_max + 1))
-    diag = {
-        "mixing_report": [
-            {"t": r["t"], "l1": r["l1"], "weak_max": r["weak_max"],
-             "coarse_l1": list(r["coarse_l1"])} for r in report],
-        "field_diagnostics": [
-            {"t": r["t"], "k": r["k"], "sup": r["sup"], "bv": r["bv"]}
-            for r in diags],
-        "divergence_max": div,
-    }
+    diag = {"mixing_report": mixing_report(traj),
+            "field_diagnostics": field_diagnostics(sched, traj.times),
+            "divergence_max": div}
     return ["t", "x", "y", "u"], rows, diag, traj
 
 

@@ -538,31 +538,20 @@ def box_averaged_l1(field, j):
     return float(np.sum(np.abs(v))) * (tile * field.grid.dx) ** 2
 
 
-def mixing_report(traj, test_fns=None):
+def mixing_report(traj):
     """Per-time table: L1 norm, worst low-mode pairing, coarse L1 norms.
 
-    coarse_l1 lists the box-averaged L1 norms at scales 2^-j for
-    j = 0 .. min(3, m): a grid coarser than 2^-3 reports the scales it
-    resolves.
-
-    With no test_fns the pairing is the modulus of the integral against
-    the nine lowest Fourier modes; custom callables phi(X, Y) are paired
-    directly.
+    The pairing is the modulus of the integral against the nine lowest
+    Fourier modes. coarse_l1 lists the box-averaged L1 norms at scales
+    2^-j for j = 0 .. min(3, m): a grid coarser than 2^-3 reports the
+    scales it resolves.
     """
     grid = traj.grid
     dA = grid.dx ** 2
-    if test_fns is not None and not test_fns:
-        raise InvalidArgument("need at least one test function")
-    if test_fns is None:
-        pairings = _fourier_modes(grid)
-    else:
-        c = (np.arange(grid.n) + 0.5) * grid.dx
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        pairings = (np.asarray(fn(X, Y), dtype=float) for fn in test_fns)
-    # one pairing array alive at a time; each record keeps the first
-    # largest modulus in pairing order, as max() over the pairings would
+    # one mode alive at a time; each record keeps the first largest
+    # modulus in mode order, as max() over the modes would
     worst = None
-    for phi in pairings:
+    for phi in _fourier_modes(grid):
         moduli = [abs(dA * np.sum(f.values * phi)) for f in traj.fields]
         worst = moduli if worst is None else list(map(max, worst, moduli))
     rows = []
@@ -574,42 +563,24 @@ def mixing_report(traj, test_fns=None):
     return rows
 
 
-def field_diagnostics(schedule, t_list, grid):
-    """Per-time table: stage level, field sup and BV norms, and the sup
-    distance to the previous sampled field."""
-    if schedule.m != grid.m:
-        raise InvalidArgument("schedule and grid resolved at different scales")
+def field_diagnostics(schedule, t_list):
+    """Per-time table: stage level and the field's sup and BV norms, from
+    the stage's unit-time numbers and the field's scale at t."""
     rows = []
-    prev = None
-    for t in t_list:
-        t = float(t)
+    for t in map(float, t_list):
         scale, k = schedule.field_scale(t)
-        if k is None:
-            vx = np.zeros((grid.n, grid.n))
-            vy = np.zeros((grid.n, grid.n))
-            sup = 0.0
-            bv = 0.0
-        else:
+        sup = bv = 0.0
+        if k is not None:
             st = schedule.stage(k)
-            vx, vy = (scale * comp for comp in st.center_field())
-            sup = scale * st.sup_unit
-            bv = scale * st.bv_unit
-        if prev is None:
-            modulus = None
-        else:
-            modulus = float(max(np.max(np.abs(vx - prev[0])),
-                                np.max(np.abs(vy - prev[1]))))
-        rows.append({"t": t, "k": k, "sup": float(sup), "bv": float(bv),
-                     "modulus_prev": modulus})
-        prev = (vx, vy)
+            sup, bv = float(scale * st.sup_unit), float(scale * st.bv_unit)
+        rows.append({"t": t, "k": k, "sup": sup, "bv": bv})
     return rows
 
 
 class SpaceTimeTest2D:
-    """C^1 test function on (0,T) x torus with analytic partials."""
+    """C^1 test function on (0,T) x torus, given by its analytic partials."""
 
-    def __init__(self, fn, dt_fn, dx_fn, dy_fn, t_support):
-        self.fn = fn
+    def __init__(self, dt_fn, dx_fn, dy_fn, t_support):
         self.dt = dt_fn
         self.dx = dx_fn
         self.dy = dy_fn
@@ -632,7 +603,6 @@ def torus_test(t0, t1, ax, by, phase="cos"):
         return w * (ax * X + by * Y)
 
     return SpaceTimeTest2D(
-        fn=lambda t, X, Y: ft(t) * sp(arg(X, Y)),
         dt_fn=lambda t, X, Y: dft(t) * sp(arg(X, Y)),
         dx_fn=lambda t, X, Y: ft(t) * (w * ax * dsp(arg(X, Y))),
         dy_fn=lambda t, X, Y: ft(t) * (w * by * dsp(arg(X, Y))),

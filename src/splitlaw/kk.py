@@ -55,13 +55,16 @@ def kk_flux(f, fprime, rho_range):
     """Flux rho -> rho f(rho), certified uniformly convex on the range.
 
     Uniform convexity is measured by second differences on a 257-point
-    grid; a floor at 1e-8 rejects linear and degenerate cases. When f has
-    a buffer form f.into(rho, out) (affine_speed's f does), the flux gets
-    the buffer form g_into: f(rho) written into out, then rho times it.
+    grid; a floor at 1e-8 rejects linear and degenerate cases. The range
+    (lo, hi) must be finite with lo <= hi; lo == hi is widened by 0.5 on
+    each side. When f has a buffer form f.into(rho, out) (affine_speed's
+    f does), the flux gets the buffer form g_into: f(rho) written into
+    out, then rho times it.
     """
     lo, hi = float(rho_range[0]), float(rho_range[1])
-    if lo > hi:
-        lo, hi = hi, lo
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InvalidArgument(
+            f"modulus range must be finite with lo <= hi, got ({lo}, {hi})")
     if lo == hi:
         lo -= 0.5
         hi += 0.5
@@ -79,7 +82,10 @@ def kk_flux(f, fprime, rho_range):
     z = np.linspace(lo, hi, _SECOND_DIFF_POINTS)
     h = z[1] - z[0]
     gz = np.asarray(g(z), dtype=float)
-    second = (gz[2:] - 2.0 * gz[1:-1] + gz[:-2]) / (h * h)
+    # on a range so narrow that h * h is 0 the quotient is NaN or inf,
+    # which certifies nothing: it is refused below or by FluxFunction
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = (gz[2:] - 2.0 * gz[1:-1] + gz[:-2]) / (h * h)
     c_meas = float(np.min(second))
     if not c_meas > _CONVEXITY_FLOOR:  # a NaN bound certifies nothing
         raise InvalidFlux(

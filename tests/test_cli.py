@@ -631,22 +631,45 @@ def test_a_non_finite_direction_speed_exits_2(tmp_path, monkeypatch, capsys,
 # zero, subnormal, not a number, an interpolation, an unknown name.
 _HOSTILE = ["", "nan", "inf", "-1", "0", "1e-320", "x", "%(x)s", "nope"]
 
-# Keys that no fuzz base sets, each with its section, and a value it may
-# take: 1/512 divides every base's t_end and record times. The loader reads
-# no [transport] section, so epsilon exits 2 whatever its value.
+# Keys that some fuzz base lacks, each with its section, and a value it may
+# take: 1/512 divides every 1-D base's t_end and record times, and 16 cells
+# keep a 1-D run small. A depauw or verify run reads neither [time] fixed_dt
+# nor [grid] n, and a chroma or kk run reads no [flux] id, so those exit 2.
+# The loader reads no [transport] section, so epsilon exits 2 whatever its
+# value.
 _ABSENT = {("time", "fixed_dt"): "0.001953125",
+           ("grid", "n"): "16",
+           ("flux", "id"): "burgers",
            ("transport", "epsilon"): "0.125"}
+
+VERIFY_CFG = """\
+[experiment]
+kind = verify
+
+[verify]
+level = fast
+
+[output]
+basename = gate
+"""
+
+
+def _stub_gate(level):
+    """acceptance.run_all for the tests of config loading: one passing
+    criterion, without running the gate."""
+    return [acceptance.CriterionResult(1, "stub", True, "ok")]
 
 
 @st.composite
 def _hostile_configs(draw):
-    """RIEMANN_CFG, CHROMA_CFG, KK_CFG, DEPAUW_CFG or DEPAUW_FULL_CFG with
-    one to three mutations: a `key = value` line given a hostile value,
-    duplicated or dropped, or a line added for a key no base sets, with a
-    hostile or a working value. n stays at most 64, and m at most 6 (its
-    default when dropped)."""
+    """RIEMANN_CFG, CHROMA_CFG, KK_CFG, DEPAUW_CFG, DEPAUW_FULL_CFG or
+    VERIFY_CFG with one to three mutations: a `key = value` line given a
+    hostile value, duplicated or dropped, or a line added for a key the
+    base may lack, with a hostile or a working value. n stays at most 64,
+    and m at most 6 (its default when dropped)."""
     lines = draw(st.sampled_from([RIEMANN_CFG, CHROMA_CFG, KK_CFG,
-                                  DEPAUW_CFG, DEPAUW_FULL_CFG])).splitlines()
+                                  DEPAUW_CFG, DEPAUW_FULL_CFG,
+                                  VERIFY_CFG])).splitlines()
     keyed = [i for i, line in enumerate(lines) if " = " in line]
     for _ in range(draw(st.integers(1, 3))):
         how = draw(st.sampled_from(["set"] * 8 + ["dup", "drop", "add"]))
@@ -676,7 +699,8 @@ def _hostile_configs(draw):
 @given(text=_hostile_configs())
 def test_hostile_configs_exit_with_a_documented_code(tmp_path_factory, text):
     """main() returns an exit code in 0-4 for every mutated config: no
-    uncaught exception, and an error named by its identifier."""
+    uncaught exception, and an error named by its identifier. A verify
+    config that stays valid runs a stub of the gate."""
     root = tmp_path_factory.mktemp("fuzz")
     cfg = root / "fuzz.ini"
     cfg.write_text(text)
@@ -684,10 +708,67 @@ def test_hostile_configs_exit_with_a_documented_code(tmp_path_factory, text):
     with pytest.MonkeyPatch.context() as mp, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         mp.setenv("SPLITLAW_OUTPUT_ROOT", str(root / "out"))
+        mp.setattr(acceptance, "run_all", _stub_gate)
         rc = main(["run", str(cfg)])
     assert rc in (0, 2, 3, 4)
     if rc:
         assert re.match(r"[a-z-]+: ", err.getvalue())
+
+
+def test_each_kind_accepts_only_the_keys_its_run_reads():
+    solve = ["[experiment] kind", "[grid] x_min", "[grid] x_max", "[grid] n",
+             "[time] t_end", "[time] record", "[time] cfl", "[time] fixed_dt",
+             "[output] basename"]
+    want = {
+        "riemann": solve + ["[flux] id", "[initial] v"],
+        "chroma": solve + [r"[initial] u\d+"],
+        "kk": solve + ["[flux] speed", r"[initial] u\d+"],
+        "depauw": ["[experiment] kind", "[time] record", "[schedule] variant",
+                   "[schedule] k_max", "[schedule] m", "[schedule] init_k",
+                   "[output] basename"],
+        "verify": ["[experiment] kind", "[verify] level", "[output] basename"],
+    }
+    for kind in cli.KINDS:
+        assert sorted(f"[{section}] {key}"
+                      for section, key, _, _, kinds in cli._TABLE
+                      if kind in kinds) == sorted(want[kind])
+
+
+def _with_line(base, section, line):
+    """base with line added under [section], the section added if absent."""
+    if f"[{section}]\n" not in base:
+        return f"{base}\n[{section}]\n{line}\n"
+    return base.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
+
+
+@pytest.mark.parametrize("base, section, line, kind", [
+    (CHROMA_CFG, "flux", "id = burgers", "chroma"),
+    (RIEMANN_CFG, "initial", "u1 = nonsense(", "riemann"),
+    (RIEMANN_CFG, "schedule", "variant = nope", "riemann"),
+    (DEPAUW_CFG, "grid", "n = 8", "depauw"),
+    (DEPAUW_CFG, "time", "t_end = 7.0", "depauw"),
+    (DEPAUW_CFG, "time", "fixed_dt = 0.1", "depauw"),
+    (DEPAUW_CFG, "time", "cfl = 0.9", "depauw"),
+    (CHROMA_CFG, "initial", "v = riemann(1.0, 0.0)", "chroma"),
+    (KK_CFG, "flux", "id = chromatography", "kk"),
+    (VERIFY_CFG, "grid", "n = 8", "verify"),
+], ids=["chroma-flux-id", "riemann-initial-u1", "riemann-schedule-variant",
+        "depauw-grid-n", "depauw-time-t_end", "depauw-time-fixed_dt",
+        "depauw-time-cfl", "chroma-initial-v", "kk-flux-id",
+        "verify-grid-n"])
+def test_a_key_the_kind_does_not_read_is_a_config_error(
+        tmp_path, monkeypatch, capsys, base, section, line, kind):
+    """Each of these keys used to be dropped without a word: the run exited
+    0 with its default, whatever the key said."""
+    monkeypatch.setattr(acceptance, "run_all", _stub_gate)
+    monkeypatch.setenv("SPLITLAW_OUTPUT_ROOT", str(tmp_path / "out"))
+    cfg = _write(tmp_path, "x.ini", _with_line(base, section, line))
+    assert main(["run", cfg]) == 2
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == (
+        f"invalid-argument: x.ini: [{section}] {key}: not read by a {kind} "
+        "run\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_time_step_that_cannot_advance_is_a_config_error(tmp_path,

@@ -10,6 +10,7 @@ import pytest
 
 from splitlaw import cli, depauw
 from splitlaw.acceptance import criterion_11
+from splitlaw.core import _cos_bump
 from splitlaw.depauw import (
     CellField2D,
     DyadicSchedule,
@@ -266,12 +267,17 @@ def test_evolve_validation_and_partial_flags():
 
 def test_torus_test_partials_match_finite_differences():
     h = 1e-6
-    for phase in ("cos", "sin"):
+    ft, _ = _cos_bump(0.1, 0.4)
+    for phase, mode in (("cos", np.cos), ("sin", np.sin)):
         tf = torus_test(0.1, 0.4, 1, -1, phase)
+
+        def fn(t, x, y):  # phi = the time bump times the (1, -1) mode
+            return float(ft(t) * mode(2.0 * np.pi * (x - y)))
+
         t, x, y = 0.2, 0.3, 0.7
-        fd_t = (float(tf.fn(t + h, x, y)) - float(tf.fn(t - h, x, y))) / (2 * h)
-        fd_x = (float(tf.fn(t, x + h, y)) - float(tf.fn(t, x - h, y))) / (2 * h)
-        fd_y = (float(tf.fn(t, x, y + h)) - float(tf.fn(t, x, y - h))) / (2 * h)
+        fd_t = (fn(t + h, x, y) - fn(t - h, x, y)) / (2 * h)
+        fd_x = (fn(t, x + h, y) - fn(t, x - h, y)) / (2 * h)
+        fd_y = (fn(t, x, y + h) - fn(t, x, y - h)) / (2 * h)
         assert fd_t == pytest.approx(float(tf.dt(t, x, y)), abs=1e-4)
         assert fd_x == pytest.approx(float(tf.dx(t, x, y)), abs=1e-4)
         assert fd_y == pytest.approx(float(tf.dy(t, x, y)), abs=1e-4)
@@ -314,35 +320,28 @@ def test_mixing_report_shows_weak_decay_with_constant_l1():
     assert rows[-1]["coarse_l1"][1] == pytest.approx(1.0)
 
 
-def test_mixing_report_accepts_custom_test_functions():
-    grid = Grid2D(4)
-    traj = evolve(DyadicSchedule("original", 2, 4), chessboard(2, grid),
-                  [0.0])
-    rows = mixing_report(traj, test_fns=[lambda X, Y: np.ones_like(X)])
-    assert rows[0]["weak_max"] == pytest.approx(0.0, abs=1e-15)
-
-
 def test_field_diagnostics_rows():
-    grid = Grid2D(5)
     sched = DyadicSchedule("original", 3, 5)
-    rows = field_diagnostics(sched, [0.05, 0.1875, 0.3], grid)
-    assert rows[0]["k"] is None
-    assert rows[0]["sup"] == 0.0
-    assert rows[0]["modulus_prev"] is None
+    rows = field_diagnostics(sched, [0.05, 0.1875, 0.3])
+    assert [sorted(row) for row in rows] == 3 * [["bv", "k", "sup", "t"]]
+    assert rows[0] == {"t": 0.05, "k": None, "sup": 0.0, "bv": 0.0}
     assert rows[1]["k"] == 3
     assert rows[1]["sup"] > 0.0
     assert rows[1]["bv"] > 0.0
     assert rows[2]["k"] == 2
-    assert rows[2]["modulus_prev"] >= 0.0
+    # the stage's unit-time numbers times the field's scale at t
+    for row in rows[1:]:
+        scale, k = sched.field_scale(row["t"])
+        assert row["sup"] == scale * sched.stage(k).sup_unit
+        assert row["bv"] == scale * sched.stage(k).bv_unit
 
 
 def test_strong_variant_keeps_the_field_slow_and_vanishing_at_ends():
-    grid = Grid2D(6)
     sched = DyadicSchedule("strong", 4, 6)
     for k, t0, t1 in sched.stages:
-        row_end = field_diagnostics(sched, [t0], grid)[0]
+        row_end = field_diagnostics(sched, [t0])[0]
         assert row_end["sup"] == 0.0
-        row_mid = field_diagnostics(sched, [0.5 * (t0 + t1)], grid)[0]
+        row_mid = field_diagnostics(sched, [0.5 * (t0 + t1)])[0]
         assert 0.0 < row_mid["sup"] < 2.0 / k
 
 
@@ -595,8 +594,6 @@ def test_each_schedule_builds_each_stage_once(tmp_path, monkeypatch):
 def test_diagnostics_reject_a_grid_at_another_scale():
     sched = DyadicSchedule("original", 3, 4)
     with pytest.raises(InvalidArgument, match="different scales"):
-        field_diagnostics(sched, [0.3], Grid2D(5))
-    with pytest.raises(InvalidArgument, match="different scales"):
         continuity_residual_2d(sched, chessboard(3, Grid2D(5)),
                                [torus_test(0.03, 0.47, 1, 1)])
 
@@ -730,18 +727,15 @@ def test_evolve_rejects_a_nan_time():
         evolve(sched, chessboard(3, grid), [0.25, float("nan")])
 
 
-def _all_modes_at_once_report(traj, test_fns=None):
-    """mixing_report with every pairing array held at once, the earlier
+def _all_modes_at_once_report(traj):
+    """mixing_report with every mode array held at once, the earlier
     way: records outer, modes inner."""
     grid = traj.grid
     dA = grid.dx ** 2
     c = (np.arange(grid.n) + 0.5) * grid.dx
     X, Y = np.meshgrid(c, c, indexing="ij")
-    if test_fns is None:
-        pairings = [np.exp(-2j * np.pi * (ax * X + by * Y))
-                    for ax in (-1, 0, 1) for by in (-1, 0, 1)]
-    else:
-        pairings = [np.asarray(fn(X, Y), dtype=float) for fn in test_fns]
+    pairings = [np.exp(-2j * np.pi * (ax * X + by * Y))
+                for ax in (-1, 0, 1) for by in (-1, 0, 1)]
     rows = []
     for t, f in zip(traj.times, traj.fields):
         worst = max(abs(dA * np.sum(f.values * phi)) for phi in pairings)
@@ -756,19 +750,14 @@ def test_mixing_report_is_the_all_modes_at_once_computation_bitwise():
     rng = np.random.default_rng(13)
     ts = sorted(set([0.0, sched.T] + [x for _, t0, t1 in sched.stages
                                       for x in (t0, 0.5 * (t0 + t1))]))
-    tests = [lambda X, Y: np.cos(2 * np.pi * X),
-             lambda X, Y: np.sin(2 * np.pi * (X - Y)), lambda X, Y: X * Y]
     for init in (chessboard(4, grid),
                  CellField2D(grid, rng.normal(size=(grid.n, grid.n)))):
         traj = evolve(sched, init, ts)
-        for fns in (None, tests):
-            got = mixing_report(traj, fns)
-            want = _all_modes_at_once_report(traj, fns)
-            assert [r["weak_max"].hex() for r in got] == [
-                r["weak_max"].hex() for r in want]
-            assert got == want
-    with pytest.raises(InvalidArgument):
-        mixing_report(traj, [])
+        got = mixing_report(traj)
+        want = _all_modes_at_once_report(traj)
+        assert [r["weak_max"].hex() for r in got] == [
+            r["weak_max"].hex() for r in want]
+        assert got == want
 
 
 def _residual_one_evolve_per_segment(schedule, init, test_fns,

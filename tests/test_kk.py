@@ -31,9 +31,11 @@ def test_kk_flux_certifies_uniform_convexity():
     assert flux.c == pytest.approx(2.0, abs=1e-6)
     assert float(flux.g(0.5)) == pytest.approx(0.75)
     assert float(flux.gprime(0.5)) == pytest.approx(2.0)
-    # range order does not matter, and a degenerate range is widened
-    assert kk_flux(_f, _fprime, (1.5, 0.25)).c == pytest.approx(2.0, abs=1e-6)
+    # a degenerate range is widened; a reversed or non-finite one is refused
     assert kk_flux(_f, _fprime, (1.0, 1.0)).c == pytest.approx(2.0, abs=1e-6)
+    for bad in ((1.5, 0.25), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(InvalidArgument, match="finite with lo <= hi"):
+            kk_flux(_f, _fprime, bad)
 
 
 def test_kk_flux_rejects_linear_and_concave_speeds():

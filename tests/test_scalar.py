@@ -24,7 +24,7 @@ from splitlaw.core import (
 )
 from splitlaw import _kernels, scalar
 from splitlaw.cli import _parse_direction_speed
-from splitlaw.kk import kk_flux
+from splitlaw.kk import affine_speed, kk_flux
 from splitlaw.errors import (HypothesisViolation, InvalidArgument,
                              NumericalBlowup, SplitlawError, UnsupportedFlux)
 from splitlaw.scalar import (
@@ -174,6 +174,11 @@ _HOSTILE = st.one_of(
 # float range, and one subnormal float wide overflowed pi / d
 @example(a=-1.0, b=0.0, c=0.0, d=2.2250738585072014e-308, convex=False)
 @example(a=-1.0, b=0.0, c=0.0, d=5e-324, convex=True)
+# kk_flux swapped a reversed range, warned twice on an infinite one, and
+# divided by a zero h * h on a subnormal one
+@example(a=1.5, b=0.25, c=0.0, d=1.0, convex=True)
+@example(a=1.0, b=math.inf, c=0.0, d=1.0, convex=True)
+@example(a=0.0, b=5e-324, c=0.0, d=1.0, convex=True)
 def test_hostile_scalars_give_a_typed_error_or_a_finite_result(a, b, c, d,
                                                                 convex):
     xs = np.linspace(-2.0, 2.0, 9)
@@ -200,6 +205,17 @@ def test_hostile_scalars_give_a_typed_error_or_a_finite_result(a, b, c, d,
         assert not (math.isfinite(c) and c >= 0.0)
     else:
         assert math.isfinite(flux.c) and flux.c >= 0.0
+    # kk_flux certifies rho f(rho) on (a, b): a reversed or non-finite
+    # range used to be swapped, or measured with warnings and then refused
+    # as not convex
+    try:
+        kk = kk_flux(*affine_speed(1.0, 1.0), (a, b))
+    except InvalidArgument:
+        assert not (math.isfinite(a) and math.isfinite(b) and a <= b)
+    except SplitlawError:  # too narrow a range to measure convexity on
+        assert 0.0 < b - a < 1e-3
+    else:
+        assert a <= b and math.isfinite(kk.c) and kk.c > 0.0
 
 
 def test_scalar_config_validation():
